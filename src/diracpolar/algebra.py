@@ -89,6 +89,11 @@ class CliffordBasis:
     eta: np.ndarray
     eps_lower: np.ndarray
     eps_upper: np.ndarray
+    # gamma^0 M for the sixteen density matrices M, in BilinearSet order:
+    # 1, i pi, gamma^a, gamma^a pi, 2i sigma_ab for ab in TENSOR_PAIRS
+    bilinear_stack: np.ndarray     # (16, 4, 4)
+    boost_generators: np.ndarray   # (3, 4, 4), gamma_0 gamma_k = 2 sigma_0k
+    rotation_generators: np.ndarray  # (2, 4, 4), (sigma_23, sigma_31); z -> t needs no sigma_12
 
     @classmethod
     def from_gammas(cls, gammas: np.ndarray, pi: np.ndarray) -> "CliffordBasis":
@@ -99,16 +104,23 @@ class CliffordBasis:
             - np.einsum("bij,ajk->abik", gam_low, gam_low)
         )
         sig_up = np.einsum("ac,bd,cdij->abij", ETA, ETA, sig_low)
+        pi = np.asarray(pi, dtype=complex).copy()
+        eye = np.eye(4, dtype=complex)
+        densities = [eye, 1j * pi, *gam, *(gam @ pi)]
+        densities += [2j * sig_low[a, b] for a, b in itertools.combinations(range(4), 2)]
         arrays = dict(
             gamma=gam,
             gamma_lower=gam_low,
             sigma_lower=sig_low,
             sigma_upper=sig_up,
-            pi=np.asarray(pi, dtype=complex).copy(),
-            identity=np.eye(4, dtype=complex),
+            pi=pi,
+            identity=eye,
             eta=ETA,
             eps_lower=EPS_LOWER,
             eps_upper=EPS_UPPER,
+            bilinear_stack=gam[0] @ np.array(densities),
+            boost_generators=2.0 * sig_low[0, 1:],
+            rotation_generators=sig_low[[2, 3], [3, 1]],
         )
         for arr in arrays.values():
             arr.setflags(write=False)
@@ -248,6 +260,80 @@ def rot_z_to_params(target: np.ndarray) -> np.ndarray:
             return np.zeros((4, 4))
         return rotation_params(np.array([1.0, 0.0, 0.0]), np.pi)
     return rotation_params(cross / sin_angle, np.arctan2(sin_angle, cos_angle))
+
+
+def lorentz_inverse(vec_rep: np.ndarray) -> np.ndarray:
+    """Exact inverse eta vec_rep^T eta of a Lorentz matrix, or of a stack of them."""
+    return ETA @ np.swapaxes(vec_rep, -1, -2) @ ETA
+
+
+def spin_inverse(spin_rep: np.ndarray, basis: CliffordBasis) -> np.ndarray:
+    """Exact inverse gamma^0 spin_rep^dagger gamma^0 of a spin representation,
+    or of a stack of them."""
+    g0 = basis.gamma[0]
+    return g0 @ np.conj(np.swapaxes(spin_rep, -1, -2)) @ g0
+
+
+def boost_reps(u: np.ndarray, basis: CliffordBasis):
+    """(spin_rep, vec_rep) of lorentz_exp(boost_params(u)) in closed form.
+
+    u has any leading batch shape (..., 4); only its spatial part v enters,
+    with u0 = sqrt(1 + |v|^2).  Half-angle forms keep the rest frame regular:
+      spin_rep = cosh(chi/2) 1 + sinh(chi/2) n_k gamma_0 gamma_k,
+                 cosh(chi/2) = sqrt((u0 + 1) / 2), sinh(chi/2) n = v / (2 cosh(chi/2))
+      vec_rep  = [[u0, -v], [-v, 1 + v v^T / (u0 + 1)]]
+    """
+    v = np.asarray(u, dtype=float)[..., 1:]
+    batch = v.shape[:-1]
+    u0 = np.sqrt(1.0 + (v * v).sum(axis=-1))
+    half_cosh = np.sqrt(0.5 * (u0 + 1.0))
+    generator = (v / (2.0 * half_cosh)[..., None]) @ basis.boost_generators.reshape(3, 16)
+    spin = half_cosh[..., None, None] * basis.identity + generator.reshape(batch + (4, 4))
+    vec = np.empty(batch + (4, 4))
+    vec[..., 0, 0] = u0
+    vec[..., 0, 1:] = -v
+    vec[..., 1:, 0] = -v
+    vec[..., 1:, 1:] = np.eye(3) + v[..., :, None] * v[..., None, :] / (u0 + 1.0)[..., None, None]
+    return spin, vec
+
+
+def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
+    """(spin_rep, vec_rep) of lorentz_exp(rot_z_to_params(target)) in closed form.
+
+    target has any leading batch shape (..., 3) and need not be normalized.
+    The half-angle quaternion of the minimal rotation z -> t is q =
+    (|t| + t_z, z x t) normalized; its axis lies in the xy plane, so q_3 = 0:
+      spin_rep = q_0 1 - 2 (q_1 sigma_23 + q_2 sigma_31)
+      vec_rep  = diag(1, R^T), R the rotation matrix of q, which takes z onto t
+    Near the -z antipode |t| + t_z is formed as (t_x^2 + t_y^2) / (|t| - t_z)
+    to avoid cancellation; at the antipode itself, with the same threshold as
+    rot_z_to_params, the rotation is the half turn about x.
+    """
+    t = np.asarray(target, dtype=float)
+    tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
+    rho2 = tx * tx + ty * ty
+    norm = np.sqrt(rho2 + tz * tz)
+    antipode = (np.sqrt(rho2) < 1e-14 * norm) & (tz < 0.0)
+    q0 = np.where(tz >= 0.0, norm + tz, rho2 / (norm + np.abs(tz)))
+    scale = 1.0 / np.sqrt(np.where(antipode, 1.0, q0 * q0 + rho2))
+    q0 = np.where(antipode, 0.0, q0 * scale)
+    q1 = np.where(antipode, 1.0, -ty * scale)
+    q2 = np.where(antipode, 0.0, tx * scale)
+    batch = t.shape[:-1]
+
+    generator = np.stack([q1, q2], axis=-1) @ basis.rotation_generators.reshape(2, 16)
+    spin = q0[..., None, None] * basis.identity - 2.0 * generator.reshape(batch + (4, 4))
+    vec = np.zeros(batch + (4, 4))
+    vec[..., 0, 0] = 1.0
+    vec[..., 1, 1] = 1.0 - 2.0 * q2 * q2
+    vec[..., 2, 2] = 1.0 - 2.0 * q1 * q1
+    vec[..., 3, 3] = 1.0 - 2.0 * (q1 * q1 + q2 * q2)
+    vec[..., 1, 2] = vec[..., 2, 1] = 2.0 * q1 * q2
+    vec[..., 1, 3] = -2.0 * q2 * q0
+    vec[..., 3, 1] = 2.0 * q2 * q0
+    vec[..., 2, 3] = 2.0 * q1 * q0
+    vec[..., 3, 2] = -2.0 * q1 * q0
+    return spin, vec
 
 
 def rest_to_lab(u: np.ndarray, spin_axis: np.ndarray, basis: CliffordBasis):

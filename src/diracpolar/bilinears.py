@@ -33,6 +33,8 @@ def adjoint(psi, basis):
 
 @dataclass
 class BilinearSet:
+    """Densities of one spinor, or of a batch with the spinor's leading shape."""
+
     scalar: float
     pseudoscalar: float
     vector: np.ndarray       # raised index
@@ -42,10 +44,10 @@ class BilinearSet:
 
     @property
     def tensor(self) -> np.ndarray:
-        m = np.zeros((4, 4))
-        for val, (a, b) in zip(self.tensor6, TENSOR_PAIRS):
-            m[a, b] = val
-            m[b, a] = -val
+        m = np.zeros(np.shape(self.tensor6)[:-1] + (4, 4))
+        for k, (a, b) in enumerate(TENSOR_PAIRS):
+            m[..., a, b] = self.tensor6[..., k]
+            m[..., b, a] = -self.tensor6[..., k]
         return m
 
     def density_squared(self) -> float:
@@ -53,36 +55,33 @@ class BilinearSet:
 
 
 def compute_bilinears(psi, basis) -> BilinearSet:
+    """All sixteen densities of psi, shape (..., 4), in one contraction."""
     psi = np.asarray(psi, dtype=complex)
-    adj = adjoint(psi, basis)
-    scalar = adj @ psi
-    pseudo = 1j * (adj @ basis.pi @ psi)
-    vec = np.einsum("i,aij,j->a", adj, basis.gamma, psi)
-    ax = np.einsum("i,aij,jk,k->a", adj, basis.gamma, basis.pi, psi)
-    t6 = np.array(
-        [2j * (adj @ basis.sigma_lower[a, b] @ psi) for a, b in TENSOR_PAIRS]
-    )
-    pieces = np.concatenate([[scalar, pseudo], vec, ax, t6])
+    pieces = np.einsum("...i,kij,...j->...k", psi.conj(), basis.bilinear_stack, psi)
+    real = pieces.real
+    # [()] turns the 0-d result of a single spinor into a scalar
     return BilinearSet(
-        scalar=scalar.real,
-        pseudoscalar=pseudo.real,
-        vector=vec.real,
-        axial=ax.real,
-        tensor6=t6.real,
-        imag_residual=float(np.abs(pieces.imag).max()),
+        scalar=real[..., 0][()],
+        pseudoscalar=real[..., 1][()],
+        vector=real[..., 2:6],
+        axial=real[..., 6:10],
+        tensor6=real[..., 10:],
+        imag_residual=np.abs(pieces.imag).max(axis=-1),
     )
 
 
-def is_regular(bil: BilinearSet, eps: float = REGULARITY_EPS) -> bool:
+def is_regular(bil: BilinearSet, eps: float = REGULARITY_EPS):
     """Densities bounded away from the light-cone degeneracy theta = phi = 0."""
-    return bil.density_squared() > eps * bil.vector[0] ** 2
+    return bil.density_squared() > eps * bil.vector[..., 0] ** 2
 
 
 def require_regular(bil: BilinearSet, eps: float = REGULARITY_EPS) -> None:
-    if not is_regular(bil, eps):
+    """Raise SingularSpinor unless every spinor of the batch is regular."""
+    regular = is_regular(bil, eps)
+    if not np.all(regular):
         raise SingularSpinor(
             "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
-            % (bil.density_squared(), eps)
+            % (np.min(np.where(regular, np.inf, bil.density_squared())), eps)
         )
 
 

@@ -407,7 +407,7 @@ def _gordon_point(fld, bg, basis, x, h):
     for name, value in residual_polar_groups(jet, bg, basis).items():
         pairs.append(("group_" + name, value))
     pairs.append(
-        ("polar_derivative", float(verify_polar_derivative(fld, bg, basis, x, h).max()))
+        ("polar_derivative", float(verify_polar_derivative(jet, fld, bg, basis).max()))
     )
     pairs.append(("transport", verify_transport(jet, basis).max_residual()))
     return pairs
@@ -511,6 +511,10 @@ def _read_seeds(path):
 
 def cmd_trajectory(args) -> int:
     cfg = _load_config(args.config)
+    if cfg.grid is not None:
+        # grid fields answer only at their nodes, and the first RK4 stage
+        # always leaves the node it starts from
+        raise ConfigError(["grid: trajectory needs a [wave] field, not a grid file"])
     basis = build_chiral_basis()
     fld = build_field(cfg, basis)
     bg = build_background(cfg)

@@ -18,17 +18,32 @@ which is invariant under a joint phase/potential gauge shift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA, SEED_SPINOR, boost_params, lorentz_exp, mdot, rot_z_to_params
-from .bilinears import compute_bilinears
+# lorentz_exp is not used here; it stays bound because bench/test_bench.py
+# checks that the tracer wraps it in this module
+from .algebra import (  # noqa: F401
+    ETA,
+    SEED_SPINOR,
+    boost_reps,
+    lorentz_exp,
+    mdot,
+    rot_z_to_reps,
+    spin_inverse,
+)
 from .errors import OffShell, OutOfDomain, PhaseJump
 from .polar import PolarData, polar_decompose, wrap_angle
 from .report import IdentityReport
 
 SIGMA_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+_PAIR_I, _PAIR_J = np.array(SIGMA_PAIRS).T
+
+# polar_jet's stencil: the point itself, then +e_mu and -e_mu for mu = 0..3
+_STENCIL = np.concatenate(
+    [np.zeros((1, 4)), np.stack([np.eye(4), -np.eye(4)], axis=1).reshape(8, 4)]
+)
 
 
 class ConstantVector:
@@ -89,24 +104,22 @@ class PlaneWaveField:
 
     def __init__(self, components):
         self.components = list(components)
+        # one row per component: lowered momenta and amplitudes
+        self._p_low = np.array([ETA @ c.momentum for c in self.components]).reshape(-1, 4)
+        self._amplitudes = np.array(
+            [c.amplitude for c in self.components], dtype=complex
+        ).reshape(-1, 4)
+
+    def _phases(self, x):
+        return np.exp(-1j * (np.asarray(x, dtype=float) @ self._p_low.T))
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(4, dtype=complex)
-        for c in self.components:
-            out = out + c.amplitude * np.exp(-1j * mdot(c.momentum, x))
-        return out
+        """Field at a point (4,), or at every point of a stack (..., 4)."""
+        return self._phases(x) @ self._amplitudes
 
     def partial(self, x):
         # rows indexed by the derivative direction, phase gradient lowered
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((4, 4), dtype=complex)
-        for c in self.components:
-            p_low = ETA @ c.momentum
-            out = out + np.outer(
-                -1j * p_low, c.amplitude * np.exp(-1j * mdot(c.momentum, x))
-            )
-        return out
+        return (-1j * self._p_low.T * self._phases(x)) @ self._amplitudes
 
 
 def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
@@ -120,10 +133,9 @@ def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
         raise OffShell(
             "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0" % residual
         )
-    boost = lorentz_exp(boost_params(p / mass), basis)
-    rot = lorentz_exp(rot_z_to_params(np.asarray(spin_axis, dtype=float)), basis)
-    l_spin = rot.spin_rep @ boost.spin_rep
-    psi0 = amplitude * np.linalg.inv(l_spin) @ SEED_SPINOR
+    boost_spin, _ = boost_reps(p / mass, basis)
+    rot_spin, _ = rot_z_to_reps(spin_axis, basis)
+    psi0 = amplitude * spin_inverse(rot_spin @ boost_spin, basis) @ SEED_SPINOR
     return PlaneWaveField([PlaneWaveComponent(p, psi0)])
 
 
@@ -203,6 +215,14 @@ class BoxWindow:
         return self.inner.partial(self._check(x))
 
 
+def _evaluate_points(fld, points):
+    """Field values at a stack of points (N, 4); plane waves take the stack
+    at once, other fields one point at a time."""
+    if isinstance(fld, PlaneWaveField):
+        return fld.evaluate(points)
+    return np.array([fld.evaluate(x) for x in points])
+
+
 def to_grid(fn, origin, spacing, shape) -> GriddedField:
     """Sample a callable psi(x) -> complex 4-vector on a lattice."""
     origin = np.asarray(origin, dtype=float)
@@ -275,76 +295,57 @@ class PolarJet:
     tc: TensorialConnection
     x: np.ndarray
     h: float
-    neighbors: list = field(default_factory=list, repr=False)
 
 
 def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
-    """Polar data and its centered first differences at a point."""
+    """Polar data and its centered first differences at a point.
+
+    The nine stencil points are decomposed in one batch.
+    """
     x = np.asarray(x, dtype=float)
-    pd0 = polar_decompose(fld.evaluate(x), basis)
+    stencil = polar_decompose(_evaluate_points(fld, x + h * _STENCIL), basis)
+    pd0 = stencil[0]
 
-    dchiral = np.zeros(4)
-    dlogden = np.zeros(4)
-    dphase = np.zeros(4)
-    du = np.zeros((4, 4))
-    ds = np.zeros((4, 4))
-    g = np.zeros((4, 4, 4), dtype=complex)
-    neighbors = []
-    l0_inv = np.linalg.inv(pd0.l_spin)
-    for mu in range(4):
-        step = np.zeros(4)
-        step[mu] = h
-        pd_plus = polar_decompose(fld.evaluate(x + step), basis)
-        pd_minus = polar_decompose(fld.evaluate(x - step), basis)
-        neighbors.append((pd_plus, pd_minus))
-        for pd_side in (pd_plus, pd_minus):
-            jump = wrap_angle(pd_side.residual_phase - pd0.residual_phase)
-            if abs(jump) > np.pi / 2:
-                raise PhaseJump(
-                    "residual phase moved by %.3f across one stencil step" % jump
-                )
-        dchiral[mu] = wrap_angle(pd_plus.chiral_angle - pd_minus.chiral_angle) / (2 * h)
-        dlogden[mu] = (np.log(pd_plus.density) - np.log(pd_minus.density)) / (2 * h)
-        dphase[mu] = wrap_angle(pd_plus.residual_phase - pd_minus.residual_phase) / (
-            2 * h
+    jumps = wrap_angle(stencil.residual_phase[1:] - pd0.residual_phase)
+    jumped = np.flatnonzero(np.abs(jumps) > np.pi / 2)
+    if jumped.size:
+        raise PhaseJump(
+            "residual phase moved by %.3f across one stencil step" % jumps[jumped[0]]
         )
-        du[mu] = (pd_plus.velocity - pd_minus.velocity) / (2 * h)
-        ds[mu] = (pd_plus.spin - pd_minus.spin) / (2 * h)
-        g[mu] = l0_inv @ (pd_plus.l_spin - pd_minus.l_spin) / (2 * h)
 
+    def central(values, wrap=lambda d: d):
+        # rows mu of (values at x + h e_mu - values at x - h e_mu) / 2h
+        return wrap(values[1::2] - values[2::2]) / (2 * h)
+
+    dchiral = central(stencil.chiral_angle, wrap_angle)
+    dlogden = central(np.log(stencil.density))
+    dphase = central(stencil.residual_phase, wrap_angle)
+    du = central(stencil.velocity)
+    ds = central(stencil.spin)
+    g = spin_inverse(pd0.l_spin, basis) @ central(stencil.l_spin)
+
+    # project each g_mu onto the identity and the six sigma^{ij}
+    sigma6 = basis.sigma_upper[_PAIR_I, _PAIR_J]
+    coeff = np.einsum("pij,mij->mp", sigma6.conj(), g).real
+    trace_part = np.trace(g, axis1=1, axis2=2).imag / 4.0
+    rebuilt = 1j * trace_part[:, None, None] * basis.identity + np.einsum(
+        "mp,pij->mij", coeff, sigma6
+    )
     r = np.zeros((4, 4, 4))
-    trace_part = np.zeros(4)
-    resid = 0.0
-    for mu in range(4):
-        rebuilt = np.zeros((4, 4), dtype=complex)
-        trace_part[mu] = np.trace(g[mu]).imag / 4.0
-        rebuilt += 1j * trace_part[mu] * basis.identity
-        for (i, j) in SIGMA_PAIRS:
-            coeff = np.trace(basis.sigma_upper[i, j].conj().T @ g[mu])
-            r[i, j, mu] = coeff.real
-            r[j, i, mu] = -coeff.real
-            rebuilt += coeff.real * basis.sigma_upper[i, j]
-        resid = max(resid, np.abs(g[mu] - rebuilt).max())
+    r[_PAIR_I, _PAIR_J] = coeff.T
+    r[_PAIR_J, _PAIR_I] = -coeff.T
 
     p = dphase + trace_part - bg.charge * (ETA @ bg.a_value(x))
     tc = TensorialConnection(
-        r=r, p=p, dphase=dphase, trace_part=trace_part, projection_residual=float(resid)
+        r=r,
+        p=p,
+        dphase=dphase,
+        trace_part=trace_part,
+        projection_residual=float(np.abs(g - rebuilt).max()),
     )
     return PolarJet(
-        pd=pd0,
-        dchiral=dchiral,
-        dlogdensity=dlogden,
-        du=du,
-        ds=ds,
-        tc=tc,
-        x=x,
-        h=h,
-        neighbors=neighbors,
+        pd=pd0, dchiral=dchiral, dlogdensity=dlogden, du=du, ds=ds, tc=tc, x=x, h=h
     )
-
-
-def extract_tensorial_connection(fld, bg, basis, x, h=1e-3) -> TensorialConnection:
-    return polar_jet(fld, bg, basis, x, h).tc
 
 
 def polar_derivative_operator(jet: PolarJet, basis, mu):
@@ -363,12 +364,12 @@ def polar_derivative_operator(jet: PolarJet, basis, mu):
     return op
 
 
-def verify_polar_derivative(fld, bg, basis, x, h=1e-3):
+def verify_polar_derivative(jet: PolarJet, fld, bg, basis):
     """Residual per direction between nabla_mu psi computed from the field and
-    from the polar variables; normalized by the spinor magnitude."""
-    jet = polar_jet(fld, bg, basis, x, h)
-    psi = fld.evaluate(np.asarray(x, dtype=float))
-    direct = covariant_derivative(fld, bg, x)
+    from the polar variables of jet, at jet.x; normalized by the spinor
+    magnitude."""
+    psi = fld.evaluate(jet.x)
+    direct = covariant_derivative(fld, bg, jet.x)
     scale = np.linalg.norm(psi)
     out = np.zeros(4)
     for mu in range(4):

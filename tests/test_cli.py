@@ -286,6 +286,21 @@ def test_grid_config_source(tmp_path, capsys, basis):
     assert float(got["p0.dirac"]) < 1e-6
 
 
+def test_trajectory_rejects_grid_config(tmp_path, capsys, basis):
+    from diracpolar.fieldconn import plane_wave, save_grid, to_grid
+
+    fld = plane_wave(np.array([1.0, 0, 0, 0]), 1.0, (0, 0, 1), 1.0, basis)
+    path = tmp_path / "field.grid"
+    save_grid(str(path), to_grid(fld.evaluate, np.zeros(4), 1e-3, (3, 3, 3, 3)))
+    cfg = write_cfg(tmp_path, "mass = 1.0\ngrid = %s\n" % path)
+    for mode in ("kinematic", "guidance"):
+        code = console_main(["trajectory", "--config", cfg, "--mode", mode, "--steps", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: grid" in captured.err
+        assert captured.out == ""
+
+
 def test_grid_file_must_exist(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mass = 1.0\ngrid = /nonexistent/field.grid\n")
     code = console_main(["polar", "--config", cfg])
