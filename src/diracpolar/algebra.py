@@ -20,6 +20,9 @@ from scipy.linalg import expm
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 ETA.setflags(write=False)
+# the diagonal of ETA: v * ETA_SIGNS lowers (or raises) the last index of a
+# vector or of a stack of vectors
+ETA_SIGNS = np.diag(ETA)
 
 SEED_SPINOR = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
 SEED_SPINOR.setflags(write=False)

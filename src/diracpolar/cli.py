@@ -474,11 +474,10 @@ def cmd_guidance(args) -> int:
 def _emit_trajectory(tr, index, fmt, out):
     print("# trajectory %d mode=%s status=%s" % (index, tr.mode, tr.status), file=out)
     if fmt == "records":
-        for k in range(len(tr.tau)):
-            print(
-                "sample=%d %s %s %s" % (index, G % tr.tau[k], _fmt(tr.x[k]), _fmt(tr.u[k])),
-                file=out,
-            )
+        # one format string for the whole row: the same text as _fmt per value
+        line = "sample=%d" % index + (" " + G) * 9 + "\n"
+        rows = np.column_stack([tr.tau, tr.x, tr.u]).tolist()
+        out.write("".join(line % tuple(row) for row in rows))
     else:
         header = ("seed", "tau", "x0", "x1", "x2", "x3", "u0", "u1", "u2", "u3")
         print("  ".join("%22s" % h for h in header), file=out)

@@ -3,6 +3,8 @@
 Fields come in two kinds: analytic superpositions of plane waves, with exact
 derivatives, and gridded samples differentiated by central differences.  Both
 expose evaluate(x) and partial(x) and everything downstream is agnostic.
+evaluate takes a point (4,) or a stack of points (..., 4); partial takes a
+point.
 
 The polar jet of a field at a point collects the polar data together with the
 first derivatives of every polar variable, including the connection
@@ -25,7 +27,9 @@ import numpy as np
 # lorentz_exp is not used here; it stays bound because bench/test_bench.py
 # checks that the tracer wraps it in this module
 from .algebra import (  # noqa: F401
+    EPS_LOWER,
     ETA,
+    ETA_SIGNS,
     SEED_SPINOR,
     boost_reps,
     lorentz_exp,
@@ -44,6 +48,9 @@ _PAIR_I, _PAIR_J = np.array(SIGMA_PAIRS).T
 _STENCIL = np.concatenate(
     [np.zeros((1, 4)), np.stack([np.eye(4), -np.eye(4)], axis=1).reshape(8, 4)]
 )
+
+# r * _RAISE3 raises all three indices of r[..., i, j, mu]; ETA is diagonal
+_RAISE3 = np.einsum("i,j,k->ijk", ETA_SIGNS, ETA_SIGNS, ETA_SIGNS)
 
 
 class ConstantVector:
@@ -68,7 +75,8 @@ class LinearVector:
         self.slope = np.asarray(slope, dtype=float).reshape(4, 4)
 
     def value(self, x):
-        return self.base + self.slope @ np.asarray(x, dtype=float)
+        """Potential at a point (4,), or at every point of a stack (..., 4)."""
+        return self.base + np.asarray(x, dtype=float) @ self.slope.T
 
     def shifted(self, delta):
         return LinearVector(self.base + np.asarray(delta, dtype=float), self.slope)
@@ -76,6 +84,10 @@ class LinearVector:
 
 @dataclass
 class Background:
+    """Mass, couplings and potentials.  a_value and w_value take a point or a
+    stack of points; a constant or absent potential comes back as one (4,)
+    vector, which broadcasts against the stack."""
+
     mass: float
     charge: float = 0.0
     torsion_coupling: float = 0.0
@@ -164,15 +176,17 @@ class GriddedField:
             raise ValueError("grid data must have shape (n0, n1, n2, n3, 4)")
 
     def _index(self, x):
+        """Node index of a point, or index arrays of a stack of points."""
         rel = (np.asarray(x, dtype=float) - self.origin) / self.spacing
         idx = np.rint(rel).astype(int)
         if np.abs(rel - idx).max() > 1e-6:
             raise OutOfDomain("point does not sit on a grid node")
         if np.any(idx < 0) or np.any(idx >= self.data.shape[:4]):
             raise OutOfDomain("point outside the gridded region")
-        return tuple(idx)
+        return tuple(np.moveaxis(idx, -1, 0))
 
     def evaluate(self, x):
+        """Field at a node (4,), or at every node of a stack (..., 4)."""
         return self.data[self._index(x)]
 
     def partial(self, x):
@@ -213,14 +227,6 @@ class BoxWindow:
 
     def partial(self, x):
         return self.inner.partial(self._check(x))
-
-
-def _evaluate_points(fld, points):
-    """Field values at a stack of points (N, 4); plane waves take the stack
-    at once, other fields one point at a time."""
-    if isinstance(fld, PlaneWaveField):
-        return fld.evaluate(points)
-    return np.array([fld.evaluate(x) for x in points])
 
 
 def to_grid(fn, origin, spacing, shape) -> GriddedField:
@@ -269,24 +275,28 @@ def covariant_derivative(fld, bg: Background, x, basis=None):
 
 @dataclass
 class TensorialConnection:
-    r: np.ndarray                 # r[i, j, mu], antisymmetric in i, j (lowered)
+    """Connection at a point, or at every point of a batch (leading axes)."""
+
+    r: np.ndarray                 # r[..., i, j, mu], antisymmetric in i, j (lowered)
     p: np.ndarray                 # momentum covector, lowered index
     dphase: np.ndarray
     trace_part: np.ndarray
-    projection_residual: float
+    projection_residual: float    # one per point of a batch
 
     def axial_dual(self) -> np.ndarray:
-        from .algebra import EPS_LOWER
-
-        r_up = np.einsum("ri,aj,nk,ijk->ran", ETA, ETA, ETA, self.r)
-        return 0.25 * np.einsum("mran,ran->m", EPS_LOWER, r_up)
+        return 0.25 * np.einsum("mran,...ran->...m", EPS_LOWER, self.r * _RAISE3)
 
     def trace_contraction(self) -> np.ndarray:
-        return 0.5 * np.einsum("mrs,rs->m", self.r, ETA)
+        # eta^{j mu} r_{i j mu}
+        return 0.5 * np.diagonal(self.r, axis1=-2, axis2=-1) @ ETA_SIGNS
 
 
 @dataclass
 class PolarJet:
+    """Polar data and first derivatives at a point, or at every point of a
+    batch; derivative arrays carry the direction mu right after the batch
+    axes."""
+
     pd: PolarData
     dchiral: np.ndarray     # d_mu of the chiral angle
     dlogdensity: np.ndarray
@@ -298,50 +308,61 @@ class PolarJet:
 
 
 def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
-    """Polar data and its centered first differences at a point.
+    """Polar data and its centered first differences at a point x (4,), or at
+    every point of a stack (..., 4), whose batch shape the jet then carries.
 
-    The nine stencil points are decomposed in one batch.
+    The nine stencil points of every point are decomposed in one batch.
     """
     x = np.asarray(x, dtype=float)
-    stencil = polar_decompose(_evaluate_points(fld, x + h * _STENCIL), basis)
+    batch = x.ndim - 1
+    # stencil axis first, so that stencil[k] is stencil point k of every point
+    points = x + h * _STENCIL.reshape((9,) + (1,) * batch + (4,))
+    stencil = polar_decompose(fld.evaluate(points), basis)
     pd0 = stencil[0]
 
-    jumps = wrap_angle(stencil.residual_phase[1:] - pd0.residual_phase)
-    jumped = np.flatnonzero(np.abs(jumps) > np.pi / 2)
-    if jumped.size:
+    # (chiral, phase) and (chiral - 2 pi, phase + pi) are the same spinor:
+    # take every stencil point to the chiral branch of the centre
+    turns = np.rint((stencil.chiral_angle - pd0.chiral_angle) / (2 * np.pi))
+    chiral = stencil.chiral_angle - 2 * np.pi * turns
+    phase = stencil.residual_phase + np.pi * turns
+
+    jumps = wrap_angle(phase[1:] - pd0.residual_phase)
+    jumped = np.abs(jumps) > np.pi / 2
+    if jumped.any():
         raise PhaseJump(
-            "residual phase moved by %.3f across one stencil step" % jumps[jumped[0]]
+            "residual phase moved by %.3f across one stencil step" % jumps[jumped][0]
         )
 
     def central(values, wrap=lambda d: d):
-        # rows mu of (values at x + h e_mu - values at x - h e_mu) / 2h
-        return wrap(values[1::2] - values[2::2]) / (2 * h)
+        # (values at x + h e_mu - values at x - h e_mu) / 2h, mu behind the batch axes
+        diff = wrap(values[1::2] - values[2::2]) / (2 * h)
+        return np.moveaxis(diff, 0, batch) if batch else diff
 
-    dchiral = central(stencil.chiral_angle, wrap_angle)
+    dchiral = central(chiral)
     dlogden = central(np.log(stencil.density))
-    dphase = central(stencil.residual_phase, wrap_angle)
+    dphase = central(phase, wrap_angle)
     du = central(stencil.velocity)
     ds = central(stencil.spin)
-    g = spin_inverse(pd0.l_spin, basis) @ central(stencil.l_spin)
+    g = spin_inverse(pd0.l_spin, basis)[..., None, :, :] @ central(stencil.l_spin)
 
     # project each g_mu onto the identity and the six sigma^{ij}
     sigma6 = basis.sigma_upper[_PAIR_I, _PAIR_J]
-    coeff = np.einsum("pij,mij->mp", sigma6.conj(), g).real
-    trace_part = np.trace(g, axis1=1, axis2=2).imag / 4.0
-    rebuilt = 1j * trace_part[:, None, None] * basis.identity + np.einsum(
-        "mp,pij->mij", coeff, sigma6
+    coeff = np.einsum("pij,...mij->...mp", sigma6.conj(), g).real
+    trace_part = np.trace(g, axis1=-2, axis2=-1).imag / 4.0
+    rebuilt = 1j * trace_part[..., None, None] * basis.identity + np.einsum(
+        "...mp,pij->...mij", coeff, sigma6
     )
-    r = np.zeros((4, 4, 4))
-    r[_PAIR_I, _PAIR_J] = coeff.T
-    r[_PAIR_J, _PAIR_I] = -coeff.T
+    r = np.zeros(x.shape[:-1] + (4, 4, 4))
+    r[..., _PAIR_I, _PAIR_J, :] = np.swapaxes(coeff, -1, -2)
+    r[..., _PAIR_J, _PAIR_I, :] = -np.swapaxes(coeff, -1, -2)
 
-    p = dphase + trace_part - bg.charge * (ETA @ bg.a_value(x))
+    p = dphase + trace_part - bg.charge * (bg.a_value(x) * ETA_SIGNS)
     tc = TensorialConnection(
         r=r,
         p=p,
         dphase=dphase,
         trace_part=trace_part,
-        projection_residual=float(np.abs(g - rebuilt).max()),
+        projection_residual=np.abs(g - rebuilt).max(axis=(-3, -2, -1)),
     )
     return PolarJet(
         pd=pd0, dchiral=dchiral, dlogdensity=dlogden, du=du, ds=ds, tc=tc, x=x, h=h

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA
+from .algebra import ETA, ETA_SIGNS
 from .errors import DegenerateInversion, DegenerateX
 from .fieldconn import Background, PolarJet
 
@@ -27,21 +27,33 @@ INVERSION_GUARD = 1e-10
 
 @dataclass
 class CompactForms:
+    """Potentials at a point, or at every point of a batched jet."""
+
     y: np.ndarray        # lowered components
     z: np.ndarray        # lowered components
     xs: float
     mass_cos: float      # mass times cosine of the chiral angle
 
 
+def _first(values, mask):
+    """First entry of values (a scalar or an array) where mask holds."""
+    return np.asarray(values)[mask][0]
+
+
 def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
-    w_low = ETA @ bg.w_value(jet.x)
+    """Compact forms of a jet; a batched jet raises DegenerateX if any of its
+    points does."""
+    w_low = bg.w_value(jet.x) * ETA_SIGNS
     y = jet.tc.axial_dual() - bg.torsion_coupling * w_low + 0.5 * jet.dchiral
     z = -jet.dlogdensity - jet.tc.trace_contraction()
     mass_cos = bg.mass * np.cos(jet.pd.chiral_angle)
-    xs = mass_cos - y @ jet.pd.spin
-    if abs(xs) < X_GUARD * max(1.0, abs(bg.mass)):
-        raise DegenerateX("effective mass scale %.3e too close to zero" % xs)
-    return CompactForms(y=y, z=z, xs=float(xs), mass_cos=float(mass_cos))
+    xs = mass_cos - np.sum(y * jet.pd.spin, axis=-1)
+    degenerate = np.abs(xs) < X_GUARD * max(1.0, abs(bg.mass))
+    if np.any(degenerate):
+        raise DegenerateX(
+            "effective mass scale %.3e too close to zero" % _first(xs, degenerate)
+        )
+    return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos)
 
 
 def momentum_from_velocity(u, s, forms: CompactForms, basis) -> np.ndarray:
@@ -73,25 +85,39 @@ def velocity_from_momentum(p, s, forms: CompactForms, basis) -> np.ndarray:
     """Invert the momentum map; only z, s and xs enter.
 
     The inverse matrix annihilates s, so whatever multiple of s the momentum
-    carries (the y.u part) cannot and need not be recovered.
+    carries (the y.u part) cannot and need not be recovered.  p and s may
+    carry a batch shape (..., 4) matching forms; a batch raises if any of its
+    points fails a guard.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
-    if abs(forms.xs) < X_GUARD:
-        raise DegenerateX("effective mass scale %.3e too close to zero" % forms.xs)
-    zeta_low = forms.z / forms.xs
-    zeta = ETA @ zeta_low
-    s_low = ETA @ s
-    zs = zeta_low @ s
-    z2 = zeta_low @ zeta
+    xs = np.asarray(forms.xs)
+    degenerate = np.abs(xs) < X_GUARD
+    if np.any(degenerate):
+        raise DegenerateX(
+            "effective mass scale %.3e too close to zero" % _first(xs, degenerate)
+        )
+    zeta_low = forms.z / xs[..., None]
+    zeta = zeta_low * ETA_SIGNS
+    s_low = s * ETA_SIGNS
+    zs = np.sum(zeta_low * s, axis=-1)
+    z2 = np.sum(zeta_low * zeta, axis=-1)
     denom = 1.0 + z2 + zs**2
-    if abs(denom) < INVERSION_GUARD:
-        raise DegenerateInversion("inversion denominator %.3e vanishes" % denom)
-    b = ETA + np.outer(s, s) * (1 + zs**2)
-    b = b + np.outer(zeta, zeta)
-    b = b + (np.outer(zeta, s) + np.outer(s, zeta)) * zs
-    b = b + np.einsum("i,j,ijka->ka", zeta_low, s_low, basis.eps_upper)
-    return (b @ (ETA @ p)) / (forms.xs * denom)
+    vanishing = np.abs(denom) < INVERSION_GUARD
+    if np.any(vanishing):
+        raise DegenerateInversion(
+            "inversion denominator %.3e vanishes" % _first(denom, vanishing)
+        )
+
+    def outer(a, b):
+        return a[..., :, None] * b[..., None, :]
+
+    b = ETA + outer(s, s) * (1 + zs**2)[..., None, None]
+    b = b + outer(zeta, zeta)
+    b = b + (outer(zeta, s) + outer(s, zeta)) * zs[..., None, None]
+    b = b + np.einsum("...i,...j,ijka->...ka", zeta_low, s_low, basis.eps_upper)
+    p_low = p * ETA_SIGNS
+    return (b @ p_low[..., None])[..., 0] / (xs * denom)[..., None]
 
 
 def nonrel_limit_momentum(velocity3, spin3, grad_log_density3, mass) -> np.ndarray:

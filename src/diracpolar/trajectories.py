@@ -9,9 +9,12 @@ Two velocity modes are available at every regular point:
 
 On an exact solution the two coincide, so their trajectory divergence is a
 practical integration diagnostic.  Curves are parametrized by proper time
-and advanced with a fixed-step fourth-order Runge-Kutta rule.  A failure at
-the seed point raises immediately; a failure later on truncates the curve
-and reports the reason instead of raising.
+and advanced with a fixed-step fourth-order Runge-Kutta rule.  All seeds of
+a run advance together as one (n, 4) state, one velocity evaluation per
+stage for the whole ensemble; a single seed is an ensemble of one.  A
+failure at a seed point raises (integrate) or gives a failed record
+(batch_integrate); a failure later on truncates that curve and reports the
+reason, while the other curves go on.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ETA
+from .algebra import ETA_SIGNS
 from .bilinears import compute_bilinears, require_regular
 from .errors import DiracPolarError, ImmediateSingularity
 from .fieldconn import Background, polar_jet
@@ -29,13 +32,18 @@ MODES = ("kinematic", "guidance")
 
 
 def velocity_field(fld, bg: Background, basis, mode="kinematic", h_field=1e-3):
-    """Callable x -> unit velocity, in the requested mode."""
+    """Callable x -> unit velocity, in the requested mode.
+
+    x is a point (4,) or a stack of points (..., 4), and the velocities come
+    back with its shape.  A stack raises if the velocity is undefined at any
+    of its points.
+    """
     if mode == "kinematic":
 
         def evaluate(x):
             bil = compute_bilinears(fld.evaluate(np.asarray(x, dtype=float)), basis)
             require_regular(bil)
-            return bil.vector / np.hypot(bil.scalar, bil.pseudoscalar)
+            return bil.vector / np.hypot(bil.scalar, bil.pseudoscalar)[..., None]
 
     elif mode == "guidance":
 
@@ -43,7 +51,7 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic", h_field=1e-3):
             jet = polar_jet(fld, bg, basis, x, h_field)
             forms = compact_forms(jet, bg)
             return velocity_from_momentum(
-                ETA @ jet.tc.p, jet.pd.spin, forms, basis
+                jet.tc.p * ETA_SIGNS, jet.pd.spin, forms, basis
             )
 
     else:
@@ -66,6 +74,102 @@ class Trajectory:
         return self.status == "completed"
 
 
+def _by_rows(fn, state):
+    """fn of the (n, ...) state, whose output has the state's shape.
+
+    When the call on the whole state raises a DiracPolarError, every row is
+    tried again alone, as a batch of one, to find the rows that fail.
+    Returns the output, NaN in failed rows, and {row: the error it raised}.
+    """
+    try:
+        return fn(state), {}
+    except DiracPolarError as exc:
+        if len(state) == 1:
+            return np.full_like(state, np.nan), {0: exc}
+    out = np.full_like(state, np.nan)
+    errors = {}
+    for row in range(len(state)):
+        try:
+            out[row] = fn(state[row : row + 1])[0]
+        except DiracPolarError as exc:
+            errors[row] = exc
+    return out, errors
+
+
+def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode, h_field):
+    """Curves from every seed, advanced together as one (n, 4) state.
+
+    Returns one Trajectory per seed, or the DiracPolarError that made the
+    velocity undefined at the seed.  A curve that fails at a later step
+    stops there, with the status a run from its seed alone would give.
+    """
+    vel = velocity_field(fld, bg, basis, mode, h_field)
+    x0 = np.asarray(seeds, dtype=float).reshape(-1, 4)
+    n_steps = int(round(tau_max / h_tau))
+
+    def rk4_step(state):
+        # state[:, 0] holds the points, state[:, 1] the velocities there
+        x, k1 = state[:, 0], state[:, 1]
+        k2 = vel(x + 0.5 * h_tau * k1)
+        k3 = vel(x + 0.5 * h_tau * k2)
+        k4 = vel(x + h_tau * k3)
+        x = x + (h_tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return np.stack([x, vel(x)], axis=1)
+
+    u0, seed_errors = _by_rows(vel, x0)
+    samples = np.empty((len(x0), n_steps + 1, 2, 4))
+    samples[:, 0, 0] = x0
+    samples[:, 0, 1] = u0
+    length = np.ones(len(x0), dtype=int)
+    stops = {}
+    active = np.array([i for i in range(len(x0)) if i not in seed_errors], dtype=int)
+    state = samples[active, 0]
+    for k in range(n_steps):
+        if not active.size:
+            break
+        state, errors = _by_rows(rk4_step, state)
+        for row, exc in errors.items():
+            stops[active[row]] = "aborted at tau=%.6g: %s: %s" % (
+                k * h_tau,
+                type(exc).__name__,
+                exc,
+            )
+        going = np.ones(len(active), dtype=bool)
+        going[list(errors)] = False
+        active, state = active[going], state[going]
+        samples[active, k + 1] = state
+        length[active] = k + 2
+
+    tau = np.arange(n_steps + 1) * h_tau
+    out = []
+    for i, n in enumerate(length):
+        if i in seed_errors:
+            out.append(seed_errors[i])
+            continue
+        x, u = samples[i, :n, 0].copy(), samples[i, :n, 1].copy()
+        norms = np.sum(u * u * ETA_SIGNS, axis=-1)
+        out.append(
+            Trajectory(
+                tau=tau[:n].copy(),
+                x=x,
+                u=u,
+                mode=mode,
+                h_tau=h_tau,
+                status=stops.get(i, "completed"),
+                diagnostics={
+                    "max_unit_violation": float(np.abs(norms - 1.0).max()),
+                    # each completed step evaluates the velocity four times
+                    "velocity_evals": int(1 + 4 * (n - 1)),
+                },
+            )
+        )
+    return out
+
+
+def _seed_failure(exc) -> str:
+    return "velocity undefined at the seed point: %s" % exc
+
+
 def integrate(
     fld,
     bg: Background,
@@ -77,75 +181,29 @@ def integrate(
     h_field=1e-3,
 ) -> Trajectory:
     """Fixed-step fourth-order curve of the chosen velocity field from x0."""
-    vel = velocity_field(fld, bg, basis, mode, h_field)
-    x0 = np.asarray(x0, dtype=float)
-    try:
-        u0 = vel(x0)
-    except DiracPolarError as exc:
-        raise ImmediateSingularity(
-            "velocity undefined at the seed point: %s" % exc
-        ) from exc
-
-    n_steps = int(round(tau_max / h_tau))
-    taus = [0.0]
-    xs = [x0]
-    us = [u0]
-    status = "completed"
-    unit_violation = abs(ETA @ u0 @ u0 - 1.0)
-    evals = 1
-    x = x0
-    for k in range(n_steps):
-        try:
-            k1 = us[-1]
-            k2 = vel(x + 0.5 * h_tau * k1)
-            k3 = vel(x + 0.5 * h_tau * k2)
-            k4 = vel(x + h_tau * k3)
-            x = x + (h_tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            u_here = vel(x)
-            evals += 4
-        except DiracPolarError as exc:
-            status = "aborted at tau=%.6g: %s: %s" % (
-                taus[-1],
-                type(exc).__name__,
-                exc,
-            )
-            break
-        taus.append((k + 1) * h_tau)
-        xs.append(x)
-        us.append(u_here)
-        unit_violation = max(unit_violation, abs(ETA @ u_here @ u_here - 1.0))
-    return Trajectory(
-        tau=np.array(taus),
-        x=np.array(xs),
-        u=np.array(us),
-        mode=mode,
-        h_tau=h_tau,
-        status=status,
-        diagnostics={"max_unit_violation": float(unit_violation), "velocity_evals": evals},
-    )
+    (arc,) = _integrate_seeds(fld, bg, basis, [x0], tau_max, h_tau, mode, h_field)
+    if isinstance(arc, DiracPolarError):
+        raise ImmediateSingularity(_seed_failure(arc)) from arc
+    return arc
 
 
 def batch_integrate(fld, bg, basis, seeds, tau_max, h_tau=0.05, mode="kinematic", h_field=1e-3):
-    """Integrate from many seeds; a bad seed yields a failed record, not a raise."""
-    out = []
-    for x0 in seeds:
-        try:
-            out.append(
-                integrate(fld, bg, basis, x0, tau_max, h_tau, mode, h_field)
-            )
-        except ImmediateSingularity as exc:
-            out.append(
-                Trajectory(
-                    tau=np.zeros(0),
-                    x=np.zeros((0, 4)),
-                    u=np.zeros((0, 4)),
-                    mode=mode,
-                    h_tau=h_tau,
-                    status="failed: %s" % exc,
-                    diagnostics={},
-                )
-            )
-    return out
+    """Integrate from many seeds as one ensemble; a bad seed yields a failed
+    record, not a raise."""
+    return [
+        Trajectory(
+            tau=np.zeros(0),
+            x=np.zeros((0, 4)),
+            u=np.zeros((0, 4)),
+            mode=mode,
+            h_tau=h_tau,
+            status="failed: %s" % _seed_failure(arc),
+            diagnostics={},
+        )
+        if isinstance(arc, DiracPolarError)
+        else arc
+        for arc in _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode, h_field)
+    ]
 
 
 def sup_divergence(a: Trajectory, b: Trajectory) -> float:

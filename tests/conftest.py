@@ -1,3 +1,12 @@
+import os
+
+# The suite works on 4x4 matrices, where extra BLAS threads only add
+# wake-up stalls: on a shared machine that had sat idle, criterion 1's
+# hundred small inversions took about a second with default threading and
+# milliseconds with one thread.  This must run before numpy is imported.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
 import numpy as np
 import pytest
 

@@ -193,6 +193,32 @@ def test_trajectory_seeds_file_and_out(tmp_path, capsys):
     assert samples[-1].split("=", 1)[1].split()[0] == "1"
 
 
+def test_trajectory_records_round_trip(tmp_path, capsys, basis):
+    from diracpolar.cli import build_background, build_field
+    from diracpolar.trajectories import batch_integrate
+
+    cfg = write_cfg(tmp_path, TWO_WAVE)
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0 0 0 0\n0 0.1 0.2 -0.1\n-0.3 0.05 0 0.4\n")
+    argv = ["trajectory", "--config", cfg, "--seeds", str(seeds),
+            "--steps", "7", "--htau", "0.1", "--format", "records"]
+    assert console_main(argv) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("sample="):
+            head, *values = line.split()
+            rows.setdefault(int(head[len("sample="):]), []).append([float(v) for v in values])
+    run = parse_config(open(cfg).read())
+    arcs = batch_integrate(
+        build_field(run, basis), build_background(run), basis,
+        np.loadtxt(str(seeds)), tau_max=7 * 0.1, h_tau=0.1, h_field=run.step,
+    )
+    assert sorted(rows) == [0, 1, 2]
+    for index, arc in enumerate(arcs):
+        # 17 significant digits: every float reads back to the same double
+        assert np.array_equal(np.array(rows[index]), np.column_stack([arc.tau, arc.x, arc.u]))
+
+
 def test_trajectory_failed_seed_named(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TWO_WAVE)
     seeds = tmp_path / "seeds.txt"

@@ -2,10 +2,12 @@
 
 The closed-form frame is compared with lorentz_exp of the same parameters up
 to large rapidities and next to the -z antipode, where the minimal rotation
-switches branch; batched calls are compared with stacked single calls; and a
-batch holding one near-singular spinor must fail like the single call.
+switches branch; batched calls are compared with stacked single calls; a
+batch holding one near-singular spinor must fail like the single call; and
+chiral angles and residual phases next to +-pi, where both wrap, must
+survive the round trip and the polar jet's differences.
 """
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from diracpolar.algebra import (
 )
 from diracpolar.bilinears import compute_bilinears, is_regular, random_regular_spinor
 from diracpolar.errors import SingularSpinor
+from diracpolar.fieldconn import Background, polar_jet
 from diracpolar.polar import (
     kinematic_velocity,
     polar_decompose,
@@ -144,3 +147,85 @@ def test_batch_with_singular_row_raises(basis, seed, n, row, log_size):
     psi[row % n] = near
     with pytest.raises(SingularSpinor):
         polar_decompose(psi, basis)
+
+
+# offsets from +-pi: exactly on it, or 1e-14 up to 1e-2 away
+pi_offsets = st.one_of(st.just(0.0), st.floats(-14.0, -2.0).map(lambda e: 10.0**e))
+signs = st.sampled_from([-1.0, 1.0])
+# polar data of frames with u0 up to about 5, on which the angles are
+# conditioned like at rest
+frames = st.tuples(
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).map(np.array), directions
+)
+
+
+def frame_data(frame, basis):
+    v, t = frame
+    l_spin, _ = expm_frame(four_velocity(v), t, basis)
+    return polar_decompose(np.linalg.solve(l_spin, SEED_SPINOR), basis)
+
+
+@PROPERTY
+@given(frame=frames, sign=signs, offset=pi_offsets, phase=st.floats(-3.0, 3.0))
+def test_chiral_angle_next_to_pi_round_trip(basis, frame, sign, offset, phase):
+    base = frame_data(frame, basis)
+    chiral = sign * (np.pi - offset)
+    psi = polar_reconstruct(replace(base, chiral_angle=chiral, residual_phase=phase), basis)
+    pd = polar_decompose(psi, basis)
+    # at +-pi exactly either end of the interval is the same angle
+    assert abs(wrap_angle(pd.chiral_angle - chiral)) < 1e-13
+    assert np.abs(polar_reconstruct(pd, basis) - psi).max() < 1e-13 * np.linalg.norm(psi)
+
+
+class AffinePolarField:
+    """Spinor field with a fixed frame and density whose chiral angle and
+    residual phase are affine in x, so their exact gradients are known."""
+
+    def __init__(self, pd, dchiral, dphase, basis):
+        self.pd, self.dchiral, self.dphase, self.basis = pd, dchiral, dphase, basis
+
+    def evaluate(self, x):
+        x = np.asarray(x, dtype=float)
+        local = replace(
+            self.pd,
+            chiral_angle=self.pd.chiral_angle + x @ self.dchiral,
+            residual_phase=self.pd.residual_phase + x @ self.dphase,
+        )
+        return polar_reconstruct(local, self.basis)
+
+
+H_JET = 1e-3
+# gradients whose time component moves an angle by at least 0.5 h across the
+# stencil, more than the largest offset below, so the stencil crosses +-pi
+gradients = st.tuples(
+    st.floats(0.5, 2.0), signs, st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+).map(lambda t: np.array([t[0] * t[1], *t[2]]))
+stencil_offsets = st.one_of(
+    st.just(0.0), st.floats(-12.0, np.log10(0.4 * H_JET)).map(lambda e: 10.0**e)
+)
+any_gradients = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(np.array)
+
+
+def check_jet(jet, dchiral, dphase):
+    assert np.all(np.isfinite(jet.dchiral)) and np.all(np.isfinite(jet.tc.dphase))
+    # the angles are affine, so the central differences are exact up to
+    # rounding of order eps / h
+    assert np.abs(jet.dchiral - dchiral).max() < 1e-10
+    assert np.abs(jet.tc.dphase - dphase).max() < 1e-10
+    assert np.abs(jet.tc.r).max() < 1e-10
+
+
+@PROPERTY
+@given(frame=frames, sign=signs, offset=stencil_offsets, dchiral=gradients, dphase=any_gradients)
+def test_polar_jet_across_chiral_wrap(basis, frame, sign, offset, dchiral, dphase):
+    pd = replace(frame_data(frame, basis), chiral_angle=sign * (np.pi - offset))
+    fld = AffinePolarField(pd, dchiral, dphase, basis)
+    check_jet(polar_jet(fld, Background(mass=1.0), basis, np.zeros(4), H_JET), dchiral, dphase)
+
+
+@PROPERTY
+@given(frame=frames, sign=signs, offset=stencil_offsets, dphase=gradients, dchiral=any_gradients)
+def test_polar_jet_across_phase_wrap(basis, frame, sign, offset, dphase, dchiral):
+    pd = replace(frame_data(frame, basis), residual_phase=sign * (np.pi - offset))
+    fld = AffinePolarField(pd, dchiral, dphase, basis)
+    check_jet(polar_jet(fld, Background(mass=1.0), basis, np.zeros(4), H_JET), dchiral, dphase)

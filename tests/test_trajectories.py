@@ -6,6 +6,7 @@ from diracpolar.errors import ImmediateSingularity
 from diracpolar.fieldconn import (
     Background,
     BoxWindow,
+    LinearVector,
     PlaneWaveComponent,
     PlaneWaveField,
     plane_wave,
@@ -140,3 +141,122 @@ def test_sup_divergence_guards_mismatched_tau(basis):
     b = integrate(fld, bg, basis, np.zeros(4), 1.0, 0.05)
     with pytest.raises(ValueError):
         sup_divergence(a, b)
+
+
+# -- ensembles: every seed of a run advances as one batch -------------------
+
+
+def per_seed_rk4(vel, x0, n_steps, h_tau):
+    """Reference: the RK4 rule applied to one seed at a time, point by point."""
+    x = np.asarray(x0, dtype=float)
+    xs, us = [x], [vel(x)]
+    for _ in range(n_steps):
+        k1 = us[-1]
+        k2 = vel(x + 0.5 * h_tau * k1)
+        k3 = vel(x + 0.5 * h_tau * k2)
+        k4 = vel(x + h_tau * k3)
+        x = x + (h_tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        xs.append(x)
+        us.append(vel(x))
+    return np.array(xs), np.array(us)
+
+
+ENSEMBLE_SEEDS = np.array(
+    [
+        [0.0, 0.05, -0.1, 0.15],
+        [0.2, -0.3, 0.1, 0.0],
+        [-0.1, 0.4, 0.3, -0.2],
+        [0.3, 0.0, -0.4, 0.25],
+    ]
+)
+
+
+@pytest.mark.parametrize("mode, n_steps", [("kinematic", 40), ("guidance", 8)])
+def test_ensemble_matches_per_seed_loop(basis, mode, n_steps):
+    fld = two_wave(basis)
+    bg = Background(mass=MASS)
+    h_tau = 0.1
+    arcs = batch_integrate(fld, bg, basis, ENSEMBLE_SEEDS, n_steps * h_tau, h_tau, mode)
+    vel = velocity_field(fld, bg, basis, mode)
+    for arc, x0 in zip(arcs, ENSEMBLE_SEEDS):
+        assert arc.completed
+        xs, us = per_seed_rk4(vel, x0, n_steps, h_tau)
+        assert arc.x.shape == xs.shape and arc.u.shape == us.shape
+        assert np.abs(arc.x - xs).max() < 1e-12
+        assert np.abs(arc.u - us).max() < 1e-12
+        assert arc.diagnostics["velocity_evals"] == 1 + 4 * n_steps
+
+
+def test_ensemble_evaluates_once_per_stage(basis, monkeypatch):
+    from diracpolar import trajectories
+
+    calls = []
+
+    def counting_field(*args, **kwargs):
+        vel = velocity_field(*args, **kwargs)
+
+        def evaluate(x):
+            calls.append(np.shape(x))
+            return vel(x)
+
+        return evaluate
+
+    monkeypatch.setattr(trajectories, "velocity_field", counting_field)
+    arcs = batch_integrate(two_wave(basis), Background(mass=MASS), basis, ENSEMBLE_SEEDS, 1.0, 0.1)
+    assert all(arc.completed for arc in arcs)
+    # one call per RK4 stage for the whole ensemble, plus the seed velocities
+    assert calls == [ENSEMBLE_SEEDS.shape] * (1 + 4 * 10)
+
+
+def test_mixed_ensemble_arcs_match_lone_runs(basis):
+    fld = two_wave(basis)
+    bg = Background(mass=MASS)
+    window = BoxWindow(fld, np.full(4, -1.0), np.full(4, 1.0))
+    seeds = np.array(
+        [
+            [-0.9, 0.0, 0.1, -0.1],   # stays inside for the whole run
+            [0.5, 0.1, 0.0, 0.2],     # time runs out of the window mid-run
+            [-0.8, -0.2, 0.3, 0.0],   # stays inside
+            [1.5, 0.0, 0.0, 0.0],     # starts outside the window
+        ]
+    )
+    tau_max, h_tau = 1.5, 0.05
+    for mode in ("kinematic", "guidance"):
+        arcs = batch_integrate(window, bg, basis, seeds, tau_max, h_tau, mode)
+        assert [arc.completed for arc in arcs] == [True, False, True, False]
+        assert "OutOfDomain" in arcs[1].status and 1 < len(arcs[1].tau) < 31
+        assert arcs[3].status.startswith("failed: velocity undefined at the seed point")
+        with pytest.raises(ImmediateSingularity):
+            integrate(window, bg, basis, seeds[3], tau_max, h_tau, mode)
+        for arc, x0 in zip(arcs[:3], seeds):
+            lone = integrate(window, bg, basis, x0, tau_max, h_tau, mode)
+            assert arc.status == lone.status
+            assert np.array_equal(arc.tau, lone.tau)
+            # a stack and a single row can round differently in the last bit,
+            # which the guidance stencil magnifies by 1/h_field
+            assert np.abs(arc.x - lone.x).max() < 1e-12
+            assert np.abs(arc.u - lone.u).max() < 1e-12
+            assert arc.diagnostics["velocity_evals"] == lone.diagnostics["velocity_evals"]
+
+
+def test_charged_guidance_ensemble_in_linear_potential(basis):
+    fld = two_wave(basis)
+    slope = 0.05 * np.array(
+        [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], [0.0, -0.5, 0.0, 1.0], [0.2, 0.0, 0.0, 0.0]]
+    )
+    bg = Background(
+        mass=MASS, charge=0.3, em_potential=LinearVector([0.1, 0.0, -0.05, 0.02], slope)
+    )
+    n_steps, h_tau = 6, 0.1
+    arcs = batch_integrate(fld, bg, basis, ENSEMBLE_SEEDS, n_steps * h_tau, h_tau, "guidance")
+    vel = velocity_field(fld, bg, basis, "guidance")
+    free = batch_integrate(
+        fld, Background(mass=MASS), basis, ENSEMBLE_SEEDS, n_steps * h_tau, h_tau, "guidance"
+    )
+    for arc, plain, x0 in zip(arcs, free, ENSEMBLE_SEEDS):
+        assert arc.completed
+        xs, us = per_seed_rk4(vel, x0, n_steps, h_tau)
+        assert np.abs(arc.x - xs).max() < 1e-12
+        assert np.abs(arc.u - us).max() < 1e-12
+        # the potential bends the curve, so the batched a_value mattered
+        assert np.abs(arc.x - plain.x).max() > 1e-4
