@@ -3,8 +3,8 @@
 Fields come in two kinds: analytic superpositions of plane waves, with exact
 derivatives, and gridded samples differentiated by central differences.  Both
 expose evaluate(x) and partial(x) and everything downstream is agnostic.
-evaluate takes a point (4,) or a stack of points (..., 4); partial takes a
-point.
+Both take a point (4,) or a stack of points (..., 4); partial puts the
+derivative direction mu right after the batch axes.
 
 The polar jet of a field at a point collects the polar data together with the
 first derivatives of every polar variable, including the connection
@@ -48,6 +48,9 @@ _PAIR_I, _PAIR_J = np.array(SIGMA_PAIRS).T
 _STENCIL = np.concatenate(
     [np.zeros((1, 4)), np.stack([np.eye(4), -np.eye(4)], axis=1).reshape(8, 4)]
 )
+
+# unit steps along mu = 0..3, one row each
+_STEPS = np.eye(4, dtype=int)
 
 # r * _RAISE3 raises all three indices of r[..., i, j, mu]; ETA is diagonal
 _RAISE3 = np.einsum("i,j,k->ijk", ETA_SIGNS, ETA_SIGNS, ETA_SIGNS)
@@ -130,8 +133,10 @@ class PlaneWaveField:
         return self._phases(x) @ self._amplitudes
 
     def partial(self, x):
+        """d_mu psi at a point (4,) or at every point of a stack (..., 4)."""
         # rows indexed by the derivative direction, phase gradient lowered
-        return (-1j * self._p_low.T * self._phases(x)) @ self._amplitudes
+        phases = self._phases(x)[..., None, :]
+        return (-1j * self._p_low.T * phases) @ self._amplitudes
 
 
 def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
@@ -190,19 +195,16 @@ class GriddedField:
         return self.data[self._index(x)]
 
     def partial(self, x):
-        idx = self._index(x)
-        if any(i == 0 or i == n - 1 for i, n in zip(idx, self.data.shape[:4])):
+        """Central differences at a node (4,) or at every node of a stack
+        (..., 4); a stack raises OutOfDomain if any of its stencils leaves
+        the grid."""
+        idx = np.stack(self._index(x), axis=-1)
+        if np.any(idx == 0) or np.any(idx == np.array(self.data.shape[:4]) - 1):
             raise OutOfDomain("derivative stencil leaves the gridded region")
-        out = np.empty((4, 4), dtype=complex)
-        for mu in range(4):
-            up = list(idx)
-            dn = list(idx)
-            up[mu] += 1
-            dn[mu] -= 1
-            out[mu] = (self.data[tuple(up)] - self.data[tuple(dn)]) / (
-                2 * self.spacing[mu]
-            )
-        return out
+        # neighbour nodes along each mu, with mu right after the batch axes
+        up = tuple(np.moveaxis(idx[..., None, :] + _STEPS, -1, 0))
+        dn = tuple(np.moveaxis(idx[..., None, :] - _STEPS, -1, 0))
+        return (self.data[up] - self.data[dn]) / (2 * self.spacing[:, None])
 
 
 class BoxWindow:
@@ -226,17 +228,19 @@ class BoxWindow:
         return self.inner.evaluate(self._check(x))
 
     def partial(self, x):
+        """Inner derivative at a point (4,) or a stack (..., 4); a stack
+        raises OutOfDomain if any of its points leaves the box."""
         return self.inner.partial(self._check(x))
 
 
 def to_grid(fn, origin, spacing, shape) -> GriddedField:
-    """Sample a callable psi(x) -> complex 4-vector on a lattice."""
+    """Sample a callable psi(x) on a lattice.  fn is called once, on the
+    stack of every node (n0, n1, n2, n3, 4), and returns the complex
+    4-spinors of the same leading shape."""
     origin = np.asarray(origin, dtype=float)
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (4,)).copy()
-    data = np.empty(tuple(shape) + (4,), dtype=complex)
-    for idx in np.ndindex(*shape):
-        data[idx] = fn(origin + spacing * np.asarray(idx))
-    return GriddedField(origin, spacing, data)
+    nodes = origin + spacing * np.stack(np.indices(tuple(shape)), axis=-1)
+    return GriddedField(origin, spacing, fn(nodes))
 
 
 GRID_MAGIC = "# diracpolar grid v1"
@@ -266,11 +270,30 @@ def load_grid(path) -> GriddedField:
     return GriddedField(origin, spacing, data)
 
 
-def covariant_derivative(fld, bg: Background, x, basis=None):
-    """nabla_mu psi = d_mu psi + i charge a_mu psi, rows indexed by mu."""
+def covariant_derivative(fld, bg: Background, x, psi=None):
+    """nabla_mu psi = d_mu psi + i charge a_mu psi at a point (4,) or at every
+    point of a stack (..., 4), with mu right after the batch axes.  psi, the
+    field at x, is evaluated here unless the caller passes it."""
+    if psi is None:
+        psi = fld.evaluate(x)
+    a_low = bg.a_value(x) * ETA_SIGNS
+    return fld.partial(x) + 1j * bg.charge * a_low[..., :, None] * psi[..., None, :]
+
+
+@dataclass
+class FieldSample:
+    """A field and its covariant derivative at a point (4,) or at every point
+    of a stack (..., 4): the inputs every exact balance check shares."""
+
+    x: np.ndarray
+    psi: np.ndarray       # (..., 4)
+    grad: np.ndarray      # (..., mu, 4)
+
+
+def sample_field(fld, bg: Background, x) -> FieldSample:
+    x = np.asarray(x, dtype=float)
     psi = fld.evaluate(x)
-    a_low = ETA @ bg.a_value(x)
-    return fld.partial(x) + 1j * bg.charge * np.outer(a_low, psi)
+    return FieldSample(x=x, psi=psi, grad=covariant_derivative(fld, bg, x, psi))
 
 
 @dataclass
@@ -369,54 +392,47 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
     )
 
 
-def polar_derivative_operator(jet: PolarJet, basis, mu):
-    """Matrix nabla_mu acting on psi when written through polar variables.
+def polar_derivative_operator(jet: PolarJet, basis):
+    """Matrices nabla_mu acting on psi when written through polar variables,
+    one per direction mu, right after the jet's batch axes.
 
     The trace part of the connection sits inside the momentum covector and
     cancels against the frame term, so it appears here only through p.
     """
-    op = (
-        jet.dlogdensity[mu] * basis.identity
-        - 0.5j * jet.dchiral[mu] * basis.pi
-        - 1j * jet.tc.p[mu] * basis.identity
+    sigma6 = basis.sigma_upper[_PAIR_I, _PAIR_J]
+    diagonal = (jet.dlogdensity - 1j * jet.tc.p)[..., None, None] * basis.identity
+    return (
+        diagonal
+        - 0.5j * jet.dchiral[..., None, None] * basis.pi
+        - np.einsum("...pm,pij->...mij", jet.tc.r[..., _PAIR_I, _PAIR_J, :], sigma6)
     )
-    for (i, j) in SIGMA_PAIRS:
-        op = op - jet.tc.r[i, j, mu] * basis.sigma_upper[i, j]
-    return op
 
 
-def verify_polar_derivative(jet: PolarJet, fld, bg, basis):
+def verify_polar_derivative(jet: PolarJet, fld, bg, basis, sample=None):
     """Residual per direction between nabla_mu psi computed from the field and
     from the polar variables of jet, at jet.x; normalized by the spinor
-    magnitude."""
-    psi = fld.evaluate(jet.x)
-    direct = covariant_derivative(fld, bg, jet.x)
-    scale = np.linalg.norm(psi)
-    out = np.zeros(4)
-    for mu in range(4):
-        # the charge term enters through p, so compare against the full
-        # covariant derivative
-        via_polar = polar_derivative_operator(jet, basis, mu) @ psi
-        out[mu] = np.abs(via_polar - direct[mu]).max() / scale
-    return out
+    magnitude.  sample is the field at jet.x when the caller has it."""
+    if sample is None:
+        sample = sample_field(fld, bg, jet.x)
+    psi = sample.psi
+    # the charge term enters through p, so compare against the full
+    # covariant derivative
+    via_polar = (polar_derivative_operator(jet, basis) @ psi[..., None, :, None])[..., 0]
+    scale = np.linalg.norm(psi, axis=-1)[..., None]
+    return np.abs(via_polar - sample.grad).max(axis=-1) / scale
 
 
 def verify_transport(jet: PolarJet, basis) -> IdentityReport:
-    """Frame steering of the velocity and spin by the connection coefficients."""
-    u_low_d = jet.du @ ETA        # rows mu, columns lowered a
-    s_low_d = jet.ds @ ETA
-    u_up = jet.pd.velocity
-    s_up = jet.pd.spin
+    """Frame steering of the velocity and spin by the connection coefficients;
+    for a batched jet the report holds one residual per point."""
     rep = IdentityReport()
-    worst_u = 0.0
-    worst_s = 0.0
-    for mu in range(4):
-        pred_u = np.einsum("j,ji->i", u_up, jet.tc.r[:, :, mu])
-        pred_s = np.einsum("j,ji->i", s_up, jet.tc.r[:, :, mu])
-        worst_u = max(worst_u, np.abs(u_low_d[mu] - pred_u).max())
-        worst_s = max(worst_s, np.abs(s_low_d[mu] - pred_s).max())
-    rep.add("velocity_transport", worst_u)
-    rep.add("spin_transport", worst_s)
+    for name, up, derivative in (
+        ("velocity_transport", jet.pd.velocity, jet.du),
+        ("spin_transport", jet.pd.spin, jet.ds),
+    ):
+        # d_mu v_i against v^j r_{ji mu}, rows mu, columns lowered i
+        predicted = np.einsum("...j,...jim->...mi", up, jet.tc.r)
+        rep.add(name, np.abs(derivative * ETA_SIGNS - predicted).max(axis=(-2, -1)))
     return rep
 
 

@@ -33,11 +33,21 @@ class CompactForms:
     z: np.ndarray        # lowered components
     xs: float
     mass_cos: float      # mass times cosine of the chiral angle
+    guard_scale: float = 1.0   # max(1, |mass|): xs is degenerate below X_GUARD times this
 
 
 def _first(values, mask):
     """First entry of values (a scalar or an array) where mask holds."""
     return np.asarray(values)[mask][0]
+
+
+def _require_xs(xs, guard_scale):
+    """Raise DegenerateX if any |xs| falls below X_GUARD * guard_scale."""
+    degenerate = np.abs(xs) < X_GUARD * guard_scale
+    if np.any(degenerate):
+        raise DegenerateX(
+            "effective mass scale %.3e too close to zero" % _first(xs, degenerate)
+        )
 
 
 def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
@@ -48,12 +58,9 @@ def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
     z = -jet.dlogdensity - jet.tc.trace_contraction()
     mass_cos = bg.mass * np.cos(jet.pd.chiral_angle)
     xs = mass_cos - np.sum(y * jet.pd.spin, axis=-1)
-    degenerate = np.abs(xs) < X_GUARD * max(1.0, abs(bg.mass))
-    if np.any(degenerate):
-        raise DegenerateX(
-            "effective mass scale %.3e too close to zero" % _first(xs, degenerate)
-        )
-    return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos)
+    guard_scale = max(1.0, abs(bg.mass))
+    _require_xs(xs, guard_scale)
+    return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos, guard_scale=guard_scale)
 
 
 def momentum_from_velocity(u, s, forms: CompactForms, basis) -> np.ndarray:
@@ -92,11 +99,7 @@ def velocity_from_momentum(p, s, forms: CompactForms, basis) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
     xs = np.asarray(forms.xs)
-    degenerate = np.abs(xs) < X_GUARD
-    if np.any(degenerate):
-        raise DegenerateX(
-            "effective mass scale %.3e too close to zero" % _first(xs, degenerate)
-        )
+    _require_xs(xs, forms.guard_scale)
     zeta_low = forms.z / xs[..., None]
     zeta = zeta_low * ETA_SIGNS
     s_low = s * ETA_SIGNS

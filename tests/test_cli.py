@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diracpolar import cli
 from diracpolar.cli import console_main, parse_config
 from diracpolar.errors import ConfigError
 
@@ -129,6 +130,60 @@ def test_gordon_sampled_points(tmp_path, capsys):
     # same seed reproduces the same sampled points
     assert console_main(args) == 0
     assert records(capsys.readouterr().out) == first
+
+
+# labels of one sampled point, in report order after pK.point
+GORDON_LABELS = [
+    "dirac", "vector_divergence", "pseudoscalar_kinetic", "vector_curl",
+    "axial_divergence", "scalar_kinetic", "axial_curl", "vector_recovery",
+    "axial_recovery", "scalar_gradient", "pseudoscalar_gradient",
+    "group_a1", "group_a2", "group_a3", "group_b1", "group_b2", "group_b3",
+    "group_c1", "group_c2", "group_d1", "group_d2", "polar_derivative", "transport",
+]
+
+# pK.point lines of TWO_WAVE with --points 5 --seed 7, as the per-point scan
+# printed them
+SEED7_POINTS = [
+    "0.25019093320933394 0.89442760193915094 0.60137138049038708 -0.64958562001881626",
+    "-0.39966743017754913 0.84710689079252377 -0.93946939086885051 0.54245683676553258",
+    "0.59413885750409245 0.035869905687441556 -0.34393514636137296 -0.54314877579845333",
+    "-0.49026082469175081 -0.0098473882347068498 0.059096517915906602 0.006994704148984926",
+    "0.99100056686878535 0.6853238384275061 0.29435845888232531 0.87792029536376981",
+]
+
+
+def test_gordon_scan_keeps_labels_and_points(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_WAVE)
+    args = ["gordon", "--config", cfg, "--points", "5", "--seed", "7", "--format", "records"]
+    assert console_main(args) == 0
+    lines = [line.split("=", 1) for line in capsys.readouterr().out.splitlines()]
+    expected = [
+        "p%d.%s" % (k, label) for k in range(5) for label in ["point"] + GORDON_LABELS
+    ]
+    assert [key for key, _ in lines] == expected
+    assert [value for key, value in lines if key.endswith(".point")] == SEED7_POINTS
+
+
+def test_parser_is_reused_without_leaking_options(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, TWO_WAVE)
+    plain = ["gordon", "--config", cfg, "--format", "records"]
+    assert console_main(plain) == 0
+    first = capsys.readouterr().out
+
+    def rebuilt():
+        raise AssertionError("parser built a second time")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    # a coarser stencil moves the finite-difference residuals
+    assert console_main(plain + ["--h", "2e-3"]) == 0
+    assert capsys.readouterr().out != first
+    assert console_main(plain) == 0
+    assert capsys.readouterr().out == first
+    with pytest.raises(SystemExit) as exc:
+        console_main(["gordon", "--config", cfg, "--points", "many"])
+    assert exc.value.code == 2
+    assert console_main(plain) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_gordon_tolerance_violation(tmp_path, capsys):
@@ -310,6 +365,12 @@ def test_grid_config_source(tmp_path, capsys, basis):
     assert code == 0
     # stencil-limited: the grid only supports O(h^2) derivatives
     assert float(got["p0.dirac"]) < 1e-6
+    # sampled points fall between the nodes, and one failing point aborts the scan
+    code = console_main(["gordon", "--config", cfg, "--points", "3", "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("OutOfDomain: ")
+    assert captured.out == ""
 
 
 def test_trajectory_rejects_grid_config(tmp_path, capsys, basis):

@@ -5,6 +5,7 @@ from diracpolar.algebra import ETA, mdot
 from diracpolar.errors import OffShell, OutOfDomain, PhaseJump
 from diracpolar.fieldconn import (
     Background,
+    BoxWindow,
     ConstantVector,
     GriddedField,
     LinearVector,
@@ -203,6 +204,35 @@ def test_grid_domain_errors(basis):
         grid.evaluate(np.array([0.08, 0, 0, 0]))  # outside
     with pytest.raises(OutOfDomain):
         grid.partial(np.zeros(4))  # boundary stencil
+
+
+def test_grid_partial_on_stacks(basis):
+    fld = two_wave(basis)
+    calls = []
+
+    def sampled(x):
+        calls.append(np.shape(x))
+        return fld.evaluate(x)
+
+    grid = to_grid(sampled, np.zeros(4), 0.01, (4, 5, 4, 4))
+    # one call on the stack of every node
+    assert calls == [(4, 5, 4, 4, 4)]
+    node = np.array([2, 3, 1, 2])
+    assert np.abs(grid.data[tuple(node)] - fld.evaluate(0.01 * node)).max() < 1e-15
+
+    nodes = 0.01 * np.array([[[1, 1, 1, 1], [2, 2, 1, 2]], [[1, 2, 2, 1], [2, 1, 2, 2]]])
+    singles = np.array([[grid.partial(x) for x in row] for row in nodes])
+    assert np.array_equal(grid.partial(nodes), singles)
+    window = BoxWindow(grid, np.zeros(4), np.full(4, 0.025))
+    assert np.array_equal(window.partial(nodes), singles)
+
+    # one row whose stencil touches the edge, or that leaves the box, fails the stack
+    with pytest.raises(OutOfDomain):
+        grid.partial(np.concatenate([nodes[0], [[0.01, 0.04, 0.01, 0.01]]]))
+    outside = np.concatenate([nodes[0], [[0.01, 0.03, 0.01, 0.01]]])
+    assert grid.partial(outside).shape == (3, 4, 4)
+    with pytest.raises(OutOfDomain):
+        window.partial(outside)
 
 
 def test_grid_jet_matches_analytic(basis):

@@ -4,6 +4,7 @@ from diracpolar.algebra import ETA
 from diracpolar.fieldconn import (
     Background,
     ConstantVector,
+    LinearVector,
     PlaneWaveComponent,
     PlaneWaveField,
     gauge_shift_linear,
@@ -192,3 +193,92 @@ def test_group_d_residual_is_max_of_d(basis):
     jet = polar_jet(fld, bg, basis, np.zeros(4), h=1e-3)
     groups = residual_polar_groups(jet, bg, basis)
     assert group_d_residual(jet, bg, basis) == max(groups["d1"], groups["d2"])
+
+
+# Residuals of a non-solution, recorded from the per-point implementation
+# (one field evaluation and one jet per point, Python loops over the
+# directions): a wrong sign or factor in any single term moves them, where
+# on a solution every term sits at roundoff.
+NON_SOLUTION_POINTS = np.array(
+    [[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.5, 0.1], [-0.4, 0.25, -0.15, 0.35]]
+)
+PARENT_RESIDUALS = {
+    "dirac": (0.14582323475986989, 0.1873932414877654, 0.24561785445855475),
+    "vector_divergence": (0.0020109404036678918, 0.001870504278610762, 0.0021086781747574447),
+    "pseudoscalar_kinetic": (0.038701299222456575, 0.021600744370109917, 0.15613837036904957),
+    "vector_curl": (0.19605550818420756, 0.2963557920039936, 0.32244729348198214),
+    "axial_divergence": (0.03162211820526337, 0.023976671562666745, 0.03832722944441146),
+    "scalar_kinetic": (0.000835600689825262, 0.013093341383561247, 0.027301643087325366),
+    "axial_curl": (0.19099293181088567, 0.28836621162804815, 0.30868697278599017),
+    "vector_recovery": (0.1825574805088935, 0.29460980398130376, 0.3121989444141251),
+    "axial_recovery": (0.19684539223143446, 0.1915693477806262, 0.3191899418816217),
+    "scalar_gradient": (0.17693521045492802, 0.2703763030340101, 0.18928559144070883),
+    "pseudoscalar_gradient": (0.1906997959403196, 0.19045163316422115, 0.30081279386424203),
+    "group_a1": (0.001049700154928884, 0.0009750243456657108, 0.0011022805216253887),
+    "group_a2": (0.040403743125755565, 0.022519329905120795, 0.16323807692890466),
+    "group_a3": (0.1023399285274475, 0.15447925640019106, 0.1685545839204259),
+    "group_b1": (0.016506576867427705, 0.01249814747324329, 0.020034995929458906),
+    "group_b2": (0.0008723581629821453, 0.013650144116534424, 0.028543065419704194),
+    "group_b3": (0.09969729067119634, 0.15031458519544255, 0.161361578509701),
+    "group_c1": (0.09444517332848668, 0.15289574258314245, 0.16295585911305696),
+    "group_c2": (0.10353301411028017, 0.10088601437165273, 0.16766596219672938),
+    "group_d1": (0.09153687867745633, 0.14026791255116666, 0.09741653473781582),
+    "group_d2": (0.10030100155084429, 0.10021865719275733, 0.1581977190435057),
+}
+
+
+def perturbed_background_field(basis):
+    """Two-wave field with a spoiled amplitude, in a background that switches
+    on every coupling: torsion, charge and affine em and torsion potentials."""
+    fld = two_wave(basis)
+    comp = fld.components[0]
+    bad = PlaneWaveField(
+        [
+            PlaneWaveComponent(comp.momentum, comp.amplitude + np.array([0.15, 0.05j, 0, 0.1])),
+            fld.components[1],
+        ]
+    )
+    slope_a = np.array(
+        [[0, 0.1, 0, 0], [0.05, 0, -0.2, 0], [0, 0.3, 0, 0.1], [-0.1, 0, 0, 0.2]]
+    )
+    slope_w = np.array(
+        [[0.2, 0, 0.1, 0], [0, -0.1, 0, 0.05], [0.1, 0, 0, -0.3], [0, 0.2, 0.1, 0]]
+    )
+    bg = Background(
+        mass=MASS,
+        charge=0.6,
+        torsion_coupling=0.4,
+        em_potential=LinearVector([0.1, -0.2, 0.05, 0.3], slope_a),
+        torsion_vector=LinearVector([0.05, 0.1, -0.2, 0.3], slope_w),
+    )
+    return bad, bg
+
+
+def all_residuals(fld, bg, basis, x):
+    out = {"dirac": dirac_residual(fld, bg, basis, x)}
+    out.update(residual_bilinear_gordon(fld, bg, basis, x))
+    jet = polar_jet(fld, bg, basis, x, h=1e-3)
+    for name, value in residual_polar_groups(jet, bg, basis).items():
+        out["group_" + name] = value
+    return out
+
+
+def test_batched_residuals_reproduce_recorded_non_solution(basis):
+    fld, bg = perturbed_background_field(basis)
+    batch = all_residuals(fld, bg, basis, NON_SOLUTION_POINTS)
+    assert list(batch) == list(PARENT_RESIDUALS)
+    for name, recorded in PARENT_RESIDUALS.items():
+        assert np.shape(batch[name]) == (3,)
+        rel = np.abs(batch[name] - recorded) / np.abs(recorded)
+        assert rel.max() < 1e-10, (name, rel)
+
+
+def test_batch_equals_stacked_single_calls(basis):
+    fld, bg = perturbed_background_field(basis)
+    batch = all_residuals(fld, bg, basis, NON_SOLUTION_POINTS)
+    singles = [all_residuals(fld, bg, basis, x) for x in NON_SOLUTION_POINTS]
+    for name, values in batch.items():
+        stacked = np.array([single[name] for single in singles])
+        assert all(np.ndim(single[name]) == 0 for single in singles)
+        # the same arithmetic, summed in another order
+        assert np.abs(values - stacked).max() <= 1e-13 * np.abs(stacked).max(), name

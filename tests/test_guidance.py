@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from diracpolar.guidance import (
     momentum_long_form,
     nonrel_limit_momentum,
     velocity_from_momentum,
+    X_GUARD,
 )
 
 MASS = 1.0
@@ -76,6 +79,22 @@ def test_degenerate_x_guard(basis):
     )
     with pytest.raises(DegenerateX):
         velocity_from_momentum(np.array([1.0, 0, 0, 0]), np.array([0, 0, 0, 1.0]), forms, basis)
+
+
+def test_x_guard_scales_with_mass(basis):
+    # compact_forms and velocity_from_momentum share one guard, X_GUARD *
+    # max(1, |mass|): an xs between X_GUARD and X_GUARD * mass is degenerate
+    # for the inversion too, not only for the forms
+    heavy = 1e4
+    fld = plane_wave([MASS, 0, 0, 0], MASS, [0, 0, 1.0], 1.0, basis)
+    jet = polar_jet(fld, Background(mass=MASS), basis, np.zeros(4), h=1e-3)
+    forms = compact_forms(jet, Background(mass=heavy))
+    xs = 0.5 * X_GUARD * heavy
+    assert X_GUARD < xs
+    with pytest.raises(DegenerateX):
+        velocity_from_momentum(
+            ETA @ jet.tc.p, jet.pd.spin, dataclasses.replace(forms, xs=xs), basis
+        )
 
 
 def test_degenerate_inversion_guard(basis):
