@@ -15,7 +15,6 @@ from .algebra import (
     boost_params,
     build_chiral_basis,
     lorentz_exp,
-    rest_to_lab,
     rotation_params,
     verify_basis,
 )
@@ -66,7 +65,6 @@ from .guidance import (
     velocity_from_momentum,
 )
 from .polar import PolarData, kinematic_velocity, polar_decompose, polar_reconstruct
-from .report import IdentityReport
 from .trajectories import Trajectory, batch_integrate, integrate, sup_divergence
 
 __all__ = [
@@ -82,7 +80,6 @@ __all__ = [
     "DegenerateX",
     "DiracPolarError",
     "GriddedField",
-    "IdentityReport",
     "ImmediateSingularity",
     "LinearVector",
     "LorentzPair",
@@ -116,7 +113,6 @@ __all__ = [
     "random_regular_spinor",
     "residual_bilinear_gordon",
     "residual_polar_groups",
-    "rest_to_lab",
     "rotation_params",
     "save_grid",
     "sup_divergence",

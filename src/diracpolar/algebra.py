@@ -56,6 +56,11 @@ for _p in itertools.permutations(range(3)):
     EPS3[_p] = _perm_sign(_p)
 EPS3.setflags(write=False)
 
+# the six index pairs a < b of an antisymmetric 4x4 tensor, in the order of
+# BilinearSet.tensor6, and the same pairs as index arrays
+INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+PAIR_I, PAIR_J = np.array(INDEX_PAIRS).T
+
 _PAULI = np.array(
     [
         [[0, 1], [1, 0]],
@@ -67,16 +72,9 @@ _PAULI = np.array(
 
 
 def mdot(a: np.ndarray, b: np.ndarray):
-    """Minkowski contraction of two index-aligned 4-vectors (both raised or both lowered)."""
-    return a @ ETA @ b
-
-
-def lower(v: np.ndarray) -> np.ndarray:
-    return ETA @ v
-
-
-def raise_(v: np.ndarray) -> np.ndarray:
-    return ETA @ v
+    """Minkowski contraction of two index-aligned 4-vectors (both raised or both
+    lowered), or of every pair of rows of two stacks (..., 4)."""
+    return np.sum(a * ETA_SIGNS * b, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ class CliffordBasis:
     eps_lower: np.ndarray
     eps_upper: np.ndarray
     # gamma^0 M for the sixteen density matrices M, in BilinearSet order:
-    # 1, i pi, gamma^a, gamma^a pi, 2i sigma_ab for ab in TENSOR_PAIRS
+    # 1, i pi, gamma^a, gamma^a pi, 2i sigma_ab for ab in INDEX_PAIRS
     bilinear_stack: np.ndarray     # (16, 4, 4)
     boost_generators: np.ndarray   # (3, 4, 4), gamma_0 gamma_k = 2 sigma_0k
     rotation_generators: np.ndarray  # (2, 4, 4), (sigma_23, sigma_31); z -> t needs no sigma_12
@@ -109,8 +107,7 @@ class CliffordBasis:
         sig_up = np.einsum("ac,bd,cdij->abij", ETA, ETA, sig_low)
         pi = np.asarray(pi, dtype=complex).copy()
         eye = np.eye(4, dtype=complex)
-        densities = [eye, 1j * pi, *gam, *(gam @ pi)]
-        densities += [2j * sig_low[a, b] for a, b in itertools.combinations(range(4), 2)]
+        densities = [eye, 1j * pi, *gam, *(gam @ pi), *(2j * sig_low[PAIR_I, PAIR_J])]
         arrays = dict(
             gamma=gam,
             gamma_lower=gam_low,
@@ -142,10 +139,8 @@ def build_chiral_basis() -> CliffordBasis:
     return CliffordBasis.from_gammas(gam, pi)
 
 
-def verify_basis(basis: CliffordBasis):
+def verify_basis(basis: CliffordBasis) -> dict:
     """Max-abs residual of every algebraic identity the basis must satisfy."""
-    from .report import IdentityReport
-
     g, gl, sl, su, pi = (
         basis.gamma,
         basis.gamma_lower,
@@ -154,19 +149,19 @@ def verify_basis(basis: CliffordBasis):
         basis.pi,
     )
     eye = basis.identity
-    rep = IdentityReport()
+    out = {}
 
     anti = np.einsum("aij,bjk->abik", g, g) + np.einsum("bij,ajk->abik", g, g)
     anti = anti - 2.0 * ETA[:, :, None, None] * eye[None, None, :, :]
-    rep.add("anticommutator", np.abs(anti).max())
+    out["anticommutator"] = np.abs(anti).max()
 
     sig_def = sl - 0.25 * (
         np.einsum("aij,bjk->abik", gl, gl) - np.einsum("bij,ajk->abik", gl, gl)
     )
-    rep.add("sigma_definition", np.abs(sig_def).max())
+    out["sigma_definition"] = np.abs(sig_def).max()
 
     dual = 2j * sl - np.einsum("abcd,ij,jk,cdkl->abil", EPS_LOWER, pi, np.eye(4), su)
-    rep.add("sigma_duality", np.abs(dual).max())
+    out["sigma_duality"] = np.abs(dual).max()
 
     pg = np.einsum("ij,ajk->aik", pi, g)
     triple = np.einsum("iab,jbc,kcd->ijkad", gl, gl, gl)
@@ -176,28 +171,24 @@ def verify_basis(basis: CliffordBasis):
         + np.einsum("ij,kad->ijkad", ETA, gl)
         + 1j * np.einsum("ijkq,qad->ijkad", EPS_LOWER, pg)
     )
-    rep.add("triple_product", np.abs(triple).max())
+    out["triple_product"] = np.abs(triple).max()
 
-    rep.add("pi_anticommutation", np.abs(pi @ g + g @ pi).max())
-    rep.add("pi_square", np.abs(pi @ pi - eye).max())
+    out["pi_anticommutation"] = np.abs(pi @ g + g @ pi).max()
+    out["pi_square"] = np.abs(pi @ pi - eye).max()
 
     # trace orthogonality of the six independent sigma^{ab}, needed by the
-    # connection extraction's projection step
-    worst = 0.0
-    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    for pa in pairs:
-        for pb in pairs:
-            if pa == pb:
-                continue
-            val = np.trace(su[pa].conj().T @ su[pb])
-            worst = max(worst, abs(val))
-    rep.add("sigma_orthogonality", worst)
-    return rep
+    # connection extraction's projection step: tr(sigma^P^dagger sigma^Q)
+    # for every pair of index pairs P != Q
+    sigma6 = su[PAIR_I, PAIR_J]
+    gram = np.einsum("pij,qij->pq", sigma6.conj(), sigma6)
+    out["sigma_orthogonality"] = np.abs(gram[~np.eye(6, dtype=bool)]).max()
+    return out
 
 
 @dataclass(frozen=True)
 class LorentzPair:
-    """Spin and vector representations of one finite Lorentz transformation.
+    """Spin and vector representations of one finite Lorentz transformation,
+    or of a stack of them.
 
     Built from antisymmetric parameters lam = lam^{ab}:
       spin_rep = exp(lam^{ab} sigma_ab / 2)
@@ -207,21 +198,16 @@ class LorentzPair:
 
     spin_rep: np.ndarray
     vec_rep: np.ndarray
-    params: np.ndarray
-
-    def inverse(self) -> "LorentzPair":
-        return LorentzPair(
-            np.linalg.inv(self.spin_rep), np.linalg.inv(self.vec_rep), -self.params
-        )
 
 
 def lorentz_exp(lam: np.ndarray, basis: CliffordBasis) -> LorentzPair:
+    """LorentzPair of parameters (4, 4), or of every matrix of a stack (..., 4, 4)."""
     lam = np.asarray(lam, dtype=float)
-    if np.abs(lam + lam.T).max() > 1e-12:
+    if np.abs(lam + np.swapaxes(lam, -1, -2)).max(initial=0.0) > 1e-12:
         raise ValueError("Lorentz parameters must be antisymmetric")
-    gen_spin = 0.5 * np.einsum("ab,abij->ij", lam, basis.sigma_lower)
+    gen_spin = 0.5 * np.einsum("...ab,abij->...ij", lam, basis.sigma_lower)
     gen_vec = lam @ ETA
-    return LorentzPair(expm(gen_spin), expm(gen_vec), lam.copy())
+    return LorentzPair(expm(gen_spin), expm(gen_vec))
 
 
 def boost_params(u: np.ndarray) -> np.ndarray:
@@ -337,11 +323,3 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     vec[..., 2, 3] = 2.0 * q1 * q0
     vec[..., 3, 2] = -2.0 * q1 * q0
     return spin, vec
-
-
-def rest_to_lab(u: np.ndarray, spin_axis: np.ndarray, basis: CliffordBasis):
-    """LorentzPairs (boost, rotation) with L = rot.spin @ boost.spin mapping the
-    rest seed onto a spinor of velocity u and rest-frame spin along spin_axis."""
-    boost = lorentz_exp(boost_params(u), basis)
-    rot = lorentz_exp(rot_z_to_params(spin_axis), basis)
-    return boost, rot

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import ETA_SIGNS, PAIR_I, PAIR_J, mdot
 from .errors import SingularSpinor
-from .report import IdentityReport
-
-TENSOR_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 REGULARITY_EPS = 1e-10
 
@@ -39,15 +37,14 @@ class BilinearSet:
     pseudoscalar: float
     vector: np.ndarray       # raised index
     axial: np.ndarray        # raised index
-    tensor6: np.ndarray      # m_ab for ab in TENSOR_PAIRS, both lowered
+    tensor6: np.ndarray      # m_ab for ab in INDEX_PAIRS, both lowered
     imag_residual: float
 
     @property
     def tensor(self) -> np.ndarray:
         m = np.zeros(np.shape(self.tensor6)[:-1] + (4, 4))
-        for k, (a, b) in enumerate(TENSOR_PAIRS):
-            m[..., a, b] = self.tensor6[..., k]
-            m[..., b, a] = -self.tensor6[..., k]
+        m[..., PAIR_I, PAIR_J] = self.tensor6
+        m[..., PAIR_J, PAIR_I] = -self.tensor6
         return m
 
     def density_squared(self) -> float:
@@ -97,61 +94,75 @@ def random_regular_spinor(rng, basis, scale: float = 1.0) -> np.ndarray:
             return psi
 
 
-def check_fierz(bil: BilinearSet, basis) -> IdentityReport:
-    """Quadratic interdependencies between the densities, scale-normalized.
+def check_fierz(bil: BilinearSet, basis) -> dict:
+    """Quadratic interdependencies between the densities, scale-normalized;
+    one residual per spinor for the densities of a batch.
 
     Degree-4 combinations are divided by density^2 (u^0 squared), the
     degree-6 tensor reconstruction by density^3, so residuals are comparable
     across spinor magnitudes.
     """
-    phi_b, theta_b = bil.scalar, bil.pseudoscalar
+    phi_b, theta_b = np.asarray(bil.scalar), np.asarray(bil.pseudoscalar)
     u, s, m = bil.vector, bil.axial, bil.tensor
-    eta = basis.eta
-    n2 = bil.vector[0] ** 2
-    n3 = abs(bil.vector[0]) ** 3
+    u_low, s_low = u * ETA_SIGNS, s * ETA_SIGNS
+    n2 = u[..., 0] ** 2
+    n3 = np.abs(u[..., 0]) ** 3
     mod2 = theta_b**2 + phi_b**2
 
-    rep = IdentityReport()
-    rep.add("vector_norm", abs(u @ eta @ u - mod2) / n2)
-    rep.add("axial_norm", abs(s @ eta @ s + mod2) / n2)
-    rep.add("orthogonality", abs(u @ eta @ s) / n2)
+    out = {}
+    out["vector_norm"] = np.abs(mdot(u, u) - mod2) / n2
+    out["axial_norm"] = np.abs(mdot(s, s) + mod2) / n2
+    out["orthogonality"] = np.abs(mdot(u, s)) / n2
 
-    m_up = eta @ m @ eta
-    rep.add("tensor_square", abs(0.5 * np.sum(m * m_up) - (phi_b**2 - theta_b**2)) / n2)
-    dual = 0.25 * np.einsum("ab,ij,abij", m, m, basis.eps_upper)
-    rep.add("tensor_dual_square", abs(dual - 2 * theta_b * phi_b) / n2)
+    m_up = m * ETA_SIGNS[:, None] * ETA_SIGNS
+    square = 0.5 * np.sum(m * m_up, axis=(-2, -1)) - (phi_b**2 - theta_b**2)
+    out["tensor_square"] = np.abs(square) / n2
+    dual = 0.25 * np.einsum("...ab,...ij,abij->...", m, m, basis.eps_upper)
+    out["tensor_dual_square"] = np.abs(dual - 2 * theta_b * phi_b) / n2
 
-    rep.add("tensor_dot_vector", np.abs(u @ m - theta_b * (eta @ s)).max() / n2)
-    rep.add("tensor_dot_axial", np.abs(s @ m - theta_b * (eta @ u)).max() / n2)
+    u_m = np.einsum("...a,...ab->...b", u, m)
+    out["tensor_dot_vector"] = np.abs(u_m - theta_b[..., None] * s_low).max(axis=-1) / n2
+    s_m = np.einsum("...a,...ab->...b", s, m)
+    out["tensor_dot_axial"] = np.abs(s_m - theta_b[..., None] * u_low).max(axis=-1) / n2
 
-    recon = mod2 * m
-    recon = recon - phi_b * np.einsum("j,k,jkab->ab", u, s, basis.eps_lower)
-    u_low, s_low = eta @ u, eta @ s
-    recon = recon - theta_b * (np.outer(u_low, s_low) - np.outer(s_low, u_low))
-    rep.add("tensor_reconstruction", np.abs(recon).max() / n3)
-    return rep
+    recon = mod2[..., None, None] * m
+    recon = recon - phi_b[..., None, None] * np.einsum(
+        "...j,...k,jkab->...ab", u, s, basis.eps_lower
+    )
+    us = u_low[..., :, None] * s_low[..., None, :]
+    recon = recon - theta_b[..., None, None] * (us - np.swapaxes(us, -1, -2))
+    out["tensor_reconstruction"] = np.abs(recon).max(axis=(-2, -1)) / n3
+    # [()] turns the 0-d residuals of a single spinor into scalars
+    return {name: value[()] for name, value in out.items()}
 
 
-def check_spinor_constraints(psi, basis) -> IdentityReport:
-    """Cubic identities that return the spinor itself from its densities."""
+def check_spinor_constraints(psi, basis) -> dict:
+    """Cubic identities that return the spinor itself from its densities, for
+    a spinor (4,) or one residual per spinor of a stack (..., 4)."""
     psi = np.asarray(psi, dtype=complex)
     bil = compute_bilinears(psi, basis)
-    u_low = basis.eta @ bil.vector
-    s_low = basis.eta @ bil.axial
-    u2 = bil.vector @ basis.eta @ bil.vector
-    norm3 = float(np.linalg.norm(psi)) ** 3
+    u_low = bil.vector * ETA_SIGNS
+    s_low = bil.axial * ETA_SIGNS
+    u2_psi = mdot(bil.vector, bil.vector)[..., None] * psi
+    norm3 = np.linalg.norm(psi, axis=-1) ** 3
 
-    sig_us = np.einsum("abij,a,b->ij", basis.sigma_upper, u_low, s_low)
-    first = 2.0 * sig_us @ basis.pi @ psi + u2 * psi
+    sig_us = np.einsum("abij,...a,...b->...ij", basis.sigma_upper, u_low, s_low)
+    first = 2.0 * _apply(sig_us @ basis.pi, psi) + u2_psi
 
-    slash_s = np.einsum("a,aij->ij", s_low, basis.gamma)
+    slash_s = np.einsum("...a,aij->...ij", s_low, basis.gamma)
     second = (
-        1j * bil.pseudoscalar * slash_s @ psi
-        + bil.scalar * slash_s @ basis.pi @ psi
-        + u2 * psi
+        1j * bil.pseudoscalar[..., None] * _apply(slash_s, psi)
+        + bil.scalar[..., None] * _apply(slash_s @ basis.pi, psi)
+        + u2_psi
     )
 
-    rep = IdentityReport()
-    rep.add("tensor_projector", np.abs(first).max() / norm3)
-    rep.add("axial_projector", np.abs(second).max() / norm3)
-    return rep
+    out = {
+        "tensor_projector": np.abs(first).max(axis=-1) / norm3,
+        "axial_projector": np.abs(second).max(axis=-1) / norm3,
+    }
+    return {name: value[()] for name, value in out.items()}
+
+
+def _apply(matrices, psi):
+    """Matrices (..., 4, 4) applied to spinors (..., 4)."""
+    return np.einsum("...ij,...j->...i", matrices, psi)

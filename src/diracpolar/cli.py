@@ -63,17 +63,14 @@ def _fmt(value):
 
 
 def emit(rows, fmt, out=None):
-    """rows: list of (name, value) pairs; value scalar, vector, or string."""
-    out = out or sys.stdout
+    """Write (name, value) pairs, value a scalar or a vector, one line each:
+    name=value for records, an aligned table otherwise."""
     if fmt == "records":
-        for name, value in rows:
-            text = value if isinstance(value, str) else _fmt(value)
-            print("%s=%s" % (name, text), file=out)
+        line = "%s=%s\n"
     else:
-        width = max((len(name) for name, _ in rows), default=0)
-        for name, value in rows:
-            text = value if isinstance(value, str) else _fmt(value)
-            print("%-*s  %s" % (width, name, text), file=out)
+        line = "%%-%ds  %%s\n" % max((len(name) for name, _ in rows), default=0)
+    text = "".join(line % (name, _fmt(value)) for name, value in rows)
+    (out or sys.stdout).write(text)
 
 
 GLOBAL_KEYS = {
@@ -286,7 +283,8 @@ def _load_config(path):
 
 
 def _finish(rows, fmt, tolerance, checked):
-    """Print rows, then fail if the worst checked residual breaks tolerance."""
+    """Print rows, then fail if the worst of the checked residuals, a dict of
+    names to values, breaks tolerance."""
     emit(rows, fmt)
     if not checked:
         return 0
@@ -326,34 +324,28 @@ def cmd_identities(args) -> int:
     if args.conventions:
         print(CONVENTIONS, end="")
         return 0
+    if args.random < 0:
+        raise ConfigError(["--random: expected a count >= 0, got %d" % args.random])
     basis = build_chiral_basis()
-    rep = verify_basis(basis)
+    checks = verify_basis(basis)
     rng = np.random.default_rng(args.seed)
-    worst_conj = 0.0
-    for _ in range(args.random):
-        lam = rng.standard_normal((4, 4)) * 0.7
-        lam = lam - lam.T
-        pair = lorentz_exp(lam, basis)
-        inv = np.linalg.inv(pair.spin_rep)
-        for a in range(4):
-            lhs = inv @ basis.gamma[a] @ pair.spin_rep
-            rhs = np.einsum("b,bij->ij", pair.vec_rep[a], basis.gamma)
-            worst_conj = max(worst_conj, np.abs(lhs - rhs).max())
-    rep.add("lorentz_conjugation", worst_conj)
+    lam = rng.standard_normal((args.random, 4, 4)) * 0.7
+    pair = lorentz_exp(lam - np.swapaxes(lam, -1, -2), basis)
+    # spin_rep^-1 gamma^a spin_rep against vec_rep^a_b gamma^b, axes (draw, a, i, j)
+    lhs = np.linalg.inv(pair.spin_rep)[:, None] @ basis.gamma @ pair.spin_rep[:, None]
+    rhs = np.einsum("nab,bij->naij", pair.vec_rep, basis.gamma)
+    checks["lorentz_conjugation"] = np.abs(lhs - rhs).max(initial=0.0)
 
-    worst_fierz = 0.0
-    worst_constraint = 0.0
-    for _ in range(args.random):
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        worst_fierz = max(
-            worst_fierz, check_fierz(compute_bilinears(psi, basis), basis).max_residual()
-        )
-        worst_constraint = max(
-            worst_constraint, check_spinor_constraints(psi, basis).max_residual()
-        )
-    rep.add("density_interdependence", worst_fierz)
-    rep.add("spinor_constraints", worst_constraint)
-    return _finish(rep.rows(), args.format, args.tolerance, rep.entries)
+    parts = rng.standard_normal((args.random, 2, 4))
+    psi = parts[:, 0] + 1j * parts[:, 1]
+    checks["density_interdependence"] = _worst(check_fierz(compute_bilinears(psi, basis), basis))
+    checks["spinor_constraints"] = _worst(check_spinor_constraints(psi, basis))
+    return _finish(checks.items(), args.format, args.tolerance, checks)
+
+
+def _worst(checks):
+    """Largest of a check's residuals over every draw, 0 when there are none."""
+    return np.max(list(checks.values()), initial=0.0)
 
 
 def _parse_spinor(text):
@@ -415,7 +407,10 @@ def _gordon_point(fld, bg, basis, points, h):
         columns["group_" + name] = value
     derivative = verify_polar_derivative(jet, fld, bg, basis, sample)
     columns["polar_derivative"] = derivative.max(axis=-1)
-    columns["transport"] = verify_transport(jet, basis).max_residual()
+    transport = verify_transport(jet, basis)
+    columns["transport"] = np.maximum(
+        transport["velocity_transport"], transport["spin_transport"]
+    )
     table = np.column_stack(list(columns.values())).tolist()
     rows = []
     for k, (x, values) in enumerate(zip(points, table)):

@@ -30,6 +30,8 @@ from .algebra import (  # noqa: F401
     EPS_LOWER,
     ETA,
     ETA_SIGNS,
+    PAIR_I,
+    PAIR_J,
     SEED_SPINOR,
     boost_reps,
     lorentz_exp,
@@ -39,10 +41,6 @@ from .algebra import (  # noqa: F401
 )
 from .errors import OffShell, OutOfDomain, PhaseJump
 from .polar import PolarData, polar_decompose, wrap_angle
-from .report import IdentityReport
-
-SIGMA_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-_PAIR_I, _PAIR_J = np.array(SIGMA_PAIRS).T
 
 # polar_jet's stencil: the point itself, then +e_mu and -e_mu for mu = 0..3
 _STENCIL = np.concatenate(
@@ -115,8 +113,6 @@ class PlaneWaveComponent:
 class PlaneWaveField:
     """Finite superposition of plane waves psi0 exp(-i p.x); derivatives are exact."""
 
-    kind = "analytic"
-
     def __init__(self, components):
         self.components = list(components)
         # one row per component: lowered momenta and amplitudes
@@ -171,8 +167,6 @@ class GriddedField:
     is refused rather than silently interpolated.
     """
 
-    kind = "grid"
-
     def __init__(self, origin, spacing, data):
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (4,)).copy()
@@ -216,7 +210,6 @@ class BoxWindow:
         self.inner = inner
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        self.kind = getattr(inner, "kind", "analytic")
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -369,15 +362,15 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
     g = spin_inverse(pd0.l_spin, basis)[..., None, :, :] @ central(stencil.l_spin)
 
     # project each g_mu onto the identity and the six sigma^{ij}
-    sigma6 = basis.sigma_upper[_PAIR_I, _PAIR_J]
+    sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
     coeff = np.einsum("pij,...mij->...mp", sigma6.conj(), g).real
     trace_part = np.trace(g, axis1=-2, axis2=-1).imag / 4.0
     rebuilt = 1j * trace_part[..., None, None] * basis.identity + np.einsum(
         "...mp,pij->...mij", coeff, sigma6
     )
     r = np.zeros(x.shape[:-1] + (4, 4, 4))
-    r[..., _PAIR_I, _PAIR_J, :] = np.swapaxes(coeff, -1, -2)
-    r[..., _PAIR_J, _PAIR_I, :] = -np.swapaxes(coeff, -1, -2)
+    r[..., PAIR_I, PAIR_J, :] = np.swapaxes(coeff, -1, -2)
+    r[..., PAIR_J, PAIR_I, :] = -np.swapaxes(coeff, -1, -2)
 
     p = dphase + trace_part - bg.charge * (bg.a_value(x) * ETA_SIGNS)
     tc = TensorialConnection(
@@ -399,12 +392,12 @@ def polar_derivative_operator(jet: PolarJet, basis):
     The trace part of the connection sits inside the momentum covector and
     cancels against the frame term, so it appears here only through p.
     """
-    sigma6 = basis.sigma_upper[_PAIR_I, _PAIR_J]
+    sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
     diagonal = (jet.dlogdensity - 1j * jet.tc.p)[..., None, None] * basis.identity
     return (
         diagonal
         - 0.5j * jet.dchiral[..., None, None] * basis.pi
-        - np.einsum("...pm,pij->...mij", jet.tc.r[..., _PAIR_I, _PAIR_J, :], sigma6)
+        - np.einsum("...pm,pij->...mij", jet.tc.r[..., PAIR_I, PAIR_J, :], sigma6)
     )
 
 
@@ -422,18 +415,18 @@ def verify_polar_derivative(jet: PolarJet, fld, bg, basis, sample=None):
     return np.abs(via_polar - sample.grad).max(axis=-1) / scale
 
 
-def verify_transport(jet: PolarJet, basis) -> IdentityReport:
+def verify_transport(jet: PolarJet, basis) -> dict:
     """Frame steering of the velocity and spin by the connection coefficients;
-    for a batched jet the report holds one residual per point."""
-    rep = IdentityReport()
+    one residual per point for a batched jet."""
+    out = {}
     for name, up, derivative in (
         ("velocity_transport", jet.pd.velocity, jet.du),
         ("spin_transport", jet.pd.spin, jet.ds),
     ):
         # d_mu v_i against v^j r_{ji mu}, rows mu, columns lowered i
         predicted = np.einsum("...j,...jim->...mi", up, jet.tc.r)
-        rep.add(name, np.abs(derivative * ETA_SIGNS - predicted).max(axis=(-2, -1)))
-    return rep
+        out[name] = np.abs(derivative * ETA_SIGNS - predicted).max(axis=(-2, -1))[()]
+    return out
 
 
 def gauge_shift_linear(fld: PlaneWaveField, bg: Background, c):

@@ -256,8 +256,9 @@ def group_d_residual(jet: PolarJet, bg: Background, basis):
     return np.maximum(groups["d1"], groups["d2"])
 
 
-def equivalence_probe(fld, bg: Background, basis, points, h=1e-3):
-    """Field-equation residual next to the group-d residual at each point.
+def equivalence_probe(fld, bg: Background, basis, points, h=1e-3) -> dict:
+    """Field-equation residual next to the group-d residual, one of each per
+    point of points (n, 4).
 
     Both are intensive mass-scale numbers, so on a solution both sit at the
     finite-difference floor and on a non-solution both are visibly nonzero,
@@ -265,9 +266,7 @@ def equivalence_probe(fld, bg: Background, basis, points, h=1e-3):
     """
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     jet = polar_jet(fld, bg, basis, points, h)
-    dirac = dirac_residual(fld, bg, basis, points)
-    group_d = group_d_residual(jet, bg, basis)
-    return [
-        {"point": x, "dirac": float(d), "group_d": float(g)}
-        for x, d, g in zip(points, dirac, group_d)
-    ]
+    return {
+        "dirac": dirac_residual(fld, bg, basis, points),
+        "group_d": group_d_residual(jet, bg, basis),
+    }

@@ -70,7 +70,7 @@ def verdict(num, label, checks, elapsed, budget):
 def test_criterion_1_clifford_suite(basis):
     start = time.perf_counter()
     rep = verify_basis(basis)
-    exact = max(abs(v) for v in rep.entries.values())
+    exact = max(abs(v) for v in rep.values())
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(100):
@@ -98,9 +98,9 @@ def test_criterion_2_fierz_suite(basis):
     for _ in range(1000):
         psi = random_regular_spinor(rng, basis)
         bil = compute_bilinears(psi, basis)
-        worst_fierz = max(worst_fierz, check_fierz(bil, basis).max_residual())
+        worst_fierz = max(worst_fierz, *check_fierz(bil, basis).values())
         worst_constraint = max(
-            worst_constraint, check_spinor_constraints(psi, basis).max_residual()
+            worst_constraint, *check_spinor_constraints(psi, basis).values()
         )
     checks = {
         "fierz_identities": (worst_fierz, 1e-10),
@@ -147,7 +147,7 @@ def test_criterion_4_connection_oracle(basis):
         x = rng.uniform(-0.5, 0.5, size=4)
         jet = polar_jet(fld, bg, basis, x, h=1e-3)
         worst_deriv = max(worst_deriv, verify_polar_derivative(jet, fld, bg, basis).max())
-        worst_transport = max(worst_transport, verify_transport(jet, basis).max_residual())
+        worst_transport = max(worst_transport, *verify_transport(jet, basis).values())
 
     x = np.array([0.2, -0.1, 0.3, 0.1])
     e_coarse = verify_polar_derivative(
@@ -180,8 +180,8 @@ def test_criterion_5_gordon_suite(basis):
             worst = max(worst, max(residual_polar_groups(jet, bg, basis).values()))
 
     points = [rng.uniform(-0.5, 0.5, size=4) for _ in range(20)]
-    rows = equivalence_probe(double, bg, basis, points, h=1e-3)
-    solution_agree = all(r["dirac"] < 1e-9 and r["group_d"] < 1e-6 for r in rows)
+    probe = equivalence_probe(double, bg, basis, points, h=1e-3)
+    solution_agree = np.all((probe["dirac"] < 1e-9) & (probe["group_d"] < 1e-6))
     comp = double.components[0]
     broken = PlaneWaveField(
         [
@@ -191,10 +191,10 @@ def test_criterion_5_gordon_suite(basis):
             double.components[1],
         ]
     )
-    rows = equivalence_probe(broken, bg, basis, points, h=1e-3)
-    broken_agree = all(
-        r["dirac"] > 1e-3 and r["group_d"] > 1e-3 and 0.1 < r["group_d"] / r["dirac"] < 10
-        for r in rows
+    probe = equivalence_probe(broken, bg, basis, points, h=1e-3)
+    dirac, group_d = probe["dirac"], probe["group_d"]
+    broken_agree = np.all(
+        (dirac > 1e-3) & (group_d > 1e-3) & (0.1 < group_d / dirac) & (group_d / dirac < 10)
     )
     checks = {
         "equation_residuals": (worst, 1e-6),

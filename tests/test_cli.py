@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,27 @@ def test_identities_deterministic(capsys):
     first = capsys.readouterr().out
     assert console_main(args) == 0
     assert capsys.readouterr().out == first
+    assert list(records(first)) == [
+        "anticommutator",
+        "sigma_definition",
+        "sigma_duality",
+        "triple_product",
+        "pi_anticommutation",
+        "pi_square",
+        "sigma_orthogonality",
+        "lorentz_conjugation",
+        "density_interdependence",
+        "spinor_constraints",
+    ]
+
+
+def test_identities_draw_count(capsys):
+    # no draws leave the random checks at 0; a negative count is a usage error
+    assert console_main(["identities", "--random", "0", "--format", "records"]) == 0
+    got = records(capsys.readouterr().out)
+    assert float(got["lorentz_conjugation"]) == float(got["spinor_constraints"]) == 0.0
+    assert console_main(["identities", "--random", "-1"]) == 2
+    assert "--random" in capsys.readouterr().err
 
 
 def test_identities_tolerance_violation(capsys):
@@ -164,6 +187,31 @@ def test_gordon_scan_keeps_labels_and_points(tmp_path, capsys):
     assert [value for key, value in lines if key.endswith(".point")] == SEED7_POINTS
 
 
+def per_row_emit(rows, fmt, out):
+    """The emitter that printed one row at a time, kept as the byte reference."""
+    if fmt == "records":
+        for name, value in rows:
+            print("%s=%s" % (name, cli._fmt(value)), file=out)
+    else:
+        width = max((len(name) for name, _ in rows), default=0)
+        for name, value in rows:
+            print("%-*s  %s" % (width, name, cli._fmt(value)), file=out)
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_emit_matches_per_row_printing(basis, fmt):
+    run = parse_config(TWO_WAVE)
+    points = run.point + np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 4))
+    rows = cli._gordon_point(
+        cli.build_field(run, basis), cli.build_background(run), basis, points, run.step
+    )
+    assert len(rows) == 20 * (1 + len(GORDON_LABELS))
+    want, got = io.StringIO(), io.StringIO()
+    per_row_emit(rows, fmt, want)
+    cli.emit(rows, fmt, got)
+    assert got.getvalue() == want.getvalue()
+
+
 def test_parser_is_reused_without_leaking_options(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, TWO_WAVE)
     plain = ["gordon", "--config", cfg, "--format", "records"]
@@ -263,7 +311,8 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
         if line.startswith("sample="):
             head, *values = line.split()
             rows.setdefault(int(head[len("sample="):]), []).append([float(v) for v in values])
-    run = parse_config(open(cfg).read())
+    with open(cfg) as fh:
+        run = parse_config(fh.read())
     arcs = batch_integrate(
         build_field(run, basis), build_background(run), basis,
         np.loadtxt(str(seeds)), tau_max=7 * 0.1, h_tau=0.1, h_field=run.step,

@@ -165,10 +165,10 @@ def test_equivalence_probe_both_directions(basis):
     fld = two_wave(basis)
     bg = Background(mass=MASS)
     points = [rng.uniform(-0.5, 0.5, size=4) for _ in range(20)]
-    rows = equivalence_probe(fld, bg, basis, points, h=1e-3)
-    for row in rows:
-        assert row["dirac"] < 1e-9
-        assert row["group_d"] < 1e-6
+    probe = equivalence_probe(fld, bg, basis, points, h=1e-3)
+    assert probe["dirac"].shape == probe["group_d"].shape == (20,)
+    assert np.all(probe["dirac"] < 1e-9)
+    assert np.all(probe["group_d"] < 1e-6)
 
     # perturb the amplitude so the field stops solving the equation; both
     # residuals must light up together, within a common factor
@@ -179,12 +179,11 @@ def test_equivalence_probe_both_directions(basis):
             fld.components[1],
         ]
     )
-    rows = equivalence_probe(bad, bg, basis, points[:5], h=1e-3)
-    for row in rows:
-        assert row["dirac"] > 1e-3
-        assert row["group_d"] > 1e-3
-        ratio = row["group_d"] / row["dirac"]
-        assert 0.1 < ratio < 10.0, ratio
+    probe = equivalence_probe(bad, bg, basis, points[:5], h=1e-3)
+    assert np.all(probe["dirac"] > 1e-3)
+    assert np.all(probe["group_d"] > 1e-3)
+    ratio = probe["group_d"] / probe["dirac"]
+    assert np.all((0.1 < ratio) & (ratio < 10.0)), ratio
 
 
 def test_group_d_residual_is_max_of_d(basis):

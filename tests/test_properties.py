@@ -2,7 +2,8 @@
 
 The closed-form frame is compared with lorentz_exp of the same parameters up
 to large rapidities and next to the -z antipode, where the minimal rotation
-switches branch; batched calls are compared with stacked single calls; a
+switches branch; batched calls of the polar layer, of lorentz_exp and of the
+identity checks are compared with stacked single calls; a
 batch holding one near-singular spinor must fail like the single call; and
 chiral angles and residual phases next to +-pi, where both wrap, must
 survive the round trip and the polar jet's differences.
@@ -23,9 +24,21 @@ from diracpolar.algebra import (
     rot_z_to_params,
     rot_z_to_reps,
 )
-from diracpolar.bilinears import compute_bilinears, is_regular, random_regular_spinor
+from diracpolar.bilinears import (
+    check_fierz,
+    check_spinor_constraints,
+    compute_bilinears,
+    is_regular,
+    random_regular_spinor,
+)
 from diracpolar.errors import SingularSpinor
-from diracpolar.fieldconn import Background, polar_jet
+from diracpolar.fieldconn import (
+    Background,
+    plane_wave,
+    polar_jet,
+    superpose,
+    verify_transport,
+)
 from diracpolar.polar import (
     kinematic_velocity,
     polar_decompose,
@@ -112,17 +125,44 @@ def test_batch_equals_stacked_single_calls(basis, seed, n):
     psi = np.array(
         [random_regular_spinor(rng, basis, scale=rng.uniform(0.3, 3.0)) for _ in range(n)]
     )
+    lam = rng.standard_normal((n, 4, 4))
+    lam = lam - np.swapaxes(lam, -1, -2)
+    waves = [
+        plane_wave(four_velocity(rng.uniform(-0.5, 0.5, 3)), 1.0, rng.standard_normal(3), a, basis)
+        for a in (1.0, 0.3)
+    ]
+    fld = superpose(*waves)
+    points = rng.uniform(-0.5, 0.5, size=(n, 4))
+    bg = Background(mass=1.0)
     bil = compute_bilinears(psi, basis)
     pd = polar_decompose(psi, basis)
     rebuilt = polar_reconstruct(pd, basis)
+    pair = lorentz_exp(lam, basis)
+    fierz = check_fierz(bil, basis)
+    constraints = check_spinor_constraints(psi, basis)
+    transport = verify_transport(polar_jet(fld, bg, basis, points, H_JET), basis)
     angles = {"chiral_angle", "residual_phase"}
     for k in range(n):
         single = polar_decompose(psi[k], basis)
-        for batch, one in ((bil, compute_bilinears(psi[k], basis)), (pd, single)):
+        one_bil = compute_bilinears(psi[k], basis)
+        for batch, one in ((bil, one_bil), (pd, single), (pair, lorentz_exp(lam[k], basis))):
             for f in fields(one):
                 got, want = getattr(batch, f.name)[k], getattr(one, f.name)
                 gap = wrap_angle(got - want) if f.name in angles else got - want
                 assert np.abs(gap).max() <= 1e-14 * max(1.0, np.abs(want).max()), f.name
+        for batch, one in (
+            (fierz, check_fierz(one_bil, basis)),
+            (constraints, check_spinor_constraints(psi[k], basis)),
+        ):
+            assert list(batch) == list(one)
+            for name, want in one.items():
+                assert abs(batch[name][k] - want) <= 1e-14, name
+        one = verify_transport(polar_jet(fld, bg, basis, points[k], H_JET), basis)
+        assert list(transport) == list(one)
+        for name, want in one.items():
+            # the jet divides rounding of order eps by 2h, and a stack and a
+            # single row round differently: allow 10 eps / h
+            assert abs(transport[name][k] - want) <= 10 * EPS / H_JET, name
         want = polar_reconstruct(single, basis)
         assert np.abs(rebuilt[k] - want).max() <= 1e-14 * np.abs(want).max()
 
