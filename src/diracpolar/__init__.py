@@ -43,6 +43,7 @@ from .fieldconn import (
     GriddedField,
     LinearVector,
     PlaneWaveField,
+    derivative_jet,
     load_grid,
     plane_wave,
     polar_jet,
@@ -98,6 +99,7 @@ __all__ = [
     "compact_forms",
     "compute_bilinears",
     "compute_potentials",
+    "derivative_jet",
     "dirac_residual",
     "equivalence_probe",
     "integrate",

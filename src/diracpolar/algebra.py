@@ -12,6 +12,7 @@ Conventions, fixed once here and used everywhere else:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -127,8 +128,13 @@ class CliffordBasis:
         return cls(**arrays)
 
 
+@functools.lru_cache(maxsize=1)
 def build_chiral_basis() -> CliffordBasis:
-    """Chiral representation: gamma^0 off-diagonal identities, gamma^k off-diagonal Paulis."""
+    """Chiral representation: gamma^0 off-diagonal identities, gamma^k off-diagonal Paulis.
+
+    Built once per process: the basis is frozen and its arrays are read-only,
+    so every caller shares the one copy.
+    """
     zero = np.zeros((2, 2), dtype=complex)
     eye = np.eye(2, dtype=complex)
     gam = np.empty((4, 4, 4), dtype=complex)
@@ -263,6 +269,17 @@ def spin_inverse(spin_rep: np.ndarray, basis: CliffordBasis) -> np.ndarray:
     return g0 @ np.conj(np.swapaxes(spin_rep, -1, -2)) @ g0
 
 
+def _boost_vec(v, u0):
+    """vec_rep of the boost of boost_reps, from the spatial part v (..., 3)
+    and u0 = sqrt(1 + |v|^2)."""
+    vec = np.empty(v.shape[:-1] + (4, 4))
+    vec[..., 0, 0] = u0
+    vec[..., 0, 1:] = -v
+    vec[..., 1:, 0] = -v
+    vec[..., 1:, 1:] = np.eye(3) + v[..., :, None] * v[..., None, :] / (u0 + 1.0)[..., None, None]
+    return vec
+
+
 def boost_reps(u: np.ndarray, basis: CliffordBasis):
     """(spin_rep, vec_rep) of lorentz_exp(boost_params(u)) in closed form.
 
@@ -278,12 +295,43 @@ def boost_reps(u: np.ndarray, basis: CliffordBasis):
     half_cosh = np.sqrt(0.5 * (u0 + 1.0))
     generator = (v / (2.0 * half_cosh)[..., None]) @ basis.boost_generators.reshape(3, 16)
     spin = half_cosh[..., None, None] * basis.identity + generator.reshape(batch + (4, 4))
-    vec = np.empty(batch + (4, 4))
-    vec[..., 0, 0] = u0
-    vec[..., 0, 1:] = -v
-    vec[..., 1:, 0] = -v
-    vec[..., 1:, 1:] = np.eye(3) + v[..., :, None] * v[..., None, :] / (u0 + 1.0)[..., None, None]
-    return spin, vec
+    return spin, _boost_vec(v, u0)
+
+
+def boost_vec_jet(u: np.ndarray, du: np.ndarray):
+    """vec_rep of boost_reps(u) and its derivatives along du (..., mu, 4),
+    one (4, 4) matrix per direction mu right after the batch axes.
+
+    Only the spatial parts v and dv enter, as in boost_reps:
+      d vec_00 = du0 = v.dv / u0,  d vec_0k = d vec_k0 = -dv_k,
+      d vec_jk = (dv_j v_k + v_j dv_k) / (u0 + 1) - v_j v_k du0 / (u0 + 1)^2
+    """
+    v = np.asarray(u, dtype=float)[..., 1:]
+    dv = np.asarray(du, dtype=float)[..., 1:]
+    u0 = np.sqrt(1.0 + (v * v).sum(axis=-1))
+    du0 = (dv @ v[..., :, None])[..., 0] / u0[..., None]
+    w = v / (u0 + 1.0)[..., None]
+    d = np.empty(dv.shape[:-1] + (4, 4))
+    d[..., 0, 0] = du0
+    d[..., 0, 1:] = -dv
+    d[..., 1:, 0] = -dv
+    sym = dv[..., :, None] * w[..., None, None, :]
+    outer = w[..., :, None] * w[..., None, :]
+    d[..., 1:, 1:] = sym + np.swapaxes(sym, -1, -2) - du0[..., None, None] * outer[..., None, :, :]
+    return _boost_vec(v, u0), d
+
+
+def _half_angle_terms(t):
+    """rho^2 = t_x^2 + t_y^2, |t|, |t| + t_z and the antipode mask of targets
+    (..., 3).  Near the -z antipode |t| + t_z is formed as rho^2 / (|t| - t_z)
+    to avoid cancellation; the antipode itself is rho < 1e-14 |t| with t_z < 0,
+    the threshold of rot_z_to_params."""
+    tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
+    rho2 = tx * tx + ty * ty
+    norm = np.sqrt(rho2 + tz * tz)
+    antipode = (np.sqrt(rho2) < 1e-14 * norm) & (tz < 0.0)
+    plus = np.where(tz >= 0.0, norm + tz, rho2 / (norm + np.abs(tz)))
+    return rho2, norm, plus, antipode
 
 
 def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
@@ -294,16 +342,12 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     (|t| + t_z, z x t) normalized; its axis lies in the xy plane, so q_3 = 0:
       spin_rep = q_0 1 - 2 (q_1 sigma_23 + q_2 sigma_31)
       vec_rep  = diag(1, R^T), R the rotation matrix of q, which takes z onto t
-    Near the -z antipode |t| + t_z is formed as (t_x^2 + t_y^2) / (|t| - t_z)
-    to avoid cancellation; at the antipode itself, with the same threshold as
-    rot_z_to_params, the rotation is the half turn about x.
+    At the antipode (see _half_angle_terms) the rotation is the half turn
+    about x.
     """
     t = np.asarray(target, dtype=float)
-    tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
-    rho2 = tx * tx + ty * ty
-    norm = np.sqrt(rho2 + tz * tz)
-    antipode = (np.sqrt(rho2) < 1e-14 * norm) & (tz < 0.0)
-    q0 = np.where(tz >= 0.0, norm + tz, rho2 / (norm + np.abs(tz)))
+    tx, ty = t[..., 0], t[..., 1]
+    rho2, _, q0, antipode = _half_angle_terms(t)
     scale = 1.0 / np.sqrt(np.where(antipode, 1.0, q0 * q0 + rho2))
     q0 = np.where(antipode, 0.0, q0 * scale)
     q1 = np.where(antipode, 1.0, -ty * scale)
@@ -323,3 +367,37 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     vec[..., 2, 3] = 2.0 * q1 * q0
     vec[..., 3, 2] = -2.0 * q1 * q0
     return spin, vec
+
+
+# (w @ _CROSS).reshape(3, 3) is the cross-product matrix [w]_x of a 3-vector:
+# [w]_x v = w x v
+_CROSS = -np.moveaxis(EPS3, -1, 0).reshape(3, 9)
+
+
+def rot_z_to_connection(target: np.ndarray, d_target: np.ndarray):
+    """vec^T eta d_mu vec for the vec_rep of rot_z_to_reps(target), along the
+    derivatives d_target (..., mu, 3) of the target: one (4, 4) matrix per
+    direction mu, right after the batch axes.
+
+    It is the cross-product matrix of the angular velocity omega of the
+    rotation R of q, dR R^T = [omega]_x, on the spatial block.  R z = t fixes
+    omega up to a turn about t, and keeping the axis of q in the xy plane
+    (q_3 = 0) fixes that turn; for a unit target
+      omega = t x dt - twist t,   twist = (t x dt)_z / (1 + t_z),
+    with 1 + t_z formed as in rot_z_to_reps.  At the antipode the minimal
+    rotation has no derivative.  There the twist is 0: the half turn about x
+    is continued by the minimal rotation away from -z, a frame that agrees
+    with it at the point and is differentiable.
+    """
+    t = np.asarray(target, dtype=float)
+    dt = np.asarray(d_target, dtype=float)
+    _, norm, plus, antipode = _half_angle_terms(t)
+    # for a target of norm n: omega = (t x dt - (t x dt)_z t / (n + t_z)) / n^2
+    inverse_plus = np.where(antipode, 0.0, 1.0 / np.where(antipode, 1.0, plus))
+    # t x dt for every mu: dt [t]_x^T = -dt [t]_x
+    cross = -dt @ (t @ _CROSS).reshape(t.shape[:-1] + (3, 3))
+    twist = cross[..., 2] * inverse_plus[..., None]
+    omega = (cross - twist[..., None] * t[..., None, :]) / (norm**2)[..., None, None]
+    out = np.zeros(dt.shape[:-1] + (4, 4))
+    out[..., 1:, 1:] = (omega @ _CROSS).reshape(dt.shape[:-1] + (3, 3))
+    return out

@@ -35,9 +35,9 @@ from .fieldconn import (
     ConstantVector,
     PlaneWaveComponent,
     PlaneWaveField,
+    derivative_jet,
     load_grid,
     plane_wave,
-    polar_jet,
     sample_field,
     superpose,
     verify_polar_derivative,
@@ -101,7 +101,6 @@ class RunConfig:
         self.torsion_vector = None
         self.grid = None
         self.point = np.zeros(4)
-        self.step = 1e-3
         self.tolerance = 1e-6
         self.seed = 0
         self.tau_max = 10.0
@@ -193,6 +192,10 @@ def _apply_global(cfg, key, value, problems):
         return
     if key == "grid":
         cfg.grid = value
+        return
+    if key == "step":
+        # the stencil step of an earlier guidance jet: still accepted, so that
+        # older configs parse, but nothing reads it
         return
     if key == "seed":
         try:
@@ -392,17 +395,18 @@ def cmd_polar(args) -> int:
     return _finish(rows, args.format, tolerance, {"round_trip_residual": round_trip})
 
 
-def _gordon_point(fld, bg, basis, points, h):
+def _gordon_point(fld, bg, basis, points):
     """Every residual at every point of a stack (n, 4), as the (label, value)
     rows of the report in point order: pK.point first, then its residuals.
 
     Each check runs once over the whole stack, so a failing point aborts the
-    scan.
+    scan.  The jet is the exact one, built from the same field sample as the
+    balance checks.
     """
     sample = sample_field(fld, bg, points)
     columns = {"dirac": dirac_residual(fld, bg, basis, points, sample)}
     columns.update(residual_bilinear_gordon(fld, bg, basis, points, sample))
-    jet = polar_jet(fld, bg, basis, points, h)
+    jet = derivative_jet(fld, bg, basis, points, sample)
     for name, value in residual_polar_groups(jet, bg, basis).items():
         columns["group_" + name] = value
     derivative = verify_polar_derivative(jet, fld, bg, basis, sample)
@@ -425,13 +429,12 @@ def cmd_gordon(args) -> int:
     basis = build_chiral_basis()
     fld = build_field(cfg, basis)
     bg = build_background(cfg)
-    h = args.h if args.h is not None else cfg.step
     if args.points <= 1:
         points = cfg.point[None, :]
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         points = cfg.point + rng.uniform(-1.0, 1.0, size=(args.points, 4))
-    rows = _gordon_point(fld, bg, basis, points, h)
+    rows = _gordon_point(fld, bg, basis, points)
     checked = {name: value for name, value in rows if not name.endswith(".point")}
     return _finish(rows, args.format, cfg.tolerance, checked)
 
@@ -447,7 +450,7 @@ def cmd_guidance(args) -> int:
         x = _floats(args.at, 4, "--at", probe)
         if probe:
             raise ConfigError(probe)
-    jet = polar_jet(fld, bg, basis, x, cfg.step)
+    jet = derivative_jet(fld, bg, basis, x)
     forms = compact_forms(jet, bg)
     p_compact = momentum_from_velocity(jet.pd.velocity, jet.pd.spin, forms, basis)
     p_long = momentum_long_form(jet.pd.velocity, jet.pd.spin, forms, basis)
@@ -522,9 +525,7 @@ def cmd_trajectory(args) -> int:
     h_tau = args.htau if args.htau is not None else cfg.tau_step
     tau_max = args.steps * h_tau if args.steps is not None else cfg.tau_max
     seeds = _read_seeds(args.seeds) if args.seeds is not None else [cfg.point]
-    results = batch_integrate(
-        fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=mode, h_field=cfg.step
-    )
+    results = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=mode)
     sink = open(args.out, "w") if args.out is not None else None
     try:
         out = sink or sys.stdout
@@ -559,8 +560,11 @@ def build_parser():
         description="polar-variable toolkit for relativistic spinor fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # long options must be spelled out: with abbreviations a removed option
+    # can still parse as a prefix of another, "gordon --h" as --help
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_id = sub.add_parser("identities", help="check the matrix algebra layer")
+    p_id = add("identities", help="check the matrix algebra layer")
     p_id.add_argument(
         "--conventions", action="store_true", help="print the convention sheet and exit"
     )
@@ -570,7 +574,7 @@ def build_parser():
     p_id.add_argument("--format", choices=("table", "records"), default="table")
     p_id.set_defaults(func=cmd_identities)
 
-    p_pol = sub.add_parser("polar", help="polar decomposition of a spinor")
+    p_pol = add("polar", help="polar decomposition of a spinor")
     p_pol.add_argument("--config", help="field config; decomposes at its point")
     p_pol.add_argument(
         "--spinor", metavar="RE0,IM0,...,RE3,IM3", help="decompose this spinor instead"
@@ -578,21 +582,20 @@ def build_parser():
     p_pol.add_argument("--format", choices=("table", "records"), default="table")
     p_pol.set_defaults(func=cmd_polar)
 
-    p_gor = sub.add_parser("gordon", help="density balance and polar group residuals")
+    p_gor = add("gordon", help="density balance and polar group residuals")
     p_gor.add_argument("--config", required=True)
     p_gor.add_argument("--points", type=int, default=1, metavar="N", help="sample N points")
     p_gor.add_argument("--seed", type=int, default=None, metavar="S")
-    p_gor.add_argument("--h", type=float, default=None, help="stencil step override")
     p_gor.add_argument("--format", choices=("table", "records"), default="table")
     p_gor.set_defaults(func=cmd_gordon)
 
-    p_gui = sub.add_parser("guidance", help="momentum and velocity maps at a point")
+    p_gui = add("guidance", help="momentum and velocity maps at a point")
     p_gui.add_argument("--config", required=True)
     p_gui.add_argument("--at", metavar="X0,X1,X2,X3", help="evaluation point override")
     p_gui.add_argument("--format", choices=("table", "records"), default="table")
     p_gui.set_defaults(func=cmd_guidance)
 
-    p_tra = sub.add_parser("trajectory", help="integrate integral curves")
+    p_tra = add("trajectory", help="integrate integral curves")
     p_tra.add_argument("--config", required=True)
     p_tra.add_argument("--seeds", metavar="FILE", help="file of start points, 4 numbers per line")
     p_tra.add_argument("--mode", choices=MODES, default=None)

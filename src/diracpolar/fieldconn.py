@@ -17,6 +17,12 @@ and the same for the velocity.  The momentum covector is
   p_mu = d_mu(residual_phase) + trace_part_mu - charge * a_mu
 
 which is invariant under a joint phase/potential gauge shift.
+
+Two functions build a jet.  derivative_jet is exact: it takes the field and
+its covariant derivative at the point, decomposes the one spinor there and
+differentiates the closed forms.  polar_jet differences the polar variables
+over a nine-point stencil of step h; it needs only evaluate, and it serves as
+the independent check of the exact jet.
 """
 from __future__ import annotations
 
@@ -34,8 +40,10 @@ from .algebra import (  # noqa: F401
     PAIR_J,
     SEED_SPINOR,
     boost_reps,
+    boost_vec_jet,
     lorentz_exp,
     mdot,
+    rot_z_to_connection,
     rot_z_to_reps,
     spin_inverse,
 )
@@ -289,6 +297,19 @@ def sample_field(fld, bg: Background, x) -> FieldSample:
     return FieldSample(x=x, psi=psi, grad=covariant_derivative(fld, bg, x, psi))
 
 
+def density_products(psi, grad, stack):
+    """psi^dagger M nabla_mu psi for every matrix M of stack (k, 4, 4), as an
+    array (..., k, mu): psi is (..., 4) and grad (..., mu, 4).
+
+    For M = gamma^0 N with gamma^0 N hermitian, twice the real part is d_mu
+    of the density adj(psi) N psi by the product rule; the charge terms of a
+    covariant derivative cancel in it.
+    """
+    k = len(stack)
+    rows = psi.conj() @ stack.transpose(1, 0, 2).reshape(4, 4 * k)
+    return rows.reshape(psi.shape[:-1] + (k, 4)) @ np.swapaxes(grad, -1, -2)
+
+
 @dataclass
 class TensorialConnection:
     """Connection at a point, or at every point of a batch (leading axes)."""
@@ -320,7 +341,79 @@ class PolarJet:
     ds: np.ndarray
     tc: TensorialConnection
     x: np.ndarray
-    h: float
+
+
+def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
+    """Polar data and its exact first derivatives at a point x (4,), or at
+    every point of a stack (..., 4), whose batch shape the jet then carries.
+
+    It needs the field and its covariant derivative at x, from one
+    sample_field unless the caller passes the sample, and decomposes one
+    spinor per point:
+      - the density, chiral angle, velocity and spin derivatives follow from
+        the product rule on the densities S, P, U and A;
+      - the connection is r_mu = l_vec^T eta d_mu l_vec, differentiated
+        through the closed forms of the boost and the minimal rotation, so
+        trace_part and projection_residual are 0;
+      - what remains of nabla psi once the known part is taken off lies
+        along i psi, and its coefficient is -p.
+    """
+    if sample is None:
+        sample = sample_field(fld, bg, x)
+    psi, grad = sample.psi, sample.grad
+    batch = psi.shape[:-1]
+    pd = polar_decompose(psi, basis)
+
+    # rows 0, 1, 2:6, 6:10: 1, i pi, gamma^a, gamma^a pi, each behind gamma^0;
+    # row 2 is gamma^0 gamma^0 = 1, so it also holds psi^dagger nabla_mu psi
+    products = density_products(psi, grad, basis.bilinear_stack[:10])
+    d = 2.0 * products.real
+    mod = 2.0 * pd.density**2      # |(S, P)|
+    # d|(S, P)| / |(S, P)| and d(chiral angle) from dS and dP
+    cos = (np.cos(pd.chiral_angle) / mod)[..., None]
+    sin = (np.sin(pd.chiral_angle) / mod)[..., None]
+    dlogmod = cos * d[..., 0, :] + sin * d[..., 1, :]
+    dchiral = cos * d[..., 1, :] - sin * d[..., 0, :]
+
+    def unit_derivative(rows, unit):
+        # d_mu of unit = density / |(S, P)|, from the density's rows (a, mu)
+        scaled = np.swapaxes(rows, -1, -2) / mod[..., None, None]
+        return scaled - dlogmod[..., None] * unit[..., None, :]
+
+    u, s = pd.velocity, pd.spin
+    du = unit_derivative(d[..., 2:6, :], u)
+    ds = unit_derivative(d[..., 6:10, :], s)
+
+    # l_vec = R B: the rest spin t = (B s)_spatial steers R, and with B
+    # symmetric, l_vec^T eta d l_vec = B (R^T eta dR B + eta dB)
+    boost, dboost = boost_vec_jet(u, du)
+    spatial = boost[..., 1:, :]
+    t = (spatial @ s[..., None])[..., 0]
+    dt = (dboost[..., 1:, :] @ s[..., None, :, None])[..., 0] + ds @ np.swapaxes(spatial, -1, -2)
+    rotation = rot_z_to_connection(t, dt)
+    b = boost[..., None, :, :]
+    conn = b @ (rotation @ b + ETA @ dboost)
+
+    # nabla psi = (K - i p) psi with the known part
+    #   K = dlogdensity - i dchiral pi / 2 - r_{ij} sigma^{ij} / 2,
+    # so p = -Im(psi^dagger nabla psi - psi^dagger K psi) / psi^dagger psi,
+    # with psi^dagger psi = U^0; known = -Im(psi^dagger K psi)
+    sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
+    quad = density_products(psi, psi[..., None, :], np.concatenate([basis.pi[None], sigma6]))
+    known = 0.5 * dchiral * quad[..., 0, :].real
+    known = known + (conn[..., PAIR_I, PAIR_J] @ quad[..., 1:, :].imag)[..., 0]
+    p = -(products[..., 2, :].imag + known) / (mod * u[..., 0])[..., None]
+
+    tc = TensorialConnection(
+        r=np.moveaxis(conn, -3, -1),
+        p=p,
+        dphase=p + bg.charge * (bg.a_value(sample.x) * ETA_SIGNS),
+        trace_part=np.zeros_like(p),
+        projection_residual=np.zeros(batch)[()],
+    )
+    return PolarJet(
+        pd=pd, dchiral=dchiral, dlogdensity=0.5 * dlogmod, du=du, ds=ds, tc=tc, x=sample.x
+    )
 
 
 def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
@@ -381,7 +474,7 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
         projection_residual=np.abs(g - rebuilt).max(axis=(-3, -2, -1)),
     )
     return PolarJet(
-        pd=pd0, dchiral=dchiral, dlogdensity=dlogden, du=du, ds=ds, tc=tc, x=x, h=h
+        pd=pd0, dchiral=dchiral, dlogdensity=dlogden, du=du, ds=ds, tc=tc, x=x
     )
 
 

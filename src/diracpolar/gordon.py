@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import ETA_SIGNS
 from .bilinears import compute_bilinears
-from .fieldconn import Background, PolarJet, polar_jet, sample_field
+from .fieldconn import Background, PolarJet, density_products, polar_jet, sample_field
 
 # the diagonal signs of eta along one index, and along two (a, b)
 _S = ETA_SIGNS
@@ -52,13 +52,11 @@ def _density_derivatives(sample, basis):
     """
     stack = _balance_stack(basis)
     n = len(stack)
-    psi, grad = sample.psi, sample.grad
-    shape = psi.shape[:-1] + (n, 4)
-    # adj(psi) M and M psi for every M, as rows; then against nabla_mu psi
-    left = (psi.conj() @ stack.transpose(1, 0, 2).reshape(4, 4 * n)).reshape(shape)
-    right = (psi @ stack.transpose(2, 0, 1).reshape(4, 4 * n)).reshape(shape)
-    forward = left @ np.swapaxes(grad, -1, -2)
-    backward = right @ np.swapaxes(grad.conj(), -1, -2)
+    # adj(nabla psi) M psi is the conjugate of psi^dagger (gamma^0 M)^dagger nabla psi
+    both = density_products(
+        sample.psi, sample.grad, np.concatenate([stack, np.conj(np.swapaxes(stack, -1, -2))])
+    )
+    forward, backward = both[..., :n, :], both[..., n:, :].conj()
 
     def split(pairs):
         batch = pairs.shape[:-2]

@@ -5,7 +5,8 @@ Two velocity modes are available at every regular point:
   kinematic: the normalized vector density u = U / sqrt(theta^2 + phi^2),
              read directly from the bilinears, no derivatives involved
   guidance:  the velocity recovered by inverting the momentum map, which
-             needs the local jet (momentum covector, z potential, spin)
+             needs the local jet (momentum covector, z potential, spin),
+             taken exactly from the field and its derivative
 
 On an exact solution the two coincide, so their trajectory divergence is a
 practical integration diagnostic.  Curves are parametrized by proper time
@@ -25,18 +26,18 @@ import numpy as np
 from .algebra import ETA_SIGNS
 from .bilinears import compute_bilinears, require_regular
 from .errors import DiracPolarError, ImmediateSingularity
-from .fieldconn import Background, polar_jet
+from .fieldconn import Background, derivative_jet
 from .guidance import compact_forms, velocity_from_momentum
 
 MODES = ("kinematic", "guidance")
 
 
-def velocity_field(fld, bg: Background, basis, mode="kinematic", h_field=1e-3):
+def velocity_field(fld, bg: Background, basis, mode="kinematic"):
     """Callable x -> unit velocity, in the requested mode.
 
     x is a point (4,) or a stack of points (..., 4), and the velocities come
     back with its shape.  A stack raises if the velocity is undefined at any
-    of its points.
+    of its points.  Guidance mode needs the field's partial.
     """
     if mode == "kinematic":
 
@@ -48,7 +49,7 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic", h_field=1e-3):
     elif mode == "guidance":
 
         def evaluate(x):
-            jet = polar_jet(fld, bg, basis, x, h_field)
+            jet = derivative_jet(fld, bg, basis, x)
             forms = compact_forms(jet, bg)
             return velocity_from_momentum(
                 jet.tc.p * ETA_SIGNS, jet.pd.spin, forms, basis
@@ -96,14 +97,14 @@ def _by_rows(fn, state):
     return out, errors
 
 
-def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode, h_field):
+def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
     """Curves from every seed, advanced together as one (n, 4) state.
 
     Returns one Trajectory per seed, or the DiracPolarError that made the
     velocity undefined at the seed.  A curve that fails at a later step
     stops there, with the status a run from its seed alone would give.
     """
-    vel = velocity_field(fld, bg, basis, mode, h_field)
+    vel = velocity_field(fld, bg, basis, mode)
     x0 = np.asarray(seeds, dtype=float).reshape(-1, 4)
     n_steps = int(round(tau_max / h_tau))
 
@@ -178,16 +179,15 @@ def integrate(
     tau_max,
     h_tau=0.05,
     mode="kinematic",
-    h_field=1e-3,
 ) -> Trajectory:
     """Fixed-step fourth-order curve of the chosen velocity field from x0."""
-    (arc,) = _integrate_seeds(fld, bg, basis, [x0], tau_max, h_tau, mode, h_field)
+    (arc,) = _integrate_seeds(fld, bg, basis, [x0], tau_max, h_tau, mode)
     if isinstance(arc, DiracPolarError):
         raise ImmediateSingularity(_seed_failure(arc)) from arc
     return arc
 
 
-def batch_integrate(fld, bg, basis, seeds, tau_max, h_tau=0.05, mode="kinematic", h_field=1e-3):
+def batch_integrate(fld, bg, basis, seeds, tau_max, h_tau=0.05, mode="kinematic"):
     """Integrate from many seeds as one ensemble; a bad seed yields a failed
     record, not a raise."""
     return [
@@ -202,7 +202,7 @@ def batch_integrate(fld, bg, basis, seeds, tau_max, h_tau=0.05, mode="kinematic"
         )
         if isinstance(arc, DiracPolarError)
         else arc
-        for arc in _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode, h_field)
+        for arc in _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode)
     ]
 
 

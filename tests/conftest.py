@@ -44,3 +44,44 @@ def torsion_wave(p_space, mass, coupling, w, basis, amplitude=1.0, branch=-1):
     psi0 = amplitude * vecs[:, k]
     p4 = np.concatenate([[energy], p_space])
     return PlaneWaveField([PlaneWaveComponent(p4, psi0)]), p4
+
+
+def vanishing_waves(rng, basis, scale=1.0):
+    """Three free waves of unit mass whose amplitudes sum to zero: their sum
+    vanishes at x = 0, while its derivative there is of order scale.
+
+    Each amplitude lies in the two-dimensional space of positive-energy
+    solutions for its momentum; the first is drawn with largest entry 1 and
+    the other two are solved for.
+    """
+    from diracpolar.fieldconn import PlaneWaveComponent, plane_wave
+
+    momenta = [
+        np.concatenate([[np.sqrt(1 + v @ v)], v]) for v in rng.uniform(-0.3, 0.3, size=(3, 3))
+    ]
+    spaces = [
+        np.column_stack(
+            [plane_wave(p, 1.0, np.array([0.0, 0.0, z]), 1.0, basis).components[0].amplitude
+             for z in (1.0, -1.0)]
+        )
+        for p in momenta
+    ]
+    first = spaces[0] @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    first = first / np.abs(first).max()
+    rest = np.linalg.solve(np.column_stack(spaces[1:]), -first)
+    amplitudes = [first, spaces[1] @ rest[:2], spaces[2] @ rest[2:]]
+    return [PlaneWaveComponent(p, scale * a) for p, a in zip(momenta, amplitudes)]
+
+
+def jet_gap(a, b):
+    """Largest gap between two polar jets over every derivative they carry."""
+    pairs = (
+        (a.dchiral, b.dchiral),
+        (a.dlogdensity, b.dlogdensity),
+        (a.du, b.du),
+        (a.ds, b.ds),
+        (a.tc.r, b.tc.r),
+        (a.tc.dphase, b.tc.dphase),
+        (a.tc.p, b.tc.p),
+    )
+    return max(np.abs(x - y).max() for x, y in pairs)

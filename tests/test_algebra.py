@@ -1,16 +1,21 @@
 import numpy as np
 
 from diracpolar.algebra import (
+    EPS3,
     EPS_LOWER,
     EPS_UPPER,
     ETA,
     SEED_SPINOR,
     CliffordBasis,
     boost_params,
+    boost_reps,
+    boost_vec_jet,
     build_chiral_basis,
     lorentz_exp,
     mdot,
+    rot_z_to_connection,
     rot_z_to_params,
+    rot_z_to_reps,
     rotation_params,
     verify_basis,
 )
@@ -181,3 +186,60 @@ def test_boost_rotation_hermiticity(basis):
     rot_pair = lorentz_exp(rotation_params(np.array([0.2, -1.0, 0.4]), 1.1), basis)
     prod = rot_pair.spin_rep @ rot_pair.spin_rep.conj().T
     assert np.abs(prod - np.eye(4)).max() < 1e-13
+
+
+def test_basis_built_once_and_read_only():
+    basis = build_chiral_basis()
+    assert build_chiral_basis() is basis
+    for name, value in vars(basis).items():
+        assert not value.flags.writeable, name
+
+
+def central(fn, x, dx, h=1e-6):
+    """(fn(x + h dx) - fn(x - h dx)) / 2h for every row of dx, rows first."""
+    return np.array([(fn(x + h * row) - fn(x - h * row)) / (2 * h) for row in dx])
+
+
+def test_boost_vec_jet_matches_differences(basis):
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        v = rng.standard_normal(3) * 0.8
+        dv = rng.standard_normal((4, 3))
+        u = np.concatenate([[np.sqrt(1 + v @ v)], v])
+        du = np.column_stack([dv @ v / u[0], dv])
+        vec, dvec = boost_vec_jet(u, du)
+        assert np.array_equal(vec, boost_reps(u, basis)[1])
+
+        def boost(w):
+            return boost_reps(np.concatenate([[0.0], w]), basis)[1]
+
+        assert np.abs(dvec - central(boost, v, dv)).max() < 1e-8
+
+
+def test_rot_z_to_connection_matches_differences(basis):
+    rng = np.random.default_rng(22)
+    targets = [rng.standard_normal(3) for _ in range(8)]
+    # next to the -z antipode, but far from the half-turn threshold, and an
+    # unnormalized target
+    targets += [np.array([3e-4, -2e-4, -1.0]), np.array([0.0, 1e-3, -2.0])]
+    for t in targets:
+        dt = rng.standard_normal((4, 3)) * 0.1
+        vec = rot_z_to_reps(t, basis)[1]
+        # the step must stay well inside the distance to the antipode
+        dvec = central(lambda w: rot_z_to_reps(w, basis)[1], t, dt, h=1e-8)
+        want = vec.T @ ETA @ dvec
+        got = rot_z_to_connection(t, dt)
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() < 1e-6 * scale
+        assert np.abs(got + np.swapaxes(got, -1, -2)).max() < 1e-15 * scale
+
+
+def test_rot_z_to_connection_at_the_half_turn():
+    # the half turn about x is continued by the minimal rotation away from
+    # -z, which turns about (-z) x dt: no twist, and finite
+    dt = np.array([[0.3, -0.2, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [-0.4, 0.1, 0.0]])
+    omega = np.cross([0.0, 0.0, -1.0], dt)
+    want = np.zeros((4, 4, 4))
+    want[:, 1:, 1:] = -np.einsum("jkl,ml->mjk", EPS3, omega)
+    got = rot_z_to_connection(np.array([0.0, 0.0, -1.0]), dt)
+    assert np.abs(got - want).max() < 1e-16

@@ -203,7 +203,7 @@ def test_emit_matches_per_row_printing(basis, fmt):
     run = parse_config(TWO_WAVE)
     points = run.point + np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 4))
     rows = cli._gordon_point(
-        cli.build_field(run, basis), cli.build_background(run), basis, points, run.step
+        cli.build_field(run, basis), cli.build_background(run), basis, points
     )
     assert len(rows) == 20 * (1 + len(GORDON_LABELS))
     want, got = io.StringIO(), io.StringIO()
@@ -214,7 +214,7 @@ def test_emit_matches_per_row_printing(basis, fmt):
 
 def test_parser_is_reused_without_leaking_options(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, TWO_WAVE)
-    plain = ["gordon", "--config", cfg, "--format", "records"]
+    plain = ["gordon", "--config", cfg, "--points", "2", "--format", "records"]
     assert console_main(plain) == 0
     first = capsys.readouterr().out
 
@@ -222,8 +222,8 @@ def test_parser_is_reused_without_leaking_options(tmp_path, capsys, monkeypatch)
         raise AssertionError("parser built a second time")
 
     monkeypatch.setattr(cli, "build_parser", rebuilt)
-    # a coarser stencil moves the finite-difference residuals
-    assert console_main(plain + ["--h", "2e-3"]) == 0
+    # another seed draws other points than the config's seed
+    assert console_main(plain + ["--seed", "5"]) == 0
     assert capsys.readouterr().out != first
     assert console_main(plain) == 0
     assert capsys.readouterr().out == first
@@ -234,8 +234,30 @@ def test_parser_is_reused_without_leaking_options(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().out == first
 
 
-def test_gordon_tolerance_violation(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TWO_WAVE.replace("tolerance = 1e-6", "tolerance = 1e-13"))
+def test_gordon_step_option_removed(tmp_path, capsys):
+    # the exact jet has no stencil step; abbreviations are off, so --h is not
+    # read as --help either
+    cfg = write_cfg(tmp_path, TWO_WAVE)
+    for option in ("--h", "--poin"):
+        with pytest.raises(SystemExit) as exc:
+            console_main(["gordon", "--config", cfg, option, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_gordon_tolerance_violation(tmp_path, capsys, monkeypatch):
+    from diracpolar.fieldconn import PlaneWaveComponent, PlaneWaveField
+
+    build_field = cli.build_field
+
+    def perturbed(run, basis):
+        # criterion 5's non-solution: the first wave's amplitude perturbed
+        first, second = build_field(run, basis).components
+        amplitude = first.amplitude + np.array([0.15, 0.05j, 0, 0.1])
+        return PlaneWaveField([PlaneWaveComponent(first.momentum, amplitude), second])
+
+    monkeypatch.setattr(cli, "build_field", perturbed)
+    cfg = write_cfg(tmp_path, TWO_WAVE)
     code = console_main(["gordon", "--config", cfg])
     err = capsys.readouterr().err
     assert code == 1
@@ -250,6 +272,21 @@ def test_guidance_consistency(tmp_path, capsys):
     assert float(got["momentum_form_gap"]) < 1e-14
     assert float(got["velocity_round_trip"]) < 1e-6
     assert "zeta" in got and "effective_mass_scale" in got
+
+
+def test_guidance_jet_is_exact(tmp_path, capsys):
+    # the step key still parses, but the guidance jet has no stencil to size
+    texts = (TWO_WAVE, TWO_WAVE.replace("step = 1e-3", "step = 0.5"),
+             TWO_WAVE.replace("step = 1e-3\n", ""))
+    outs = []
+    for text in texts:
+        cfg = write_cfg(tmp_path, text)
+        assert console_main(["guidance", "--config", cfg, "--format", "records"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    got = records(outs[0])
+    assert float(got["momentum_consistency"]) <= 1e-13
+    assert float(got["velocity_round_trip"]) <= 1e-13
 
 
 def test_guidance_at_override(tmp_path, capsys):
@@ -315,7 +352,7 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
         run = parse_config(fh.read())
     arcs = batch_integrate(
         build_field(run, basis), build_background(run), basis,
-        np.loadtxt(str(seeds)), tau_max=7 * 0.1, h_tau=0.1, h_field=run.step,
+        np.loadtxt(str(seeds)), tau_max=7 * 0.1, h_tau=0.1,
     )
     assert sorted(rows) == [0, 1, 2]
     for index, arc in enumerate(arcs):

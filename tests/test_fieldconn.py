@@ -10,10 +10,12 @@ from diracpolar.fieldconn import (
     GriddedField,
     LinearVector,
     covariant_derivative,
+    derivative_jet,
     gauge_shift_linear,
     load_grid,
     plane_wave,
     polar_jet,
+    sample_field,
     save_grid,
     superpose,
     to_grid,
@@ -22,7 +24,7 @@ from diracpolar.fieldconn import (
 )
 from diracpolar.polar import polar_decompose
 
-from conftest import torsion_wave
+from conftest import jet_gap, torsion_wave
 
 MASS = 1.0
 
@@ -244,6 +246,9 @@ def test_grid_jet_matches_analytic(basis):
     jet_g = polar_jet(grid, bg, basis, np.zeros(4), h=1e-3)
     assert np.abs(jet_a.tc.p - jet_g.tc.p).max() < 1e-12
     assert np.abs(jet_a.du - jet_g.du).max() < 1e-12
+    # the exact jet takes the grid's central differences as the derivative
+    exact = derivative_jet(fld, bg, basis, np.zeros(4))
+    assert jet_gap(derivative_jet(grid, bg, basis, np.zeros(4)), exact) < 1e-6
 
 
 def test_bad_grid_file_rejected(tmp_path):
@@ -251,3 +256,57 @@ def test_bad_grid_file_rejected(tmp_path):
     path.write_text("not a grid\n1 2 3\n")
     with pytest.raises(ValueError):
         load_grid(path)
+
+
+# -- the exact jet ------------------------------------------------------------
+
+
+def jet_field(name, basis):
+    """(field, background) of the exact-jet tests."""
+    if name == "one-wave":
+        return boosted_wave(basis)[0], Background(mass=MASS)
+    if name == "two-wave":
+        return two_wave(basis), Background(mass=MASS)
+    if name == "torsion":
+        w = np.array([0.1, 0.05, -0.2, 0.3])
+        waves = [torsion_wave(p, MASS, 0.4, w, basis, amplitude=a)[0]
+                 for p, a in (([0.2, -0.1, 0.3], 1.0), ([-0.1, 0.25, 0.1], 0.4))]
+        bg = Background(mass=MASS, torsion_coupling=0.4, torsion_vector=ConstantVector(w))
+        return superpose(*waves), bg
+    slope = 0.2 * np.array(
+        [[0.0, 1.0, 0.0, 0.5], [1.0, 0.0, 0.5, 0.0], [0.0, -0.5, 0.0, 1.0], [0.2, 0.0, 0.3, 0.0]]
+    )
+    potential = LinearVector([0.1, -0.2, 0.05, 0.3], slope)
+    return two_wave(basis), Background(mass=MASS, charge=0.7, em_potential=potential)
+
+
+JET_FIELDS = ["one-wave", "two-wave", "torsion", "charged"]
+
+
+@pytest.mark.parametrize("name", JET_FIELDS)
+def test_derivative_jet_matches_stencil(basis, name):
+    fld, bg = jet_field(name, basis)
+    points = np.random.default_rng(31).uniform(-0.5, 0.5, size=(5, 4))
+    exact = derivative_jet(fld, bg, basis, points)
+    coarse, fine = (jet_gap(exact, polar_jet(fld, bg, basis, points, h)) for h in (2e-3, 1e-3))
+    if name == "one-wave":
+        # constant polar variables and a linear phase: the stencil is exact
+        # up to rounding, so there is no truncation error to shrink
+        assert max(coarse, fine) < 1e-10
+    else:
+        assert fine < 1e-7
+        assert 3.0 <= coarse / fine <= 5.0
+
+
+@pytest.mark.parametrize("name", JET_FIELDS)
+def test_derivative_jet_identities_at_rounding(basis, name):
+    fld, bg = jet_field(name, basis)
+    points = np.random.default_rng(32).uniform(-0.5, 0.5, size=(50, 4))
+    jet = derivative_jet(fld, bg, basis, points)
+    # a given sample is used as is
+    assert jet_gap(jet, derivative_jet(fld, bg, basis, points, sample_field(fld, bg, points))) == 0
+    assert verify_polar_derivative(jet, fld, bg, basis).max() <= 1e-13
+    assert max(v.max() for v in verify_transport(jet, basis).values()) <= 1e-13
+    assert not jet.tc.trace_part.any() and not jet.tc.projection_residual.any()
+    if name == "one-wave":
+        assert np.abs(jet.tc.p - ETA @ boosted_wave(basis)[1]).max() < 1e-13

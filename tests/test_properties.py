@@ -2,11 +2,14 @@
 
 The closed-form frame is compared with lorentz_exp of the same parameters up
 to large rapidities and next to the -z antipode, where the minimal rotation
-switches branch; batched calls of the polar layer, of lorentz_exp and of the
-identity checks are compared with stacked single calls; a
+switches branch; batched calls of the polar layer, of lorentz_exp, of the
+identity checks and of the exact jet are compared with stacked single calls; a
 batch holding one near-singular spinor must fail like the single call; and
 chiral angles and residual phases next to +-pi, where both wrap, must
-survive the round trip and the polar jet's differences.
+survive the round trip and the polar jet's differences.  Next to the -z
+antipode, where the frame turns fast, the exact jet still agrees with the
+stencil to second order, and its guidance velocity with the kinematic one to
+rounding scaled by the inverse distance and the momentum inversion.
 """
 from dataclasses import fields, replace
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracpolar.algebra import (
+    ETA_SIGNS,
     SEED_SPINOR,
     boost_params,
     boost_reps,
@@ -34,17 +38,22 @@ from diracpolar.bilinears import (
 from diracpolar.errors import SingularSpinor
 from diracpolar.fieldconn import (
     Background,
+    PlaneWaveField,
+    derivative_jet,
     plane_wave,
     polar_jet,
     superpose,
     verify_transport,
 )
+from diracpolar.guidance import compact_forms, velocity_from_momentum
 from diracpolar.polar import (
     kinematic_velocity,
     polar_decompose,
     polar_reconstruct,
     wrap_angle,
 )
+
+from conftest import jet_gap, vanishing_waves
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -141,6 +150,7 @@ def test_batch_equals_stacked_single_calls(basis, seed, n):
     fierz = check_fierz(bil, basis)
     constraints = check_spinor_constraints(psi, basis)
     transport = verify_transport(polar_jet(fld, bg, basis, points, H_JET), basis)
+    exact = derivative_jet(fld, bg, basis, points)
     angles = {"chiral_angle", "residual_phase"}
     for k in range(n):
         single = polar_decompose(psi[k], basis)
@@ -163,6 +173,16 @@ def test_batch_equals_stacked_single_calls(basis, seed, n):
             # the jet divides rounding of order eps by 2h, and a stack and a
             # single row round differently: allow 10 eps / h
             assert abs(transport[name][k] - want) <= 10 * EPS / H_JET, name
+        one = derivative_jet(fld, bg, basis, points[k])
+        for got, want in (
+            (exact.dchiral[k], one.dchiral),
+            (exact.dlogdensity[k], one.dlogdensity),
+            (exact.du[k], one.du),
+            (exact.ds[k], one.ds),
+            (exact.tc.r[k], one.tc.r),
+            (exact.tc.p[k], one.tc.p),
+        ):
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
         want = polar_reconstruct(single, basis)
         assert np.abs(rebuilt[k] - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -269,3 +289,55 @@ def test_polar_jet_across_phase_wrap(basis, frame, sign, offset, dphase, dchiral
     pd = replace(frame_data(frame, basis), residual_phase=sign * (np.pi - offset))
     fld = AffinePolarField(pd, dchiral, dphase, basis)
     check_jet(polar_jet(fld, Background(mass=1.0), basis, np.zeros(4), H_JET), dchiral, dphase)
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    log_distance=st.floats(-8.0, -2.0),
+    azimuth=st.floats(0.0, 2 * np.pi),
+)
+def test_derivative_jet_next_to_antipode(basis, seed, log_distance, azimuth):
+    # the rest spin at x = 0 lies 1e-8 to 1e-2 from -z and turns at about 30
+    # times that distance per unit length, so the connection grows like the
+    # inverse distance while a stencil step still moves the spin much less
+    rng = np.random.default_rng(seed)
+    distance = 10.0**log_distance
+    axis = np.array([distance * np.cos(azimuth), distance * np.sin(azimuth), -1.0])
+    base = plane_wave(four_velocity(rng.uniform(-0.3, 0.3, 3)), 1.0, axis, 1.0, basis)
+    fld = PlaneWaveField(base.components + vanishing_waves(rng, basis, 30 * distance))
+    bg = Background(mass=1.0)
+    exact = derivative_jet(fld, bg, basis, np.zeros(4))
+    _, boost = boost_reps(exact.pd.velocity, basis)
+    rest_spin = (boost @ exact.pd.spin)[1:]
+    assert 0.5 * distance < np.linalg.norm(rest_spin - [0.0, 0.0, -1.0]) < 2 * distance
+    coarse, fine = (
+        jet_gap(exact, polar_jet(fld, bg, basis, np.zeros(4), h)) for h in (2e-3, 1e-3)
+    )
+    assert 3.0 <= coarse / fine <= 5.0
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    log_distance=st.floats(-8.0, -2.0),
+    azimuth=st.floats(0.0, 2 * np.pi),
+)
+def test_guidance_velocity_next_to_antipode(basis, seed, log_distance, azimuth):
+    # the field of test_derivative_jet_next_to_antipode; the guidance velocity
+    # cancels a connection and a phase gradient that grow like 1 / distance,
+    # and the momentum inversion scales what is left by about 1 + |zeta|.
+    # Over 2500 random draws the gap to the kinematic velocity stayed below
+    # 0.08 of this product, and at most 8.5e-12 (at |zeta| = 4e4)
+    rng = np.random.default_rng(seed)
+    distance = 10.0**log_distance
+    axis = np.array([distance * np.cos(azimuth), distance * np.sin(azimuth), -1.0])
+    base = plane_wave(four_velocity(rng.uniform(-0.3, 0.3, 3)), 1.0, axis, 1.0, basis)
+    fld = PlaneWaveField(base.components + vanishing_waves(rng, basis, 30 * distance))
+    bg = Background(mass=1.0)
+    jet = derivative_jet(fld, bg, basis, np.zeros(4))
+    forms = compact_forms(jet, bg)
+    guided = velocity_from_momentum(jet.tc.p * ETA_SIGNS, jet.pd.spin, forms, basis)
+    zeta = np.abs(forms.z / forms.xs).max()
+    bound = EPS * (1 + 1 / distance) * (1 + zeta)
+    assert np.abs(guided - jet.pd.velocity).max() <= bound

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracpolar.algebra import ETA
+from diracpolar.algebra import ETA, boost_reps
 from diracpolar.errors import ImmediateSingularity
 from diracpolar.fieldconn import (
     Background,
@@ -9,6 +9,7 @@ from diracpolar.fieldconn import (
     LinearVector,
     PlaneWaveComponent,
     PlaneWaveField,
+    derivative_jet,
     plane_wave,
     superpose,
 )
@@ -18,6 +19,8 @@ from diracpolar.trajectories import (
     sup_divergence,
     velocity_field,
 )
+
+from conftest import vanishing_waves
 
 MASS = 1.0
 
@@ -128,6 +131,31 @@ def test_batch_integrate_mixed_seeds(basis):
     assert out[1].completed
 
 
+def test_guidance_equals_kinematic_on_a_solution(basis):
+    # the exact jet leaves rounding only; a stencil of step 1e-3 left 2.5e-10
+    fld = two_wave(basis)
+    bg = Background(mass=MASS)
+    points = np.random.default_rng(41).uniform(-0.5, 0.5, size=(50, 4))
+    guidance = velocity_field(fld, bg, basis, "guidance")(points)
+    kinematic = velocity_field(fld, bg, basis, "kinematic")(points)
+    assert np.abs(guidance - kinematic).max() <= 1e-13
+
+
+def test_guidance_at_the_half_turn_branch(basis):
+    # a solution whose rest spin is -z at x = 0, where the frame takes the
+    # half turn about x, and that turns away from -z around it
+    rest = plane_wave(np.array([MASS, 0.0, 0.0, 0.0]), MASS, np.array([0.0, 0.0, -1.0]), 1.0, basis)
+    fld = PlaneWaveField(rest.components + vanishing_waves(np.random.default_rng(42), basis, 0.3))
+    bg = Background(mass=MASS)
+    jet = derivative_jet(fld, bg, basis, np.zeros(4))
+    rest_spin = (boost_reps(jet.pd.velocity, basis)[1] @ jet.pd.spin)[1:]
+    assert np.hypot(rest_spin[0], rest_spin[1]) < 1e-14 and rest_spin[2] < 0.0
+    assert np.abs(jet.ds).max() > 0.01
+    guidance = velocity_field(fld, bg, basis, "guidance")(np.zeros(4))
+    assert np.all(np.isfinite(guidance))
+    assert np.abs(guidance - jet.pd.velocity).max() <= 1e-13
+
+
 def test_velocity_field_rejects_unknown_mode(basis):
     fld = two_wave(basis)
     with pytest.raises(ValueError):
@@ -232,8 +260,7 @@ def test_mixed_ensemble_arcs_match_lone_runs(basis):
             lone = integrate(window, bg, basis, x0, tau_max, h_tau, mode)
             assert arc.status == lone.status
             assert np.array_equal(arc.tau, lone.tau)
-            # a stack and a single row can round differently in the last bit,
-            # which the guidance stencil magnifies by 1/h_field
+            # a stack and a single row can round differently in the last bit
             assert np.abs(arc.x - lone.x).max() < 1e-12
             assert np.abs(arc.u - lone.u).max() < 1e-12
             assert arc.diagnostics["velocity_evals"] == lone.diagnostics["velocity_evals"]
