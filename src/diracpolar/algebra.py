@@ -94,6 +94,8 @@ class CliffordBasis:
     # gamma^0 M for the sixteen density matrices M, in BilinearSet order:
     # 1, i pi, gamma^a, gamma^a pi, 2i sigma_ab for ab in INDEX_PAIRS
     bilinear_stack: np.ndarray     # (16, 4, 4)
+    # bilinear_stack[:10], pi, sigma^ab for ab in INDEX_PAIRS: the exact jet
+    jet_stack: np.ndarray          # (17, 4, 4)
     boost_generators: np.ndarray   # (3, 4, 4), gamma_0 gamma_k = 2 sigma_0k
     rotation_generators: np.ndarray  # (2, 4, 4), (sigma_23, sigma_31); z -> t needs no sigma_12
 
@@ -120,6 +122,7 @@ class CliffordBasis:
             eps_lower=EPS_LOWER,
             eps_upper=EPS_UPPER,
             bilinear_stack=gam[0] @ np.array(densities),
+            jet_stack=np.concatenate([gam[0] @ densities[:10], pi[None], sig_up[PAIR_I, PAIR_J]]),
             boost_generators=2.0 * sig_low[0, 1:],
             rotation_generators=sig_low[[2, 3], [3, 1]],
         )

@@ -30,13 +30,23 @@ def adjoint(psi, basis):
 
 
 @dataclass
-class BilinearSet:
-    """Densities of one spinor, or of a batch with the spinor's leading shape."""
+class Densities:
+    """S, P, U and A of one spinor, or of a batch with the spinor's leading
+    shape: all that the polar variables and the regularity guard read."""
 
     scalar: float
     pseudoscalar: float
     vector: np.ndarray       # raised index
     axial: np.ndarray        # raised index
+
+    def density_squared(self) -> float:
+        return self.scalar**2 + self.pseudoscalar**2
+
+
+@dataclass
+class BilinearSet(Densities):
+    """All sixteen densities of one spinor, or of a batch."""
+
     tensor6: np.ndarray      # m_ab for ab in INDEX_PAIRS, both lowered
     imag_residual: float
 
@@ -46,9 +56,6 @@ class BilinearSet:
         m[..., PAIR_I, PAIR_J] = self.tensor6
         m[..., PAIR_J, PAIR_I] = -self.tensor6
         return m
-
-    def density_squared(self) -> float:
-        return self.scalar**2 + self.pseudoscalar**2
 
 
 def compute_bilinears(psi, basis) -> BilinearSet:
@@ -67,12 +74,12 @@ def compute_bilinears(psi, basis) -> BilinearSet:
     )
 
 
-def is_regular(bil: BilinearSet, eps: float = REGULARITY_EPS):
+def is_regular(bil: Densities, eps: float = REGULARITY_EPS):
     """Densities bounded away from the light-cone degeneracy theta = phi = 0."""
     return bil.density_squared() > eps * bil.vector[..., 0] ** 2
 
 
-def require_regular(bil: BilinearSet, eps: float = REGULARITY_EPS) -> None:
+def require_regular(bil: Densities, eps: float = REGULARITY_EPS) -> None:
     """Raise SingularSpinor unless every spinor of the batch is regular."""
     regular = is_regular(bil, eps)
     if not np.all(regular):

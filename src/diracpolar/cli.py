@@ -33,13 +33,11 @@ from .errors import ConfigError, DiracPolarError, OffShell, SingularSpinor
 from .fieldconn import (
     Background,
     ConstantVector,
-    PlaneWaveComponent,
-    PlaneWaveField,
     derivative_jet,
     load_grid,
     plane_wave,
+    require_on_shell,
     sample_field,
-    superpose,
     verify_polar_derivative,
     verify_transport,
 )
@@ -253,8 +251,7 @@ def build_field(cfg: RunConfig, basis):
             return load_grid(cfg.grid)
         except (OSError, ValueError) as exc:
             raise ConfigError(["grid: %s" % exc])
-    parts = []
-    problems = []
+    momenta, problems = [], []
     for index, wave in enumerate(cfg.waves, start=1):
         if wave.get("momentum") is not None:
             p = wave["momentum"]
@@ -262,19 +259,14 @@ def build_field(cfg: RunConfig, basis):
             v3 = wave["velocity"]
             p = cfg.mass * np.concatenate([[np.sqrt(1 + v3 @ v3)], v3])
         try:
-            fld = plane_wave(p, cfg.mass, wave["spin"], wave["amplitude"], basis)
+            require_on_shell(p, cfg.mass)
         except OffShell as exc:
             problems.append("wave %d: %s" % (index, exc))
-            continue
-        comp = fld.components[0]
-        parts.append(
-            PlaneWaveField(
-                [PlaneWaveComponent(comp.momentum, comp.amplitude * np.exp(-1j * wave["phase"]))]
-            )
-        )
+        momenta.append(p)
     if problems:
         raise ConfigError(problems)
-    return superpose(*parts)
+    weights = [w["amplitude"] * np.exp(-1j * w["phase"]) for w in cfg.waves]
+    return plane_wave(momenta, cfg.mass, [w["spin"] for w in cfg.waves], weights, basis)
 
 
 def _load_config(path):
@@ -452,14 +444,14 @@ def cmd_guidance(args) -> int:
             raise ConfigError(probe)
     jet = derivative_jet(fld, bg, basis, x)
     forms = compact_forms(jet, bg)
-    p_compact = momentum_from_velocity(jet.pd.velocity, jet.pd.spin, forms, basis)
-    p_long = momentum_long_form(jet.pd.velocity, jet.pd.spin, forms, basis)
+    p_compact = momentum_from_velocity(jet.velocity, jet.spin, forms, basis)
+    p_long = momentum_long_form(jet.velocity, jet.spin, forms, basis)
     p_conn = ETA @ jet.tc.p
-    u_back = velocity_from_momentum(p_conn, jet.pd.spin, forms, basis)
+    u_back = velocity_from_momentum(p_conn, jet.spin, forms, basis)
     checked = {
         "momentum_form_gap": float(np.abs(p_compact - p_long).max()),
         "momentum_consistency": float(np.abs(p_compact - p_conn).max()),
-        "velocity_round_trip": float(np.abs(u_back - jet.pd.velocity).max()),
+        "velocity_round_trip": float(np.abs(u_back - jet.velocity).max()),
     }
     rows = [
         ("point", x),
@@ -469,7 +461,7 @@ def cmd_guidance(args) -> int:
         ("z_potential", forms.z),
         ("momentum", p_compact),
         ("momentum_from_connection", p_conn),
-        ("velocity", jet.pd.velocity),
+        ("velocity", jet.velocity),
         ("velocity_recovered", u_back),
     ] + list(checked.items())
     return _finish(rows, args.format, cfg.tolerance, checked)

@@ -6,8 +6,8 @@ expose evaluate(x) and partial(x) and everything downstream is agnostic.
 Both take a point (4,) or a stack of points (..., 4); partial puts the
 derivative direction mu right after the batch axes.
 
-The polar jet of a field at a point collects the polar data together with the
-first derivatives of every polar variable, including the connection
+The polar jet of a field at a point collects the local polar variables and
+the first derivatives of every polar variable, including the connection
 
   g_mu = l_spin^-1 d_mu l_spin
 
@@ -19,10 +19,10 @@ and the same for the velocity.  The momentum covector is
 which is invariant under a joint phase/potential gauge shift.
 
 Two functions build a jet.  derivative_jet is exact: it takes the field and
-its covariant derivative at the point, decomposes the one spinor there and
-differentiates the closed forms.  polar_jet differences the polar variables
-over a nine-point stencil of step h; it needs only evaluate, and it serves as
-the independent check of the exact jet.
+its covariant derivative at the point, pairs both with the density matrices
+in one contraction and differentiates the closed forms; it decomposes
+nothing.  polar_jet differences the polar variables over a nine-point
+stencil of step h, needs only evaluate, and checks the exact jet.
 """
 from __future__ import annotations
 
@@ -48,7 +48,8 @@ from .algebra import (  # noqa: F401
     spin_inverse,
 )
 from .errors import OffShell, OutOfDomain, PhaseJump
-from .polar import PolarData, polar_decompose, wrap_angle
+from .bilinears import Densities
+from .polar import polar_decompose, polar_variables, wrap_angle
 
 # polar_jet's stencil: the point itself, then +e_mu and -e_mu for mu = 0..3
 _STENCIL = np.concatenate(
@@ -143,21 +144,32 @@ class PlaneWaveField:
         return (-1j * self._p_low.T * phases) @ self._amplitudes
 
 
-def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
-    """Single positive-energy wave with the given rest-frame spin direction.
+def require_on_shell(momentum, mass) -> None:
+    """Raise OffShell unless the momentum (4,), or every momentum of a stack
+    (..., 4), satisfies the mass shell within 1e-10 and points forward."""
+    p = np.asarray(momentum, dtype=float)
+    residual = np.abs(mdot(p, p) - mass**2)
+    off = (residual > 1e-10 * max(1.0, mass**2)) | (p[..., 0] <= 0)
+    if np.any(off):
+        raise OffShell(
+            "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0" % residual[off][0]
+        )
 
-    The momentum must satisfy the mass shell within 1e-10 and point forward.
+
+def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
+    """Positive-energy wave with the given rest-frame spin direction, or one
+    wave per row of momenta (n, 4), spin axes (n, 3) and amplitudes (n,), all
+    framed in one call.
+
+    Every momentum must satisfy the mass shell within 1e-10 and point forward.
     """
     p = np.asarray(momentum, dtype=float)
-    residual = abs(mdot(p, p) - mass**2)
-    if residual > 1e-10 * max(1.0, mass**2) or p[0] <= 0:
-        raise OffShell(
-            "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0" % residual
-        )
+    require_on_shell(p, mass)
     boost_spin, _ = boost_reps(p / mass, basis)
     rot_spin, _ = rot_z_to_reps(spin_axis, basis)
-    psi0 = amplitude * spin_inverse(rot_spin @ boost_spin, basis) @ SEED_SPINOR
-    return PlaneWaveField([PlaneWaveComponent(p, psi0)])
+    frame = spin_inverse(rot_spin @ boost_spin, basis) @ SEED_SPINOR
+    psi0 = np.asarray(amplitude)[..., None] * frame
+    return PlaneWaveField(map(PlaneWaveComponent, p.reshape(-1, 4), psi0.reshape(-1, 4)))
 
 
 def superpose(*fields) -> PlaneWaveField:
@@ -330,11 +342,14 @@ class TensorialConnection:
 
 @dataclass
 class PolarJet:
-    """Polar data and first derivatives at a point, or at every point of a
-    batch; derivative arrays carry the direction mu right after the batch
-    axes."""
+    """Local polar variables and their first derivatives at a point, or at
+    every point of a batch, with the direction mu right after the batch axes;
+    the frame and the residual phase enter only through r and p."""
 
-    pd: PolarData
+    density: np.ndarray
+    chiral_angle: np.ndarray
+    velocity: np.ndarray    # unit timelike, raised index
+    spin: np.ndarray        # unit spacelike, raised index
     dchiral: np.ndarray     # d_mu of the chiral angle
     dlogdensity: np.ndarray
     du: np.ndarray          # du[mu, a] = d_mu u^a
@@ -348,10 +363,10 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     every point of a stack (..., 4), whose batch shape the jet then carries.
 
     It needs the field and its covariant derivative at x, from one
-    sample_field unless the caller passes the sample, and decomposes one
-    spinor per point:
-      - the density, chiral angle, velocity and spin derivatives follow from
-        the product rule on the densities S, P, U and A;
+    sample_field unless the caller passes the sample, and pairs them with the
+    matrices of basis.jet_stack in one contraction per point:
+      - the density, chiral angle, velocity and spin come from S, P, U and A
+        (polar_variables), their derivatives from the product rule;
       - the connection is r_mu = l_vec^T eta d_mu l_vec, differentiated
         through the closed forms of the boost and the minimal rotation, so
         trace_part and projection_residual are 0;
@@ -362,16 +377,21 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
         sample = sample_field(fld, bg, x)
     psi, grad = sample.psi, sample.grad
     batch = psi.shape[:-1]
-    pd = polar_decompose(psi, basis)
 
-    # rows 0, 1, 2:6, 6:10: 1, i pi, gamma^a, gamma^a pi, each behind gamma^0;
-    # row 2 is gamma^0 gamma^0 = 1, so it also holds psi^dagger nabla_mu psi
-    products = density_products(psi, grad, basis.bilinear_stack[:10])
-    d = 2.0 * products.real
-    mod = 2.0 * pd.density**2      # |(S, P)|
+    # psi^dagger M [psi, nabla_mu psi] for M in basis.jet_stack: the densities,
+    # then one column per mu.  Row 2 is gamma^0 gamma^0 = 1, so it also holds
+    # psi^dagger nabla_mu psi
+    columns = np.concatenate([psi[..., None, :], grad], axis=-2)
+    products = density_products(psi, columns, basis.jet_stack)
+    dens = products[..., :10, 0].real
+    density, chiral, u, s = polar_variables(
+        Densities(dens[..., 0], dens[..., 1], dens[..., 2:6], dens[..., 6:10])
+    )
+    d = 2.0 * products[..., :10, 1:].real
+    mod = 2.0 * density**2      # |(S, P)|
     # d|(S, P)| / |(S, P)| and d(chiral angle) from dS and dP
-    cos = (np.cos(pd.chiral_angle) / mod)[..., None]
-    sin = (np.sin(pd.chiral_angle) / mod)[..., None]
+    cos = (np.cos(chiral) / mod)[..., None]
+    sin = (np.sin(chiral) / mod)[..., None]
     dlogmod = cos * d[..., 0, :] + sin * d[..., 1, :]
     dchiral = cos * d[..., 1, :] - sin * d[..., 0, :]
 
@@ -380,7 +400,6 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
         scaled = np.swapaxes(rows, -1, -2) / mod[..., None, None]
         return scaled - dlogmod[..., None] * unit[..., None, :]
 
-    u, s = pd.velocity, pd.spin
     du = unit_derivative(d[..., 2:6, :], u)
     ds = unit_derivative(d[..., 6:10, :], s)
 
@@ -398,11 +417,9 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     #   K = dlogdensity - i dchiral pi / 2 - r_{ij} sigma^{ij} / 2,
     # so p = -Im(psi^dagger nabla psi - psi^dagger K psi) / psi^dagger psi,
     # with psi^dagger psi = U^0; known = -Im(psi^dagger K psi)
-    sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
-    quad = density_products(psi, psi[..., None, :], np.concatenate([basis.pi[None], sigma6]))
-    known = 0.5 * dchiral * quad[..., 0, :].real
-    known = known + (conn[..., PAIR_I, PAIR_J] @ quad[..., 1:, :].imag)[..., 0]
-    p = -(products[..., 2, :].imag + known) / (mod * u[..., 0])[..., None]
+    known = 0.5 * dchiral * products[..., 10, :1].real
+    known = known + (conn[..., PAIR_I, PAIR_J] @ products[..., 11:, :1].imag)[..., 0]
+    p = -(products[..., 2, 1:].imag + known) / (mod * u[..., 0])[..., None]
 
     tc = TensorialConnection(
         r=np.moveaxis(conn, -3, -1),
@@ -411,9 +428,7 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
         trace_part=np.zeros_like(p),
         projection_residual=np.zeros(batch)[()],
     )
-    return PolarJet(
-        pd=pd, dchiral=dchiral, dlogdensity=0.5 * dlogmod, du=du, ds=ds, tc=tc, x=sample.x
-    )
+    return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, tc, sample.x)
 
 
 def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
@@ -474,7 +489,7 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
         projection_residual=np.abs(g - rebuilt).max(axis=(-3, -2, -1)),
     )
     return PolarJet(
-        pd=pd0, dchiral=dchiral, dlogdensity=dlogden, du=du, ds=ds, tc=tc, x=x
+        pd0.density, pd0.chiral_angle, pd0.velocity, pd0.spin, dchiral, dlogden, du, ds, tc, x
     )
 
 
@@ -513,8 +528,8 @@ def verify_transport(jet: PolarJet, basis) -> dict:
     one residual per point for a batched jet."""
     out = {}
     for name, up, derivative in (
-        ("velocity_transport", jet.pd.velocity, jet.du),
-        ("spin_transport", jet.pd.spin, jet.ds),
+        ("velocity_transport", jet.velocity, jet.du),
+        ("spin_transport", jet.spin, jet.ds),
     ):
         # d_mu v_i against v^j r_{ji mu}, rows mu, columns lowered i
         predicted = np.einsum("...j,...jim->...mi", up, jet.tc.r)

@@ -186,8 +186,8 @@ class QuantumPotentials:
 def compute_potentials(jet: PolarJet, bg: Background) -> QuantumPotentials:
     """e and f of a jet, with the jet's batch axes."""
     w_low = bg.w_value(jet.x) * _S
-    s_low = jet.pd.spin * _S
-    beta = np.asarray(jet.pd.chiral_angle)[..., None]
+    s_low = jet.spin * _S
+    beta = np.asarray(jet.chiral_angle)[..., None]
     e = (
         jet.tc.axial_dual()
         - bg.torsion_coupling * w_low
@@ -208,8 +208,8 @@ def residual_polar_groups(jet: PolarJet, bg: Background, basis) -> dict:
     pot = compute_potentials(jet, bg)
     e, f = pot.e, pot.f
     p = jet.tc.p
-    u = jet.pd.velocity
-    s = jet.pd.spin
+    u = jet.velocity
+    s = jet.spin
     u_low, s_low = u * _S, s * _S
     f_up, p_up = f * _S, p * _S
     eps_up = basis.eps_upper

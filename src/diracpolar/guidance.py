@@ -56,8 +56,8 @@ def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
     w_low = bg.w_value(jet.x) * ETA_SIGNS
     y = jet.tc.axial_dual() - bg.torsion_coupling * w_low + 0.5 * jet.dchiral
     z = -jet.dlogdensity - jet.tc.trace_contraction()
-    mass_cos = bg.mass * np.cos(jet.pd.chiral_angle)
-    xs = mass_cos - np.sum(y * jet.pd.spin, axis=-1)
+    mass_cos = bg.mass * np.cos(jet.chiral_angle)
+    xs = mass_cos - np.sum(y * jet.spin, axis=-1)
     guard_scale = max(1.0, abs(bg.mass))
     _require_xs(xs, guard_scale)
     return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos, guard_scale=guard_scale)

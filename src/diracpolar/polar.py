@@ -28,7 +28,7 @@ from .algebra import (  # noqa: F401
     rot_z_to_reps,
     spin_inverse,
 )
-from .bilinears import compute_bilinears, require_regular
+from .bilinears import Densities, compute_bilinears, require_regular
 
 
 def wrap_angle(a):
@@ -55,20 +55,22 @@ class PolarData:
         return PolarData(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
+def polar_variables(dens: Densities):
+    """(density, chiral_angle, velocity, spin) from the densities S, P, U and A
+    of a spinor or a batch; raises SingularSpinor unless every one is regular."""
+    require_regular(dens)
+    mod2 = np.hypot(dens.scalar, dens.pseudoscalar)
+    u, s = dens.vector / mod2[..., None], dens.axial / mod2[..., None]
+    return np.sqrt(mod2 / 2.0), np.arctan2(dens.pseudoscalar, dens.scalar), u, s
+
+
 def polar_decompose(psi, basis) -> PolarData:
     """Polar data of psi, shape (..., 4); a single spinor is a batch of shape ().
 
     Raises SingularSpinor when any spinor of the batch is not regular.
     """
     psi = np.asarray(psi, dtype=complex)
-    bil = compute_bilinears(psi, basis)
-    require_regular(bil)
-
-    mod2 = np.hypot(bil.scalar, bil.pseudoscalar)
-    density = np.sqrt(mod2 / 2.0)
-    chiral_angle = np.arctan2(bil.pseudoscalar, bil.scalar)
-    u = bil.vector / mod2[..., None]
-    s = bil.axial / mod2[..., None]
+    density, chiral_angle, u, s = polar_variables(compute_bilinears(psi, basis))
 
     # boost to rest first, then the minimal rotation taking z onto the rest spin
     boost_spin, boost_vec = boost_reps(u, basis)

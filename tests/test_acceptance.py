@@ -248,12 +248,12 @@ def test_criterion_7_nonrelativistic_limit(basis):
     for _ in range(10):
         x = rng.uniform(-0.4, 0.4, size=4)
         jet = polar_jet(fld, bg, basis, x, h=1e-3)
-        u = jet.pd.velocity
+        u = jet.velocity
         v3 = u[1:] / u[0]
         speed = np.linalg.norm(v3)
         assert speed <= 0.05
         p_low = ETA @ jet.tc.p
-        p_nr = nonrel_limit_momentum(v3, jet.pd.spin[1:], jet.dlogdensity[1:], MASS)
+        p_nr = nonrel_limit_momentum(v3, jet.spin[1:], jet.dlogdensity[1:], MASS)
         bound = 5 * speed**2 * np.linalg.norm(p_low)
         worst = max(worst, np.abs(p_low[1:] - p_nr).max() / bound)
     checks = {"nr_momentum_ratio": (worst, 1.0)}

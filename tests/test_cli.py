@@ -435,6 +435,59 @@ def test_explicit_momentum_wave(tmp_path, capsys):
     assert np.abs(velocity - p).max() < 1e-12
 
 
+# waves given by momentum and by velocity, with phases, amplitudes and rest
+# spins along -z, next to -z and off axis
+MIXED_WAVES = """\
+mass = 1.3
+
+[wave]
+velocity = 0.25 -0.1 0.05
+spin = 0.2 0.5 1.0
+phase = 0.7
+
+[wave]
+momentum = 1.392838827718412 0.5 0.0 0.0
+amplitude = 0.3
+phase = -2.5
+spin = 0 0 -1
+
+[wave]
+velocity = 0 0 0
+spin = 1e-9 0 -1
+amplitude = 2
+
+[wave]
+velocity = -3 1 2
+spin = 1 0 0
+phase = 3.1
+"""
+
+
+def test_build_field_matches_per_wave_plane_waves(basis):
+    from diracpolar.fieldconn import plane_wave
+
+    run = parse_config(MIXED_WAVES)
+    fld = cli.build_field(run, basis)
+    assert len(fld.components) == len(run.waves)
+    for comp, wave in zip(fld.components, run.waves):
+        if wave.get("momentum") is not None:
+            assert np.array_equal(comp.momentum, wave["momentum"])
+        alone = plane_wave(comp.momentum, run.mass, wave["spin"], wave["amplitude"], basis)
+        want = alone.components[0].amplitude * np.exp(-1j * wave["phase"])
+        assert np.abs(comp.amplitude - want).max() <= 1e-15
+
+
+def test_offshell_waves_are_named_one_by_one(basis):
+    text = MIXED_WAVES.replace("momentum = 1.392838827718412", "momentum = 1.2")
+    text += "\n[wave]\nmomentum = -1.3 0 0 0\n"
+    with pytest.raises(ConfigError) as info:
+        cli.build_field(parse_config(text), basis)
+    assert info.value.problems == [
+        "wave 2: momentum fails p.p = m^2 (residual 5.000e-01) or has p0 <= 0",
+        "wave 5: momentum fails p.p = m^2 (residual 0.000e+00) or has p0 <= 0",
+    ]
+
+
 def test_grid_config_source(tmp_path, capsys, basis):
     from diracpolar.fieldconn import plane_wave, save_grid, to_grid
 

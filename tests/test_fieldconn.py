@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from diracpolar.fieldconn import (
     verify_polar_derivative,
     verify_transport,
 )
-from diracpolar.polar import polar_decompose
+from diracpolar.polar import polar_decompose, wrap_angle
+from diracpolar.trajectories import velocity_field
 
 from conftest import jet_gap, torsion_wave
 
@@ -310,3 +313,46 @@ def test_derivative_jet_identities_at_rounding(basis, name):
     assert not jet.tc.trace_part.any() and not jet.tc.projection_residual.any()
     if name == "one-wave":
         assert np.abs(jet.tc.p - ETA @ boosted_wave(basis)[1]).max() < 1e-13
+
+
+def check_polar_variables(jet, pd):
+    """The jet's density, chiral angle, velocity and spin against a
+    decomposition of the same spinors, to 1e-14 per row."""
+    assert np.all(np.abs(jet.density - pd.density) <= 1e-14 * pd.density)
+    assert np.all(np.abs(wrap_angle(jet.chiral_angle - pd.chiral_angle)) <= 1e-14)
+    for got, want in ((jet.velocity, pd.velocity), (jet.spin, pd.spin)):
+        scale = np.maximum(1.0, np.abs(want).max(axis=-1))
+        assert np.all(np.abs(got - want).max(axis=-1) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("name", JET_FIELDS)
+def test_derivative_jet_polar_variables_match_decomposition(basis, name):
+    fld, bg = jet_field(name, basis)
+    points = np.random.default_rng(33).uniform(-0.5, 0.5, size=(20, 4))
+    check_polar_variables(
+        derivative_jet(fld, bg, basis, points), polar_decompose(fld.evaluate(points), basis)
+    )
+    for x in points:
+        jet = derivative_jet(fld, bg, basis, x)
+        assert np.shape(jet.density) == np.shape(jet.chiral_angle) == ()
+        check_polar_variables(jet, polar_decompose(fld.evaluate(x), basis))
+
+
+def test_guidance_evaluation_decomposes_nothing(basis, monkeypatch):
+    calls = []
+
+    def counting(psi, basis):
+        calls.append(np.shape(psi))
+        return polar_decompose(psi, basis)
+
+    # every namespace of the package that binds polar_decompose
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "diracpolar" and hasattr(module, "polar_decompose"):
+            monkeypatch.setattr(module, "polar_decompose", counting)
+    fld, bg = jet_field("charged", basis)
+    points = np.random.default_rng(34).uniform(-0.5, 0.5, size=(3, 4))
+    velocity_field(fld, bg, basis, "guidance")(points)
+    assert calls == []
+    # the wrapper does see the stencil's one decomposition
+    polar_jet(fld, bg, basis, points)
+    assert calls == [(9, 3, 4)]

@@ -155,7 +155,7 @@ def test_polar_groups_with_torsion(basis):
     x = np.array([0.1, 0.2, -0.1, 0.3])
     assert dirac_residual(fld, bg, basis, x) < 1e-12
     jet = polar_jet(fld, bg, basis, x, h=1e-3)
-    assert abs(jet.pd.chiral_angle) > 1e-3
+    assert abs(jet.chiral_angle) > 1e-3
     groups = residual_polar_groups(jet, bg, basis)
     assert max(groups.values()) < 1e-7, groups
 

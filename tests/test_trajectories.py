@@ -148,12 +148,12 @@ def test_guidance_at_the_half_turn_branch(basis):
     fld = PlaneWaveField(rest.components + vanishing_waves(np.random.default_rng(42), basis, 0.3))
     bg = Background(mass=MASS)
     jet = derivative_jet(fld, bg, basis, np.zeros(4))
-    rest_spin = (boost_reps(jet.pd.velocity, basis)[1] @ jet.pd.spin)[1:]
+    rest_spin = (boost_reps(jet.velocity, basis)[1] @ jet.spin)[1:]
     assert np.hypot(rest_spin[0], rest_spin[1]) < 1e-14 and rest_spin[2] < 0.0
     assert np.abs(jet.ds).max() > 0.01
     guidance = velocity_field(fld, bg, basis, "guidance")(np.zeros(4))
     assert np.all(np.isfinite(guidance))
-    assert np.abs(guidance - jet.pd.velocity).max() <= 1e-13
+    assert np.abs(guidance - jet.velocity).max() <= 1e-13
 
 
 def test_velocity_field_rejects_unknown_mode(basis):
