@@ -78,6 +78,12 @@ def mdot(a: np.ndarray, b: np.ndarray):
     return np.sum(a * ETA_SIGNS * b, axis=-1)
 
 
+def side_by_side(stack: np.ndarray) -> np.ndarray:
+    """The k matrices of a stack (k, 4, 4) side by side, (4, 4k): psi^dagger
+    times it holds psi^dagger M for every M, one after another."""
+    return stack.transpose(1, 0, 2).reshape(4, 4 * len(stack))
+
+
 @dataclass(frozen=True)
 class CliffordBasis:
     """Gamma matrices plus every derived object the rest of the package contracts against."""
@@ -94,8 +100,10 @@ class CliffordBasis:
     # gamma^0 M for the sixteen density matrices M, in BilinearSet order:
     # 1, i pi, gamma^a, gamma^a pi, 2i sigma_ab for ab in INDEX_PAIRS
     bilinear_stack: np.ndarray     # (16, 4, 4)
-    # bilinear_stack[:10], pi, sigma^ab for ab in INDEX_PAIRS: the exact jet
-    jet_stack: np.ndarray          # (17, 4, 4)
+    # bilinear_stack[:10], pi, sigma^ab for ab in INDEX_PAIRS: the exact jet,
+    # side by side (see side_by_side), so jet_rows[:, :40] holds the ten
+    # behind S, P, U and A
+    jet_rows: np.ndarray           # (4, 68)
     boost_generators: np.ndarray   # (3, 4, 4), gamma_0 gamma_k = 2 sigma_0k
     rotation_generators: np.ndarray  # (2, 4, 4), (sigma_23, sigma_31); z -> t needs no sigma_12
 
@@ -122,7 +130,9 @@ class CliffordBasis:
             eps_lower=EPS_LOWER,
             eps_upper=EPS_UPPER,
             bilinear_stack=gam[0] @ np.array(densities),
-            jet_stack=np.concatenate([gam[0] @ densities[:10], pi[None], sig_up[PAIR_I, PAIR_J]]),
+            jet_rows=side_by_side(
+                np.concatenate([gam[0] @ densities[:10], pi[None], sig_up[PAIR_I, PAIR_J]])
+            ),
             boost_generators=2.0 * sig_low[0, 1:],
             rotation_generators=sig_low[[2, 3], [3, 1]],
         )
@@ -274,13 +284,11 @@ def spin_inverse(spin_rep: np.ndarray, basis: CliffordBasis) -> np.ndarray:
 
 def _boost_vec(v, u0):
     """vec_rep of the boost of boost_reps, from the spatial part v (..., 3)
-    and u0 = sqrt(1 + |v|^2)."""
-    vec = np.empty(v.shape[:-1] + (4, 4))
-    vec[..., 0, 0] = u0
-    vec[..., 0, 1:] = -v
-    vec[..., 1:, 0] = -v
-    vec[..., 1:, 1:] = np.eye(3) + v[..., :, None] * v[..., None, :] / (u0 + 1.0)[..., None, None]
-    return vec
+    and u0 = sqrt(1 + |v|^2), and w = q / (u0 + 1) with q = (u0 + 1, -v):
+    vec_rep = q w^T - eta."""
+    q = np.concatenate([(u0 + 1.0)[..., None], -v], axis=-1)
+    w = q / q[..., :1]
+    return q[..., :, None] * w[..., None, :] - ETA, w
 
 
 def boost_reps(u: np.ndarray, basis: CliffordBasis):
@@ -294,34 +302,29 @@ def boost_reps(u: np.ndarray, basis: CliffordBasis):
     """
     v = np.asarray(u, dtype=float)[..., 1:]
     batch = v.shape[:-1]
-    u0 = np.sqrt(1.0 + (v * v).sum(axis=-1))
+    u0 = np.sqrt(1.0 + np.vecdot(v, v))
     half_cosh = np.sqrt(0.5 * (u0 + 1.0))
     generator = (v / (2.0 * half_cosh)[..., None]) @ basis.boost_generators.reshape(3, 16)
     spin = half_cosh[..., None, None] * basis.identity + generator.reshape(batch + (4, 4))
-    return spin, _boost_vec(v, u0)
+    return spin, _boost_vec(v, u0)[0]
 
 
 def boost_vec_jet(u: np.ndarray, du: np.ndarray):
     """vec_rep of boost_reps(u) and its derivatives along du (..., mu, 4),
     one (4, 4) matrix per direction mu right after the batch axes.
 
-    Only the spatial parts v and dv enter, as in boost_reps:
-      d vec_00 = du0 = v.dv / u0,  d vec_0k = d vec_k0 = -dv_k,
-      d vec_jk = (dv_j v_k + v_j dv_k) / (u0 + 1) - v_j v_k du0 / (u0 + 1)^2
+    Only the spatial parts v and dv enter, as in boost_reps.  With
+    vec_rep = q w^T - eta (see _boost_vec), dq = (du0, -dv), du0 = v.dv / u0:
+      d vec_rep = dq w^T + w dq^T - du0 w w^T = a + a^T,  a = (dq - du0 w / 2) w^T
     """
     v = np.asarray(u, dtype=float)[..., 1:]
     dv = np.asarray(du, dtype=float)[..., 1:]
-    u0 = np.sqrt(1.0 + (v * v).sum(axis=-1))
-    du0 = (dv @ v[..., :, None])[..., 0] / u0[..., None]
-    w = v / (u0 + 1.0)[..., None]
-    d = np.empty(dv.shape[:-1] + (4, 4))
-    d[..., 0, 0] = du0
-    d[..., 0, 1:] = -dv
-    d[..., 1:, 0] = -dv
-    sym = dv[..., :, None] * w[..., None, None, :]
-    outer = w[..., :, None] * w[..., None, :]
-    d[..., 1:, 1:] = sym + np.swapaxes(sym, -1, -2) - du0[..., None, None] * outer[..., None, :, :]
-    return _boost_vec(v, u0), d
+    u0 = np.sqrt(1.0 + np.vecdot(v, v))
+    vec, w = _boost_vec(v, u0)
+    du0 = (dv @ v[..., :, None]) / u0[..., None, None]
+    w = w[..., None, :]
+    a = (np.concatenate([du0, -dv], axis=-1) - 0.5 * du0 * w)[..., :, None] * w[..., None, :]
+    return vec, a + a.swapaxes(-1, -2)
 
 
 def _half_angle_terms(t):
@@ -373,8 +376,12 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
 
 
 # (w @ _CROSS).reshape(3, 3) is the cross-product matrix [w]_x of a 3-vector:
-# [w]_x v = w x v
+# [w]_x v = w x v; (w @ _CROSS4).reshape(4, 4) holds it as the spatial block
+# of a 4x4 matrix whose time row and column are 0
 _CROSS = -np.moveaxis(EPS3, -1, 0).reshape(3, 9)
+_CROSS4 = np.zeros((3, 4, 4))
+_CROSS4[:, 1:, 1:] = _CROSS.reshape(3, 3, 3)
+_CROSS4 = _CROSS4.reshape(3, 16)
 
 
 def rot_z_to_connection(target: np.ndarray, d_target: np.ndarray):
@@ -401,6 +408,4 @@ def rot_z_to_connection(target: np.ndarray, d_target: np.ndarray):
     cross = -dt @ (t @ _CROSS).reshape(t.shape[:-1] + (3, 3))
     twist = cross[..., 2] * inverse_plus[..., None]
     omega = (cross - twist[..., None] * t[..., None, :]) / (norm**2)[..., None, None]
-    out = np.zeros(dt.shape[:-1] + (4, 4))
-    out[..., 1:, 1:] = (omega @ _CROSS).reshape(dt.shape[:-1] + (3, 3))
-    return out
+    return (omega @ _CROSS4).reshape(dt.shape[:-1] + (4, 4))

@@ -39,6 +39,11 @@ class Densities:
     vector: np.ndarray       # raised index
     axial: np.ndarray        # raised index
 
+    @classmethod
+    def from_values(cls, values) -> "Densities":
+        """S, P, U and A from real values (..., 10) in BilinearSet order."""
+        return cls(values[..., 0], values[..., 1], values[..., 2:6], values[..., 6:10])
+
     def density_squared(self) -> float:
         return self.scalar**2 + self.pseudoscalar**2
 
@@ -82,7 +87,7 @@ def is_regular(bil: Densities, eps: float = REGULARITY_EPS):
 def require_regular(bil: Densities, eps: float = REGULARITY_EPS) -> None:
     """Raise SingularSpinor unless every spinor of the batch is regular."""
     regular = is_regular(bil, eps)
-    if not np.all(regular):
+    if not regular.all():
         raise SingularSpinor(
             "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
             % (np.min(np.where(regular, np.inf, bil.density_squared())), eps)

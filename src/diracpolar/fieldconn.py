@@ -59,8 +59,15 @@ _STENCIL = np.concatenate(
 # unit steps along mu = 0..3, one row each
 _STEPS = np.eye(4, dtype=int)
 
-# r * _RAISE3 raises all three indices of r[..., i, j, mu]; ETA is diagonal
-_RAISE3 = np.einsum("i,j,k->ijk", ETA_SIGNS, ETA_SIGNS, ETA_SIGNS)
+# TensorialConnection's contractions of r[..., i, j, mu] flattened to
+# (..., 64): eps_m^{ij mu} r_{ij mu} / 4, all three indices raised by their
+# signs, and eta^{j mu} r_{i j mu} / 2
+_AXIAL_DUAL = 0.25 * np.einsum(
+    "mijk,i,j,k->ijkm", EPS_LOWER, ETA_SIGNS, ETA_SIGNS, ETA_SIGNS
+).reshape(64, 4)
+_TRACE_CONTRACTION = 0.5 * np.einsum(
+    "im,jk,j->ijkm", np.eye(4), np.eye(4), ETA_SIGNS
+).reshape(64, 4)
 
 
 class ConstantVector:
@@ -309,17 +316,17 @@ def sample_field(fld, bg: Background, x) -> FieldSample:
     return FieldSample(x=x, psi=psi, grad=covariant_derivative(fld, bg, x, psi))
 
 
-def density_products(psi, grad, stack):
-    """psi^dagger M nabla_mu psi for every matrix M of stack (k, 4, 4), as an
-    array (..., k, mu): psi is (..., 4) and grad (..., mu, 4).
+def density_products(psi, grad, rows):
+    """psi^dagger M nabla_mu psi for every matrix M of a stack (k, 4, 4), as
+    an array (..., k, mu): psi is (..., 4), grad (..., mu, 4) and rows the
+    stack side by side (4, 4k), as algebra.side_by_side lays it out.
 
     For M = gamma^0 N with gamma^0 N hermitian, twice the real part is d_mu
     of the density adj(psi) N psi by the product rule; the charge terms of a
     covariant derivative cancel in it.
     """
-    k = len(stack)
-    rows = psi.conj() @ stack.transpose(1, 0, 2).reshape(4, 4 * k)
-    return rows.reshape(psi.shape[:-1] + (k, 4)) @ np.swapaxes(grad, -1, -2)
+    products = psi.conj() @ rows
+    return products.reshape(psi.shape[:-1] + (-1, 4)) @ grad.swapaxes(-1, -2)
 
 
 @dataclass
@@ -333,11 +340,10 @@ class TensorialConnection:
     projection_residual: float    # one per point of a batch
 
     def axial_dual(self) -> np.ndarray:
-        return 0.25 * np.einsum("mran,...ran->...m", EPS_LOWER, self.r * _RAISE3)
+        return self.r.reshape(self.r.shape[:-3] + (64,)) @ _AXIAL_DUAL
 
     def trace_contraction(self) -> np.ndarray:
-        # eta^{j mu} r_{i j mu}
-        return 0.5 * np.diagonal(self.r, axis1=-2, axis2=-1) @ ETA_SIGNS
+        return self.r.reshape(self.r.shape[:-3] + (64,)) @ _TRACE_CONTRACTION
 
 
 @dataclass
@@ -364,7 +370,7 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
 
     It needs the field and its covariant derivative at x, from one
     sample_field unless the caller passes the sample, and pairs them with the
-    matrices of basis.jet_stack in one contraction per point:
+    matrices of basis.jet_rows in one contraction per point:
       - the density, chiral angle, velocity and spin come from S, P, U and A
         (polar_variables), their derivatives from the product rule;
       - the connection is r_mu = l_vec^T eta d_mu l_vec, differentiated
@@ -378,37 +384,29 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     psi, grad = sample.psi, sample.grad
     batch = psi.shape[:-1]
 
-    # psi^dagger M [psi, nabla_mu psi] for M in basis.jet_stack: the densities,
-    # then one column per mu.  Row 2 is gamma^0 gamma^0 = 1, so it also holds
-    # psi^dagger nabla_mu psi
+    # psi^dagger M [psi, nabla_mu psi] for the matrices M of basis.jet_rows:
+    # the densities, then one column per mu.  Row 2 is gamma^0 gamma^0 = 1,
+    # so it also holds psi^dagger nabla_mu psi
     columns = np.concatenate([psi[..., None, :], grad], axis=-2)
-    products = density_products(psi, columns, basis.jet_stack)
-    dens = products[..., :10, 0].real
-    density, chiral, u, s = polar_variables(
-        Densities(dens[..., 0], dens[..., 1], dens[..., 2:6], dens[..., 6:10])
-    )
+    products = density_products(psi, columns, basis.jet_rows)
+    values = products[..., :10, 0].real
+    density, chiral, u, s = polar_variables(Densities.from_values(values))
     d = 2.0 * products[..., :10, 1:].real
     mod = 2.0 * density**2      # |(S, P)|
-    # d|(S, P)| / |(S, P)| and d(chiral angle) from dS and dP
-    cos = (np.cos(chiral) / mod)[..., None]
-    sin = (np.sin(chiral) / mod)[..., None]
-    dlogmod = cos * d[..., 0, :] + sin * d[..., 1, :]
-    dchiral = cos * d[..., 1, :] - sin * d[..., 0, :]
-
-    def unit_derivative(rows, unit):
-        # d_mu of unit = density / |(S, P)|, from the density's rows (a, mu)
-        scaled = np.swapaxes(rows, -1, -2) / mod[..., None, None]
-        return scaled - dlogmod[..., None] * unit[..., None, :]
-
-    du = unit_derivative(d[..., 2:6, :], u)
-    ds = unit_derivative(d[..., 6:10, :], s)
+    # d log(S + i P) = d log|(S, P)| + i d(chiral angle)
+    dlog = (d[..., 0, :] + 1j * d[..., 1, :]) / (values[..., 0] + 1j * values[..., 1])[..., None]
+    dlogmod, dchiral = dlog.real, dlog.imag
+    # d_mu of (u, s) = (U, A) / |(S, P)|, from the rows (a, mu) of dU and dA
+    dunit = d[..., 2:10, :] - values[..., 2:10, None] * dlogmod[..., None, :]
+    dunit = dunit.swapaxes(-1, -2) / mod[..., None, None]
+    du, ds = dunit[..., :4], dunit[..., 4:]
 
     # l_vec = R B: the rest spin t = (B s)_spatial steers R, and with B
     # symmetric, l_vec^T eta d l_vec = B (R^T eta dR B + eta dB)
     boost, dboost = boost_vec_jet(u, du)
     spatial = boost[..., 1:, :]
     t = (spatial @ s[..., None])[..., 0]
-    dt = (dboost[..., 1:, :] @ s[..., None, :, None])[..., 0] + ds @ np.swapaxes(spatial, -1, -2)
+    dt = (dboost[..., 1:, :] @ s[..., None, :, None])[..., 0] + ds @ spatial.swapaxes(-1, -2)
     rotation = rot_z_to_connection(t, dt)
     b = boost[..., None, :, :]
     conn = b @ (rotation @ b + ETA @ dboost)
@@ -419,10 +417,10 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     # with psi^dagger psi = U^0; known = -Im(psi^dagger K psi)
     known = 0.5 * dchiral * products[..., 10, :1].real
     known = known + (conn[..., PAIR_I, PAIR_J] @ products[..., 11:, :1].imag)[..., 0]
-    p = -(products[..., 2, 1:].imag + known) / (mod * u[..., 0])[..., None]
+    p = -(products[..., 2, 1:].imag + known) / values[..., 2, None]
 
     tc = TensorialConnection(
-        r=np.moveaxis(conn, -3, -1),
+        r=conn.transpose(*range(len(batch)), -2, -1, -3),
         p=p,
         dphase=p + bg.charge * (bg.a_value(sample.x) * ETA_SIGNS),
         trace_part=np.zeros_like(p),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA_SIGNS
+from .algebra import ETA_SIGNS, side_by_side
 from .bilinears import compute_bilinears
 from .fieldconn import Background, PolarJet, density_products, polar_jet, sample_field
 
@@ -54,7 +54,9 @@ def _density_derivatives(sample, basis):
     n = len(stack)
     # adj(nabla psi) M psi is the conjugate of psi^dagger (gamma^0 M)^dagger nabla psi
     both = density_products(
-        sample.psi, sample.grad, np.concatenate([stack, np.conj(np.swapaxes(stack, -1, -2))])
+        sample.psi,
+        sample.grad,
+        side_by_side(np.concatenate([stack, np.conj(np.swapaxes(stack, -1, -2))])),
     )
     forward, backward = both[..., :n, :], both[..., n:, :].conj()
 

@@ -44,7 +44,7 @@ def _first(values, mask):
 def _require_xs(xs, guard_scale):
     """Raise DegenerateX if any |xs| falls below X_GUARD * guard_scale."""
     degenerate = np.abs(xs) < X_GUARD * guard_scale
-    if np.any(degenerate):
+    if degenerate.any():
         raise DegenerateX(
             "effective mass scale %.3e too close to zero" % _first(xs, degenerate)
         )
@@ -57,7 +57,7 @@ def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
     y = jet.tc.axial_dual() - bg.torsion_coupling * w_low + 0.5 * jet.dchiral
     z = -jet.dlogdensity - jet.tc.trace_contraction()
     mass_cos = bg.mass * np.cos(jet.chiral_angle)
-    xs = mass_cos - np.sum(y * jet.spin, axis=-1)
+    xs = mass_cos - np.vecdot(y, jet.spin)
     guard_scale = max(1.0, abs(bg.mass))
     _require_xs(xs, guard_scale)
     return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos, guard_scale=guard_scale)
@@ -91,10 +91,16 @@ def momentum_long_form(u, s, forms: CompactForms, basis) -> np.ndarray:
 def velocity_from_momentum(p, s, forms: CompactForms, basis) -> np.ndarray:
     """Invert the momentum map; only z, s and xs enter.
 
-    The inverse matrix annihilates s, so whatever multiple of s the momentum
-    carries (the y.u part) cannot and need not be recovered.  p and s may
-    carry a batch shape (..., 4) matching forms; a batch raises if any of its
-    points fails a guard.
+    With zeta = z / xs and the contractions s.p, zeta.p, zeta.s, the inverse
+    applied to p is
+
+      xs denom u = p + s [(1 + (zeta.s)^2) s.p + (zeta.s) zeta.p]
+                     + zeta [zeta.p + (zeta.s) s.p] + zeta_i s_j eps^{ijka} p_a,
+      denom = 1 + zeta.zeta + (zeta.s)^2.
+
+    It annihilates s, so whatever multiple of s the momentum carries (the y.u
+    part) cannot and need not be recovered.  p and s may carry a batch shape
+    (..., 4) matching forms; a batch raises if any of its points fails a guard.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -102,25 +108,23 @@ def velocity_from_momentum(p, s, forms: CompactForms, basis) -> np.ndarray:
     _require_xs(xs, forms.guard_scale)
     zeta_low = forms.z / xs[..., None]
     zeta = zeta_low * ETA_SIGNS
-    s_low = s * ETA_SIGNS
-    zs = np.sum(zeta_low * s, axis=-1)
-    z2 = np.sum(zeta_low * zeta, axis=-1)
-    denom = 1.0 + z2 + zs**2
+    zs = np.vecdot(zeta_low, s)
+    denom = 1.0 + np.vecdot(zeta_low, zeta) + zs**2
     vanishing = np.abs(denom) < INVERSION_GUARD
-    if np.any(vanishing):
+    if vanishing.any():
         raise DegenerateInversion(
             "inversion denominator %.3e vanishes" % _first(denom, vanishing)
         )
-
-    def outer(a, b):
-        return a[..., :, None] * b[..., None, :]
-
-    b = ETA + outer(s, s) * (1 + zs**2)[..., None, None]
-    b = b + outer(zeta, zeta)
-    b = b + (outer(zeta, s) + outer(s, zeta)) * zs[..., None, None]
-    b = b + np.einsum("...i,...j,ijka->...ka", zeta_low, s_low, basis.eps_upper)
     p_low = p * ETA_SIGNS
-    return (b @ p_low[..., None])[..., 0] / (xs * denom)[..., None]
+    zp = np.vecdot(zeta, p_low)
+    sp = np.vecdot(s, p_low)
+    c_zeta = zp + zs * sp
+    c_s = sp + zs * c_zeta      # (1 + (zeta.s)^2) s.p + (zeta.s) zeta.p
+    # zeta_i s_j eps^{ijka}, one (k, a) matrix per point, applied to p_low
+    wedge = (zeta_low[..., :, None] * (s * ETA_SIGNS)[..., None, :]).reshape(zs.shape + (16,))
+    dual = (wedge @ basis.eps_upper.reshape(16, 16)).reshape(zs.shape + (4, 4))
+    u = p + s * c_s[..., None] + zeta * c_zeta[..., None] + (dual @ p_low[..., None])[..., 0]
+    return u / (xs * denom)[..., None]
 
 
 def nonrel_limit_momentum(velocity3, spin3, grad_log_density3, mass) -> np.ndarray:

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA_SIGNS
-from .bilinears import compute_bilinears, require_regular
+from .bilinears import Densities
 from .errors import DiracPolarError, ImmediateSingularity
-from .fieldconn import Background, derivative_jet
+from .fieldconn import Background, density_products, derivative_jet
 from .guidance import compact_forms, velocity_from_momentum
+from .polar import polar_variables
 
 MODES = ("kinematic", "guidance")
 
@@ -40,11 +41,13 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic"):
     of its points.  Guidance mode needs the field's partial.
     """
     if mode == "kinematic":
+        # the ten matrices behind S, P, U and A
+        rows = basis.jet_rows[:, :40]
 
         def evaluate(x):
-            bil = compute_bilinears(fld.evaluate(np.asarray(x, dtype=float)), basis)
-            require_regular(bil)
-            return bil.vector / np.hypot(bil.scalar, bil.pseudoscalar)[..., None]
+            psi = fld.evaluate(np.asarray(x, dtype=float))
+            values = density_products(psi, psi[..., None, :], rows)[..., 0].real
+            return polar_variables(Densities.from_values(values))[2]
 
     elif mode == "guidance":
 

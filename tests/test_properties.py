@@ -9,13 +9,15 @@ chiral angles and residual phases next to +-pi, where both wrap, must
 survive the round trip and the polar jet's differences.  Next to the -z
 antipode, where the frame turns fast, the exact jet still agrees with the
 stencil to second order, and its guidance velocity with the kinematic one to
-rounding scaled by the inverse distance and the momentum inversion.
+rounding scaled by the inverse distance and the momentum inversion.  The
+guidance velocity is unchanged by a joint phase and potential shift, and
+both velocities turn with a Lorentz transformation of the field.
 """
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracpolar.algebra import (
@@ -40,6 +42,7 @@ from diracpolar.fieldconn import (
     Background,
     ConstantVector,
     LinearVector,
+    PlaneWaveComponent,
     PlaneWaveField,
     derivative_jet,
     gauge_shift_linear,
@@ -382,28 +385,47 @@ def test_derivative_jet_next_to_antipode(basis, seed, log_distance, azimuth):
     assert 3.0 <= coarse / fine <= 5.0
 
 
+def inversion_conditioning(forms, spin):
+    """zeta = z / xs and the size of the inverse momentum map,
+    (1 + |zeta|)^2 / |xs denom|, at every point of the forms."""
+    zeta = forms.z / np.asarray(forms.xs)[..., None]
+    denom = 1 + np.sum(zeta * zeta * ETA_SIGNS, axis=-1) + np.sum(zeta * spin, axis=-1) ** 2
+    return zeta, (1 + np.abs(zeta).max(axis=-1)) ** 2 / np.abs(forms.xs * denom)
+
+
 @PROPERTY
 @given(
     seed=seeds,
     log_distance=st.floats(-8.0, -2.0),
     azimuth=st.floats(0.0, 2 * np.pi),
 )
+# without the inversion's conditioning, the bound was passed 47-fold here
+@example(seed=102910, log_distance=-2.0, azimuth=1.0)
 def test_guidance_velocity_next_to_antipode(basis, seed, log_distance, azimuth):
     # the field of test_derivative_jet_next_to_antipode without the steady
     # turn; the guidance velocity cancels a connection and a phase gradient
-    # that grow like 1 / distance, and the momentum inversion scales what is left
-    # by about 1 + |zeta|.  That misses the inversion's own conditioning: in
-    # 4000 random draws, 30% of them at distance 1e-2, the gap to the
-    # kinematic velocity passed this product in 2, and single draws at
-    # distance 4e-3 to 1e-2 pass it by up to 54 times
+    # that grow like 1 / distance, the jet carries what is left, about
+    # eps (1 + 1 / distance) (1 + |zeta|), and the momentum inversion scales
+    # it by the size of its inverse, as in the gauge test below.  Over 4500
+    # random draws the gap stayed below 0.05 of this bound
     distance = 10.0**log_distance
     fld, bg = antipode_field(basis, seed, distance, azimuth, steady_turn=False)
     jet = derivative_jet(fld, bg, basis, np.zeros(4))
     forms = compact_forms(jet, bg)
     guided = velocity_from_momentum(jet.tc.p * ETA_SIGNS, jet.spin, forms, basis)
-    zeta = np.abs(forms.z / forms.xs).max()
-    bound = EPS * (1 + 1 / distance) * (1 + zeta)
+    zeta, inverse = inversion_conditioning(forms, jet.spin)
+    bound = EPS * (1 + 1 / distance) * (1 + np.abs(zeta).max()) * inverse
     assert np.abs(guided - jet.velocity).max() <= bound
+
+
+def random_waves(rng, n_waves, basis):
+    """Superposition of n_waves free waves of unit mass, with random
+    momenta, rest spins and complex amplitudes."""
+    return superpose(*(
+        plane_wave(four_velocity(rng.uniform(-0.5, 0.5, 3)), 1.0, rng.standard_normal(3),
+                   rng.uniform(0.2, 1.0) * np.exp(1j * rng.uniform(-3.0, 3.0)), basis)
+        for _ in range(n_waves)
+    ))
 
 
 @PROPERTY
@@ -424,11 +446,7 @@ def test_guidance_velocity_is_gauge_invariant(basis, seed, n_waves, charge, sign
     # draws of this test the gap stayed below 82 eps of that product, with a
     # median of 0.8 eps
     rng = np.random.default_rng(seed)
-    fld = superpose(*(
-        plane_wave(four_velocity(rng.uniform(-0.5, 0.5, 3)), 1.0, rng.standard_normal(3),
-                   rng.uniform(0.2, 1.0) * np.exp(1j * rng.uniform(-3.0, 3.0)), basis)
-        for _ in range(n_waves)
-    ))
+    fld = random_waves(rng, n_waves, basis)
     base = rng.uniform(-0.5, 0.5, 4)
     potential = LinearVector(base, 0.3 * rng.standard_normal((4, 4))) if linear else (
         ConstantVector(base)
@@ -439,10 +457,57 @@ def test_guidance_velocity_is_gauge_invariant(basis, seed, n_waves, charge, sign
     shifted = velocity_field(*gauge_shift_linear(fld, bg, shift), basis, "guidance")(points)
 
     jet = derivative_jet(fld, bg, basis, points)
-    forms = compact_forms(jet, bg)
-    zeta = forms.z / forms.xs[..., None]
-    denom = 1 + np.sum(zeta * zeta * ETA_SIGNS, axis=-1) + np.sum(zeta * jet.spin, axis=-1) ** 2
-    inverse = (1 + np.abs(zeta).max(axis=-1)) ** 2 / np.abs(forms.xs * denom)
+    _, inverse = inversion_conditioning(compact_forms(jet, bg), jet.spin)
     size = 1 + np.abs(velocity).max(axis=-1)
     bound = 100 * EPS * jet.velocity[..., 0] ** 2 * inverse * size
     assert np.all(np.abs(shifted - velocity).max(axis=-1) <= bound)
+
+
+@PROPERTY
+@given(seed=seeds, n_waves=st.integers(1, 3))
+def test_velocities_are_lorentz_covariant(basis, seed, n_waves):
+    # psi'(x) = S psi(L^-1 x) for the pair (S, L) of lorentz_exp, that is
+    # amplitudes times S (not S^-1) and momenta times L, is again a free
+    # solution, and psi'(L x) = S psi(x) gives U'(L x) = L U(x).  Both
+    # velocities must then turn with L, and the density and the chiral angle
+    # stay.  The frame's gauge (boost, then minimal rotation) is not
+    # covariant: the two frames differ by a turn about the spin that varies
+    # from point to point, which moves r, p and xs = p.u (by up to 122 over
+    # 4000 draws of two or three waves), so xs is not compared, while the
+    # guidance velocity must come out the same.  Errors are of order eps u0^2
+    # as in the gauge test, times the size |L| of the matrix entries, and
+    # for the guidance velocity times the larger size of the inverse momentum
+    # map of the two sides and 1 + |velocity|.  Over 20000 random draws of
+    # this test the worst cases were 11.5 (kinematic), 85 (guidance), 6.4
+    # (density) and 16.2 (chiral angle) of these units
+    rng = np.random.default_rng(seed)
+    fld = random_waves(rng, n_waves, basis)
+    lam = 0.4 * rng.standard_normal((4, 4))
+    pair = lorentz_exp(lam - lam.T, basis)
+    moved = PlaneWaveField(
+        PlaneWaveComponent(pair.vec_rep @ c.momentum, pair.spin_rep @ c.amplitude)
+        for c in fld.components
+    )
+    bg = Background(mass=1.0)
+    points = rng.uniform(-1.0, 1.0, size=(4, 4))
+    image = points @ pair.vec_rep.T
+    size = np.abs(pair.vec_rep).max()
+
+    jets = [derivative_jet(f, bg, basis, x) for f, x in ((fld, points), (moved, image))]
+    u0 = np.maximum(jets[0].velocity[..., 0], jets[1].velocity[..., 0])
+    unit = EPS * u0**2
+    assert np.all(np.abs(jets[1].density / jets[0].density - 1) <= 15 * unit)
+    turn = np.abs(wrap_angle(jets[1].chiral_angle - jets[0].chiral_angle))
+    assert np.all(turn <= 40 * unit)
+
+    inverse = np.maximum(*(
+        inversion_conditioning(compact_forms(jet, bg), jet.spin)[1] for jet in jets
+    ))
+    gaps = {}
+    for mode in ("kinematic", "guidance"):
+        velocity = velocity_field(fld, bg, basis, mode)(points)
+        turned = velocity_field(moved, bg, basis, mode)(image)
+        gaps[mode] = np.abs(turned - velocity @ pair.vec_rep.T).max(axis=-1)
+    assert np.all(gaps["kinematic"] <= 25 * unit * size)
+    speed = 1 + np.abs(jets[0].velocity).max(axis=-1)
+    assert np.all(gaps["guidance"] <= 200 * unit * size * inverse * speed)
