@@ -94,7 +94,6 @@ class CliffordBasis:
     sigma_upper: np.ndarray  # (4, 4, 4, 4), sigma^ab
     pi: np.ndarray           # (4, 4)
     identity: np.ndarray     # (4, 4)
-    eta: np.ndarray
     eps_lower: np.ndarray
     eps_upper: np.ndarray
     # gamma^0 M for the sixteen density matrices M, in BilinearSet order:
@@ -126,7 +125,6 @@ class CliffordBasis:
             sigma_upper=sig_up,
             pi=pi,
             identity=eye,
-            eta=ETA,
             eps_lower=EPS_LOWER,
             eps_upper=EPS_UPPER,
             bilinear_stack=gam[0] @ np.array(densities),
@@ -282,15 +280,6 @@ def spin_inverse(spin_rep: np.ndarray, basis: CliffordBasis) -> np.ndarray:
     return g0 @ np.conj(np.swapaxes(spin_rep, -1, -2)) @ g0
 
 
-def _boost_vec(v, u0):
-    """vec_rep of the boost of boost_reps, from the spatial part v (..., 3)
-    and u0 = sqrt(1 + |v|^2), and w = q / (u0 + 1) with q = (u0 + 1, -v):
-    vec_rep = q w^T - eta."""
-    q = np.concatenate([(u0 + 1.0)[..., None], -v], axis=-1)
-    w = q / q[..., :1]
-    return q[..., :, None] * w[..., None, :] - ETA, w
-
-
 def boost_reps(u: np.ndarray, basis: CliffordBasis):
     """(spin_rep, vec_rep) of lorentz_exp(boost_params(u)) in closed form.
 
@@ -298,7 +287,8 @@ def boost_reps(u: np.ndarray, basis: CliffordBasis):
     with u0 = sqrt(1 + |v|^2).  Half-angle forms keep the rest frame regular:
       spin_rep = cosh(chi/2) 1 + sinh(chi/2) n_k gamma_0 gamma_k,
                  cosh(chi/2) = sqrt((u0 + 1) / 2), sinh(chi/2) n = v / (2 cosh(chi/2))
-      vec_rep  = [[u0, -v], [-v, 1 + v v^T / (u0 + 1)]]
+      vec_rep  = [[u0, -v], [-v, 1 + v v^T / (u0 + 1)]] = q w^T - eta,
+                 q = (u0 + 1, -v), w = q / (u0 + 1)
     """
     v = np.asarray(u, dtype=float)[..., 1:]
     batch = v.shape[:-1]
@@ -306,25 +296,8 @@ def boost_reps(u: np.ndarray, basis: CliffordBasis):
     half_cosh = np.sqrt(0.5 * (u0 + 1.0))
     generator = (v / (2.0 * half_cosh)[..., None]) @ basis.boost_generators.reshape(3, 16)
     spin = half_cosh[..., None, None] * basis.identity + generator.reshape(batch + (4, 4))
-    return spin, _boost_vec(v, u0)[0]
-
-
-def boost_vec_jet(u: np.ndarray, du: np.ndarray):
-    """vec_rep of boost_reps(u) and its derivatives along du (..., mu, 4),
-    one (4, 4) matrix per direction mu right after the batch axes.
-
-    Only the spatial parts v and dv enter, as in boost_reps.  With
-    vec_rep = q w^T - eta (see _boost_vec), dq = (du0, -dv), du0 = v.dv / u0:
-      d vec_rep = dq w^T + w dq^T - du0 w w^T = a + a^T,  a = (dq - du0 w / 2) w^T
-    """
-    v = np.asarray(u, dtype=float)[..., 1:]
-    dv = np.asarray(du, dtype=float)[..., 1:]
-    u0 = np.sqrt(1.0 + np.vecdot(v, v))
-    vec, w = _boost_vec(v, u0)
-    du0 = (dv @ v[..., :, None]) / u0[..., None, None]
-    w = w[..., None, :]
-    a = (np.concatenate([du0, -dv], axis=-1) - 0.5 * du0 * w)[..., :, None] * w[..., None, :]
-    return vec, a + a.swapaxes(-1, -2)
+    q = np.concatenate([(u0 + 1.0)[..., None], -v], axis=-1)
+    return spin, q[..., :, None] * (q / q[..., :1])[..., None, :] - ETA
 
 
 def _half_angle_terms(t):
@@ -375,37 +348,46 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     return spin, vec
 
 
-# (w @ _CROSS).reshape(3, 3) is the cross-product matrix [w]_x of a 3-vector:
-# [w]_x v = w x v; (w @ _CROSS4).reshape(4, 4) holds it as the spatial block
-# of a 4x4 matrix whose time row and column are 0
-_CROSS = -np.moveaxis(EPS3, -1, 0).reshape(3, 9)
-_CROSS4 = np.zeros((3, 4, 4))
-_CROSS4[:, 1:, 1:] = _CROSS.reshape(3, 3, 3)
-_CROSS4 = _CROSS4.reshape(3, 16)
+# (a b^T).flat @ _EPS3_FLAT = a x b for 3-vectors, (a b^T).flat @ _EPS4_FLAT =
+# eps_ijkl a^k b^l for 4-vectors, and _LOWER_PAIR lowers both indices of a matrix
+_EPS3_FLAT = EPS3.reshape(3, 9).T
+_EPS4_FLAT = EPS_LOWER.reshape(16, 16)
+_LOWER_PAIR = ETA_SIGNS[:, None] * ETA_SIGNS
 
 
-def rot_z_to_connection(target: np.ndarray, d_target: np.ndarray):
-    """vec^T eta d_mu vec for the vec_rep of rot_z_to_reps(target), along the
-    derivatives d_target (..., mu, 3) of the target: one (4, 4) matrix per
-    direction mu, right after the batch axes.
+def frame_connection(u, du, s, ds):
+    """r_mu = l_vec^T eta d_mu l_vec, lowered, for the frame l_vec = R B of
+    polar_decompose, from arrays of the unit velocity and spin (..., 4) and
+    their derivatives (..., mu, 4), all raised: one (4, 4) matrix per mu,
+    right after the batch axes.  With a^b = a b^T - b a^T,
 
-    It is the cross-product matrix of the angular velocity omega of the
-    rotation R of q, dR R^T = [omega]_x, on the spatial block.  R z = t fixes
-    omega up to a turn about t, and keeping the axis of q in the xy plane
-    (q_3 = 0) fixes that turn; for a unit target
-      omega = t x dt - twist t,   twist = (t x dt)_z / (1 + t_z),
-    with 1 + t_z formed as in rot_z_to_reps.  At the antipode the minimal
-    rotation has no derivative.  There the twist is 0: the half turn about x
-    is continued by the minimal rotation away from -z, a frame that agrees
-    with it at the point and is differentiable.
+      r_mu = u^du_mu - s^ds_mu + (s.du_mu) u^s + lam_mu eps_ijkl u^k s^l.
+
+    u and s fix every part but lam_mu, the turn about the spin, which holds
+    all of the frame gauge.  With v the spatial part of u and t = s_vec -
+    s^0 v / (u^0 + 1) the rest spin, the boost B and minimal rotation R give
+
+      lam_mu = (t x dt_mu)_z / (1 + t_z) - ((v x dv_mu) . t) / (u^0 + 1),
+
+    1 + t_z formed as in rot_z_to_reps.  At its -z antipode the twist term is
+    0: the half turn about x continues as the minimal rotation away from -z.
     """
-    t = np.asarray(target, dtype=float)
-    dt = np.asarray(d_target, dtype=float)
-    _, norm, plus, antipode = _half_angle_terms(t)
-    # for a target of norm n: omega = (t x dt - (t x dt)_z t / (n + t_z)) / n^2
-    inverse_plus = np.where(antipode, 0.0, 1.0 / np.where(antipode, 1.0, plus))
-    # t x dt for every mu: dt [t]_x^T = -dt [t]_x
-    cross = -dt @ (t @ _CROSS).reshape(t.shape[:-1] + (3, 3))
-    twist = cross[..., 2] * inverse_plus[..., None]
-    omega = (cross - twist[..., None] * t[..., None, :]) / (norm**2)[..., None, None]
-    return (omega @ _CROSS4).reshape(dt.shape[:-1] + (4, 4))
+    batch = u.shape[:-1]
+    v, dv = u[..., 1:], du[..., 1:]
+    rest = 1.0 / (u[..., 0] + 1.0)
+    # t = s_vec - c v and dt = ds_vec - dc v - c dv
+    c = s[..., 0] * rest
+    t = s[..., 1:] - c[..., None] * v
+    dc = (ds[..., 0] - c[..., None] * du[..., 0]) * rest[..., None]
+    dt = ds[..., 1:] - dc[..., None] * v[..., None, :] - c[..., None, None] * dv
+    _, _, plus, antipode = _half_angle_terms(t)
+    twist = t[..., None, 0] * dt[..., 1] - t[..., None, 1] * dt[..., 0]
+    t_cross_v = (t[..., :, None] * v[..., None, :]).reshape(batch + (9,)) @ _EPS3_FLAT
+    lam = twist / np.where(antipode, np.inf, plus)[..., None]
+    lam = lam - (dv @ t_cross_v[..., None])[..., 0] * rest[..., None]
+    # the transport terms with raised indices, lowered once at the end
+    us = u[..., :, None] * s[..., None, :]
+    a = u[..., None, :, None] * du[..., None, :] - s[..., None, :, None] * ds[..., None, :]
+    a = a + (du @ (s * ETA_SIGNS)[..., None])[..., None] * us[..., None, :, :]
+    dual = (us.reshape(batch + (16,)) @ _EPS4_FLAT).reshape(batch + (1, 4, 4))
+    return (a - a.swapaxes(-1, -2)) * _LOWER_PAIR + lam[..., None, None] * dual

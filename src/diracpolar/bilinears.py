@@ -79,18 +79,18 @@ def compute_bilinears(psi, basis) -> BilinearSet:
     )
 
 
-def is_regular(bil: Densities, eps: float = REGULARITY_EPS):
+def is_regular(bil: Densities):
     """Densities bounded away from the light-cone degeneracy theta = phi = 0."""
-    return bil.density_squared() > eps * bil.vector[..., 0] ** 2
+    return bil.density_squared() > REGULARITY_EPS * bil.vector[..., 0] ** 2
 
 
-def require_regular(bil: Densities, eps: float = REGULARITY_EPS) -> None:
+def require_regular(bil: Densities) -> None:
     """Raise SingularSpinor unless every spinor of the batch is regular."""
-    regular = is_regular(bil, eps)
+    regular = is_regular(bil)
     if not regular.all():
         raise SingularSpinor(
             "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
-            % (np.min(np.where(regular, np.inf, bil.density_squared())), eps)
+            % (np.min(np.where(regular, np.inf, bil.density_squared())), REGULARITY_EPS)
         )
 
 

@@ -170,6 +170,9 @@ def parse_config(text) -> RunConfig:
         problems.append("grid: file not found: %s" % cfg.grid)
     if cfg.mode not in MODES:
         problems.append("mode: must be one of %s" % (MODES,))
+    if np.isnan(cfg.tolerance):
+        # every comparison with NaN is false, so it would pass every check
+        problems.append("tolerance: expected a number, got nan")
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -321,6 +324,8 @@ def cmd_identities(args) -> int:
         return 0
     if args.random < 0:
         raise ConfigError(["--random: expected a count >= 0, got %d" % args.random])
+    if np.isnan(args.tolerance):
+        raise ConfigError(["--tolerance: expected a number, got nan"])
     basis = build_chiral_basis()
     checks = verify_basis(basis)
     rng = np.random.default_rng(args.seed)
@@ -510,12 +515,20 @@ def cmd_trajectory(args) -> int:
         # grid fields answer only at their nodes, and the first RK4 stage
         # always leaves the node it starts from
         raise ConfigError(["grid: trajectory needs a [wave] field, not a grid file"])
+    h_tau = args.htau if args.htau is not None else cfg.tau_step
+    tau_max = args.steps * h_tau if args.steps is not None else cfg.tau_max
+    # a negative step runs backwards, with --steps or a negative tau_max
+    if not (np.isfinite(h_tau) and h_tau != 0.0):
+        raise ConfigError(["--htau or tau_step: expected a finite nonzero step, got %s" % h_tau])
+    steps = tau_max / h_tau
+    if not (np.isfinite(steps) and round(steps) >= 0):
+        raise ConfigError(
+            ["--steps or tau_max: %.6g steps, expected a finite count >= 0" % steps]
+        )
     basis = build_chiral_basis()
     fld = build_field(cfg, basis)
     bg = build_background(cfg)
     mode = args.mode if args.mode is not None else cfg.mode
-    h_tau = args.htau if args.htau is not None else cfg.tau_step
-    tau_max = args.steps * h_tau if args.steps is not None else cfg.tau_max
     seeds = _read_seeds(args.seeds) if args.seeds is not None else [cfg.point]
     results = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=mode)
     sink = open(args.out, "w") if args.out is not None else None

@@ -40,10 +40,9 @@ from .algebra import (  # noqa: F401
     PAIR_J,
     SEED_SPINOR,
     boost_reps,
-    boost_vec_jet,
+    frame_connection,
     lorentz_exp,
     mdot,
-    rot_z_to_connection,
     rot_z_to_reps,
     spin_inverse,
 )
@@ -373,9 +372,10 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     matrices of basis.jet_rows in one contraction per point:
       - the density, chiral angle, velocity and spin come from S, P, U and A
         (polar_variables), their derivatives from the product rule;
-      - the connection is r_mu = l_vec^T eta d_mu l_vec, differentiated
-        through the closed forms of the boost and the minimal rotation, so
-        trace_part and projection_residual are 0;
+      - the connection r_mu = l_vec^T eta d_mu l_vec is the closed form of
+        frame_connection in u, s and their derivatives: the transport of u
+        and s plus one turn about the spin, which carries the frame gauge;
+        so trace_part and projection_residual are 0;
       - what remains of nabla psi once the known part is taken off lies
         along i psi, and its coefficient is -p.
     """
@@ -401,15 +401,7 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     dunit = dunit.swapaxes(-1, -2) / mod[..., None, None]
     du, ds = dunit[..., :4], dunit[..., 4:]
 
-    # l_vec = R B: the rest spin t = (B s)_spatial steers R, and with B
-    # symmetric, l_vec^T eta d l_vec = B (R^T eta dR B + eta dB)
-    boost, dboost = boost_vec_jet(u, du)
-    spatial = boost[..., 1:, :]
-    t = (spatial @ s[..., None])[..., 0]
-    dt = (dboost[..., 1:, :] @ s[..., None, :, None])[..., 0] + ds @ spatial.swapaxes(-1, -2)
-    rotation = rot_z_to_connection(t, dt)
-    b = boost[..., None, :, :]
-    conn = b @ (rotation @ b + ETA @ dboost)
+    conn = frame_connection(u, du, s, ds)
 
     # nabla psi = (K - i p) psi with the known part
     #   K = dlogdensity - i dchiral pi / 2 - r_{ij} sigma^{ij} / 2,

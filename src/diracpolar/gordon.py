@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import ETA_SIGNS, side_by_side
 from .bilinears import compute_bilinears
 from .fieldconn import Background, PolarJet, density_products, polar_jet, sample_field
+from .guidance import potentials
 
 # the diagonal signs of eta along one index, and along two (a, b)
 _S = ETA_SIGNS
@@ -186,17 +187,13 @@ class QuantumPotentials:
 
 
 def compute_potentials(jet: PolarJet, bg: Background) -> QuantumPotentials:
-    """e and f of a jet, with the jet's batch axes."""
-    w_low = bg.w_value(jet.x) * _S
+    """e = y + mass cos(chiral) s and f = -z + mass sin(chiral) s of a jet,
+    lowered, with the jet's batch axes."""
+    y, z = potentials(jet, bg)
     s_low = jet.spin * _S
     beta = np.asarray(jet.chiral_angle)[..., None]
-    e = (
-        jet.tc.axial_dual()
-        - bg.torsion_coupling * w_low
-        + 0.5 * jet.dchiral
-        + bg.mass * s_low * np.cos(beta)
-    )
-    f = jet.tc.trace_contraction() + jet.dlogdensity + bg.mass * s_low * np.sin(beta)
+    e = y + bg.mass * s_low * np.cos(beta)
+    f = -z + bg.mass * s_low * np.sin(beta)
     return QuantumPotentials(e=e, f=f)
 
 

@@ -50,12 +50,19 @@ def _require_xs(xs, guard_scale):
         )
 
 
-def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
-    """Compact forms of a jet; a batched jet raises DegenerateX if any of its
-    points does."""
+def potentials(jet: PolarJet, bg: Background):
+    """The y and z potentials of a jet, lowered, with the jet's batch axes;
+    no guard."""
     w_low = bg.w_value(jet.x) * ETA_SIGNS
     y = jet.tc.axial_dual() - bg.torsion_coupling * w_low + 0.5 * jet.dchiral
     z = -jet.dlogdensity - jet.tc.trace_contraction()
+    return y, z
+
+
+def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
+    """Compact forms of a jet; a batched jet raises DegenerateX if any of its
+    points does."""
+    y, z = potentials(jet, bg)
     mass_cos = bg.mass * np.cos(jet.chiral_angle)
     xs = mass_cos - np.vecdot(y, jet.spin)
     guard_scale = max(1.0, abs(bg.mass))

@@ -1,24 +1,24 @@
 import numpy as np
+import pytest
 
 from diracpolar.algebra import (
-    EPS3,
     EPS_LOWER,
     EPS_UPPER,
     ETA,
+    ETA_SIGNS,
     SEED_SPINOR,
     CliffordBasis,
     boost_params,
-    boost_reps,
-    boost_vec_jet,
     build_chiral_basis,
+    frame_connection,
     lorentz_exp,
     mdot,
-    rot_z_to_connection,
     rot_z_to_params,
-    rot_z_to_reps,
     rotation_params,
     verify_basis,
 )
+from diracpolar.fieldconn import plane_wave
+from diracpolar.polar import polar_decompose
 
 from conftest import random_antisymmetric
 
@@ -195,51 +195,58 @@ def test_basis_built_once_and_read_only():
         assert not value.flags.writeable, name
 
 
-def central(fn, x, dx, h=1e-6):
-    """(fn(x + h dx) - fn(x - h dx)) / 2h for every row of dx, rows first."""
-    return np.array([(fn(x + h * row) - fn(x - h * row)) / (2 * h) for row in dx])
+def lowered_connection(fld, basis, points, h=1e-6):
+    """u, du, s, ds and l_vec^T eta d_mu l_vec at every point of points (n, 4),
+    from one decomposition of the points and their neighbours +-h e_mu and
+    central differences, mu right after the point axis."""
+    steps = np.concatenate([np.zeros((1, 4)), h * np.eye(4), -h * np.eye(4)])
+    pd = polar_decompose(fld.evaluate(points + steps[:, None]), basis)
+
+    def central(values):
+        return np.moveaxis((values[1:5] - values[5:]) / (2 * h), 0, 1)
+
+    l_vec = pd.l_vec[0][:, None]
+    want = np.swapaxes(l_vec, -1, -2) @ ETA @ central(pd.l_vec)
+    return pd.velocity[0], central(pd.velocity), pd.spin[0], central(pd.spin), want
 
 
-def test_boost_vec_jet_matches_differences(basis):
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        v = rng.standard_normal(3) * 0.8
-        dv = rng.standard_normal((4, 3))
-        u = np.concatenate([[np.sqrt(1 + v @ v)], v])
-        du = np.column_stack([dv @ v / u[0], dv])
-        vec, dvec = boost_vec_jet(u, du)
-        assert np.array_equal(vec, boost_reps(u, basis)[1])
-
-        def boost(w):
-            return boost_reps(np.concatenate([[0.0], w]), basis)[1]
-
-        assert np.abs(dvec - central(boost, v, dv)).max() < 1e-8
-
-
-def test_rot_z_to_connection_matches_differences(basis):
-    rng = np.random.default_rng(22)
-    targets = [rng.standard_normal(3) for _ in range(8)]
-    # next to the -z antipode, but far from the half-turn threshold, and an
-    # unnormalized target
-    targets += [np.array([3e-4, -2e-4, -1.0]), np.array([0.0, 1e-3, -2.0])]
-    for t in targets:
-        dt = rng.standard_normal((4, 3)) * 0.1
-        vec = rot_z_to_reps(t, basis)[1]
-        # the step must stay well inside the distance to the antipode
-        dvec = central(lambda w: rot_z_to_reps(w, basis)[1], t, dt, h=1e-8)
-        want = vec.T @ ETA @ dvec
-        got = rot_z_to_connection(t, dt)
-        scale = max(1.0, np.abs(want).max())
-        assert np.abs(got - want).max() < 1e-6 * scale
-        assert np.abs(got + np.swapaxes(got, -1, -2)).max() < 1e-15 * scale
+@pytest.mark.parametrize(
+    "axis, weak",
+    [
+        ((0.2, 0.5, 1.0), 0.3),
+        # next to -z: the weak wave holds the rest spin about 0.02 from -z,
+        # where 1 + t_z is 2e-4 and the turn about the spin is of order 1
+        ((3.6e-4 * np.cos(0.7), 3.6e-4 * np.sin(0.7), -1.0), 0.01),
+        ((0.0, 1e-3, -2.0), 0.01),
+    ],
+)
+def test_frame_connection_matches_differences(basis, axis, weak):
+    momenta = np.array([[0.3, -0.1, 0.05], [-0.1, 0.15, 0.15]])
+    momenta = np.column_stack([np.sqrt(1.0 + (momenta**2).sum(axis=1)), momenta])
+    axes = np.array([axis, (-0.1, 0.1, 1.0)])
+    fld = plane_wave(momenta, 1.0, axes, np.array([1.0, weak]), basis)
+    points = np.random.default_rng(23).uniform(-0.5, 0.5, size=(4, 4))
+    u, du, s, ds, want = lowered_connection(fld, basis, points)
+    got = frame_connection(u, du, s, ds)
+    assert got.shape == (4, 4, 4, 4)
+    assert np.abs(got - want).max() < 1e-7
 
 
-def test_rot_z_to_connection_at_the_half_turn():
-    # the half turn about x is continued by the minimal rotation away from
-    # -z, which turns about (-z) x dt: no twist, and finite
-    dt = np.array([[0.3, -0.2, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [-0.4, 0.1, 0.0]])
-    omega = np.cross([0.0, 0.0, -1.0], dt)
-    want = np.zeros((4, 4, 4))
-    want[:, 1:, 1:] = -np.einsum("jkl,ml->mjk", EPS3, omega)
-    got = rot_z_to_connection(np.array([0.0, 0.0, -1.0]), dt)
-    assert np.abs(got - want).max() < 1e-16
+def test_frame_connection_at_rest_on_the_half_turn():
+    # rest spin -z, where the frame takes the half turn about x: the turn
+    # about the spin is 0 there, and r is the transport of u and s alone
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    s = np.array([0.0, 0.0, 0.0, -1.0])
+    du = np.array(
+        [[0.0, 0.3, -0.2, 0.1], [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, -0.4], [0.0, -0.4, 0.1, 0.2]]
+    )
+    # s.ds = 0, and u.ds = -s.du = -du^3
+    ds = np.array(
+        [[-0.1, 0.5, 0.2, 0.0], [0.0, 0.1, 0.0, 0.0], [0.4, -0.3, 0.2, 0.0], [-0.2, 0.0, 0.7, 0.0]]
+    )
+    got = frame_connection(u, du, s, ds)
+    assert np.all(np.isfinite(got))
+    u_low, s_low, du_low, ds_low = u * ETA_SIGNS, s * ETA_SIGNS, du * ETA_SIGNS, ds * ETA_SIGNS
+    a = u_low[:, None] * du_low[:, None, :] - s_low[:, None] * ds_low[:, None, :]
+    a = a + (du @ s_low)[:, None, None] * np.outer(u_low, s_low)
+    assert np.array_equal(got, a - np.swapaxes(a, -1, -2))

@@ -360,6 +360,42 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
         assert np.array_equal(np.array(rows[index]), np.column_stack([arc.tau, arc.x, arc.u]))
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["trajectory", "--htau", "0"], ""),
+        (["trajectory", "--htau", "nan"], ""),
+        (["trajectory", "--steps", "-3"], ""),
+        (["trajectory"], "tau_step = 0\n"),
+        (["trajectory"], "tau_max = -1\n"),
+        # NaN fails every comparison, so it would pass every check
+        (["gordon"], "tolerance = nan\n"),
+        (["identities", "--tolerance", "nan"], None),
+    ],
+    ids=["htau-zero", "htau-nan", "steps-negative", "tau_step-zero", "tau_max-negative",
+         "tolerance-nan", "identities-tolerance-nan"],
+)
+def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
+    if extra is not None:
+        text = TWO_WAVE.replace("tolerance = 1e-6\n", "tolerance = 1e-6\n" + extra)
+        argv = argv + ["--config", write_cfg(tmp_path, text)]
+    code = console_main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: ")
+    assert captured.out == ""
+
+
+def test_trajectory_negative_step_runs_backwards(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_WAVE)
+    argv = ["trajectory", "--config", cfg, "--htau", "-0.1", "--steps", "3", "--format", "records"]
+    code = console_main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    taus = [float(line.split()[1]) for line in lines if line.startswith("sample=")]
+    assert np.allclose(taus, [0.0, -0.1, -0.2, -0.3])
+
+
 def test_trajectory_failed_seed_named(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TWO_WAVE)
     seeds = tmp_path / "seeds.txt"

@@ -1,18 +1,17 @@
 """The closed-form kernels of the guidance path against reference forms.
 
 velocity_from_momentum applies the inverse momentum map to p term by term,
-boost_vec_jet builds the boost and its derivative from outer products, and
-TensorialConnection contracts r through constant tables.  The references
-below are the direct forms they replace: the explicit inverse matrix B, the
-boost matrix assembled block by block, and the einsum contractions.  Each
-kernel must match its reference to rounding, for a single point and for a
-batch.
+and TensorialConnection contracts r through constant tables.  The references
+below are the direct forms they replace: the explicit inverse matrix B and
+the einsum contractions.  Each kernel must match its reference to rounding,
+for a single point and for a batch.  The closed-form frame connection is
+checked against differences of the decomposed frame in test_algebra.
 """
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, boost_vec_jet, mdot
+from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, mdot
 from diracpolar.fieldconn import TensorialConnection
 from diracpolar.guidance import CompactForms, velocity_from_momentum
 
@@ -44,33 +43,6 @@ def inverse_matrix(s, forms, basis):
     return b / (xs * denom)[..., None, None], denom
 
 
-def boost_vec_blocks(v, u0):
-    vec = np.empty(v.shape[:-1] + (4, 4))
-    vec[..., 0, 0] = u0
-    vec[..., 0, 1:] = -v
-    vec[..., 1:, 0] = -v
-    vec[..., 1:, 1:] = np.eye(3) + v[..., :, None] * v[..., None, :] / (u0 + 1.0)[..., None, None]
-    return vec
-
-
-def boost_vec_jet_blocks(u, du):
-    """boost_vec_jet with every block of the matrix and its derivative
-    written out."""
-    v = np.asarray(u, dtype=float)[..., 1:]
-    dv = np.asarray(du, dtype=float)[..., 1:]
-    u0 = np.sqrt(1.0 + (v * v).sum(axis=-1))
-    du0 = (dv @ v[..., :, None])[..., 0] / u0[..., None]
-    w = v / (u0 + 1.0)[..., None]
-    d = np.empty(dv.shape[:-1] + (4, 4))
-    d[..., 0, 0] = du0
-    d[..., 0, 1:] = -dv
-    d[..., 1:, 0] = -dv
-    sym = dv[..., :, None] * w[..., None, None, :]
-    outer = w[..., :, None] * w[..., None, :]
-    d[..., 1:, 1:] = sym + np.swapaxes(sym, -1, -2) - du0[..., None, None] * outer[..., None, :, :]
-    return boost_vec_blocks(v, u0), d
-
-
 def unit_frame(rng, batch, speed):
     """Random unit timelike u and unit spacelike s orthogonal to it."""
     v = rng.standard_normal(batch + (3,)) * speed
@@ -98,22 +70,6 @@ def test_velocity_from_momentum_matches_explicit_inverse(basis, seed, batch, spe
     # the size of the terms the rows of matrix @ p_low sum
     scale = (np.abs(matrix) @ np.abs(p_low)[..., None])[..., 0]
     assert np.all(np.abs(got - want) <= 50 * EPS * scale.max(axis=-1, keepdims=True))
-
-
-@ORACLE
-@given(seed=seeds, batch=batches, log_speed=st.floats(-3.0, 2.5))
-def test_boost_vec_jet_matches_blocks(seed, batch, log_speed):
-    rng = np.random.default_rng(seed)
-    u, _ = unit_frame(rng, batch, 10.0**log_speed)
-    du = rng.standard_normal(batch + (4, 4))
-    vec, dvec = boost_vec_jet(u, du)
-    want_vec, want_dvec = boost_vec_jet_blocks(u, du)
-    assert vec.shape == batch + (4, 4) and dvec.shape == batch + (4, 4, 4)
-    u0 = u[..., 0][..., None, None]
-    assert np.all(np.abs(vec - want_vec) <= 50 * EPS * u0)
-    # every entry of d vec is a sum of terms of size |dv| at most
-    dv = np.abs(du[..., 1:]).max(axis=(-2, -1))[..., None, None, None]
-    assert np.all(np.abs(dvec - want_dvec) <= 50 * EPS * dv)
 
 
 @ORACLE
