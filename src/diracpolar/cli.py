@@ -23,6 +23,7 @@ import argparse
 import difflib
 import functools
 import os
+import re
 import sys
 
 import numpy as np
@@ -117,6 +118,9 @@ def _floats(text, count, key, problems):
     if len(vals) != count:
         problems.append("%s: expected %d numbers, got %d" % (key, count, len(vals)))
         return None
+    if not np.all(np.isfinite(vals)):
+        problems.append("%s: expected finite numbers, got %r" % (key, text))
+        return None
     return np.array(vals)
 
 
@@ -203,6 +207,9 @@ def _apply_global(cfg, key, value, problems):
             cfg.seed = int(value)
         except ValueError:
             problems.append("seed: expected an integer, got %r" % value)
+            return
+        if cfg.seed < 0:
+            problems.append("seed: expected an integer >= 0, got %d" % cfg.seed)
         return
     try:
         setattr(cfg, key, float(value))
@@ -318,12 +325,18 @@ wave phase: amplitude exp(-i p.x) with p.x = eta_{mu nu} p^mu x^nu
 """
 
 
+def _require_at_least(value, minimum, option):
+    """Raise ConfigError unless the integer value of option is >= minimum."""
+    if value < minimum:
+        raise ConfigError(["%s: expected an integer >= %d, got %d" % (option, minimum, value)])
+
+
 def cmd_identities(args) -> int:
     if args.conventions:
         print(CONVENTIONS, end="")
         return 0
-    if args.random < 0:
-        raise ConfigError(["--random: expected a count >= 0, got %d" % args.random])
+    _require_at_least(args.random, 0, "--random")
+    _require_at_least(args.seed, 0, "--seed")
     if np.isnan(args.tolerance):
         raise ConfigError(["--tolerance: expected a number, got nan"])
     basis = build_chiral_basis()
@@ -359,6 +372,8 @@ def _parse_spinor(text):
             ["spinor: expected 8 numbers re0,im0,...,re3,im3, got %d" % len(vals)]
         )
     vals = np.array(vals)
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(["spinor: expected finite numbers, got %r" % text])
     return vals[0::2] + 1j * vals[1::2]
 
 
@@ -422,11 +437,14 @@ def _gordon_point(fld, bg, basis, points):
 
 
 def cmd_gordon(args) -> int:
+    _require_at_least(args.points, 1, "--points")
+    if args.seed is not None:
+        _require_at_least(args.seed, 0, "--seed")
     cfg = _load_config(args.config)
     basis = build_chiral_basis()
     fld = build_field(cfg, basis)
     bg = build_background(cfg)
-    if args.points <= 1:
+    if args.points == 1:
         points = cfg.point[None, :]
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
@@ -451,7 +469,7 @@ def cmd_guidance(args) -> int:
     forms = compact_forms(jet, bg)
     p_compact = momentum_from_velocity(jet.velocity, jet.spin, forms, basis)
     p_long = momentum_long_form(jet.velocity, jet.spin, forms, basis)
-    p_conn = ETA @ jet.tc.p
+    p_conn = ETA @ jet.p
     u_back = velocity_from_momentum(p_conn, jet.spin, forms, basis)
     checked = {
         "momentum_form_gap": float(np.abs(p_compact - p_long).max()),
@@ -559,8 +577,20 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes "-0.3,0.1,0,0" for a value, as in "guidance --at -0.3,0.1,0,0".
+    Plain argparse takes a word that starts with "-" for a value only when the
+    whole word is one number, and otherwise for an unknown option; here "-"
+    followed by a digit, or by a point and a digit, starts a value.  No option
+    of this parser starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracpolar",
         description="polar-variable toolkit for relativistic spinor fields",
     )

@@ -16,7 +16,10 @@ and the same for the velocity.  The momentum covector is
 
   p_mu = d_mu(residual_phase) + trace_part_mu - charge * a_mu
 
-which is invariant under a joint phase/potential gauge shift.
+with trace_part_mu = Im tr(g_mu) / 4; p is invariant under a joint
+phase/potential gauge shift.  A jet carries r and p as plain lowered arrays:
+r_{ij mu} as r[..., mu, i, j], the layout of algebra.frame_connection, and
+p_mu as p[..., mu].
 
 Two functions build a jet.  derivative_jet is exact: it takes the field and
 its covariant derivative at the point, pairs both with the density matrices
@@ -33,7 +36,6 @@ import numpy as np
 # lorentz_exp is not used here; it stays bound because bench/test_bench.py
 # checks that the tracer wraps it in this module
 from .algebra import (  # noqa: F401
-    EPS_LOWER,
     ETA,
     ETA_SIGNS,
     PAIR_I,
@@ -57,16 +59,6 @@ _STENCIL = np.concatenate(
 
 # unit steps along mu = 0..3, one row each
 _STEPS = np.eye(4, dtype=int)
-
-# TensorialConnection's contractions of r[..., i, j, mu] flattened to
-# (..., 64): eps_m^{ij mu} r_{ij mu} / 4, all three indices raised by their
-# signs, and eta^{j mu} r_{i j mu} / 2
-_AXIAL_DUAL = 0.25 * np.einsum(
-    "mijk,i,j,k->ijkm", EPS_LOWER, ETA_SIGNS, ETA_SIGNS, ETA_SIGNS
-).reshape(64, 4)
-_TRACE_CONTRACTION = 0.5 * np.einsum(
-    "im,jk,j->ijkm", np.eye(4), np.eye(4), ETA_SIGNS
-).reshape(64, 4)
 
 
 class ConstantVector:
@@ -329,23 +321,6 @@ def density_products(psi, grad, rows):
 
 
 @dataclass
-class TensorialConnection:
-    """Connection at a point, or at every point of a batch (leading axes)."""
-
-    r: np.ndarray                 # r[..., i, j, mu], antisymmetric in i, j (lowered)
-    p: np.ndarray                 # momentum covector, lowered index
-    dphase: np.ndarray
-    trace_part: np.ndarray
-    projection_residual: float    # one per point of a batch
-
-    def axial_dual(self) -> np.ndarray:
-        return self.r.reshape(self.r.shape[:-3] + (64,)) @ _AXIAL_DUAL
-
-    def trace_contraction(self) -> np.ndarray:
-        return self.r.reshape(self.r.shape[:-3] + (64,)) @ _TRACE_CONTRACTION
-
-
-@dataclass
 class PolarJet:
     """Local polar variables and their first derivatives at a point, or at
     every point of a batch, with the direction mu right after the batch axes;
@@ -359,7 +334,8 @@ class PolarJet:
     dlogdensity: np.ndarray
     du: np.ndarray          # du[mu, a] = d_mu u^a
     ds: np.ndarray
-    tc: TensorialConnection
+    r: np.ndarray           # r[mu, i, j] = r_{ij mu}, antisymmetric in i, j, lowered
+    p: np.ndarray           # momentum covector, lowered
     x: np.ndarray
 
 
@@ -375,14 +351,13 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
       - the connection r_mu = l_vec^T eta d_mu l_vec is the closed form of
         frame_connection in u, s and their derivatives: the transport of u
         and s plus one turn about the spin, which carries the frame gauge;
-        so trace_part and projection_residual are 0;
+        the jet keeps the array frame_connection returns;
       - what remains of nabla psi once the known part is taken off lies
         along i psi, and its coefficient is -p.
     """
     if sample is None:
         sample = sample_field(fld, bg, x)
     psi, grad = sample.psi, sample.grad
-    batch = psi.shape[:-1]
 
     # psi^dagger M [psi, nabla_mu psi] for the matrices M of basis.jet_rows:
     # the densities, then one column per mu.  Row 2 is gamma^0 gamma^0 = 1,
@@ -401,24 +376,16 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     dunit = dunit.swapaxes(-1, -2) / mod[..., None, None]
     du, ds = dunit[..., :4], dunit[..., 4:]
 
-    conn = frame_connection(u, du, s, ds)
+    r = frame_connection(u, du, s, ds)
 
     # nabla psi = (K - i p) psi with the known part
     #   K = dlogdensity - i dchiral pi / 2 - r_{ij} sigma^{ij} / 2,
     # so p = -Im(psi^dagger nabla psi - psi^dagger K psi) / psi^dagger psi,
     # with psi^dagger psi = U^0; known = -Im(psi^dagger K psi)
     known = 0.5 * dchiral * products[..., 10, :1].real
-    known = known + (conn[..., PAIR_I, PAIR_J] @ products[..., 11:, :1].imag)[..., 0]
+    known = known + (r[..., PAIR_I, PAIR_J] @ products[..., 11:, :1].imag)[..., 0]
     p = -(products[..., 2, 1:].imag + known) / values[..., 2, None]
-
-    tc = TensorialConnection(
-        r=conn.transpose(*range(len(batch)), -2, -1, -3),
-        p=p,
-        dphase=p + bg.charge * (bg.a_value(sample.x) * ETA_SIGNS),
-        trace_part=np.zeros_like(p),
-        projection_residual=np.zeros(batch)[()],
-    )
-    return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, tc, sample.x)
+    return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, r, p, sample.x)
 
 
 def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
@@ -459,27 +426,18 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
     ds = central(stencil.spin)
     g = spin_inverse(pd0.l_spin, basis)[..., None, :, :] @ central(stencil.l_spin)
 
-    # project each g_mu onto the identity and the six sigma^{ij}
+    # project each g_mu onto the identity and the six sigma^{ij}; the trace
+    # part joins the phase gradient in p
     sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
     coeff = np.einsum("pij,...mij->...mp", sigma6.conj(), g).real
     trace_part = np.trace(g, axis1=-2, axis2=-1).imag / 4.0
-    rebuilt = 1j * trace_part[..., None, None] * basis.identity + np.einsum(
-        "...mp,pij->...mij", coeff, sigma6
-    )
     r = np.zeros(x.shape[:-1] + (4, 4, 4))
-    r[..., PAIR_I, PAIR_J, :] = np.swapaxes(coeff, -1, -2)
-    r[..., PAIR_J, PAIR_I, :] = -np.swapaxes(coeff, -1, -2)
+    r[..., PAIR_I, PAIR_J] = coeff
+    r[..., PAIR_J, PAIR_I] = -coeff
 
     p = dphase + trace_part - bg.charge * (bg.a_value(x) * ETA_SIGNS)
-    tc = TensorialConnection(
-        r=r,
-        p=p,
-        dphase=dphase,
-        trace_part=trace_part,
-        projection_residual=np.abs(g - rebuilt).max(axis=(-3, -2, -1)),
-    )
     return PolarJet(
-        pd0.density, pd0.chiral_angle, pd0.velocity, pd0.spin, dchiral, dlogden, du, ds, tc, x
+        pd0.density, pd0.chiral_angle, pd0.velocity, pd0.spin, dchiral, dlogden, du, ds, r, p, x
     )
 
 
@@ -491,11 +449,11 @@ def polar_derivative_operator(jet: PolarJet, basis):
     cancels against the frame term, so it appears here only through p.
     """
     sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
-    diagonal = (jet.dlogdensity - 1j * jet.tc.p)[..., None, None] * basis.identity
+    diagonal = (jet.dlogdensity - 1j * jet.p)[..., None, None] * basis.identity
     return (
         diagonal
         - 0.5j * jet.dchiral[..., None, None] * basis.pi
-        - np.einsum("...pm,pij->...mij", jet.tc.r[..., PAIR_I, PAIR_J, :], sigma6)
+        - np.einsum("...mp,pij->...mij", jet.r[..., PAIR_I, PAIR_J], sigma6)
     )
 
 
@@ -522,7 +480,7 @@ def verify_transport(jet: PolarJet, basis) -> dict:
         ("spin_transport", jet.spin, jet.ds),
     ):
         # d_mu v_i against v^j r_{ji mu}, rows mu, columns lowered i
-        predicted = np.einsum("...j,...jim->...mi", up, jet.tc.r)
+        predicted = np.einsum("...j,...mji->...mi", up, jet.r)
         out[name] = np.abs(derivative * ETA_SIGNS - predicted).max(axis=(-2, -1))[()]
     return out
 

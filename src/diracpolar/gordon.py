@@ -18,8 +18,6 @@ amplitudes drop out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import ETA_SIGNS, side_by_side
@@ -180,13 +178,7 @@ def dirac_residual(fld, bg: Background, basis, x, sample=None):
     return (np.linalg.norm(op, axis=-1) / np.linalg.norm(psi, axis=-1))[()]
 
 
-@dataclass
-class QuantumPotentials:
-    e: np.ndarray   # lowered components
-    f: np.ndarray
-
-
-def compute_potentials(jet: PolarJet, bg: Background) -> QuantumPotentials:
+def compute_potentials(jet: PolarJet, bg: Background):
     """e = y + mass cos(chiral) s and f = -z + mass sin(chiral) s of a jet,
     lowered, with the jet's batch axes."""
     y, z = potentials(jet, bg)
@@ -194,7 +186,7 @@ def compute_potentials(jet: PolarJet, bg: Background) -> QuantumPotentials:
     beta = np.asarray(jet.chiral_angle)[..., None]
     e = y + bg.mass * s_low * np.cos(beta)
     f = -z + bg.mass * s_low * np.sin(beta)
-    return QuantumPotentials(e=e, f=f)
+    return e, f
 
 
 def residual_polar_groups(jet: PolarJet, bg: Background, basis) -> dict:
@@ -204,9 +196,8 @@ def residual_polar_groups(jet: PolarJet, bg: Background, basis) -> dict:
     Groups a and b project along the velocity and spin, group c solves for
     the momentum covector, group d is the momentum decomposition itself.
     """
-    pot = compute_potentials(jet, bg)
-    e, f = pot.e, pot.f
-    p = jet.tc.p
+    e, f = compute_potentials(jet, bg)
+    p = jet.p
     u = jet.velocity
     s = jet.spin
     u_low, s_low = u * _S, s * _S

@@ -17,12 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA, ETA_SIGNS
+from .algebra import EPS_LOWER, ETA, ETA_SIGNS
 from .errors import DegenerateInversion, DegenerateX
 from .fieldconn import Background, PolarJet
 
 X_GUARD = 1e-12
 INVERSION_GUARD = 1e-10
+
+# potentials' contractions of the connection r_{ij mu}, stored r[..., mu, i, j]
+# and flattened to (..., 64): eps_m^{ij mu} r_{ij mu} / 4, all three indices
+# raised by their signs, and eta^{j mu} r_{i j mu} / 2
+_AXIAL_DUAL = 0.25 * np.einsum(
+    "mijk,i,j,k->kijm", EPS_LOWER, ETA_SIGNS, ETA_SIGNS, ETA_SIGNS
+).reshape(64, 4)
+_TRACE_CONTRACTION = 0.5 * np.einsum(
+    "im,jk,j->kijm", np.eye(4), np.eye(4), ETA_SIGNS
+).reshape(64, 4)
 
 
 @dataclass
@@ -54,8 +64,9 @@ def potentials(jet: PolarJet, bg: Background):
     """The y and z potentials of a jet, lowered, with the jet's batch axes;
     no guard."""
     w_low = bg.w_value(jet.x) * ETA_SIGNS
-    y = jet.tc.axial_dual() - bg.torsion_coupling * w_low + 0.5 * jet.dchiral
-    z = -jet.dlogdensity - jet.tc.trace_contraction()
+    r = jet.r.reshape(jet.r.shape[:-3] + (64,))
+    y = r @ _AXIAL_DUAL - bg.torsion_coupling * w_low + 0.5 * jet.dchiral
+    z = -jet.dlogdensity - r @ _TRACE_CONTRACTION
     return y, z
 
 

@@ -54,7 +54,7 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic"):
         def evaluate(x):
             jet = derivative_jet(fld, bg, basis, x)
             forms = compact_forms(jet, bg)
-            return velocity_from_momentum(jet.tc.p * ETA_SIGNS, jet.spin, forms, basis)
+            return velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms, basis)
 
     else:
         raise ValueError("mode must be one of %s" % (MODES,))

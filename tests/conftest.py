@@ -80,8 +80,7 @@ def jet_gap(a, b):
         (a.dlogdensity, b.dlogdensity),
         (a.du, b.du),
         (a.ds, b.ds),
-        (a.tc.r, b.tc.r),
-        (a.tc.dphase, b.tc.dphase),
-        (a.tc.p, b.tc.p),
+        (a.r, b.r),
+        (a.p, b.p),
     )
     return max(np.abs(x - y).max() for x, y in pairs)

@@ -138,7 +138,7 @@ def test_criterion_4_connection_oracle(basis):
         fld, p = boosted_wave(basis, v3, spin)
         x = rng.uniform(-0.5, 0.5, size=4)
         jet = polar_jet(fld, bg, basis, x, h=1e-3)
-        worst_p = max(worst_p, np.abs(jet.tc.p - ETA @ p).max())
+        worst_p = max(worst_p, np.abs(jet.p - ETA @ p).max())
 
     fld = two_wave(basis)
     worst_deriv = 0.0
@@ -252,7 +252,7 @@ def test_criterion_7_nonrelativistic_limit(basis):
         v3 = u[1:] / u[0]
         speed = np.linalg.norm(v3)
         assert speed <= 0.05
-        p_low = ETA @ jet.tc.p
+        p_low = ETA @ jet.p
         p_nr = nonrel_limit_momentum(v3, jet.spin[1:], jet.dlogdensity[1:], MASS)
         bound = 5 * speed**2 * np.linalg.norm(p_low)
         worst = max(worst, np.abs(p_low[1:] - p_nr).max() / bound)

@@ -371,11 +371,23 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
         # NaN fails every comparison, so it would pass every check
         (["gordon"], "tolerance = nan\n"),
         (["identities", "--tolerance", "nan"], None),
+        (["gordon", "--points", "3", "--seed=-1"], ""),
+        (["identities", "--seed=-2"], None),
+        (["gordon", "--points", "3"], "seed = -3\n"),
+        (["gordon", "--points", "0"], ""),
+        (["gordon", "--points=-4"], ""),
     ],
     ids=["htau-zero", "htau-nan", "steps-negative", "tau_step-zero", "tau_max-negative",
-         "tolerance-nan", "identities-tolerance-nan"],
+         "tolerance-nan", "identities-tolerance-nan", "gordon-seed-negative",
+         "identities-seed-negative", "config-seed-negative", "points-zero", "points-negative"],
 )
 def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
+    assert_config_error(tmp_path, capsys, argv, extra)
+
+
+def assert_config_error(tmp_path, capsys, argv, extra):
+    """argv, with a TWO_WAVE config carrying the extra lines unless extra is
+    None, exits 2 with config errors only; returns what it wrote to stderr."""
     if extra is not None:
         text = TWO_WAVE.replace("tolerance = 1e-6\n", "tolerance = 1e-6\n" + extra)
         argv = argv + ["--config", write_cfg(tmp_path, text)]
@@ -384,6 +396,43 @@ def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
     assert code == 2
     assert captured.err.startswith("config error: ")
     assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["guidance", "--at", "nan,0,0,0"], ""),
+        (["guidance"], "point = inf 0 0 0\n"),
+        (["polar", "--spinor", "nan,0,0,0,1,0,0,0"], None),
+    ],
+    ids=["at-nan", "config-point-inf", "spinor-nan"],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, extra):
+    assert "expected finite numbers" in assert_config_error(tmp_path, capsys, argv, extra)
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("guidance", "--at", "-0.3,0.1,0,0"),
+        ("polar", "--spinor", "-1,0,0,0,1,0,0,0"),
+        ("polar", "--spinor", "-.5,0,0,0,1,0,0,0"),
+    ],
+)
+def test_values_with_a_leading_minus(tmp_path, capsys, command, option, value):
+    # "--at -0.3,..." reads like "--at=-0.3,...", not like an unknown option
+    argv = [command, "--format", "records"]
+    if command == "guidance":
+        argv += ["--config", write_cfg(tmp_path, TWO_WAVE)]
+    assert console_main(argv + [option + "=" + value]) == 0
+    joined = capsys.readouterr().out
+    assert console_main(argv + [option, value]) == 0
+    assert capsys.readouterr().out == joined
+    if command == "guidance":
+        assert np.array_equal(
+            [float(t) for t in records(joined)["point"].split()], [-0.3, 0.1, 0, 0]
+        )
 
 
 def test_trajectory_negative_step_runs_backwards(tmp_path, capsys):

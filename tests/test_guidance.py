@@ -93,7 +93,7 @@ def test_x_guard_scales_with_mass(basis):
     assert X_GUARD < xs
     with pytest.raises(DegenerateX):
         velocity_from_momentum(
-            ETA @ jet.tc.p, jet.spin, dataclasses.replace(forms, xs=xs), basis
+            ETA @ jet.p, jet.spin, dataclasses.replace(forms, xs=xs), basis
         )
 
 
@@ -126,8 +126,8 @@ def test_field_momentum_matches_connection(basis):
         jet = polar_jet(fld, bg, basis, x, h=1e-3)
         forms = compact_forms(jet, bg)
         p_guid = momentum_from_velocity(jet.velocity, jet.spin, forms, basis)
-        assert np.abs(p_guid - ETA @ jet.tc.p).max() < 1e-6
-        back = velocity_from_momentum(ETA @ jet.tc.p, jet.spin, forms, basis)
+        assert np.abs(p_guid - ETA @ jet.p).max() < 1e-6
+        back = velocity_from_momentum(ETA @ jet.p, jet.spin, forms, basis)
         assert np.abs(back - jet.velocity).max() < 1e-6
 
 
@@ -145,9 +145,9 @@ def test_nonrel_limit_on_slow_field(basis):
         v3 = u[1:] / u[0]
         speed = np.linalg.norm(v3)
         assert speed <= 0.05
-        p_exact = (ETA @ jet.tc.p)[1:]
+        p_exact = (ETA @ jet.p)[1:]
         p_nr = nonrel_limit_momentum(v3, jet.spin[1:], jet.dlogdensity[1:], MASS)
-        bound = 5 * speed**2 * max(np.linalg.norm(ETA @ jet.tc.p), 1e-30)
+        bound = 5 * speed**2 * max(np.linalg.norm(ETA @ jet.p), 1e-30)
         assert np.abs(p_exact - p_nr).max() < bound
 
 

@@ -1,19 +1,20 @@
 """The closed-form kernels of the guidance path against reference forms.
 
 velocity_from_momentum applies the inverse momentum map to p term by term,
-and TensorialConnection contracts r through constant tables.  The references
-below are the direct forms they replace: the explicit inverse matrix B and
-the einsum contractions.  Each kernel must match its reference to rounding,
-for a single point and for a batch.  The closed-form frame connection is
-checked against differences of the decomposed frame in test_algebra.
+and potentials contracts the connection r[..., mu, i, j] of a jet through
+constant tables.  The references below are the direct forms they replace:
+the explicit inverse matrix B and the einsum contractions.  Each kernel must
+match its reference to rounding, for a single point and for a batch.  The
+closed-form frame connection is checked against differences of the
+decomposed frame in test_algebra.
 """
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, mdot
-from diracpolar.fieldconn import TensorialConnection
-from diracpolar.guidance import CompactForms, velocity_from_momentum
+from diracpolar.fieldconn import Background, PolarJet
+from diracpolar.guidance import CompactForms, potentials, velocity_from_momentum
 
 EPS = np.finfo(float).eps
 ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -72,16 +73,30 @@ def test_velocity_from_momentum_matches_explicit_inverse(basis, seed, batch, spe
     assert np.all(np.abs(got - want) <= 50 * EPS * scale.max(axis=-1, keepdims=True))
 
 
+def connection_jet(r):
+    """A jet of batch shape r.shape[:-3] that carries only the connection r:
+    every other derivative is 0, so potentials returns the two contractions
+    of r, y as it is and z negated."""
+    batch = r.shape[:-3]
+    zero = np.zeros(batch + (4,))
+    zeros = np.zeros(batch + (4, 4))
+    return PolarJet(
+        np.ones(batch), np.zeros(batch), zero, zero, zero, zero, zeros, zeros, r, zero, zero
+    )
+
+
 @ORACLE
 @given(seed=seeds, batch=batches)
 def test_connection_contractions_match_einsum(seed, batch):
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(batch + (4, 4, 4))
-    r = r - np.swapaxes(r, -3, -2)
-    tc = TensorialConnection(r=r, p=None, dphase=None, trace_part=None, projection_residual=0.0)
+    r = r - np.swapaxes(r, -2, -1)
+    y, z = potentials(connection_jet(r), Background(mass=1.0))
+    # r[..., mu, i, j] = r_{ij mu}: eps_m^{ij mu} r_{ij mu} / 4 and eta^{j mu} r_{i j mu} / 2
     raised = r * np.einsum("i,j,k->ijk", ETA_SIGNS, ETA_SIGNS, ETA_SIGNS)
-    axial = 0.25 * np.einsum("mran,...ran->...m", EPS_LOWER, raised)
-    trace = 0.5 * np.einsum("...ijj,j->...i", r, ETA_SIGNS)
+    axial = 0.25 * np.einsum("mran,...nra->...m", EPS_LOWER, raised)
+    trace = 0.5 * np.einsum("...jij,j->...i", r, ETA_SIGNS)
     scale = np.abs(r).max()
-    assert np.abs(tc.axial_dual() - axial).max() <= 20 * EPS * scale
-    assert np.abs(tc.trace_contraction() - trace).max() <= 20 * EPS * scale
+    assert y.shape == z.shape == batch + (4,)
+    assert np.abs(y - axial).max() <= 20 * EPS * scale
+    assert np.abs(-z - trace).max() <= 20 * EPS * scale

@@ -186,8 +186,8 @@ def test_batch_equals_stacked_single_calls(basis, seed, n):
             (exact.dlogdensity[k], one.dlogdensity),
             (exact.du[k], one.du),
             (exact.ds[k], one.ds),
-            (exact.tc.r[k], one.tc.r),
-            (exact.tc.p[k], one.tc.p),
+            (exact.r[k], one.r),
+            (exact.p[k], one.p),
         ):
             assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
         want = polar_reconstruct(single, basis)
@@ -315,12 +315,13 @@ any_gradients = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(np.ar
 
 
 def check_jet(jet, dchiral, dphase):
-    assert np.all(np.isfinite(jet.dchiral)) and np.all(np.isfinite(jet.tc.dphase))
+    assert np.all(np.isfinite(jet.dchiral)) and np.all(np.isfinite(jet.p))
     # the angles are affine, so the central differences are exact up to
-    # rounding of order eps / h
+    # rounding of order eps / h; with a fixed frame and no charge, p is the
+    # phase gradient
     assert np.abs(jet.dchiral - dchiral).max() < 1e-10
-    assert np.abs(jet.tc.dphase - dphase).max() < 1e-10
-    assert np.abs(jet.tc.r).max() < 1e-10
+    assert np.abs(jet.p - dphase).max() < 1e-10
+    assert np.abs(jet.r).max() < 1e-10
 
 
 @PROPERTY
@@ -412,7 +413,7 @@ def test_guidance_velocity_next_to_antipode(basis, seed, log_distance, azimuth):
     fld, bg = antipode_field(basis, seed, distance, azimuth, steady_turn=False)
     jet = derivative_jet(fld, bg, basis, np.zeros(4))
     forms = compact_forms(jet, bg)
-    guided = velocity_from_momentum(jet.tc.p * ETA_SIGNS, jet.spin, forms, basis)
+    guided = velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms, basis)
     zeta, inverse = inversion_conditioning(forms, jet.spin)
     bound = EPS * (1 + 1 / distance) * (1 + np.abs(zeta).max()) * inverse
     assert np.abs(guided - jet.velocity).max() <= bound
