@@ -300,19 +300,6 @@ def boost_reps(u: np.ndarray, basis: CliffordBasis):
     return spin, q[..., :, None] * (q / q[..., :1])[..., None, :] - ETA
 
 
-def _half_angle_terms(t):
-    """rho^2 = t_x^2 + t_y^2, |t|, |t| + t_z and the antipode mask of targets
-    (..., 3).  Near the -z antipode |t| + t_z is formed as rho^2 / (|t| - t_z)
-    to avoid cancellation; the antipode itself is rho < 1e-14 |t| with t_z < 0,
-    the threshold of rot_z_to_params."""
-    tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
-    rho2 = tx * tx + ty * ty
-    norm = np.sqrt(rho2 + tz * tz)
-    antipode = (np.sqrt(rho2) < 1e-14 * norm) & (tz < 0.0)
-    plus = np.where(tz >= 0.0, norm + tz, rho2 / (norm + np.abs(tz)))
-    return rho2, norm, plus, antipode
-
-
 def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     """(spin_rep, vec_rep) of lorentz_exp(rot_z_to_params(target)) in closed form.
 
@@ -321,12 +308,17 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     (|t| + t_z, z x t) normalized; its axis lies in the xy plane, so q_3 = 0:
       spin_rep = q_0 1 - 2 (q_1 sigma_23 + q_2 sigma_31)
       vec_rep  = diag(1, R^T), R the rotation matrix of q, which takes z onto t
-    At the antipode (see _half_angle_terms) the rotation is the half turn
-    about x.
+    Near the -z antipode |t| + t_z is formed as rho^2 / (|t| - t_z), rho^2 =
+    t_x^2 + t_y^2, to avoid cancellation; at the antipode itself, rho < 1e-14
+    |t| with t_z < 0 (the threshold of rot_z_to_params), the rotation is the
+    half turn about x.
     """
     t = np.asarray(target, dtype=float)
-    tx, ty = t[..., 0], t[..., 1]
-    rho2, _, q0, antipode = _half_angle_terms(t)
+    tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
+    rho2 = tx * tx + ty * ty
+    norm = np.sqrt(rho2 + tz * tz)
+    antipode = (np.sqrt(rho2) < 1e-14 * norm) & (tz < 0.0)
+    q0 = np.where(tz >= 0.0, norm + tz, rho2 / (norm + np.abs(tz)))
     scale = 1.0 / np.sqrt(np.where(antipode, 1.0, q0 * q0 + rho2))
     q0 = np.where(antipode, 0.0, q0 * scale)
     q1 = np.where(antipode, 1.0, -ty * scale)
@@ -348,46 +340,25 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     return spin, vec
 
 
-# (a b^T).flat @ _EPS3_FLAT = a x b for 3-vectors, (a b^T).flat @ _EPS4_FLAT =
-# eps_ijkl a^k b^l for 4-vectors, and _LOWER_PAIR lowers both indices of a matrix
-_EPS3_FLAT = EPS3.reshape(3, 9).T
-_EPS4_FLAT = EPS_LOWER.reshape(16, 16)
+# _LOWER_PAIR lowers both indices of a matrix
 _LOWER_PAIR = ETA_SIGNS[:, None] * ETA_SIGNS
 
 
 def frame_connection(u, du, s, ds):
-    """r_mu = l_vec^T eta d_mu l_vec, lowered, for the frame l_vec = R B of
-    polar_decompose, from arrays of the unit velocity and spin (..., 4) and
-    their derivatives (..., mu, 4), all raised: one (4, 4) matrix per mu,
-    right after the batch axes.  With a^b = a b^T - b a^T,
+    """The connection r_mu of the transport gauge, lowered, from arrays of the
+    unit velocity and spin (..., 4) and their derivatives (..., mu, 4), all
+    raised: one (4, 4) matrix per mu, right after the batch axes.  With
+    a^b = a b^T - b a^T,
 
-      r_mu = u^du_mu - s^ds_mu + (s.du_mu) u^s + lam_mu eps_ijkl u^k s^l.
+      r_mu = u^du_mu - s^ds_mu + (s.du_mu) u^s.
 
-    u and s fix every part but lam_mu, the turn about the spin, which holds
-    all of the frame gauge.  With v the spatial part of u and t = s_vec -
-    s^0 v / (u^0 + 1) the rest spin, the boost B and minimal rotation R give
-
-      lam_mu = (t x dt_mu)_z / (1 + t_z) - ((v x dv_mu) . t) / (u^0 + 1),
-
-    1 + t_z formed as in rot_z_to_reps.  At its -z antipode the twist term is
-    0: the half turn about x continues as the minimal rotation away from -z.
+    u and s fix every part of r_mu = l_vec^T eta d_mu l_vec but the turn about
+    the spin, lam_mu eps_ijkl u^k s^l, and that turn holds all of the frame
+    gauge.  The transport gauge sets lam_mu = 0: r is then covariant in u, s
+    and their derivatives and regular wherever they are, and no frame enters.
     """
-    batch = u.shape[:-1]
-    v, dv = u[..., 1:], du[..., 1:]
-    rest = 1.0 / (u[..., 0] + 1.0)
-    # t = s_vec - c v and dt = ds_vec - dc v - c dv
-    c = s[..., 0] * rest
-    t = s[..., 1:] - c[..., None] * v
-    dc = (ds[..., 0] - c[..., None] * du[..., 0]) * rest[..., None]
-    dt = ds[..., 1:] - dc[..., None] * v[..., None, :] - c[..., None, None] * dv
-    _, _, plus, antipode = _half_angle_terms(t)
-    twist = t[..., None, 0] * dt[..., 1] - t[..., None, 1] * dt[..., 0]
-    t_cross_v = (t[..., :, None] * v[..., None, :]).reshape(batch + (9,)) @ _EPS3_FLAT
-    lam = twist / np.where(antipode, np.inf, plus)[..., None]
-    lam = lam - (dv @ t_cross_v[..., None])[..., 0] * rest[..., None]
-    # the transport terms with raised indices, lowered once at the end
+    # the terms with raised indices, lowered once at the end
     us = u[..., :, None] * s[..., None, :]
     a = u[..., None, :, None] * du[..., None, :] - s[..., None, :, None] * ds[..., None, :]
     a = a + (du @ (s * ETA_SIGNS)[..., None])[..., None] * us[..., None, :, :]
-    dual = (us.reshape(batch + (16,)) @ _EPS4_FLAT).reshape(batch + (1, 4, 4))
-    return (a - a.swapaxes(-1, -2)) * _LOWER_PAIR + lam[..., None, None] * dual
+    return (a - a.swapaxes(-1, -2)) * _LOWER_PAIR

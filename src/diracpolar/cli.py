@@ -124,6 +124,19 @@ def _floats(text, count, key, problems):
     return np.array(vals)
 
 
+def _number(text, key, problems):
+    """The finite number text holds, or None once problems names key."""
+    try:
+        value = float(text)
+    except ValueError:
+        problems.append("%s: expected a number, got %r" % (key, text))
+        return None
+    if not np.isfinite(value):
+        problems.append("%s: expected a finite number, got %r" % (key, text))
+        return None
+    return value
+
+
 def _suggest(key, pool):
     close = difflib.get_close_matches(key, sorted(pool), n=1)
     return " (did you mean %r?)" % close[0] if close else ""
@@ -174,9 +187,6 @@ def parse_config(text) -> RunConfig:
         problems.append("grid: file not found: %s" % cfg.grid)
     if cfg.mode not in MODES:
         problems.append("mode: must be one of %s" % (MODES,))
-    if np.isnan(cfg.tolerance):
-        # every comparison with NaN is false, so it would pass every check
-        problems.append("tolerance: expected a number, got nan")
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -211,10 +221,9 @@ def _apply_global(cfg, key, value, problems):
         if cfg.seed < 0:
             problems.append("seed: expected an integer >= 0, got %d" % cfg.seed)
         return
-    try:
-        setattr(cfg, key, float(value))
-    except ValueError:
-        problems.append("%s: expected a number, got %r" % (key, value))
+    number = _number(value, key, problems)
+    if number is not None:
+        setattr(cfg, key, number)
 
 
 def _check_wave(wave, index, problems):
@@ -236,10 +245,7 @@ def _check_wave(wave, index, problems):
         wave["spin"] = np.array([0.0, 0.0, 1.0])
     for key, default in (("amplitude", 1.0), ("phase", 0.0)):
         if key in wave:
-            try:
-                wave[key] = float(wave[key])
-            except ValueError:
-                probe.append("wave %d %s: expected a number" % (index, key))
+            wave[key] = _number(wave[key], "wave %d %s" % (index, key), probe)
         else:
             wave[key] = default
     problems.extend(probe)
@@ -289,12 +295,16 @@ def _load_config(path):
 
 def _finish(rows, fmt, tolerance, checked):
     """Print rows, then fail if the worst of the checked residuals, a dict of
-    names to values, breaks tolerance."""
+    names to values, breaks tolerance.  A value that is not finite fails:
+    NaN would pass every comparison."""
     emit(rows, fmt)
     if not checked:
         return 0
-    name = max(checked, key=checked.get)
-    if checked[name] >= tolerance:
+    values = np.fromiter(checked.values(), float, len(checked))
+    broken = ~np.isfinite(values)
+    worst = broken.argmax() if broken.any() else values.argmax()
+    name = list(checked)[worst]
+    if broken[worst] or values[worst] >= tolerance:
         print(
             "tolerance violation: %s = %s (tolerance %s)"
             % (name, G % checked[name], G % tolerance),

@@ -21,11 +21,15 @@ phase/potential gauge shift.  A jet carries r and p as plain lowered arrays:
 r_{ij mu} as r[..., mu, i, j], the layout of algebra.frame_connection, and
 p_mu as p[..., mu].
 
-Two functions build a jet.  derivative_jet is exact: it takes the field and
-its covariant derivative at the point, pairs both with the density matrices
-in one contraction and differentiates the closed forms; it decomposes
-nothing.  polar_jet differences the polar variables over a nine-point
-stencil of step h, needs only evaluate, and checks the exact jet.
+u and s fix r up to a turn about the spin, lam_mu eps_ijkl u^k s^l, the
+frame gauge; a turn by c_mu moves p by c_mu / 2 and leaves nabla psi as it
+is.  Two functions build a jet, in two gauges.  derivative_jet is exact: it
+takes the field and its covariant derivative at the point, pairs both with
+the density matrices in one contraction and differentiates the closed forms;
+it decomposes nothing and sets lam = 0, the transport gauge.  polar_jet
+differences the polar variables of polar_decompose, whose frame is the boost
+and the minimal rotation, over a nine-point stencil of step h; it needs only
+evaluate and, with its turn about the spin taken out, checks the exact jet.
 """
 from __future__ import annotations
 
@@ -348,12 +352,12 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     matrices of basis.jet_rows in one contraction per point:
       - the density, chiral angle, velocity and spin come from S, P, U and A
         (polar_variables), their derivatives from the product rule;
-      - the connection r_mu = l_vec^T eta d_mu l_vec is the closed form of
-        frame_connection in u, s and their derivatives: the transport of u
-        and s plus one turn about the spin, which carries the frame gauge;
-        the jet keeps the array frame_connection returns;
+      - the connection r is frame_connection of u, s and their
+        derivatives: the transport of u and s, with no turn about the spin
+        (the transport gauge, which needs no frame); the jet keeps the array
+        frame_connection returns;
       - what remains of nabla psi once the known part is taken off lies
-        along i psi, and its coefficient is -p.
+        along i psi, and its coefficient is -p, in the same gauge as r.
     """
     if sample is None:
         sample = sample_field(fld, bg, x)

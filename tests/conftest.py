@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 # The suite works on 4x4 matrices, where extra BLAS threads only add
 # wake-up stalls: on a shared machine that had sat idle, criterion 1's
@@ -10,7 +11,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from diracpolar.algebra import ETA, build_chiral_basis
+from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, build_chiral_basis
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +85,30 @@ def jet_gap(a, b):
         (a.p, b.p),
     )
     return max(np.abs(x - y).max() for x, y in pairs)
+
+
+def spin_dual(u, s):
+    """*(u^s)_ij = eps_ijkl u^k s^l, lowered, for velocities and spins (..., 4)."""
+    return np.einsum("ijkl,...k,...l->...ij", EPS_LOWER, u, s)
+
+
+def turn_about_spin(r, u, s):
+    """lam_mu of the component lam_mu *(u^s) of connections r (..., mu, 4, 4),
+    lowered, at unit velocities and spins u, s (..., 4).  Every transport
+    term of r has no such component, since eps(u, du, u, s) = eps(s, ds, u, s)
+    = eps(u, s, u, s) = 0, and *(u^s) contracted with itself gives 2."""
+    raised = spin_dual(u, s) * ETA_SIGNS[:, None] * ETA_SIGNS
+    return 0.5 * np.einsum("...mij,...ij->...m", r, raised)
+
+
+def shift_turn(jet, c):
+    """The jet in another frame gauge: the turn about the spin shifted by c
+    (..., mu), r += c *(u^s) and p += c / 2, which leaves nabla psi as it is."""
+    dual = spin_dual(jet.velocity, jet.spin)[..., None, :, :]
+    return replace(jet, r=jet.r + c[..., None, None] * dual, p=jet.p + 0.5 * c)
+
+
+def transport_gauge(jet):
+    """The jet with its turn about the spin taken out, the gauge of
+    derivative_jet; a stencil jet comes in the minimal-rotation gauge."""
+    return shift_turn(jet, -turn_about_spin(jet.r, jet.velocity, jet.spin))

@@ -5,7 +5,6 @@ from diracpolar.algebra import (
     EPS_LOWER,
     EPS_UPPER,
     ETA,
-    ETA_SIGNS,
     SEED_SPINOR,
     CliffordBasis,
     boost_params,
@@ -20,7 +19,7 @@ from diracpolar.algebra import (
 from diracpolar.fieldconn import plane_wave
 from diracpolar.polar import polar_decompose
 
-from conftest import random_antisymmetric
+from conftest import random_antisymmetric, spin_dual, turn_about_spin
 
 
 def test_epsilon_convention():
@@ -215,7 +214,7 @@ def lowered_connection(fld, basis, points, h=1e-6):
     [
         ((0.2, 0.5, 1.0), 0.3),
         # next to -z: the weak wave holds the rest spin about 0.02 from -z,
-        # where 1 + t_z is 2e-4 and the turn about the spin is of order 1
+        # where the minimal rotation turns about the spin at order 1
         ((3.6e-4 * np.cos(0.7), 3.6e-4 * np.sin(0.7), -1.0), 0.01),
         ((0.0, 1e-3, -2.0), 0.01),
     ],
@@ -227,26 +226,9 @@ def test_frame_connection_matches_differences(basis, axis, weak):
     fld = plane_wave(momenta, 1.0, axes, np.array([1.0, weak]), basis)
     points = np.random.default_rng(23).uniform(-0.5, 0.5, size=(4, 4))
     u, du, s, ds, want = lowered_connection(fld, basis, points)
+    # the frame of the differences turns about the spin; the transport gauge
+    # does not, and every other component must agree
+    want = want - turn_about_spin(want, u, s)[..., None, None] * spin_dual(u, s)[:, None]
     got = frame_connection(u, du, s, ds)
     assert got.shape == (4, 4, 4, 4)
     assert np.abs(got - want).max() < 1e-7
-
-
-def test_frame_connection_at_rest_on_the_half_turn():
-    # rest spin -z, where the frame takes the half turn about x: the turn
-    # about the spin is 0 there, and r is the transport of u and s alone
-    u = np.array([1.0, 0.0, 0.0, 0.0])
-    s = np.array([0.0, 0.0, 0.0, -1.0])
-    du = np.array(
-        [[0.0, 0.3, -0.2, 0.1], [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, -0.4], [0.0, -0.4, 0.1, 0.2]]
-    )
-    # s.ds = 0, and u.ds = -s.du = -du^3
-    ds = np.array(
-        [[-0.1, 0.5, 0.2, 0.0], [0.0, 0.1, 0.0, 0.0], [0.4, -0.3, 0.2, 0.0], [-0.2, 0.0, 0.7, 0.0]]
-    )
-    got = frame_connection(u, du, s, ds)
-    assert np.all(np.isfinite(got))
-    u_low, s_low, du_low, ds_low = u * ETA_SIGNS, s * ETA_SIGNS, du * ETA_SIGNS, ds * ETA_SIGNS
-    a = u_low[:, None] * du_low[:, None, :] - s_low[:, None] * ds_low[:, None, :]
-    a = a + (du @ s_low)[:, None, None] * np.outer(u_low, s_low)
-    assert np.array_equal(got, a - np.swapaxes(a, -1, -2))

@@ -413,6 +413,40 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, extra):
 
 
 @pytest.mark.parametrize(
+    "command, key, line",
+    [
+        ("guidance", "torsion_coupling", "torsion_coupling = nan"),
+        ("gordon", "torsion_coupling", "torsion_coupling = nan"),
+        ("gordon", "charge", "charge = inf"),
+        ("guidance", "mass", "mass = nan"),
+        ("gordon", "tolerance", "tolerance = inf"),
+        ("trajectory", "tau_max", "tau_max = -inf"),
+        ("guidance", "wave 2 amplitude", "amplitude = inf"),
+        ("gordon", "wave 2 phase", "phase = nan"),
+    ],
+    ids=["guidance-torsion-nan", "gordon-torsion-nan", "charge-inf", "mass-nan",
+         "tolerance-inf", "tau_max-inf", "amplitude-inf", "phase-nan"],
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, key, line):
+    # a global line goes first (a later line of the same key does not hide
+    # it), a wave line ends the last wave
+    if key.startswith("wave"):
+        text = TWO_WAVE + line + "\n"
+    else:
+        text = line + "\n" + TWO_WAVE
+    argv = [command, "--config", write_cfg(tmp_path, text)]
+    assert "%s: expected a finite number" % key in assert_config_error(tmp_path, capsys, argv, None)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_check_is_a_violation(capsys, value):
+    # NaN compares false with every tolerance: only a finiteness check fails it
+    checked = {"small": 0.0, "broken": value}
+    assert cli._finish(list(checked.items()), "records", 1e-6, checked) == 1
+    assert "tolerance violation: broken = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, option, value",
     [
         ("guidance", "--at", "-0.3,0.1,0,0"),

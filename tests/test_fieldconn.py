@@ -28,7 +28,7 @@ from diracpolar.guidance import potentials
 from diracpolar.polar import polar_decompose, wrap_angle
 from diracpolar.trajectories import velocity_field
 
-from conftest import jet_gap, torsion_wave
+from conftest import jet_gap, torsion_wave, transport_gauge
 
 MASS = 1.0
 
@@ -289,7 +289,7 @@ def test_derivative_jet_matches_stencil(basis, name):
     fld, bg = jet_field(name, basis)
     points = np.random.default_rng(31).uniform(-0.5, 0.5, size=(5, 4))
     exact = derivative_jet(fld, bg, basis, points)
-    stencil = [polar_jet(fld, bg, basis, points, h) for h in (2e-3, 1e-3)]
+    stencil = [transport_gauge(polar_jet(fld, bg, basis, points, h)) for h in (2e-3, 1e-3)]
 
     def potential_gap(a, b):
         return max(np.abs(x - y).max() for x, y in zip(potentials(a, bg), potentials(b, bg)))

@@ -7,11 +7,14 @@ identity checks and of the exact jet are compared with stacked single calls; a
 batch holding one near-singular spinor must fail like the single call; and
 chiral angles and residual phases next to +-pi, where both wrap, must
 survive the round trip and the polar jet's differences.  Next to the -z
-antipode, where the frame turns fast, the exact jet still agrees with the
-stencil to second order, and its guidance velocity with the kinematic one to
-rounding scaled by the inverse distance and the momentum inversion.  The
-guidance velocity is unchanged by a joint phase and potential shift, and
-both velocities turn with a Lorentz transformation of the field.
+antipode, where the frame turns fast, the exact jet still agrees to second
+order with the stencil once the stencil's turn about the spin is taken out,
+and its guidance velocity with the kinematic one to rounding scaled by the
+momentum inversion.  That turn is a free gauge: shifting it leaves nabla psi
+and, on solutions, the guidance velocity as they are, so the exact jet fixes
+it at zero.  The guidance velocity is unchanged by a joint phase and
+potential shift, and both velocities, p and xs turn with a Lorentz
+transformation of the field, on and off solutions.
 """
 from dataclasses import fields, replace
 
@@ -49,6 +52,7 @@ from diracpolar.fieldconn import (
     plane_wave,
     polar_jet,
     superpose,
+    verify_polar_derivative,
     verify_transport,
 )
 from diracpolar.guidance import compact_forms, velocity_from_momentum
@@ -60,7 +64,7 @@ from diracpolar.polar import (
 )
 from diracpolar.trajectories import velocity_field
 
-from conftest import jet_gap, vanishing_waves
+from conftest import jet_gap, shift_turn, transport_gauge, vanishing_waves
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -372,8 +376,8 @@ def antipode_field(basis, seed, distance, azimuth, steady_turn):
 def test_derivative_jet_next_to_antipode(basis, seed, log_distance, azimuth):
     # The stencil's rounding, about eps / (distance h), must stay well below
     # its h^2 error, whose size the steady turn of the spin fixes: over 2500
-    # random draws of this test, 1375 of them closer than 1e-7, the ratio
-    # stayed within 3.92 to 4.13
+    # random draws of this test, 1464 of them closer than 1e-7, the ratio
+    # stayed within 3.98 to 4.12
     distance = 10.0**log_distance
     fld, bg = antipode_field(basis, seed, distance, azimuth, steady_turn=True)
     exact = derivative_jet(fld, bg, basis, np.zeros(4))
@@ -381,7 +385,8 @@ def test_derivative_jet_next_to_antipode(basis, seed, log_distance, azimuth):
     rest_spin = (boost @ exact.spin)[1:]
     assert 0.5 * distance < np.linalg.norm(rest_spin - [0.0, 0.0, -1.0]) < 2 * distance
     coarse, fine = (
-        jet_gap(exact, polar_jet(fld, bg, basis, np.zeros(4), h)) for h in (2e-3, 1e-3)
+        jet_gap(exact, transport_gauge(polar_jet(fld, bg, basis, np.zeros(4), h)))
+        for h in (2e-3, 1e-3)
     )
     assert 3.0 <= coarse / fine <= 5.0
 
@@ -400,22 +405,25 @@ def inversion_conditioning(forms, spin):
     log_distance=st.floats(-8.0, -2.0),
     azimuth=st.floats(0.0, 2 * np.pi),
 )
-# without the inversion's conditioning, the bound was passed 47-fold here
+# in the frame's gauge, without the inversion's conditioning, a bound that
+# also grew like 1 / distance was passed 47-fold here
 @example(seed=102910, log_distance=-2.0, azimuth=1.0)
 def test_guidance_velocity_next_to_antipode(basis, seed, log_distance, azimuth):
     # the field of test_derivative_jet_next_to_antipode without the steady
-    # turn; the guidance velocity cancels a connection and a phase gradient
-    # that grow like 1 / distance, the jet carries what is left, about
-    # eps (1 + 1 / distance) (1 + |zeta|), and the momentum inversion scales
-    # it by the size of its inverse, as in the gauge test below.  Over 4500
-    # random draws the gap stayed below 0.05 of this bound
+    # turn.  The transport gauge's connection and phase gradient stay
+    # regular next to -z (the frame's grew like 1 / distance, and the
+    # velocity was what was left of their cancellation), so the jet carries
+    # about eps (1 + |zeta|), and the momentum inversion scales it by the
+    # size of its inverse, as in the gauge test below.  Over 10500 random
+    # draws, 30% of them at distance 1e-2, the gap stayed below 12.5 of
+    # these units
     distance = 10.0**log_distance
     fld, bg = antipode_field(basis, seed, distance, azimuth, steady_turn=False)
     jet = derivative_jet(fld, bg, basis, np.zeros(4))
     forms = compact_forms(jet, bg)
     guided = velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms, basis)
     zeta, inverse = inversion_conditioning(forms, jet.spin)
-    bound = EPS * (1 + 1 / distance) * (1 + np.abs(zeta).max()) * inverse
+    bound = 40 * EPS * (1 + np.abs(zeta).max()) * inverse
     assert np.abs(guided - jet.velocity).max() <= bound
 
 
@@ -466,23 +474,62 @@ def test_guidance_velocity_is_gauge_invariant(basis, seed, n_waves, charge, sign
 
 @PROPERTY
 @given(seed=seeds, n_waves=st.integers(1, 3))
-def test_velocities_are_lorentz_covariant(basis, seed, n_waves):
-    # psi'(x) = S psi(L^-1 x) for the pair (S, L) of lorentz_exp, that is
-    # amplitudes times S (not S^-1) and momenta times L, is again a free
-    # solution, and psi'(L x) = S psi(x) gives U'(L x) = L U(x).  Both
-    # velocities must then turn with L, and the density and the chiral angle
-    # stay.  The frame's gauge (boost, then minimal rotation) is not
-    # covariant: the two frames differ by a turn about the spin that varies
-    # from point to point, which moves r, p and xs = p.u (by up to 122 over
-    # 4000 draws of two or three waves), so xs is not compared, while the
-    # guidance velocity must come out the same.  Errors are of order eps u0^2
-    # as in the gauge test, times the size |L| of the matrix entries, and
-    # for the guidance velocity times the larger size of the inverse momentum
-    # map of the two sides and 1 + |velocity|.  Over 20000 random draws of
-    # this test the worst cases were 11.5 (kinematic), 85 (guidance), 6.4
-    # (density) and 16.2 (chiral angle) of these units
+def test_turn_about_spin_is_a_free_gauge(basis, seed, n_waves):
+    # u and s fix r up to a turn about the spin, lam_mu *(u^s); shifting lam
+    # by any c_mu at a point, with p shifted by c / 2, gives a jet that
+    # rebuilds nabla psi as well, and on a solution the same guidance
+    # velocity, which is why derivative_jet may fix lam = 0.  Off solutions
+    # the velocity moves: with the first amplitude kicked as in the
+    # covariance test below, by 2.3 in the median of 300 draws.  Units as in
+    # the gauge test, with the larger size of the inverse momentum map of
+    # the two jets; over 32000 random draws of this test the worst cases
+    # were 12.8 (polar derivative, as for the jet before the shift) and 4.5
+    # (guidance velocity)
     rng = np.random.default_rng(seed)
     fld = random_waves(rng, n_waves, basis)
+    bg = Background(mass=1.0)
+    points = rng.uniform(-1.0, 1.0, size=(4, 4))
+    jet = derivative_jet(fld, bg, basis, points)
+    shifted = shift_turn(jet, rng.standard_normal((4, 4)))
+    unit = EPS * jet.velocity[..., 0] ** 2
+    assert np.all(verify_polar_derivative(shifted, fld, bg, basis).max(axis=-1) <= 30 * unit)
+
+    velocities, inverses = [], []
+    for each in (jet, shifted):
+        forms = compact_forms(each, bg)
+        velocities.append(velocity_from_momentum(each.p * ETA_SIGNS, each.spin, forms, basis))
+        inverses.append(inversion_conditioning(forms, each.spin)[1])
+    size = 1 + np.abs(velocities[0]).max(axis=-1)
+    bound = 12 * unit * np.maximum(*inverses) * size
+    assert np.all(np.abs(velocities[1] - velocities[0]).max(axis=-1) <= bound)
+
+
+@PROPERTY
+@given(seed=seeds, n_waves=st.integers(1, 3), kicked=st.booleans())
+def test_velocities_are_lorentz_covariant(basis, seed, n_waves, kicked):
+    # psi'(x) = S psi(L^-1 x) for the pair (S, L) of lorentz_exp, that is
+    # amplitudes times S (not S^-1) and momenta times L, gives psi'(L x) =
+    # S psi(x) and U'(L x) = L U(x); it is again a free solution unless the
+    # first amplitude is kicked off its positive-energy space.  On and off
+    # solutions both velocities must then turn with L, p as a covector, and
+    # the density, the chiral angle and xs = p.u stay: the jet's transport
+    # gauge picks no frame.  Errors are of order eps u0^2 as in the gauge
+    # test, times the size |L| of the matrix entries; for p times 1 + |p|,
+    # for xs = mass cos(chiral) - y.s times 1 + |y|, and for the guidance
+    # velocity times the larger size of the inverse momentum map of the two
+    # sides and 1 + |velocity|.  Over 60000 random draws of this test, half
+    # of them kicked, the worst cases were 11.4 (kinematic), 9.4 (density),
+    # 15.7 (chiral angle), 3.7 (p) and 11.7 (xs) of these units.  The
+    # guidance gap stayed below 102 in all but two draws, with u0 of 158 and
+    # 303, where it reached 601 and 555: there (1 + |zeta|)^2 / |xs denom|
+    # falls short of the true size of the inverse map (the first of these
+    # gaps was 9 times larger in the frame's gauge)
+    rng = np.random.default_rng(seed)
+    fld = random_waves(rng, n_waves, basis)
+    if kicked:
+        first, *rest = fld.components
+        kick = 0.2 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        fld = PlaneWaveField([replace(first, amplitude=first.amplitude + kick), *rest])
     lam = 0.4 * rng.standard_normal((4, 4))
     pair = lorentz_exp(lam - lam.T, basis)
     moved = PlaneWaveField(
@@ -495,20 +542,26 @@ def test_velocities_are_lorentz_covariant(basis, seed, n_waves):
     size = np.abs(pair.vec_rep).max()
 
     jets = [derivative_jet(f, bg, basis, x) for f, x in ((fld, points), (moved, image))]
+    forms = [compact_forms(jet, bg) for jet in jets]
     u0 = np.maximum(jets[0].velocity[..., 0], jets[1].velocity[..., 0])
     unit = EPS * u0**2
     assert np.all(np.abs(jets[1].density / jets[0].density - 1) <= 15 * unit)
     turn = np.abs(wrap_angle(jets[1].chiral_angle - jets[0].chiral_angle))
     assert np.all(turn <= 40 * unit)
+    p_size = 1 + np.maximum(*(np.abs(jet.p).max(axis=-1) for jet in jets))
+    p_gap = np.abs(jets[1].p - jets[0].p @ lorentz_inverse(pair.vec_rep)).max(axis=-1)
+    assert np.all(p_gap <= 10 * unit * size * p_size)
+    y_size = 1 + np.maximum(*(np.abs(f.y).max(axis=-1) for f in forms))
+    assert np.all(np.abs(forms[1].xs - forms[0].xs) <= 30 * unit * size * y_size)
 
     inverse = np.maximum(*(
-        inversion_conditioning(compact_forms(jet, bg), jet.spin)[1] for jet in jets
+        inversion_conditioning(f, jet.spin)[1] for f, jet in zip(forms, jets)
     ))
-    gaps = {}
+    gaps, speeds = {}, {}
     for mode in ("kinematic", "guidance"):
         velocity = velocity_field(fld, bg, basis, mode)(points)
         turned = velocity_field(moved, bg, basis, mode)(image)
         gaps[mode] = np.abs(turned - velocity @ pair.vec_rep.T).max(axis=-1)
+        speeds[mode] = 1 + np.abs(velocity).max(axis=-1)
     assert np.all(gaps["kinematic"] <= 25 * unit * size)
-    speed = 1 + np.abs(jets[0].velocity).max(axis=-1)
-    assert np.all(gaps["guidance"] <= 200 * unit * size * inverse * speed)
+    assert np.all(gaps["guidance"] <= 200 * unit * size * inverse * speeds["guidance"])
