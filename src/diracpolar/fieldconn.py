@@ -2,9 +2,9 @@
 
 Fields come in two kinds: analytic superpositions of plane waves, with exact
 derivatives, and gridded samples differentiated by central differences.  Both
-expose evaluate(x) and partial(x) and everything downstream is agnostic.
-Both take a point (4,) or a stack of points (..., 4); partial puts the
-derivative direction mu right after the batch axes.
+expose evaluate(x), partial(x) and block(x), which stacks psi and d_0 psi ...
+d_3 psi as (..., 5, 4), and everything downstream is agnostic.  All take a
+point (4,) or a stack (..., 4); partial puts mu right after the batch axes.
 
 The polar jet of a field at a point collects the local polar variables and
 the first derivatives of every polar variable, including the connection
@@ -141,9 +141,17 @@ class PlaneWaveField:
 
     def partial(self, x):
         """d_mu psi at a point (4,) or at every point of a stack (..., 4)."""
-        # rows indexed by the derivative direction, phase gradient lowered
-        phases = self._phases(x)[..., None, :]
-        return (-1j * self._p_low.T * phases) @ self._amplitudes
+        return self.block(x)[..., 1:, :]
+
+    def block(self, x):
+        """psi and d_mu psi from one set of phases, (..., 5, 4); each part is
+        the product a separate call forms, so it carries the same bits."""
+        phases = self._phases(x)
+        out = np.empty(phases.shape[:-1] + (5, 4), dtype=complex)
+        np.matmul(phases, self._amplitudes, out=out[..., 0, :])
+        # rows mu, phase gradient lowered
+        np.matmul(-1j * self._p_low.T * phases[..., None, :], self._amplitudes, out=out[..., 1:, :])
+        return out
 
 
 def require_on_shell(momentum, mass) -> None:
@@ -222,6 +230,9 @@ class GriddedField:
         dn = tuple(np.moveaxis(idx[..., None, :] - _STEPS, -1, 0))
         return (self.data[up] - self.data[dn]) / (2 * self.spacing[:, None])
 
+    def block(self, x):
+        return np.concatenate([self.evaluate(x)[..., None, :], self.partial(x)], axis=-2)
+
 
 class BoxWindow:
     """Axis-aligned view of another field; outside the box every request
@@ -246,6 +257,9 @@ class BoxWindow:
         """Inner derivative at a point (4,) or a stack (..., 4); a stack
         raises OutOfDomain if any of its points leaves the box."""
         return self.inner.partial(self._check(x))
+
+    def block(self, x):
+        return self.inner.block(self._check(x))
 
 
 def to_grid(fn, origin, spacing, shape) -> GriddedField:
@@ -285,43 +299,42 @@ def load_grid(path) -> GriddedField:
     return GriddedField(origin, spacing, data)
 
 
-def covariant_derivative(fld, bg: Background, x, psi=None):
-    """nabla_mu psi = d_mu psi + i charge a_mu psi at a point (4,) or at every
-    point of a stack (..., 4), with mu right after the batch axes.  psi, the
-    field at x, is evaluated here unless the caller passes it."""
-    if psi is None:
-        psi = fld.evaluate(x)
-    a_low = bg.a_value(x) * ETA_SIGNS
-    return fld.partial(x) + 1j * bg.charge * a_low[..., :, None] * psi[..., None, :]
-
-
 @dataclass
 class FieldSample:
-    """A field and its covariant derivative at a point (4,) or at every point
-    of a stack (..., 4): the inputs every exact balance check shares."""
+    """psi and nabla_mu psi at x (4,) or (..., 4), for every exact check to share."""
 
     x: np.ndarray
-    psi: np.ndarray       # (..., 4)
-    grad: np.ndarray      # (..., mu, 4)
+    block: np.ndarray     # (..., 5, 4)
+    psi: np.ndarray       # block[..., 0, :]
+    grad: np.ndarray      # block[..., 1:, :]: mu, then the spinor index
 
 
 def sample_field(fld, bg: Background, x) -> FieldSample:
+    """The field's block, with i charge a_mu psi added to d_mu psi at nonzero charge."""
     x = np.asarray(x, dtype=float)
-    psi = fld.evaluate(x)
-    return FieldSample(x=x, psi=psi, grad=covariant_derivative(fld, bg, x, psi))
+    block = fld.block(x)
+    psi, grad = block[..., 0, :], block[..., 1:, :]
+    if bg.charge:
+        grad += 1j * bg.charge * (bg.a_value(x) * ETA_SIGNS)[..., :, None] * psi[..., None, :]
+    return FieldSample(x, block, psi, grad)
 
 
-def density_products(psi, grad, rows):
-    """psi^dagger M nabla_mu psi for every matrix M of a stack (k, 4, 4), as
-    an array (..., k, mu): psi is (..., 4), grad (..., mu, 4) and rows the
-    stack side by side (4, 4k), as algebra.side_by_side lays it out.
+def covariant_derivative(fld, bg: Background, x):
+    """nabla_mu psi at x, mu right after the batch axes: sample_field's grad."""
+    return sample_field(fld, bg, x).grad
+
+
+def density_products(psi, columns, rows):
+    """psi^dagger M v for every matrix M of a stack (k, 4, 4) and spinor v of
+    columns (..., c, 4), such as grad or block, as an array (..., k, c): psi is
+    (..., 4) and rows the stack side by side (4, 4k), as side_by_side lays it out.
 
     For M = gamma^0 N with gamma^0 N hermitian, twice the real part is d_mu
     of the density adj(psi) N psi by the product rule; the charge terms of a
     covariant derivative cancel in it.
     """
     products = psi.conj() @ rows
-    return products.reshape(psi.shape[:-1] + (-1, 4)) @ grad.swapaxes(-1, -2)
+    return products.reshape(psi.shape[:-1] + (-1, 4)) @ columns.swapaxes(-1, -2)
 
 
 @dataclass
@@ -361,13 +374,11 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     """
     if sample is None:
         sample = sample_field(fld, bg, x)
-    psi, grad = sample.psi, sample.grad
 
     # psi^dagger M [psi, nabla_mu psi] for the matrices M of basis.jet_rows:
     # the densities, then one column per mu.  Row 2 is gamma^0 gamma^0 = 1,
     # so it also holds psi^dagger nabla_mu psi
-    columns = np.concatenate([psi[..., None, :], grad], axis=-2)
-    products = density_products(psi, columns, basis.jet_rows)
+    products = density_products(sample.psi, sample.block, basis.jet_rows)
     values = products[..., :10, 0].real
     density, chiral, u, s = polar_variables(Densities.from_values(values))
     d = 2.0 * products[..., :10, 1:].real

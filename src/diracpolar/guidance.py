@@ -62,10 +62,12 @@ def _require_xs(xs, guard_scale):
 
 def potentials(jet: PolarJet, bg: Background):
     """The y and z potentials of a jet, lowered, with the jet's batch axes;
-    no guard."""
-    w_low = bg.w_value(jet.x) * ETA_SIGNS
+    no guard.  The torsion term is formed only when there is a torsion vector."""
     r = jet.r.reshape(jet.r.shape[:-3] + (64,))
-    y = r @ _AXIAL_DUAL - bg.torsion_coupling * w_low + 0.5 * jet.dchiral
+    y = r @ _AXIAL_DUAL
+    if bg.torsion_vector is not None:
+        y = y - bg.torsion_coupling * (bg.w_value(jet.x) * ETA_SIGNS)
+    y = y + 0.5 * jet.dchiral
     z = -jet.dlogdensity - r @ _TRACE_CONTRACTION
     return y, z
 

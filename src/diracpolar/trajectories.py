@@ -130,15 +130,12 @@ def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
         if not active.size:
             break
         state, errors = _by_rows(rk4_step, state)
-        for row, exc in errors.items():
-            stops[active[row]] = "aborted at tau=%.6g: %s: %s" % (
-                k * h_tau,
-                type(exc).__name__,
-                exc,
-            )
-        going = np.ones(len(active), dtype=bool)
-        going[list(errors)] = False
-        active, state = active[going], state[going]
+        if errors:
+            for row, exc in errors.items():
+                reason = "%s: %s" % (type(exc).__name__, exc)
+                stops[active[row]] = "aborted at tau=%.6g: %s" % (k * h_tau, reason)
+            going = np.isin(np.arange(len(active)), list(errors), invert=True)
+            active, state = active[going], state[going]
         samples[active, k + 1] = state
         length[active] = k + 2
 

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from diracpolar.algebra import ETA, mdot
+from diracpolar.algebra import ETA, ETA_SIGNS, mdot
 from diracpolar.errors import OffShell, OutOfDomain, PhaseJump
 from diracpolar.fieldconn import (
     Background,
@@ -80,6 +80,96 @@ def test_covariant_derivative_adds_potential(basis):
     for mu in range(4):
         expect = plain[mu] + 1j * 0.7 * (ETA @ a)[mu] * psi
         assert np.abs(grad[mu] - expect).max() < 1e-15
+
+
+def direct_partial(fld, x):
+    """d_mu psi of a plane-wave superposition as one product over the
+    directions mu, the expression the field block must reproduce."""
+    p_low = np.array([ETA @ c.momentum for c in fld.components])
+    amplitudes = np.array([c.amplitude for c in fld.components])
+    phases = np.exp(-1j * (np.asarray(x) @ p_low.T))
+    return (-1j * p_low.T * phases[..., None, :]) @ amplitudes
+
+
+# a point, a stack of points and a stack of stacks
+BLOCK_SHAPES = [(4,), (3, 4), (2, 3, 4)]
+
+
+@pytest.mark.parametrize("n_waves", [1, 3])
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_plane_wave_block_matches_separate_calls(basis, n_waves, shape):
+    # psi and d_mu psi from one set of phases carry the bits of evaluate and
+    # of the product over mu, also for a single point, where evaluate takes
+    # a different matrix-product kernel
+    third, _ = boosted_wave(basis, v3=(-0.2, 0.05, 0.15), spin=(0.3, -0.2, 1.0), amp=0.2)
+    fld = superpose(two_wave(basis), third) if n_waves == 3 else boosted_wave(basis)[0]
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=shape)
+    block = fld.block(x)
+    assert block.shape == shape[:-1] + (5, 4)
+    assert np.array_equal(block[..., 0, :], fld.evaluate(x))
+    assert np.array_equal(block[..., 1:, :], direct_partial(fld, x))
+    assert np.array_equal(fld.partial(x), direct_partial(fld, x))
+    window = BoxWindow(fld, np.full(4, -1.0), np.full(4, 1.0))
+    assert np.array_equal(window.block(x), block)
+    with pytest.raises(OutOfDomain):
+        window.block(x + 1.5)
+
+
+def test_grid_block_matches_separate_calls(basis):
+    fld = two_wave(basis)
+    grid = to_grid(fld.evaluate, np.zeros(4), 0.01, (4, 5, 4, 4))
+    window = BoxWindow(grid, np.zeros(4), np.full(4, 0.025))
+    nodes = 0.01 * np.array([[[1, 1, 1, 1], [2, 2, 1, 2]], [[1, 2, 2, 1], [2, 1, 2, 2]]])
+    for x in (nodes[0, 1], nodes[0], nodes):
+        for field in (grid, window):
+            block = field.block(x)
+            assert np.array_equal(block[..., 0, :], grid.evaluate(x))
+            assert np.array_equal(block[..., 1:, :], grid.partial(x))
+
+    # a stencil off the grid, a point off a node or one outside the box
+    # fails the block as it fails partial
+    with pytest.raises(OutOfDomain):
+        grid.block(np.concatenate([nodes[0], [[0.01, 0.04, 0.01, 0.01]]]))
+    with pytest.raises(OutOfDomain):
+        grid.block(np.array([0.015, 0.01, 0.01, 0.01]))
+    outside = np.concatenate([nodes[0], [[0.01, 0.03, 0.01, 0.01]]])
+    assert grid.block(outside).shape == (3, 5, 4)
+    with pytest.raises(OutOfDomain):
+        window.block(outside)
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_sample_field_adds_linear_potential(basis, shape):
+    fld = two_wave(basis)
+    rng = np.random.default_rng(5)
+    potential = LinearVector(rng.uniform(-0.5, 0.5, 4), 0.3 * rng.standard_normal((4, 4)))
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    psi, plain = fld.evaluate(x), fld.partial(x)
+    a_low = potential.value(x) * ETA_SIGNS
+    expect = plain + 1j * 0.7 * a_low[..., :, None] * psi[..., None, :]
+    bg = Background(mass=MASS, charge=0.7, em_potential=potential)
+    sample = sample_field(fld, bg, x)
+    assert np.array_equal(sample.psi, psi)
+    assert np.array_equal(sample.grad, expect)
+    assert np.array_equal(covariant_derivative(fld, bg, x), expect)
+    # at charge 0 the potential leaves the derivative as it is
+    neutral = sample_field(fld, Background(mass=MASS, em_potential=potential), x)
+    assert np.array_equal(neutral.grad, plain)
+
+
+def test_potentials_without_torsion_vector(basis):
+    # no torsion vector and a torsion vector at coupling 0 give the same y;
+    # a coupling moves y by -coupling w and leaves z
+    fld = two_wave(basis)
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 4))
+    w = LinearVector([0.2, 0.1, -0.3, 0.15], 0.2 * np.eye(4))
+    jet = derivative_jet(fld, Background(mass=MASS), basis, x)
+    bare = potentials(jet, Background(mass=MASS))
+    uncoupled = potentials(jet, Background(mass=MASS, torsion_vector=w))
+    assert all(np.array_equal(a, b) for a, b in zip(bare, uncoupled))
+    y, z = potentials(jet, Background(mass=MASS, torsion_coupling=0.4, torsion_vector=w))
+    assert np.abs(y - (bare[0] - 0.4 * w.value(x) * ETA_SIGNS)).max() < 1e-14
+    assert np.array_equal(z, bare[1])
 
 
 def test_momentum_covector_single_wave(basis):

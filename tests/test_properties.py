@@ -233,6 +233,9 @@ class SpinorTable:
     def partial(self, x):
         return self.grad
 
+    def block(self, x):
+        return np.concatenate([self.psi[..., None, :], self.grad], axis=-2)
+
 
 @PROPERTY
 @given(
@@ -391,12 +394,16 @@ def test_derivative_jet_next_to_antipode(basis, seed, log_distance, azimuth):
     assert 3.0 <= coarse / fine <= 5.0
 
 
-def inversion_conditioning(forms, spin):
-    """zeta = z / xs and the size of the inverse momentum map,
-    (1 + |zeta|)^2 / |xs denom|, at every point of the forms."""
+def inversion_conditioning(forms, spin, basis):
+    """zeta = z / xs and the size of the inverse momentum map, its largest
+    entry, at every point of the forms: the largest component of the
+    velocities it gives the four unit covectors."""
     zeta = forms.z / np.asarray(forms.xs)[..., None]
-    denom = 1 + np.sum(zeta * zeta * ETA_SIGNS, axis=-1) + np.sum(zeta * spin, axis=-1) ** 2
-    return zeta, (1 + np.abs(zeta).max(axis=-1)) ** 2 / np.abs(forms.xs * denom)
+    columns = [
+        velocity_from_momentum(np.broadcast_to(e, np.shape(spin)), spin, forms, basis)
+        for e in np.eye(4)
+    ]
+    return zeta, np.abs(columns).max(axis=(0, -1))
 
 
 @PROPERTY
@@ -414,15 +421,15 @@ def test_guidance_velocity_next_to_antipode(basis, seed, log_distance, azimuth):
     # regular next to -z (the frame's grew like 1 / distance, and the
     # velocity was what was left of their cancellation), so the jet carries
     # about eps (1 + |zeta|), and the momentum inversion scales it by the
-    # size of its inverse, as in the gauge test below.  Over 10500 random
-    # draws, 30% of them at distance 1e-2, the gap stayed below 12.5 of
+    # size of its inverse, as in the gauge test below.  Over 20000 random
+    # draws, log10 distance uniform in [-8, -2], the gap stayed below 4.9 of
     # these units
     distance = 10.0**log_distance
     fld, bg = antipode_field(basis, seed, distance, azimuth, steady_turn=False)
     jet = derivative_jet(fld, bg, basis, np.zeros(4))
     forms = compact_forms(jet, bg)
     guided = velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms, basis)
-    zeta, inverse = inversion_conditioning(forms, jet.spin)
+    zeta, inverse = inversion_conditioning(forms, jet.spin, basis)
     bound = 40 * EPS * (1 + np.abs(zeta).max()) * inverse
     assert np.abs(guided - jet.velocity).max() <= bound
 
@@ -450,10 +457,9 @@ def test_guidance_velocity_is_gauge_invariant(basis, seed, n_waves, charge, sign
     # psi -> exp(-i q c.x) psi with a -> a + c leaves nabla psi covariant, so
     # the guidance velocity moves only by rounding.  The jet carries errors of
     # order eps u0^2 (u0 of the unit velocity: |U| over |(S, P)|), and the
-    # momentum inversion scales them by the size of its inverse,
-    # (1 + |zeta|)^2 / |xs denom|, times 1 + |velocity|.  Over 60000 random
-    # draws of this test the gap stayed below 82 eps of that product, with a
-    # median of 0.8 eps
+    # momentum inversion scales them by the size of its inverse, its largest
+    # entry, times 1 + |velocity|.  Over 20000 random draws of this test the
+    # gap stayed below 9.4 eps of that product
     rng = np.random.default_rng(seed)
     fld = random_waves(rng, n_waves, basis)
     base = rng.uniform(-0.5, 0.5, 4)
@@ -466,7 +472,7 @@ def test_guidance_velocity_is_gauge_invariant(basis, seed, n_waves, charge, sign
     shifted = velocity_field(*gauge_shift_linear(fld, bg, shift), basis, "guidance")(points)
 
     jet = derivative_jet(fld, bg, basis, points)
-    _, inverse = inversion_conditioning(compact_forms(jet, bg), jet.spin)
+    _, inverse = inversion_conditioning(compact_forms(jet, bg), jet.spin, basis)
     size = 1 + np.abs(velocity).max(axis=-1)
     bound = 100 * EPS * jet.velocity[..., 0] ** 2 * inverse * size
     assert np.all(np.abs(shifted - velocity).max(axis=-1) <= bound)
@@ -482,9 +488,9 @@ def test_turn_about_spin_is_a_free_gauge(basis, seed, n_waves):
     # the velocity moves: with the first amplitude kicked as in the
     # covariance test below, by 2.3 in the median of 300 draws.  Units as in
     # the gauge test, with the larger size of the inverse momentum map of
-    # the two jets; over 32000 random draws of this test the worst cases
-    # were 12.8 (polar derivative, as for the jet before the shift) and 4.5
-    # (guidance velocity)
+    # the two jets; over 32000 random draws of this test the worst polar
+    # derivative was 12.8, as for the jet before the shift, and over 20000
+    # the worst guidance velocity 3.2
     rng = np.random.default_rng(seed)
     fld = random_waves(rng, n_waves, basis)
     bg = Background(mass=1.0)
@@ -498,7 +504,7 @@ def test_turn_about_spin_is_a_free_gauge(basis, seed, n_waves):
     for each in (jet, shifted):
         forms = compact_forms(each, bg)
         velocities.append(velocity_from_momentum(each.p * ETA_SIGNS, each.spin, forms, basis))
-        inverses.append(inversion_conditioning(forms, each.spin)[1])
+        inverses.append(inversion_conditioning(forms, each.spin, basis)[1])
     size = 1 + np.abs(velocities[0]).max(axis=-1)
     bound = 12 * unit * np.maximum(*inverses) * size
     assert np.all(np.abs(velocities[1] - velocities[0]).max(axis=-1) <= bound)
@@ -506,6 +512,10 @@ def test_turn_about_spin_is_a_free_gauge(basis, seed, n_waves):
 
 @PROPERTY
 @given(seed=seeds, n_waves=st.integers(1, 3), kicked=st.booleans())
+# two draws where (1 + |zeta|)^2 / |xs denom| falls about 600 times short of
+# the inverse map's largest entry; with it as the size, the gap passed 200
+@example(seed=2275424074, n_waves=3, kicked=False)
+@example(seed=539200547, n_waves=3, kicked=True)
 def test_velocities_are_lorentz_covariant(basis, seed, n_waves, kicked):
     # psi'(x) = S psi(L^-1 x) for the pair (S, L) of lorentz_exp, that is
     # amplitudes times S (not S^-1) and momenta times L, gives psi'(L x) =
@@ -519,11 +529,9 @@ def test_velocities_are_lorentz_covariant(basis, seed, n_waves, kicked):
     # velocity times the larger size of the inverse momentum map of the two
     # sides and 1 + |velocity|.  Over 60000 random draws of this test, half
     # of them kicked, the worst cases were 11.4 (kinematic), 9.4 (density),
-    # 15.7 (chiral angle), 3.7 (p) and 11.7 (xs) of these units.  The
-    # guidance gap stayed below 102 in all but two draws, with u0 of 158 and
-    # 303, where it reached 601 and 555: there (1 + |zeta|)^2 / |xs denom|
-    # falls short of the true size of the inverse map (the first of these
-    # gaps was 9 times larger in the frame's gauge)
+    # 15.7 (chiral angle), 3.7 (p) and 11.7 (xs) of these units.  Over
+    # 20000 draws the guidance gap stayed below 5.7, and at the two examples,
+    # with u0 of 158 and 303, it is 1.04 and 0.84
     rng = np.random.default_rng(seed)
     fld = random_waves(rng, n_waves, basis)
     if kicked:
@@ -555,7 +563,7 @@ def test_velocities_are_lorentz_covariant(basis, seed, n_waves, kicked):
     assert np.all(np.abs(forms[1].xs - forms[0].xs) <= 30 * unit * size * y_size)
 
     inverse = np.maximum(*(
-        inversion_conditioning(f, jet.spin)[1] for f, jet in zip(forms, jets)
+        inversion_conditioning(f, jet.spin, basis)[1] for f, jet in zip(forms, jets)
     ))
     gaps, speeds = {}, {}
     for mode in ("kinematic", "guidance"):
