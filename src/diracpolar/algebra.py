@@ -103,6 +103,7 @@ class CliffordBasis:
     # side by side (see side_by_side), so jet_rows[:, :40] holds the ten
     # behind S, P, U and A
     jet_rows: np.ndarray           # (4, 68)
+    velocity_rows: np.ndarray      # (4, 24), jet_rows[:, :24]: the six behind S, P and U
     boost_generators: np.ndarray   # (3, 4, 4), gamma_0 gamma_k = 2 sigma_0k
     rotation_generators: np.ndarray  # (2, 4, 4), (sigma_23, sigma_31); z -> t needs no sigma_12
 
@@ -134,6 +135,7 @@ class CliffordBasis:
             boost_generators=2.0 * sig_low[0, 1:],
             rotation_generators=sig_low[[2, 3], [3, 1]],
         )
+        arrays["velocity_rows"] = arrays["jet_rows"][:, :24]
         for arr in arrays.values():
             arr.setflags(write=False)
         return cls(**arrays)

@@ -422,13 +422,13 @@ def _gordon_point(fld, bg, basis, points):
     rows of the report in point order: pK.point first, then its residuals.
 
     Each check runs once over the whole stack, so a failing point aborts the
-    scan.  The jet is the exact one, built from the same field sample as the
-    balance checks.
+    scan.  The balance checks share one field sample; the jet is the exact
+    one.
     """
     sample = sample_field(fld, bg, points)
     columns = {"dirac": dirac_residual(fld, bg, basis, points, sample)}
     columns.update(residual_bilinear_gordon(fld, bg, basis, points, sample))
-    jet = derivative_jet(fld, bg, basis, points, sample)
+    jet = derivative_jet(fld, bg, basis, points)
     for name, value in residual_polar_groups(jet, bg, basis).items():
         columns["group_" + name] = value
     derivative = verify_polar_derivative(jet, fld, bg, basis, sample)
@@ -558,9 +558,13 @@ def cmd_trajectory(args) -> int:
     bg = build_background(cfg)
     mode = args.mode if args.mode is not None else cfg.mode
     seeds = _read_seeds(args.seeds) if args.seeds is not None else [cfg.point]
-    results = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=mode)
-    sink = open(args.out, "w") if args.out is not None else None
+    # opened before the integration, so that a bad path costs no arcs
     try:
+        sink = open(args.out, "w") if args.out is not None else None
+    except OSError as exc:
+        raise ConfigError(["cannot write --out %s: %s" % (args.out, exc)])
+    try:
+        results = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=mode)
         out = sink or sys.stdout
         worst = 0.0
         failures = []

@@ -3,8 +3,11 @@
 Fields come in two kinds: analytic superpositions of plane waves, with exact
 derivatives, and gridded samples differentiated by central differences.  Both
 expose evaluate(x), partial(x) and block(x), which stacks psi and d_0 psi ...
-d_3 psi as (..., 5, 4), and everything downstream is agnostic.  All take a
-point (4,) or a stack (..., 4); partial puts mu right after the batch axes.
+d_3 psi as (..., 5, 4), and products(x, rows) and densities(x, rows), which
+give psi^dagger M [psi, d_mu psi] and psi^dagger M psi for a row stack (for
+plane waves from a table over the wave pairs); everything downstream is
+agnostic.  All take a point (4,) or a stack (..., 4); partial puts mu right
+after the batch axes.
 
 The polar jet of a field at a point collects the local polar variables and
 the first derivatives of every polar variable, including the connection
@@ -24,9 +27,9 @@ p_mu as p[..., mu].
 u and s fix r up to a turn about the spin, lam_mu eps_ijkl u^k s^l, the
 frame gauge; a turn by c_mu moves p by c_mu / 2 and leaves nabla psi as it
 is.  Two functions build a jet, in two gauges.  derivative_jet is exact: it
-takes the field and its covariant derivative at the point, pairs both with
-the density matrices in one contraction and differentiates the closed forms;
-it decomposes nothing and sets lam = 0, the transport gauge.  polar_jet
+takes the field's products of psi and its covariant derivative with the
+density matrices at the point and differentiates the closed forms; it
+decomposes nothing and sets lam = 0, the transport gauge.  polar_jet
 differences the polar variables of polar_decompose, whose frame is the boost
 and the minimal rotation, over a nine-point stencil of step h; it needs only
 evaluate and, with its turn about the spin taken out, checks the exact jet.
@@ -131,6 +134,9 @@ class PlaneWaveField:
         self._amplitudes = np.array(
             [c.amplitude for c in self.components], dtype=complex
         ).reshape(-1, 4)
+        # p_i - p_j for every pair of waves, row n i + j
+        self._p_pairs = (self._p_low[:, None] - self._p_low).reshape(-1, 4)
+        self._tables = {}   # id(rows) -> (rows, table); holding rows keeps the id unique
 
     def _phases(self, x):
         return np.exp(-1j * (np.asarray(x, dtype=float) @ self._p_low.T))
@@ -152,6 +158,34 @@ class PlaneWaveField:
         # rows mu, phase gradient lowered
         np.matmul(-1j * self._p_low.T * phases[..., None, :], self._amplitudes, out=out[..., 1:, :])
         return out
+
+    def _table(self, rows):
+        """Row n i + j holds a_i^dagger M a_j d_j for every M of rows and d_j
+        = 1, -i p_j0, ..., -i p_j3, as (k, 5) flattened: psi^dagger M d psi is
+        the sum of the rows weighted by exp(i (p_i - p_j).x).  Built once."""
+        entry = self._tables.get(id(rows))
+        if entry is None:
+            n, k = len(self._amplitudes), rows.shape[1] // 4
+            pairs = (self._amplitudes.conj() @ rows).reshape(n, k, 4) @ self._amplitudes.T
+            factors = np.concatenate([np.ones((n, 1)), -1j * self._p_low], axis=1)
+            table = pairs.transpose(0, 2, 1)[..., None] * factors[:, None, :]
+            entry = self._tables[id(rows)] = (rows, table.reshape(n * n, 5 * k))
+        return entry[1]
+
+    def _pair_phases(self, x):
+        return np.exp(1j * (np.asarray(x, dtype=float) @ self._p_pairs.T))
+
+    def products(self, x, rows):
+        """psi^dagger M [psi, d_0 psi ... d_3 psi] at x (4,) or (..., 4) for
+        the matrices M of rows, (..., k, 5), as density_products lays it out:
+        one phase exponential and one product with the table of rows.  rows
+        is a stack the caller keeps, such as basis.jet_rows."""
+        out = self._pair_phases(x) @ self._table(rows)
+        return out.reshape(out.shape[:-1] + (-1, 5))
+
+    def densities(self, x, rows):
+        """psi^dagger M psi at x (4,) or (..., 4) for the matrices M of rows, (..., k)."""
+        return self._pair_phases(x) @ self._table(rows)[:, ::5]
 
 
 def require_on_shell(momentum, mass) -> None:
@@ -233,6 +267,15 @@ class GriddedField:
     def block(self, x):
         return np.concatenate([self.evaluate(x)[..., None, :], self.partial(x)], axis=-2)
 
+    def products(self, x, rows):
+        block = self.block(x)
+        return density_products(block[..., 0, :], block, rows)
+
+    def densities(self, x, rows):
+        """From evaluate alone, so a node needs no derivative stencil."""
+        psi = self.evaluate(x)
+        return density_products(psi, psi[..., None, :], rows)[..., 0]
+
 
 class BoxWindow:
     """Axis-aligned view of another field; outside the box every request
@@ -260,6 +303,12 @@ class BoxWindow:
 
     def block(self, x):
         return self.inner.block(self._check(x))
+
+    def products(self, x, rows):
+        return self.inner.products(self._check(x), rows)
+
+    def densities(self, x, rows):
+        return self.inner.densities(self._check(x), rows)
 
 
 def to_grid(fn, origin, spacing, shape) -> GriddedField:
@@ -304,9 +353,8 @@ class FieldSample:
     """psi and nabla_mu psi at x (4,) or (..., 4), for every exact check to share."""
 
     x: np.ndarray
-    block: np.ndarray     # (..., 5, 4)
-    psi: np.ndarray       # block[..., 0, :]
-    grad: np.ndarray      # block[..., 1:, :]: mu, then the spinor index
+    psi: np.ndarray       # (..., 4)
+    grad: np.ndarray      # (..., 4, 4): mu, then the spinor index
 
 
 def sample_field(fld, bg: Background, x) -> FieldSample:
@@ -316,7 +364,7 @@ def sample_field(fld, bg: Background, x) -> FieldSample:
     psi, grad = block[..., 0, :], block[..., 1:, :]
     if bg.charge:
         grad += 1j * bg.charge * (bg.a_value(x) * ETA_SIGNS)[..., :, None] * psi[..., None, :]
-    return FieldSample(x, block, psi, grad)
+    return FieldSample(x, psi, grad)
 
 
 def covariant_derivative(fld, bg: Background, x):
@@ -356,13 +404,13 @@ class PolarJet:
     x: np.ndarray
 
 
-def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
+def derivative_jet(fld, bg: Background, basis, x) -> PolarJet:
     """Polar data and its exact first derivatives at a point x (4,), or at
     every point of a stack (..., 4), whose batch shape the jet then carries.
 
-    It needs the field and its covariant derivative at x, from one
-    sample_field unless the caller passes the sample, and pairs them with the
-    matrices of basis.jet_rows in one contraction per point:
+    It reads psi^dagger M [psi, nabla_mu psi] for the matrices M of
+    basis.jet_rows from one call of the field's products, then adds the
+    charge term i q a_mu to the derivative columns:
       - the density, chiral angle, velocity and spin come from S, P, U and A
         (polar_variables), their derivatives from the product rule;
       - the connection r is frame_connection of u, s and their
@@ -372,13 +420,13 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
       - what remains of nabla psi once the known part is taken off lies
         along i psi, and its coefficient is -p, in the same gauge as r.
     """
-    if sample is None:
-        sample = sample_field(fld, bg, x)
-
-    # psi^dagger M [psi, nabla_mu psi] for the matrices M of basis.jet_rows:
+    x = np.asarray(x, dtype=float)
     # the densities, then one column per mu.  Row 2 is gamma^0 gamma^0 = 1,
     # so it also holds psi^dagger nabla_mu psi
-    products = density_products(sample.psi, sample.block, basis.jet_rows)
+    products = fld.products(x, basis.jet_rows)
+    if bg.charge:
+        charge = 1j * bg.charge * (bg.a_value(x) * ETA_SIGNS)[..., None, :]
+        products[..., 1:] += charge * products[..., :1]
     values = products[..., :10, 0].real
     density, chiral, u, s = polar_variables(Densities.from_values(values))
     d = 2.0 * products[..., :10, 1:].real
@@ -400,7 +448,7 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     known = 0.5 * dchiral * products[..., 10, :1].real
     known = known + (r[..., PAIR_I, PAIR_J] @ products[..., 11:, :1].imag)[..., 0]
     p = -(products[..., 2, 1:].imag + known) / values[..., 2, None]
-    return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, r, p, sample.x)
+    return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, r, p, x)
 
 
 def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:

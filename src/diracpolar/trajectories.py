@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA_SIGNS
-from .bilinears import Densities
+from .bilinears import Densities, require_regular
 from .errors import DiracPolarError, ImmediateSingularity
-from .fieldconn import Background, density_products, derivative_jet
+from .fieldconn import Background, derivative_jet
 from .guidance import compact_forms, velocity_from_momentum
-from .polar import polar_variables
 
 MODES = ("kinematic", "guidance")
 
@@ -38,16 +37,17 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic"):
 
     x is a point (4,) or a stack of points (..., 4), and the velocities come
     back with its shape.  A stack raises if the velocity is undefined at any
-    of its points.  Guidance mode needs the field's partial.
+    of its points.  Kinematic mode reads the field's densities S, P and U;
+    guidance mode its products with psi and d_mu psi, through derivative_jet.
     """
     if mode == "kinematic":
-        # the ten matrices behind S, P, U and A
-        rows = basis.jet_rows[:, :40]
+        rows = basis.velocity_rows
 
         def evaluate(x):
-            psi = fld.evaluate(np.asarray(x, dtype=float))
-            values = density_products(psi, psi[..., None, :], rows)[..., 0].real
-            return polar_variables(Densities.from_values(values))[2]
+            values = fld.densities(x, rows).real
+            dens = Densities(values[..., 0], values[..., 1], values[..., 2:], None)
+            require_regular(dens)
+            return dens.vector / np.hypot(dens.scalar, dens.pseudoscalar)[..., None]
 
     elif mode == "guidance":
 
@@ -116,13 +116,15 @@ def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
         k3 = vel(x + 0.5 * h_tau * k2)
         k4 = vel(x + h_tau * k3)
         x = x + (h_tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return np.stack([x, vel(x)], axis=1)
+        out = np.empty_like(state)
+        out[:, 0], out[:, 1] = x, vel(x)
+        return out
 
     u0, seed_errors = _by_rows(vel, x0)
     samples = np.empty((len(x0), n_steps + 1, 2, 4))
     samples[:, 0, 0] = x0
     samples[:, 0, 1] = u0
-    length = np.ones(len(x0), dtype=int)
+    length = np.full(len(x0), n_steps + 1)
     stops = {}
     active = np.array([i for i in range(len(x0)) if i not in seed_errors], dtype=int)
     state = samples[active, 0]
@@ -134,10 +136,13 @@ def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
             for row, exc in errors.items():
                 reason = "%s: %s" % (type(exc).__name__, exc)
                 stops[active[row]] = "aborted at tau=%.6g: %s" % (k * h_tau, reason)
+                length[active[row]] = k + 1
             going = np.isin(np.arange(len(active)), list(errors), invert=True)
             active, state = active[going], state[going]
-        samples[active, k + 1] = state
-        length[active] = k + 2
+        if len(active) == len(x0):
+            samples[:, k + 1] = state
+        else:
+            samples[active, k + 1] = state
 
     tau = np.arange(n_steps + 1) * h_tau
     out = []

@@ -333,6 +333,14 @@ def test_trajectory_seeds_file_and_out(tmp_path, capsys):
     assert samples[-1].split("=", 1)[1].split()[0] == "1"
 
 
+@pytest.mark.parametrize("target", ["missing/arc.txt", "."], ids=["missing-directory", "directory"])
+def test_trajectory_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, target):
+    # the path is checked before any arc is integrated
+    monkeypatch.setattr(cli, "batch_integrate", lambda *args, **kwargs: pytest.fail("integrated"))
+    argv = ["trajectory", "--out", str(tmp_path / target)]
+    assert "cannot write --out" in assert_config_error(tmp_path, capsys, argv, "")
+
+
 def test_trajectory_records_round_trip(tmp_path, capsys, basis):
     from diracpolar.cli import build_background, build_field
     from diracpolar.trajectories import batch_integrate

@@ -40,17 +40,20 @@ from diracpolar.bilinears import (
     is_regular,
     random_regular_spinor,
 )
-from diracpolar.errors import SingularSpinor
+from diracpolar.errors import OutOfDomain, SingularSpinor
 from diracpolar.fieldconn import (
     Background,
+    BoxWindow,
     ConstantVector,
     LinearVector,
     PlaneWaveComponent,
     PlaneWaveField,
+    density_products,
     derivative_jet,
     gauge_shift_linear,
     plane_wave,
     polar_jet,
+    sample_field,
     superpose,
     verify_polar_derivative,
     verify_transport,
@@ -236,6 +239,9 @@ class SpinorTable:
     def block(self, x):
         return np.concatenate([self.psi[..., None, :], self.grad], axis=-2)
 
+    def products(self, x, rows):
+        return density_products(self.psi, self.block(x), rows)
+
 
 @PROPERTY
 @given(
@@ -262,6 +268,73 @@ def test_jet_with_singular_row_raises(basis, seed, n, row, log_size):
             derivative_jet(fld, bg, basis, x)
         with pytest.raises(SingularSpinor):
             velocity_field(fld, bg, basis, "guidance")(x)
+
+
+# a point, a stack of points and a stack of stacks
+POINT_SHAPES = st.sampled_from([(4,), (6, 4), (2, 3, 4)])
+# the table's products and the block's differ by at most this many eps
+# times sum_jk |a_j| |a_k| (1 + |p|), |p| the largest momentum component;
+# 20000 random draws reached 4.4
+TABLE_EPS = 16
+
+
+@PROPERTY
+@given(seed=seeds, n_waves=st.integers(1, 5), shape=POINT_SHAPES)
+def test_table_products_match_block(basis, seed, n_waves, shape):
+    # waves of any momentum, amplitude and phase: the table needs no mass shell
+    rng = np.random.default_rng(seed)
+    momenta = rng.uniform(-3.0, 3.0, size=(n_waves, 4))
+    amplitudes = rng.standard_normal((n_waves, 4)) + 1j * rng.standard_normal((n_waves, 4))
+    amplitudes *= 10.0 ** rng.uniform(-2.0, 1.0, (n_waves, 1))
+    amplitudes *= np.exp(1j * rng.uniform(0.0, 2 * np.pi, (n_waves, 1)))
+    fld = PlaneWaveField(map(PlaneWaveComponent, momenta, amplitudes))
+    x = rng.uniform(-2.0, 2.0, size=shape)
+    block = fld.block(x)
+    psi = block[..., 0, :]
+    size = np.linalg.norm(amplitudes, axis=-1).sum() ** 2 * (1 + np.abs(momenta).max())
+    products = fld.products(x, basis.jet_rows)
+    densities = fld.densities(x, basis.velocity_rows)
+    for got, want in (
+        (products, density_products(psi, block, basis.jet_rows)),
+        (densities, density_products(psi, psi[..., None, :], basis.velocity_rows)[..., 0]),
+    ):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= TABLE_EPS * EPS * size
+
+    # a window passes the table's products on inside its box, and only there
+    window = BoxWindow(fld, np.full(4, -2.0), np.full(4, 2.0))
+    assert np.array_equal(window.products(x, basis.jet_rows), products)
+    assert np.array_equal(window.densities(x, basis.velocity_rows), densities)
+    with pytest.raises(OutOfDomain):
+        window.products(x + 4.5, basis.jet_rows)
+    with pytest.raises(OutOfDomain):
+        window.densities(x + 4.5, basis.velocity_rows)
+
+
+@PROPERTY
+@given(seed=seeds, n_waves=st.integers(1, 3), charge=st.floats(-2.0, 2.0), shape=POINT_SHAPES)
+def test_table_jet_in_linear_potential(basis, seed, n_waves, charge, shape):
+    # the charge term joins the table's derivative columns after the product;
+    # the jet matches the one built psi first from the covariant derivative
+    rng = np.random.default_rng(seed)
+    v3 = rng.uniform(-0.5, 0.5, size=(n_waves, 3))
+    momenta = np.column_stack([np.sqrt(1.0 + np.sum(v3 * v3, axis=-1)), v3])
+    # one leading wave keeps every point regular
+    amplitudes = np.concatenate(
+        [[1.0], 0.3 * rng.uniform(size=n_waves - 1) * np.exp(2j * np.pi * rng.uniform(size=n_waves - 1))]
+    )
+    fld = plane_wave(momenta, 1.0, rng.uniform(-1.0, 1.0, size=(n_waves, 3)), amplitudes, basis)
+    potential = LinearVector(rng.uniform(-0.5, 0.5, 4), 0.3 * rng.standard_normal((4, 4)))
+    bg = Background(mass=1.0, charge=charge, em_potential=potential)
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    jet = derivative_jet(fld, bg, basis, x)
+    sample = sample_field(fld, bg, x)
+    psi_first = derivative_jet(SpinorTable(sample.psi, sample.grad), Background(mass=1.0), basis, x)
+    assert jet_gap(jet, psi_first) <= 1e-13
+    # the charge moves p alone, by -q a
+    neutral = derivative_jet(fld, Background(mass=1.0), basis, x)
+    shift = charge * potential.value(x) * ETA_SIGNS
+    assert jet_gap(replace(jet, p=jet.p + shift), neutral) <= 1e-13
 
 
 # offsets from +-pi: exactly on it, or 1e-14 up to 1e-2 away

@@ -244,26 +244,31 @@ def test_mixed_ensemble_arcs_match_lone_runs(basis):
         [
             [-0.9, 0.0, 0.1, -0.1],   # stays inside for the whole run
             [0.5, 0.1, 0.0, 0.2],     # time runs out of the window mid-run
-            [-0.8, -0.2, 0.3, 0.0],   # stays inside
+            [0.0, -0.2, 0.3, 0.0],    # and later for this one
             [1.5, 0.0, 0.0, 0.0],     # starts outside the window
         ]
     )
     tau_max, h_tau = 1.5, 0.05
     for mode in ("kinematic", "guidance"):
-        arcs = batch_integrate(window, bg, basis, seeds, tau_max, h_tau, mode)
-        assert [arc.completed for arc in arcs] == [True, False, True, False]
-        assert "OutOfDomain" in arcs[1].status and 1 < len(arcs[1].tau) < 31
-        assert arcs[3].status.startswith("failed: velocity undefined at the seed point")
+        lone = [integrate(window, bg, basis, x0, tau_max, h_tau, mode) for x0 in seeds[:3]]
         with pytest.raises(ImmediateSingularity):
             integrate(window, bg, basis, seeds[3], tau_max, h_tau, mode)
-        for arc, x0 in zip(arcs[:3], seeds):
-            lone = integrate(window, bg, basis, x0, tau_max, h_tau, mode)
-            assert arc.status == lone.status
-            assert np.array_equal(arc.tau, lone.tau)
-            # a stack and a single row can round differently in the last bit
-            assert np.abs(arc.x - lone.x).max() < 1e-12
-            assert np.abs(arc.u - lone.u).max() < 1e-12
-            assert arc.diagnostics["velocity_evals"] == lone.diagnostics["velocity_evals"]
+        # without the fourth seed the loop starts with every arc running
+        for n in (3, 4):
+            arcs = batch_integrate(window, bg, basis, seeds[:n], tau_max, h_tau, mode)
+            assert [arc.completed for arc in arcs[:3]] == [True, False, False]
+            for arc in arcs[1:3]:
+                assert "OutOfDomain" in arc.status and 1 < len(arc.tau) < 31
+            # the loop goes on with three arcs, then with two, then with one
+            assert len(arcs[1].tau) < len(arcs[2].tau)
+            for arc, alone in zip(arcs, lone):
+                assert arc.status == alone.status
+                assert np.array_equal(arc.tau, alone.tau)
+                # a stack and a single row can round differently in the last bit
+                assert np.abs(arc.x - alone.x).max() < 1e-12
+                assert np.abs(arc.u - alone.u).max() < 1e-12
+                assert arc.diagnostics["velocity_evals"] == alone.diagnostics["velocity_evals"]
+        assert arcs[3].status.startswith("failed: velocity undefined at the seed point")
 
 
 def test_charged_guidance_ensemble_in_linear_potential(basis):
