@@ -94,16 +94,12 @@ class CliffordBasis:
     sigma_upper: np.ndarray  # (4, 4, 4, 4), sigma^ab
     pi: np.ndarray           # (4, 4)
     identity: np.ndarray     # (4, 4)
-    eps_lower: np.ndarray
-    eps_upper: np.ndarray
-    # gamma^0 M for the sixteen density matrices M, in BilinearSet order:
-    # 1, i pi, gamma^a, gamma^a pi, 2i sigma_ab for ab in INDEX_PAIRS
-    bilinear_stack: np.ndarray     # (16, 4, 4)
-    # bilinear_stack[:10], pi, sigma^ab for ab in INDEX_PAIRS: the exact jet,
-    # side by side (see side_by_side), so jet_rows[:, :40] holds the ten
-    # behind S, P, U and A
-    jet_rows: np.ndarray           # (4, 68)
-    velocity_rows: np.ndarray      # (4, 24), jet_rows[:, :24]: the six behind S, P and U
+    # gamma^0 M for the sixteen density matrices M, in BilinearSet order, side
+    # by side (see side_by_side): 1, i pi, gamma^a, gamma^a pi, 2i sigma_ab
+    # for ab in INDEX_PAIRS
+    density_rows: np.ndarray       # (4, 64)
+    jet_rows: np.ndarray           # (4, 40), density_rows[:, :40]: the ten behind S, P, U and A
+    velocity_rows: np.ndarray      # (4, 24), density_rows[:, :24]: the six behind S, P and U
     boost_generators: np.ndarray   # (3, 4, 4), gamma_0 gamma_k = 2 sigma_0k
     rotation_generators: np.ndarray  # (2, 4, 4), (sigma_23, sigma_31); z -> t needs no sigma_12
 
@@ -126,16 +122,12 @@ class CliffordBasis:
             sigma_upper=sig_up,
             pi=pi,
             identity=eye,
-            eps_lower=EPS_LOWER,
-            eps_upper=EPS_UPPER,
-            bilinear_stack=gam[0] @ np.array(densities),
-            jet_rows=side_by_side(
-                np.concatenate([gam[0] @ densities[:10], pi[None], sig_up[PAIR_I, PAIR_J]])
-            ),
+            density_rows=side_by_side(gam[0] @ np.array(densities)),
             boost_generators=2.0 * sig_low[0, 1:],
             rotation_generators=sig_low[[2, 3], [3, 1]],
         )
-        arrays["velocity_rows"] = arrays["jet_rows"][:, :24]
+        arrays["jet_rows"] = arrays["density_rows"][:, :40]
+        arrays["velocity_rows"] = arrays["density_rows"][:, :24]
         for arr in arrays.values():
             arr.setflags(write=False)
         return cls(**arrays)

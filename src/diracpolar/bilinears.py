@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ETA_SIGNS, PAIR_I, PAIR_J, mdot
+from .algebra import EPS_LOWER, EPS_UPPER, ETA_SIGNS, PAIR_I, PAIR_J, mdot
 from .errors import SingularSpinor
 
 REGULARITY_EPS = 1e-10
@@ -66,7 +66,8 @@ class BilinearSet(Densities):
 def compute_bilinears(psi, basis) -> BilinearSet:
     """All sixteen densities of psi, shape (..., 4), in one contraction."""
     psi = np.asarray(psi, dtype=complex)
-    pieces = np.einsum("...i,kij,...j->...k", psi.conj(), basis.bilinear_stack, psi)
+    rows = basis.density_rows.reshape(4, 16, 4)     # rows[i, k, j] = (gamma^0 M_k)[i, j]
+    pieces = np.einsum("...i,ikj,...j->...k", psi.conj(), rows, psi)
     real = pieces.real
     # [()] turns the 0-d result of a single spinor into a scalar
     return BilinearSet(
@@ -129,7 +130,7 @@ def check_fierz(bil: BilinearSet, basis) -> dict:
     m_up = m * ETA_SIGNS[:, None] * ETA_SIGNS
     square = 0.5 * np.sum(m * m_up, axis=(-2, -1)) - (phi_b**2 - theta_b**2)
     out["tensor_square"] = np.abs(square) / n2
-    dual = 0.25 * np.einsum("...ab,...ij,abij->...", m, m, basis.eps_upper)
+    dual = 0.25 * np.einsum("...ab,...ij,abij->...", m, m, EPS_UPPER)
     out["tensor_dual_square"] = np.abs(dual - 2 * theta_b * phi_b) / n2
 
     u_m = np.einsum("...a,...ab->...b", u, m)
@@ -139,7 +140,7 @@ def check_fierz(bil: BilinearSet, basis) -> dict:
 
     recon = mod2[..., None, None] * m
     recon = recon - phi_b[..., None, None] * np.einsum(
-        "...j,...k,jkab->...ab", u, s, basis.eps_lower
+        "...j,...k,jkab->...ab", u, s, EPS_LOWER
     )
     us = u_low[..., :, None] * s_low[..., None, :]
     recon = recon - theta_b[..., None, None] * (us - np.swapaxes(us, -1, -2))

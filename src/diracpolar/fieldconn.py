@@ -27,9 +27,9 @@ p_mu as p[..., mu].
 u and s fix r up to a turn about the spin, lam_mu eps_ijkl u^k s^l, the
 frame gauge; a turn by c_mu moves p by c_mu / 2 and leaves nabla psi as it
 is.  Two functions build a jet, in two gauges.  derivative_jet is exact: it
-takes the field's products of psi and its covariant derivative with the
-density matrices at the point and differentiates the closed forms; it
-decomposes nothing and sets lam = 0, the transport gauge.  polar_jet
+takes the field's products of psi and its covariant derivative with the ten
+density matrices behind S, P, U and A at the point and differentiates the
+closed forms; it decomposes nothing and sets lam = 0, the transport gauge.  polar_jet
 differences the polar variables of polar_decompose, whose frame is the boost
 and the minimal rotation, over a nine-point stencil of step h; it needs only
 evaluate and, with its turn about the spin taken out, checks the exact jet.
@@ -66,6 +66,9 @@ _STENCIL = np.concatenate(
 
 # unit steps along mu = 0..3, one row each
 _STEPS = np.eye(4, dtype=int)
+
+# the spatial pairs (j, k) = (2, 3), (3, 1), (1, 2), dual to l = 1, 2, 3
+_CYCLIC_J, _CYCLIC_K = np.array([2, 3, 1]), np.array([3, 1, 2])
 
 
 class ConstantVector:
@@ -181,7 +184,7 @@ class PlaneWaveField:
         one phase exponential and one product with the table of rows.  rows
         is a stack the caller keeps, such as basis.jet_rows."""
         out = self._pair_phases(x) @ self._table(rows)
-        return out.reshape(out.shape[:-1] + (-1, 5))
+        return out.reshape(out.shape[:-1] + (rows.shape[1] // 4, 5))
 
     def densities(self, x, rows):
         """psi^dagger M psi at x (4,) or (..., 4) for the matrices M of rows, (..., k)."""
@@ -242,7 +245,7 @@ class GriddedField:
         """Node index of a point, or index arrays of a stack of points."""
         rel = (np.asarray(x, dtype=float) - self.origin) / self.spacing
         idx = np.rint(rel).astype(int)
-        if np.abs(rel - idx).max() > 1e-6:
+        if np.abs(rel - idx).max(initial=0.0) > 1e-6:
             raise OutOfDomain("point does not sit on a grid node")
         if np.any(idx < 0) or np.any(idx >= self.data.shape[:4]):
             raise OutOfDomain("point outside the gridded region")
@@ -382,7 +385,7 @@ def density_products(psi, columns, rows):
     covariant derivative cancel in it.
     """
     products = psi.conj() @ rows
-    return products.reshape(psi.shape[:-1] + (-1, 4)) @ columns.swapaxes(-1, -2)
+    return products.reshape(psi.shape[:-1] + (rows.shape[1] // 4, 4)) @ columns.swapaxes(-1, -2)
 
 
 @dataclass
@@ -408,8 +411,8 @@ def derivative_jet(fld, bg: Background, basis, x) -> PolarJet:
     """Polar data and its exact first derivatives at a point x (4,), or at
     every point of a stack (..., 4), whose batch shape the jet then carries.
 
-    It reads psi^dagger M [psi, nabla_mu psi] for the matrices M of
-    basis.jet_rows from one call of the field's products, then adds the
+    It reads psi^dagger M [psi, nabla_mu psi] for the ten density matrices M
+    of basis.jet_rows from one call of the field's products, then adds the
     charge term i q a_mu to the derivative columns:
       - the density, chiral angle, velocity and spin come from S, P, U and A
         (polar_variables), their derivatives from the product rule;
@@ -427,9 +430,9 @@ def derivative_jet(fld, bg: Background, basis, x) -> PolarJet:
     if bg.charge:
         charge = 1j * bg.charge * (bg.a_value(x) * ETA_SIGNS)[..., None, :]
         products[..., 1:] += charge * products[..., :1]
-    values = products[..., :10, 0].real
+    values = products[..., 0].real
     density, chiral, u, s = polar_variables(Densities.from_values(values))
-    d = 2.0 * products[..., :10, 1:].real
+    d = 2.0 * products[..., 1:].real
     mod = 2.0 * density**2      # |(S, P)|
     # d log(S + i P) = d log|(S, P)| + i d(chiral angle)
     dlog = (d[..., 0, :] + 1j * d[..., 1, :]) / (values[..., 0] + 1j * values[..., 1])[..., None]
@@ -444,9 +447,12 @@ def derivative_jet(fld, bg: Background, basis, x) -> PolarJet:
     # nabla psi = (K - i p) psi with the known part
     #   K = dlogdensity - i dchiral pi / 2 - r_{ij} sigma^{ij} / 2,
     # so p = -Im(psi^dagger nabla psi - psi^dagger K psi) / psi^dagger psi,
-    # with psi^dagger psi = U^0; known = -Im(psi^dagger K psi)
-    known = 0.5 * dchiral * products[..., 10, :1].real
-    known = known + (r[..., PAIR_I, PAIR_J] @ products[..., 11:, :1].imag)[..., 0]
+    # with psi^dagger psi = U^0.  known = -Im(psi^dagger K psi) needs no more
+    # products: psi^dagger pi psi = A^0, psi^dagger sigma^{0i} psi is real, and
+    # sigma^{12}, sigma^{31}, sigma^{23} = -i gamma^0 gamma^{3, 2, 1} pi / 2 give
+    # Im psi^dagger sigma^{jk} psi = -A^l / 2 for (j, k, l) cyclic
+    known = 0.5 * dchiral * values[..., 6, None]
+    known = known - 0.5 * (r[..., _CYCLIC_J, _CYCLIC_K] @ values[..., 7:10, None])[..., 0]
     p = -(products[..., 2, 1:].imag + known) / values[..., 2, None]
     return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, r, p, x)
 

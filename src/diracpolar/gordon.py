@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ETA_SIGNS, side_by_side
+from .algebra import EPS_LOWER, EPS_UPPER, ETA_SIGNS, side_by_side
 from .bilinears import compute_bilinears
 from .fieldconn import Background, PolarJet, density_products, polar_jet, sample_field
 from .guidance import potentials
@@ -32,7 +32,8 @@ _S2 = ETA_SIGNS[:, None] * ETA_SIGNS
 
 def _balance_stack(basis):
     """gamma^0 M for every matrix M the balance equations pair with the field,
-    in the order 1, pi, gamma^a, gamma^a pi, sigma^ab (16), sigma^ab pi (16)."""
+    in the order 1, pi, gamma^a, gamma^a pi, sigma^ab (16), sigma^ab pi (16).
+    Each is exactly hermitian or anti-hermitian."""
     sigma = basis.sigma_upper.reshape(16, 4, 4)
     mats = np.concatenate(
         [basis.identity[None], basis.pi[None], basis.gamma, basis.gamma @ basis.pi,
@@ -50,14 +51,11 @@ def _density_derivatives(sample, basis):
     then the matrix indices, then mu last.
     """
     stack = _balance_stack(basis)
-    n = len(stack)
-    # adj(nabla psi) M psi is the conjugate of psi^dagger (gamma^0 M)^dagger nabla psi
-    both = density_products(
-        sample.psi,
-        sample.grad,
-        side_by_side(np.concatenate([stack, np.conj(np.swapaxes(stack, -1, -2))])),
-    )
-    forward, backward = both[..., :n, :], both[..., n:, :].conj()
+    forward = density_products(sample.psi, sample.grad, side_by_side(stack))
+    # adj(nabla psi) M psi is the conjugate of psi^dagger (gamma^0 M)^dagger
+    # nabla psi, and (gamma^0 M)^dagger = +-gamma^0 M
+    hermitian = np.all(np.conj(np.swapaxes(stack, -1, -2)) == stack, axis=(-2, -1))
+    backward = np.where(hermitian, 1.0, -1.0)[:, None] * forward.conj()
 
     def split(pairs):
         batch = pairs.shape[:-2]
@@ -105,7 +103,6 @@ def residual_bilinear_gordon(fld, bg: Background, basis, x, sample=None) -> dict
     u_low, s_low = u * _S, s * _S
     m_low = bil.tensor
     m_up = m_low * _S2
-    eps_up = basis.eps_upper
     scale = bil.vector[..., 0]
 
     # d_mu of the densities, mu first: d_vec[mu, a] = d_mu u^a and the like
@@ -125,8 +122,8 @@ def residual_bilinear_gordon(fld, bg: Background, basis, x, sample=None) -> dict
 
     dur = d_vec * _S[:, None]
     curl_u = dur - np.swapaxes(dur, -1, -2)
-    curl_u = curl_u + 1j * np.einsum("anmr,...rm->...an", eps_up, k_gam_pi * _S[:, None])
-    curl_u = curl_u - 2 * coup * np.einsum("ansr,...s,...r->...an", eps_up, w_low, u_low)
+    curl_u = curl_u + 1j * np.einsum("anmr,...rm->...an", EPS_UPPER, k_gam_pi * _S[:, None])
+    curl_u = curl_u - 2 * coup * np.einsum("ansr,...s,...r->...an", EPS_UPPER, w_low, u_low)
     curl_u = curl_u - 2 * m * m_up
     out["vector_curl"] = worst(curl_u, (-2, -1))
 
@@ -135,18 +132,18 @@ def residual_bilinear_gordon(fld, bg: Background, basis, x, sample=None) -> dict
     acc = 0.5j * _trace(k_gam)
     out["scalar_kinetic"] = np.abs(acc - coup * _dot(w_low, s) - m * bil.scalar) / scale
 
-    curl_s = np.einsum("anmq,...mq->...an", eps_up, d_ax * _S)
+    curl_s = np.einsum("anmq,...mq->...an", EPS_UPPER, d_ax * _S)
     k = k_gam * _S        # adj(psi) gamma^al nabla^nu psi - reversed, [al, nu]
     curl_s = curl_s + 1j * (k - np.swapaxes(k, -1, -2))
     curl_s = curl_s + 2 * coup * (_outer(w, s) - _outer(s, w))
     out["axial_curl"] = worst(curl_s, (-2, -1))
 
     vr = 1j * k_one * _S + 2j * _trace(d_sig)    # d_mu m^{al mu}
-    vr = vr + coup * np.einsum("amrs,...m,...rs->...a", eps_up, w_low, m_low)
+    vr = vr + coup * np.einsum("amrs,...m,...rs->...a", EPS_UPPER, w_low, m_low)
     vr = vr - 2 * m * u
     out["vector_recovery"] = worst(vr, -1)
 
-    ai = k_pi * _S - 0.5 * np.einsum("amrs,...mrs->...a", eps_up, d_tens)
+    ai = k_pi * _S - 0.5 * np.einsum("amrs,...mrs->...a", EPS_UPPER, d_tens)
     ai = ai + 2 * coup * np.einsum("...ab,...b->...a", m_up, w_low)
     out["axial_recovery"] = worst(ai, -1)
 
@@ -202,19 +199,17 @@ def residual_polar_groups(jet: PolarJet, bg: Background, basis) -> dict:
     s = jet.spin
     u_low, s_low = u * _S, s * _S
     f_up, p_up = f * _S, p * _S
-    eps_up = basis.eps_upper
-    eps_low = basis.eps_lower
 
     def worst(a, axes=-1):
         return np.abs(a).max(axis=axes)
 
     def dual(a, b):
         # eps^{x n m r} a_m b_r
-        return np.einsum("anmr,...m,...r->...an", eps_up, a, b)
+        return np.einsum("anmr,...m,...r->...an", EPS_UPPER, a, b)
 
     def cross(a):
         # eps^{j k m x} a_m u_j s_k: the covector a against the frame pair
-        return np.einsum("...m,...j,...k,jkma->...a", a, u_low, s_low, eps_up)
+        return np.einsum("...m,...j,...k,jkma->...a", a, u_low, s_low, EPS_UPPER)
 
     out = {}
     out["a1"] = np.abs(_dot(f, u))
@@ -232,7 +227,7 @@ def residual_polar_groups(jet: PolarJet, bg: Background, basis) -> dict:
     c2 = _dot(f, u)[..., None] * s - _dot(f, s)[..., None] * u - cross(e)
     out["c2"] = worst(c2)
 
-    d1 = f - np.einsum("mrna,...r,...n,...a->...m", eps_low, p_up, u, s)
+    d1 = f - np.einsum("mrna,...r,...n,...a->...m", EPS_LOWER, p_up, u, s)
     out["d1"] = worst(d1)
     d2 = e - _dot(p, u)[..., None] * s_low + _dot(p, s)[..., None] * u_low
     out["d2"] = worst(d2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS_LOWER, ETA, ETA_SIGNS
+from .algebra import EPS_LOWER, EPS_UPPER, ETA, ETA_SIGNS
 from .errors import DegenerateInversion, DegenerateX
 from .fieldconn import Background, PolarJet
 
@@ -91,7 +91,7 @@ def momentum_from_velocity(u, s, forms: CompactForms, basis) -> np.ndarray:
     return (
         forms.xs * u
         + (forms.y @ u) * s
-        + np.einsum("i,j,k,ijka->a", forms.z, s_low, u_low, basis.eps_upper)
+        + np.einsum("i,j,k,ijka->a", forms.z, s_low, u_low, EPS_UPPER)
     )
 
 
@@ -104,7 +104,7 @@ def momentum_long_form(u, s, forms: CompactForms, basis) -> np.ndarray:
         forms.mass_cos * u
         + (forms.y @ u) * s
         - (forms.y @ s) * u
-        - np.einsum("m,j,k,jkma->a", forms.z, u_low, s_low, basis.eps_upper)
+        - np.einsum("m,j,k,jkma->a", forms.z, u_low, s_low, EPS_UPPER)
     )
 
 
@@ -142,7 +142,7 @@ def velocity_from_momentum(p, s, forms: CompactForms, basis) -> np.ndarray:
     c_s = sp + zs * c_zeta      # (1 + (zeta.s)^2) s.p + (zeta.s) zeta.p
     # zeta_i s_j eps^{ijka}, one (k, a) matrix per point, applied to p_low
     wedge = (zeta_low[..., :, None] * (s * ETA_SIGNS)[..., None, :]).reshape(zs.shape + (16,))
-    dual = (wedge @ basis.eps_upper.reshape(16, 16)).reshape(zs.shape + (4, 4))
+    dual = (wedge @ EPS_UPPER.reshape(16, 16)).reshape(zs.shape + (4, 4))
     u = p + s * c_s[..., None] + zeta * c_zeta[..., None] + (dual @ p_low[..., None])[..., 0]
     return u / (xs * denom)[..., None]
 

@@ -112,3 +112,25 @@ def transport_gauge(jet):
     """The jet with its turn about the spin taken out, the gauge of
     derivative_jet; a stencil jet comes in the minimal-rotation gauge."""
     return shift_turn(jet, -turn_about_spin(jet.r, jet.velocity, jet.spin))
+
+
+class SpinorTable:
+    """Field that returns the given spinors (n, 4) and derivatives (n, 4, 4)
+    for any stack of n points, or one spinor (4,) for a single point."""
+
+    def __init__(self, psi, grad):
+        self.psi, self.grad = psi, grad
+
+    def evaluate(self, x):
+        return self.psi
+
+    def partial(self, x):
+        return self.grad
+
+    def block(self, x):
+        return np.concatenate([self.psi[..., None, :], self.grad], axis=-2)
+
+    def products(self, x, rows):
+        from diracpolar.fieldconn import density_products
+
+        return density_products(self.psi, self.block(x), rows)

@@ -6,6 +6,8 @@ from diracpolar.algebra import (
     EPS_UPPER,
     ETA,
     SEED_SPINOR,
+    PAIR_I,
+    PAIR_J,
     CliffordBasis,
     boost_params,
     build_chiral_basis,
@@ -17,6 +19,7 @@ from diracpolar.algebra import (
     verify_basis,
 )
 from diracpolar.fieldconn import plane_wave
+from diracpolar.gordon import _balance_stack
 from diracpolar.polar import polar_decompose
 
 from conftest import random_antisymmetric, spin_dual, turn_about_spin
@@ -185,6 +188,45 @@ def test_boost_rotation_hermiticity(basis):
     rot_pair = lorentz_exp(rotation_params(np.array([0.2, -1.0, 0.4]), 1.1), basis)
     prod = rot_pair.spin_rep @ rot_pair.spin_rep.conj().T
     assert np.abs(prod - np.eye(4)).max() < 1e-13
+
+
+def test_density_rows_hold_each_matrix_once(basis):
+    # one layout of the sixteen density matrices; the jet and velocity rows
+    # are prefixes of it, not copies
+    stack = basis.density_rows.reshape(4, 16, 4).transpose(1, 0, 2)
+    g0, pi, sig_low = basis.gamma[0], basis.pi, basis.sigma_lower
+    assert np.array_equal(stack[0], g0)
+    assert np.array_equal(stack[1], 1j * g0 @ pi)
+    assert np.array_equal(stack[2:6], g0 @ basis.gamma)
+    assert np.array_equal(stack[6:10], g0 @ basis.gamma @ pi)
+    assert np.array_equal(stack[10:], 2j * g0 @ sig_low[PAIR_I, PAIR_J])
+    for rows, width in ((basis.jet_rows, 40), (basis.velocity_rows, 24)):
+        assert rows.shape == (4, width)
+        assert np.shares_memory(rows, basis.density_rows)
+        assert np.array_equal(rows, basis.density_rows[:, :width])
+
+
+def test_jet_reads_pi_and_sigma_through_densities(basis):
+    # the identities that let the exact jet read psi^dagger pi psi and
+    # psi^dagger sigma^{ij} psi off A: exact, entry by entry
+    g0, pi, sig = basis.gamma[0], basis.pi, basis.sigma_upper
+    axial = g0 @ basis.gamma @ pi       # gamma^0 gamma^a pi, the rows behind A^a
+    assert np.array_equal(pi, axial[0])
+    for i in (1, 2, 3):
+        assert np.array_equal(sig[0, i], 0.5 * g0 @ basis.gamma[i])
+        assert np.array_equal(sig[0, i], sig[0, i].conj().T)
+    # sigma^{jk} = -i gamma^0 gamma^l pi / 2 for (j, k, l) cyclic
+    for j, k, l in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        assert np.array_equal(sig[j, k], -0.5j * axial[l])
+
+
+def test_balance_stack_is_hermitian_or_antihermitian(basis):
+    # adj(nabla psi) M psi = +-conj(adj(psi) M nabla psi) rests on this
+    stack = _balance_stack(basis)
+    assert stack.shape == (42, 4, 4)
+    adjoint = stack.conj().swapaxes(-1, -2)
+    for matrix, adj in zip(stack, adjoint):
+        assert np.array_equal(adj, matrix) or np.array_equal(adj, -matrix)
 
 
 def test_basis_built_once_and_read_only():

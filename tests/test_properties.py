@@ -55,9 +55,11 @@ from diracpolar.fieldconn import (
     polar_jet,
     sample_field,
     superpose,
+    to_grid,
     verify_polar_derivative,
     verify_transport,
 )
+from diracpolar.gordon import dirac_residual, residual_bilinear_gordon, residual_polar_groups
 from diracpolar.guidance import compact_forms, velocity_from_momentum
 from diracpolar.polar import (
     kinematic_velocity,
@@ -67,7 +69,7 @@ from diracpolar.polar import (
 )
 from diracpolar.trajectories import velocity_field
 
-from conftest import jet_gap, shift_turn, transport_gauge, vanishing_waves
+from conftest import SpinorTable, jet_gap, shift_turn, transport_gauge, vanishing_waves
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -201,6 +203,35 @@ def test_batch_equals_stacked_single_calls(basis, seed, n):
         assert np.abs(rebuilt[k] - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_empty_stacks_give_empty_results(basis):
+    # a stack of no points is a batch like any other: every batched layer
+    # answers with arrays of batch shape (0,) and its own trailing shape
+    momenta = np.array([four_velocity(np.array(v)) for v in ((0.2, -0.1, 0.3), (0.0, 0.1, 0.0))])
+    axes = np.array([[0.0, 0.3, 1.0], [1.0, 0.0, 0.0]])
+    fld = plane_wave(momenta, 1.0, axes, np.array([1.0, 0.3]), basis)
+    grid = to_grid(fld.evaluate, np.zeros(4), 0.1, (3, 3, 3, 3))
+    bg = Background(mass=1.0)
+    x = np.zeros((0, 4))
+    psi = np.zeros((0, 4), dtype=complex)
+    for field in (fld, grid, BoxWindow(fld, -np.ones(4), np.ones(4))):
+        assert field.products(x, basis.jet_rows).shape == (0, 10, 5)
+        assert field.densities(x, basis.velocity_rows).shape == (0, 6)
+    assert density_products(psi, np.zeros((0, 5, 4)), basis.density_rows).shape == (0, 16, 5)
+    assert compute_bilinears(psi, basis).tensor.shape == (0, 4, 4)
+    assert polar_decompose(psi, basis).l_spin.shape == (0, 4, 4)
+    for jet in (derivative_jet(fld, bg, basis, x), polar_jet(fld, bg, basis, x)):
+        assert jet.r.shape == (0, 4, 4, 4)
+        assert jet.p.shape == (0, 4)
+        assert verify_polar_derivative(jet, fld, bg, basis).shape == (0, 4)
+        groups = residual_polar_groups(jet, bg, basis)
+        assert {value.shape for value in groups.values()} == {(0,)}
+    checks = residual_bilinear_gordon(fld, bg, basis, x)
+    assert {value.shape for value in checks.values()} == {(0,)}
+    assert dirac_residual(fld, bg, basis, x).shape == (0,)
+    for mode in ("kinematic", "guidance"):
+        assert velocity_field(fld, bg, basis, mode)(x).shape == (0, 4)
+
+
 @PROPERTY
 @given(
     seed=seeds,
@@ -221,26 +252,6 @@ def test_batch_with_singular_row_raises(basis, seed, n, row, log_size):
     psi[row % n] = near
     with pytest.raises(SingularSpinor):
         polar_decompose(psi, basis)
-
-
-class SpinorTable:
-    """Field that returns the given spinors (n, 4) and derivatives (n, 4, 4)
-    for any stack of n points, or one spinor (4,) for a single point."""
-
-    def __init__(self, psi, grad):
-        self.psi, self.grad = psi, grad
-
-    def evaluate(self, x):
-        return self.psi
-
-    def partial(self, x):
-        return self.grad
-
-    def block(self, x):
-        return np.concatenate([self.psi[..., None, :], self.grad], axis=-2)
-
-    def products(self, x, rows):
-        return density_products(self.psi, self.block(x), rows)
 
 
 @PROPERTY
@@ -394,30 +405,52 @@ stencil_offsets = st.one_of(
 any_gradients = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(np.array)
 
 
-def check_jet(jet, dchiral, dphase):
+def stencil_rounding(frame):
+    """Rounding of polar_jet's differences on a field of this frame: eps / h,
+    divided by min(1, d) when the rest spin lies a distance d from -z, where
+    the axis of the minimal rotation moves by eps / d.  On -z itself
+    rot_z_to_reps takes a fixed half turn, which moves by eps alone."""
+    t = frame[1] / np.linalg.norm(frame[1])
+    distance = np.linalg.norm(t + [0.0, 0.0, 1.0])
+    if np.hypot(t[0], t[1]) < 1e-14 and t[2] < 0:
+        distance = 1.0
+    return EPS / (H_JET * min(1.0, distance))
+
+
+def check_jet(jet, dchiral, dphase, rounding):
     assert np.all(np.isfinite(jet.dchiral)) and np.all(np.isfinite(jet.p))
     # the angles are affine, so the central differences are exact up to
-    # rounding of order eps / h; with a fixed frame and no charge, p is the
-    # phase gradient
+    # rounding; with a fixed frame and no charge, p is the phase gradient.
+    # Over 20000 random draws, a third of them next to -z, p reached 15.3 and
+    # r 122 units of stencil_rounding, dchiral 8.7e-13 at any distance
     assert np.abs(jet.dchiral - dchiral).max() < 1e-10
-    assert np.abs(jet.p - dphase).max() < 1e-10
-    assert np.abs(jet.r).max() < 1e-10
+    assert np.abs(jet.p - dphase).max() < 40 * rounding
+    assert np.abs(jet.r).max() < 300 * rounding
+
+
+# the rest spin 1.2e-7 from -z: the flat bound 1e-10 of r and p failed here
+NEXT_TO_ANTIPODE = (np.array([0.0, 2.0, 0.0]), np.array([0.0, 1.192092896e-07, -1.0]))
+UNIT_GRADIENT = np.array([-1.0, 0.0, 0.0, 0.0])
 
 
 @PROPERTY
 @given(frame=frames, sign=signs, offset=stencil_offsets, dchiral=gradients, dphase=any_gradients)
+@example(frame=NEXT_TO_ANTIPODE, sign=-1.0, offset=0.0, dchiral=UNIT_GRADIENT, dphase=np.zeros(4))
 def test_polar_jet_across_chiral_wrap(basis, frame, sign, offset, dchiral, dphase):
     pd = replace(frame_data(frame, basis), chiral_angle=sign * (np.pi - offset))
     fld = AffinePolarField(pd, dchiral, dphase, basis)
-    check_jet(polar_jet(fld, Background(mass=1.0), basis, np.zeros(4), H_JET), dchiral, dphase)
+    jet = polar_jet(fld, Background(mass=1.0), basis, np.zeros(4), H_JET)
+    check_jet(jet, dchiral, dphase, stencil_rounding(frame))
 
 
 @PROPERTY
 @given(frame=frames, sign=signs, offset=stencil_offsets, dphase=gradients, dchiral=any_gradients)
+@example(frame=NEXT_TO_ANTIPODE, sign=-1.0, offset=0.0, dphase=UNIT_GRADIENT, dchiral=np.zeros(4))
 def test_polar_jet_across_phase_wrap(basis, frame, sign, offset, dphase, dchiral):
     pd = replace(frame_data(frame, basis), residual_phase=sign * (np.pi - offset))
     fld = AffinePolarField(pd, dchiral, dphase, basis)
-    check_jet(polar_jet(fld, Background(mass=1.0), basis, np.zeros(4), H_JET), dchiral, dphase)
+    jet = polar_jet(fld, Background(mass=1.0), basis, np.zeros(4), H_JET)
+    check_jet(jet, dchiral, dphase, stencil_rounding(frame))
 
 
 def antipode_field(basis, seed, distance, azimuth, steady_turn):

@@ -292,3 +292,9 @@ def test_charged_guidance_ensemble_in_linear_potential(basis):
         assert np.abs(arc.u - us).max() < 1e-12
         # the potential bends the curve, so the batched a_value mattered
         assert np.abs(arc.x - plain.x).max() > 1e-4
+
+
+@pytest.mark.parametrize("mode", ["kinematic", "guidance"])
+def test_no_seeds_give_no_arcs(basis, mode):
+    bg = Background(mass=MASS)
+    assert batch_integrate(two_wave(basis), bg, basis, np.zeros((0, 4)), 0.1, mode=mode) == []
