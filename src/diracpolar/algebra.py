@@ -100,6 +100,11 @@ class CliffordBasis:
     density_rows: np.ndarray       # (4, 64)
     jet_rows: np.ndarray           # (4, 40), density_rows[:, :40]: the ten behind S, P, U and A
     velocity_rows: np.ndarray      # (4, 24), density_rows[:, :24]: the six behind S, P and U
+    # gamma^0 M for the 42 matrices M the balance equations pair with the
+    # field, 1, pi, gamma^a, gamma^a pi, sigma^ab (16), sigma^ab pi (16), side
+    # by side; each is exactly hermitian (sign +1) or anti-hermitian (-1)
+    balance_rows: np.ndarray       # (4, 168)
+    balance_signs: np.ndarray      # (42,)
     boost_generators: np.ndarray   # (3, 4, 4), gamma_0 gamma_k = 2 sigma_0k
     rotation_generators: np.ndarray  # (2, 4, 4), (sigma_23, sigma_31); z -> t needs no sigma_12
 
@@ -115,6 +120,9 @@ class CliffordBasis:
         pi = np.asarray(pi, dtype=complex).copy()
         eye = np.eye(4, dtype=complex)
         densities = [eye, 1j * pi, *gam, *(gam @ pi), *(2j * sig_low[PAIR_I, PAIR_J])]
+        sigma = sig_up.reshape(16, 4, 4)
+        balance = gam[0] @ np.concatenate([eye[None], pi[None], gam, gam @ pi, sigma, sigma @ pi])
+        hermitian = np.all(np.conj(np.swapaxes(balance, -1, -2)) == balance, axis=(-2, -1))
         arrays = dict(
             gamma=gam,
             gamma_lower=gam_low,
@@ -123,6 +131,8 @@ class CliffordBasis:
             pi=pi,
             identity=eye,
             density_rows=side_by_side(gam[0] @ np.array(densities)),
+            balance_rows=side_by_side(balance),
+            balance_signs=np.where(hermitian, 1.0, -1.0),
             boost_generators=2.0 * sig_low[0, 1:],
             rotation_generators=sig_low[[2, 3], [3, 1]],
         )

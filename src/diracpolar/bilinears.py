@@ -107,7 +107,7 @@ def random_regular_spinor(rng, basis, scale: float = 1.0) -> np.ndarray:
             return psi
 
 
-def check_fierz(bil: BilinearSet, basis) -> dict:
+def check_fierz(bil: BilinearSet) -> dict:
     """Quadratic interdependencies between the densities, scale-normalized;
     one residual per spinor for the densities of a batch.
 

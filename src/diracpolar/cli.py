@@ -361,7 +361,7 @@ def cmd_identities(args) -> int:
 
     parts = rng.standard_normal((args.random, 2, 4))
     psi = parts[:, 0] + 1j * parts[:, 1]
-    checks["density_interdependence"] = _worst(check_fierz(compute_bilinears(psi, basis), basis))
+    checks["density_interdependence"] = _worst(check_fierz(compute_bilinears(psi, basis)))
     checks["spinor_constraints"] = _worst(check_spinor_constraints(psi, basis))
     return _finish(checks.items(), args.format, args.tolerance, checks)
 
@@ -422,18 +422,17 @@ def _gordon_point(fld, bg, basis, points):
     rows of the report in point order: pK.point first, then its residuals.
 
     Each check runs once over the whole stack, so a failing point aborts the
-    scan.  The balance checks share one field sample; the jet is the exact
-    one.
+    scan.  The balance checks and the exact jet share one field sample.
     """
     sample = sample_field(fld, bg, points)
     columns = {"dirac": dirac_residual(fld, bg, basis, points, sample)}
     columns.update(residual_bilinear_gordon(fld, bg, basis, points, sample))
-    jet = derivative_jet(fld, bg, basis, points)
-    for name, value in residual_polar_groups(jet, bg, basis).items():
+    jet = derivative_jet(fld, bg, basis, points, sample)
+    for name, value in residual_polar_groups(jet, bg).items():
         columns["group_" + name] = value
     derivative = verify_polar_derivative(jet, fld, bg, basis, sample)
     columns["polar_derivative"] = derivative.max(axis=-1)
-    transport = verify_transport(jet, basis)
+    transport = verify_transport(jet)
     columns["transport"] = np.maximum(
         transport["velocity_transport"], transport["spin_transport"]
     )
@@ -477,10 +476,10 @@ def cmd_guidance(args) -> int:
             raise ConfigError(probe)
     jet = derivative_jet(fld, bg, basis, x)
     forms = compact_forms(jet, bg)
-    p_compact = momentum_from_velocity(jet.velocity, jet.spin, forms, basis)
-    p_long = momentum_long_form(jet.velocity, jet.spin, forms, basis)
+    p_compact = momentum_from_velocity(jet.velocity, jet.spin, forms)
+    p_long = momentum_long_form(jet.velocity, jet.spin, forms)
     p_conn = ETA @ jet.p
-    u_back = velocity_from_momentum(p_conn, jet.spin, forms, basis)
+    u_back = velocity_from_momentum(p_conn, jet.spin, forms)
     checked = {
         "momentum_form_gap": float(np.abs(p_compact - p_long).max()),
         "momentum_consistency": float(np.abs(p_compact - p_conn).max()),

@@ -3,11 +3,11 @@
 Fields come in two kinds: analytic superpositions of plane waves, with exact
 derivatives, and gridded samples differentiated by central differences.  Both
 expose evaluate(x), partial(x) and block(x), which stacks psi and d_0 psi ...
-d_3 psi as (..., 5, 4), and products(x, rows) and densities(x, rows), which
-give psi^dagger M [psi, d_mu psi] and psi^dagger M psi for a row stack (for
-plane waves from a table over the wave pairs); everything downstream is
-agnostic.  All take a point (4,) or a stack (..., 4); partial puts mu right
-after the batch axes.
+d_3 psi as (..., 5, 4); everything downstream is agnostic.  All take a point
+(4,) or a stack (..., 4); partial puts mu right after the batch axes.  Every
+density product psi^dagger M [psi, d_mu psi] is density_products of the
+field's own spinors, so its rounding is relative to |psi| and to |d_mu psi|,
+also next to a node of the field.
 
 The polar jet of a field at a point collects the local polar variables and
 the first derivatives of every polar variable, including the connection
@@ -27,12 +27,13 @@ p_mu as p[..., mu].
 u and s fix r up to a turn about the spin, lam_mu eps_ijkl u^k s^l, the
 frame gauge; a turn by c_mu moves p by c_mu / 2 and leaves nabla psi as it
 is.  Two functions build a jet, in two gauges.  derivative_jet is exact: it
-takes the field's products of psi and its covariant derivative with the ten
-density matrices behind S, P, U and A at the point and differentiates the
-closed forms; it decomposes nothing and sets lam = 0, the transport gauge.  polar_jet
-differences the polar variables of polar_decompose, whose frame is the boost
-and the minimal rotation, over a nine-point stencil of step h; it needs only
-evaluate and, with its turn about the spin taken out, checks the exact jet.
+takes the products of psi and its covariant derivative, from sample_field,
+with the ten density matrices behind S, P, U and A at the point and
+differentiates the closed forms; it decomposes nothing and sets lam = 0, the
+transport gauge.  polar_jet differences the polar variables of
+polar_decompose, whose frame is the boost and the minimal rotation, over a
+nine-point stencil of step h; it needs only evaluate and, with its turn about
+the spin taken out, checks the exact jet.
 """
 from __future__ import annotations
 
@@ -137,58 +138,30 @@ class PlaneWaveField:
         self._amplitudes = np.array(
             [c.amplitude for c in self.components], dtype=complex
         ).reshape(-1, 4)
-        # p_i - p_j for every pair of waves, row n i + j
-        self._p_pairs = (self._p_low[:, None] - self._p_low).reshape(-1, 4)
-        self._tables = {}   # id(rows) -> (rows, table); holding rows keeps the id unique
+        # a_k, then -i p_k mu a_k for mu = 0..3: what each phase multiplies in
+        # psi and in d_mu psi, (5, n, 4)
+        self._block_amplitudes = np.concatenate(
+            [self._amplitudes[None], -1j * self._p_low.T[:, :, None] * self._amplitudes]
+        )
 
     def _phases(self, x):
         return np.exp(-1j * (np.asarray(x, dtype=float) @ self._p_low.T))
 
     def evaluate(self, x):
         """Field at a point (4,), or at every point of a stack (..., 4)."""
-        return self._phases(x) @ self._amplitudes
+        # a (1, n) row of phases times (n, 4) also at a single point, the
+        # matrix product block forms
+        return (self._phases(x)[..., None, :] @ self._amplitudes)[..., 0, :]
 
     def partial(self, x):
         """d_mu psi at a point (4,) or at every point of a stack (..., 4)."""
         return self.block(x)[..., 1:, :]
 
     def block(self, x):
-        """psi and d_mu psi from one set of phases, (..., 5, 4); each part is
-        the product a separate call forms, so it carries the same bits."""
-        phases = self._phases(x)
-        out = np.empty(phases.shape[:-1] + (5, 4), dtype=complex)
-        np.matmul(phases, self._amplitudes, out=out[..., 0, :])
-        # rows mu, phase gradient lowered
-        np.matmul(-1j * self._p_low.T * phases[..., None, :], self._amplitudes, out=out[..., 1:, :])
-        return out
-
-    def _table(self, rows):
-        """Row n i + j holds a_i^dagger M a_j d_j for every M of rows and d_j
-        = 1, -i p_j0, ..., -i p_j3, as (k, 5) flattened: psi^dagger M d psi is
-        the sum of the rows weighted by exp(i (p_i - p_j).x).  Built once."""
-        entry = self._tables.get(id(rows))
-        if entry is None:
-            n, k = len(self._amplitudes), rows.shape[1] // 4
-            pairs = (self._amplitudes.conj() @ rows).reshape(n, k, 4) @ self._amplitudes.T
-            factors = np.concatenate([np.ones((n, 1)), -1j * self._p_low], axis=1)
-            table = pairs.transpose(0, 2, 1)[..., None] * factors[:, None, :]
-            entry = self._tables[id(rows)] = (rows, table.reshape(n * n, 5 * k))
-        return entry[1]
-
-    def _pair_phases(self, x):
-        return np.exp(1j * (np.asarray(x, dtype=float) @ self._p_pairs.T))
-
-    def products(self, x, rows):
-        """psi^dagger M [psi, d_0 psi ... d_3 psi] at x (4,) or (..., 4) for
-        the matrices M of rows, (..., k, 5), as density_products lays it out:
-        one phase exponential and one product with the table of rows.  rows
-        is a stack the caller keeps, such as basis.jet_rows."""
-        out = self._pair_phases(x) @ self._table(rows)
-        return out.reshape(out.shape[:-1] + (rows.shape[1] // 4, 5))
-
-    def densities(self, x, rows):
-        """psi^dagger M psi at x (4,) or (..., 4) for the matrices M of rows, (..., k)."""
-        return self._pair_phases(x) @ self._table(rows)[:, ::5]
+        """psi and d_mu psi from one set of phases, (..., 5, 4), in one
+        product; its psi row is the product evaluate forms, so it carries the
+        same bits."""
+        return (self._phases(x)[..., None, None, :] @ self._block_amplitudes)[..., 0, :]
 
 
 def require_on_shell(momentum, mass) -> None:
@@ -270,15 +243,6 @@ class GriddedField:
     def block(self, x):
         return np.concatenate([self.evaluate(x)[..., None, :], self.partial(x)], axis=-2)
 
-    def products(self, x, rows):
-        block = self.block(x)
-        return density_products(block[..., 0, :], block, rows)
-
-    def densities(self, x, rows):
-        """From evaluate alone, so a node needs no derivative stencil."""
-        psi = self.evaluate(x)
-        return density_products(psi, psi[..., None, :], rows)[..., 0]
-
 
 class BoxWindow:
     """Axis-aligned view of another field; outside the box every request
@@ -306,12 +270,6 @@ class BoxWindow:
 
     def block(self, x):
         return self.inner.block(self._check(x))
-
-    def products(self, x, rows):
-        return self.inner.products(self._check(x), rows)
-
-    def densities(self, x, rows):
-        return self.inner.densities(self._check(x), rows)
 
 
 def to_grid(fn, origin, spacing, shape) -> GriddedField:
@@ -356,18 +314,26 @@ class FieldSample:
     """psi and nabla_mu psi at x (4,) or (..., 4), for every exact check to share."""
 
     x: np.ndarray
-    psi: np.ndarray       # (..., 4)
-    grad: np.ndarray      # (..., 4, 4): mu, then the spinor index
+    block: np.ndarray     # (..., 5, 4): psi, then nabla_0 psi ... nabla_3 psi
+
+    @property
+    def psi(self):
+        return self.block[..., 0, :]
+
+    @property
+    def grad(self):
+        """(..., 4, 4): mu, then the spinor index."""
+        return self.block[..., 1:, :]
 
 
 def sample_field(fld, bg: Background, x) -> FieldSample:
     """The field's block, with i charge a_mu psi added to d_mu psi at nonzero charge."""
     x = np.asarray(x, dtype=float)
-    block = fld.block(x)
-    psi, grad = block[..., 0, :], block[..., 1:, :]
+    sample = FieldSample(x, fld.block(x))
     if bg.charge:
+        grad, psi = sample.grad, sample.psi
         grad += 1j * bg.charge * (bg.a_value(x) * ETA_SIGNS)[..., :, None] * psi[..., None, :]
-    return FieldSample(x, psi, grad)
+    return sample
 
 
 def covariant_derivative(fld, bg: Background, x):
@@ -407,13 +373,13 @@ class PolarJet:
     x: np.ndarray
 
 
-def derivative_jet(fld, bg: Background, basis, x) -> PolarJet:
+def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     """Polar data and its exact first derivatives at a point x (4,), or at
     every point of a stack (..., 4), whose batch shape the jet then carries.
 
-    It reads psi^dagger M [psi, nabla_mu psi] for the ten density matrices M
-    of basis.jet_rows from one call of the field's products, then adds the
-    charge term i q a_mu to the derivative columns:
+    It needs the field and its covariant derivative at x, from one
+    sample_field unless the caller passes the sample, and pairs them with the
+    ten density matrices M of basis.jet_rows in one density_products call:
       - the density, chiral angle, velocity and spin come from S, P, U and A
         (polar_variables), their derivatives from the product rule;
       - the connection r is frame_connection of u, s and their
@@ -423,13 +389,11 @@ def derivative_jet(fld, bg: Background, basis, x) -> PolarJet:
       - what remains of nabla psi once the known part is taken off lies
         along i psi, and its coefficient is -p, in the same gauge as r.
     """
-    x = np.asarray(x, dtype=float)
-    # the densities, then one column per mu.  Row 2 is gamma^0 gamma^0 = 1,
-    # so it also holds psi^dagger nabla_mu psi
-    products = fld.products(x, basis.jet_rows)
-    if bg.charge:
-        charge = 1j * bg.charge * (bg.a_value(x) * ETA_SIGNS)[..., None, :]
-        products[..., 1:] += charge * products[..., :1]
+    if sample is None:
+        sample = sample_field(fld, bg, x)
+    # psi^dagger M [psi, nabla_mu psi]: the densities, then one column per
+    # mu.  Row 2 is gamma^0 gamma^0 = 1, so it also holds psi^dagger nabla_mu psi
+    products = density_products(sample.psi, sample.block, basis.jet_rows)
     values = products[..., 0].real
     density, chiral, u, s = polar_variables(Densities.from_values(values))
     d = 2.0 * products[..., 1:].real
@@ -454,7 +418,7 @@ def derivative_jet(fld, bg: Background, basis, x) -> PolarJet:
     known = 0.5 * dchiral * values[..., 6, None]
     known = known - 0.5 * (r[..., _CYCLIC_J, _CYCLIC_K] @ values[..., 7:10, None])[..., 0]
     p = -(products[..., 2, 1:].imag + known) / values[..., 2, None]
-    return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, r, p, x)
+    return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, r, p, sample.x)
 
 
 def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
@@ -540,7 +504,7 @@ def verify_polar_derivative(jet: PolarJet, fld, bg, basis, sample=None):
     return np.abs(via_polar - sample.grad).max(axis=-1) / scale
 
 
-def verify_transport(jet: PolarJet, basis) -> dict:
+def verify_transport(jet: PolarJet) -> dict:
     """Frame steering of the velocity and spin by the connection coefficients;
     one residual per point for a batched jet."""
     out = {}

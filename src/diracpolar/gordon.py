@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import EPS_LOWER, EPS_UPPER, ETA_SIGNS, side_by_side
+from .algebra import EPS_LOWER, EPS_UPPER, ETA_SIGNS
 from .bilinears import compute_bilinears
 from .fieldconn import Background, PolarJet, density_products, polar_jet, sample_field
 from .guidance import potentials
@@ -30,32 +30,18 @@ _S = ETA_SIGNS
 _S2 = ETA_SIGNS[:, None] * ETA_SIGNS
 
 
-def _balance_stack(basis):
-    """gamma^0 M for every matrix M the balance equations pair with the field,
-    in the order 1, pi, gamma^a, gamma^a pi, sigma^ab (16), sigma^ab pi (16).
-    Each is exactly hermitian or anti-hermitian."""
-    sigma = basis.sigma_upper.reshape(16, 4, 4)
-    mats = np.concatenate(
-        [basis.identity[None], basis.pi[None], basis.gamma, basis.gamma @ basis.pi,
-         sigma, sigma @ basis.pi]
-    )
-    return basis.gamma[0] @ mats
-
-
 def _density_derivatives(sample, basis):
     """Sum and difference of adj(psi) M nabla_mu psi and adj(nabla_mu psi) M psi
-    for every matrix of _balance_stack, split by kind.
+    for every matrix of basis.balance_rows, split by kind.
 
     The sums are the first derivatives of the densities by the product rule;
     the differences are the kinetic terms.  Each piece carries the batch axes,
     then the matrix indices, then mu last.
     """
-    stack = _balance_stack(basis)
-    forward = density_products(sample.psi, sample.grad, side_by_side(stack))
+    forward = density_products(sample.psi, sample.grad, basis.balance_rows)
     # adj(nabla psi) M psi is the conjugate of psi^dagger (gamma^0 M)^dagger
     # nabla psi, and (gamma^0 M)^dagger = +-gamma^0 M
-    hermitian = np.all(np.conj(np.swapaxes(stack, -1, -2)) == stack, axis=(-2, -1))
-    backward = np.where(hermitian, 1.0, -1.0)[:, None] * forward.conj()
+    backward = basis.balance_signs[:, None] * forward.conj()
 
     def split(pairs):
         batch = pairs.shape[:-2]
@@ -186,7 +172,7 @@ def compute_potentials(jet: PolarJet, bg: Background):
     return e, f
 
 
-def residual_polar_groups(jet: PolarJet, bg: Background, basis) -> dict:
+def residual_polar_groups(jet: PolarJet, bg: Background) -> dict:
     """All four projection groups of the polar field equations, one residual
     per point of a batched jet.
 
@@ -234,8 +220,8 @@ def residual_polar_groups(jet: PolarJet, bg: Background, basis) -> dict:
     return out
 
 
-def group_d_residual(jet: PolarJet, bg: Background, basis):
-    groups = residual_polar_groups(jet, bg, basis)
+def group_d_residual(jet: PolarJet, bg: Background):
+    groups = residual_polar_groups(jet, bg)
     return np.maximum(groups["d1"], groups["d2"])
 
 
@@ -251,5 +237,5 @@ def equivalence_probe(fld, bg: Background, basis, points, h=1e-3) -> dict:
     jet = polar_jet(fld, bg, basis, points, h)
     return {
         "dirac": dirac_residual(fld, bg, basis, points),
-        "group_d": group_d_residual(jet, bg, basis),
+        "group_d": group_d_residual(jet, bg),
     }

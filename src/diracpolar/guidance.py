@@ -83,7 +83,7 @@ def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
     return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos, guard_scale=guard_scale)
 
 
-def momentum_from_velocity(u, s, forms: CompactForms, basis) -> np.ndarray:
+def momentum_from_velocity(u, s, forms: CompactForms) -> np.ndarray:
     """Raised momentum from the unit velocity, spin direction and potentials."""
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -95,7 +95,7 @@ def momentum_from_velocity(u, s, forms: CompactForms, basis) -> np.ndarray:
     )
 
 
-def momentum_long_form(u, s, forms: CompactForms, basis) -> np.ndarray:
+def momentum_long_form(u, s, forms: CompactForms) -> np.ndarray:
     """Same momentum written without the xs shorthand; kept as a cross-check."""
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -108,7 +108,7 @@ def momentum_long_form(u, s, forms: CompactForms, basis) -> np.ndarray:
     )
 
 
-def velocity_from_momentum(p, s, forms: CompactForms, basis) -> np.ndarray:
+def velocity_from_momentum(p, s, forms: CompactForms) -> np.ndarray:
     """Invert the momentum map; only z, s and xs enter.
 
     With zeta = z / xs and the contractions s.p, zeta.p, zeta.s, the inverse
@@ -129,7 +129,11 @@ def velocity_from_momentum(p, s, forms: CompactForms, basis) -> np.ndarray:
     zeta_low = forms.z / xs[..., None]
     zeta = zeta_low * ETA_SIGNS
     zs = np.vecdot(zeta_low, s)
-    denom = 1.0 + np.vecdot(zeta_low, zeta) + zs**2
+    # denom divides every component, and its three terms may nearly cancel
+    # next to a degenerate inversion: form it in long double
+    long_low = np.divide(forms.z, xs[..., None], dtype=np.longdouble)
+    denom = 1.0 + np.vecdot(long_low, long_low * ETA_SIGNS) + np.vecdot(long_low, s) ** 2
+    denom = denom.astype(float)
     vanishing = np.abs(denom) < INVERSION_GUARD
     if vanishing.any():
         raise DegenerateInversion(

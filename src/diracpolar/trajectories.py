@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import ETA_SIGNS
 from .bilinears import Densities, require_regular
 from .errors import DiracPolarError, ImmediateSingularity
-from .fieldconn import Background, derivative_jet
+from .fieldconn import Background, density_products, derivative_jet
 from .guidance import compact_forms, velocity_from_momentum
 
 MODES = ("kinematic", "guidance")
@@ -37,14 +37,16 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic"):
 
     x is a point (4,) or a stack of points (..., 4), and the velocities come
     back with its shape.  A stack raises if the velocity is undefined at any
-    of its points.  Kinematic mode reads the field's densities S, P and U;
-    guidance mode its products with psi and d_mu psi, through derivative_jet.
+    of its points.  Kinematic mode reads the densities S, P and U of the
+    field's psi; guidance mode its products with psi and d_mu psi, through
+    derivative_jet.
     """
     if mode == "kinematic":
         rows = basis.velocity_rows
 
         def evaluate(x):
-            values = fld.densities(x, rows).real
+            psi = fld.evaluate(x)
+            values = density_products(psi, psi[..., None, :], rows)[..., 0].real
             dens = Densities(values[..., 0], values[..., 1], values[..., 2:], None)
             require_regular(dens)
             return dens.vector / np.hypot(dens.scalar, dens.pseudoscalar)[..., None]
@@ -54,7 +56,7 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic"):
         def evaluate(x):
             jet = derivative_jet(fld, bg, basis, x)
             forms = compact_forms(jet, bg)
-            return velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms, basis)
+            return velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms)
 
     else:
         raise ValueError("mode must be one of %s" % (MODES,))

@@ -129,8 +129,3 @@ class SpinorTable:
 
     def block(self, x):
         return np.concatenate([self.psi[..., None, :], self.grad], axis=-2)
-
-    def products(self, x, rows):
-        from diracpolar.fieldconn import density_products
-
-        return density_products(self.psi, self.block(x), rows)

@@ -98,7 +98,7 @@ def test_criterion_2_fierz_suite(basis):
     for _ in range(1000):
         psi = random_regular_spinor(rng, basis)
         bil = compute_bilinears(psi, basis)
-        worst_fierz = max(worst_fierz, *check_fierz(bil, basis).values())
+        worst_fierz = max(worst_fierz, *check_fierz(bil).values())
         worst_constraint = max(
             worst_constraint, *check_spinor_constraints(psi, basis).values()
         )
@@ -147,7 +147,7 @@ def test_criterion_4_connection_oracle(basis):
         x = rng.uniform(-0.5, 0.5, size=4)
         jet = polar_jet(fld, bg, basis, x, h=1e-3)
         worst_deriv = max(worst_deriv, verify_polar_derivative(jet, fld, bg, basis).max())
-        worst_transport = max(worst_transport, *verify_transport(jet, basis).values())
+        worst_transport = max(worst_transport, *verify_transport(jet).values())
 
     x = np.array([0.2, -0.1, 0.3, 0.1])
     e_coarse = verify_polar_derivative(
@@ -177,7 +177,7 @@ def test_criterion_5_gordon_suite(basis):
             x = rng.uniform(-0.5, 0.5, size=4)
             worst = max(worst, max(residual_bilinear_gordon(fld, bg, basis, x).values()))
             jet = polar_jet(fld, bg, basis, x, h=1e-3)
-            worst = max(worst, max(residual_polar_groups(jet, bg, basis).values()))
+            worst = max(worst, max(residual_polar_groups(jet, bg).values()))
 
     points = [rng.uniform(-0.5, 0.5, size=4) for _ in range(20)]
     probe = equivalence_probe(double, bg, basis, points, h=1e-3)
@@ -224,11 +224,11 @@ def test_criterion_6_guidance_inversion(basis):
             continue
         done += 1
         forms = CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos)
-        p = momentum_from_velocity(u, s, forms, basis)
+        p = momentum_from_velocity(u, s, forms)
         worst_forms = max(
-            worst_forms, np.abs(p - momentum_long_form(u, s, forms, basis)).max()
+            worst_forms, np.abs(p - momentum_long_form(u, s, forms)).max()
         )
-        u_back = velocity_from_momentum(p, s, forms, basis)
+        u_back = velocity_from_momentum(p, s, forms)
         worst_trip = max(worst_trip, np.abs(u_back - u).max())
     checks = {
         "velocity_round_trip": (worst_trip, 1e-10),

@@ -19,7 +19,6 @@ from diracpolar.algebra import (
     verify_basis,
 )
 from diracpolar.fieldconn import plane_wave
-from diracpolar.gordon import _balance_stack
 from diracpolar.polar import polar_decompose
 
 from conftest import random_antisymmetric, spin_dual, turn_about_spin
@@ -222,11 +221,11 @@ def test_jet_reads_pi_and_sigma_through_densities(basis):
 
 def test_balance_stack_is_hermitian_or_antihermitian(basis):
     # adj(nabla psi) M psi = +-conj(adj(psi) M nabla psi) rests on this
-    stack = _balance_stack(basis)
+    stack = basis.balance_rows.reshape(4, -1, 4).transpose(1, 0, 2)
     assert stack.shape == (42, 4, 4)
     adjoint = stack.conj().swapaxes(-1, -2)
-    for matrix, adj in zip(stack, adjoint):
-        assert np.array_equal(adj, matrix) or np.array_equal(adj, -matrix)
+    for matrix, adj, sign in zip(stack, adjoint, basis.balance_signs, strict=True):
+        assert np.array_equal(adj, sign * matrix)
 
 
 def test_basis_built_once_and_read_only():

@@ -58,7 +58,7 @@ def test_fierz_identities_random(basis):
     for _ in range(1000):
         psi = random_spinor(rng, scale=float(rng.uniform(0.2, 5.0)))
         bil = compute_bilinears(psi, basis)
-        rep = check_fierz(bil, basis)
+        rep = check_fierz(bil)
         assert max(rep.values()) < 1e-10, rep
 
 
@@ -73,7 +73,7 @@ def test_spinor_constraints_random(basis):
 def test_fierz_report_names(basis):
     rng = np.random.default_rng(1)
     bil = compute_bilinears(random_spinor(rng), basis)
-    rep = check_fierz(bil, basis)
+    rep = check_fierz(bil)
     assert set(rep) == {
         "vector_norm",
         "axial_norm",
@@ -107,7 +107,7 @@ def test_fierz_on_perturbed_densities(basis):
         "tensor_dot_axial": 0.031185554046577166,
         "tensor_reconstruction": 0.05318025228834968,
     }
-    got = check_fierz(bad, basis)
+    got = check_fierz(bad)
     assert list(got) == list(recorded)
     for name, want in recorded.items():
         assert abs(got[name] - want) <= 1e-12 * want, name

@@ -212,6 +212,22 @@ def test_emit_matches_per_row_printing(basis, fmt):
     assert got.getvalue() == want.getvalue()
 
 
+def test_gordon_scan_reads_the_field_once(basis, monkeypatch):
+    run = parse_config(TWO_WAVE)
+    fld = cli.build_field(run, basis)
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return block(x)
+
+    block = fld.block
+    monkeypatch.setattr(fld, "block", counted)
+    points = run.point + np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 4))
+    cli._gordon_point(fld, cli.build_background(run), basis, points)
+    assert calls == [(20, 4)]
+
+
 def test_parser_is_reused_without_leaking_options(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, TWO_WAVE)
     plain = ["gordon", "--config", cfg, "--points", "2", "--format", "records"]

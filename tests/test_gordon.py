@@ -135,7 +135,7 @@ def test_polar_groups_close_on_solutions(basis):
         two_wave(basis),
     ]:
         jet = polar_jet(fld, bg, basis, np.array([0.1, 0.2, -0.1, 0.3]), h=1e-3)
-        groups = residual_polar_groups(jet, bg, basis)
+        groups = residual_polar_groups(jet, bg)
         assert set(groups) == GROUP_KEYS
         assert max(groups.values()) < 1e-6, groups
 
@@ -156,7 +156,7 @@ def test_polar_groups_with_torsion(basis):
     assert dirac_residual(fld, bg, basis, x) < 1e-12
     jet = polar_jet(fld, bg, basis, x, h=1e-3)
     assert abs(jet.chiral_angle) > 1e-3
-    groups = residual_polar_groups(jet, bg, basis)
+    groups = residual_polar_groups(jet, bg)
     assert max(groups.values()) < 1e-7, groups
 
 
@@ -190,8 +190,8 @@ def test_group_d_residual_is_max_of_d(basis):
     fld = two_wave(basis)
     bg = Background(mass=MASS)
     jet = polar_jet(fld, bg, basis, np.zeros(4), h=1e-3)
-    groups = residual_polar_groups(jet, bg, basis)
-    assert group_d_residual(jet, bg, basis) == max(groups["d1"], groups["d2"])
+    groups = residual_polar_groups(jet, bg)
+    assert group_d_residual(jet, bg) == max(groups["d1"], groups["d2"])
 
 
 # Residuals of a non-solution, recorded from the per-point implementation
@@ -257,7 +257,7 @@ def all_residuals(fld, bg, basis, x):
     out = {"dirac": dirac_residual(fld, bg, basis, x)}
     out.update(residual_bilinear_gordon(fld, bg, basis, x))
     jet = polar_jet(fld, bg, basis, x, h=1e-3)
-    for name, value in residual_polar_groups(jet, bg, basis).items():
+    for name, value in residual_polar_groups(jet, bg).items():
         out["group_" + name] = value
     return out
 

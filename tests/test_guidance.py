@@ -41,8 +41,8 @@ def test_momentum_forms_agree(basis):
     for _ in range(1000):
         u, s = random_frame(rng)
         forms = random_forms(rng, s)
-        pa = momentum_from_velocity(u, s, forms, basis)
-        pb = momentum_long_form(u, s, forms, basis)
+        pa = momentum_from_velocity(u, s, forms)
+        pb = momentum_long_form(u, s, forms)
         assert np.abs(pa - pb).max() < 1e-12
 
 
@@ -54,8 +54,8 @@ def test_inversion_round_trip(basis):
         forms = random_forms(rng, s)
         if abs(forms.xs) <= 0.1:
             continue
-        p = momentum_from_velocity(u, s, forms, basis)
-        back = velocity_from_momentum(p, s, forms, basis)
+        p = momentum_from_velocity(u, s, forms)
+        back = velocity_from_momentum(p, s, forms)
         assert np.abs(back - u).max() < 1e-10
         checked += 1
 
@@ -67,9 +67,9 @@ def test_inversion_ignores_spin_admixture(basis):
     forms = random_forms(rng, s)
     if abs(forms.xs) <= 0.1:
         forms = CompactForms(forms.y, forms.z, 1.0, forms.mass_cos)
-    p = momentum_from_velocity(u, s, forms, basis)
-    v1 = velocity_from_momentum(p, s, forms, basis)
-    v2 = velocity_from_momentum(p + 3.7 * s, s, forms, basis)
+    p = momentum_from_velocity(u, s, forms)
+    v1 = velocity_from_momentum(p, s, forms)
+    v2 = velocity_from_momentum(p + 3.7 * s, s, forms)
     assert np.abs(v1 - v2).max() < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_degenerate_x_guard(basis):
         y=np.zeros(4), z=np.zeros(4), xs=1e-14, mass_cos=0.0
     )
     with pytest.raises(DegenerateX):
-        velocity_from_momentum(np.array([1.0, 0, 0, 0]), np.array([0, 0, 0, 1.0]), forms, basis)
+        velocity_from_momentum(np.array([1.0, 0, 0, 0]), np.array([0, 0, 0, 1.0]), forms)
 
 
 def test_x_guard_scales_with_mass(basis):
@@ -93,7 +93,7 @@ def test_x_guard_scales_with_mass(basis):
     assert X_GUARD < xs
     with pytest.raises(DegenerateX):
         velocity_from_momentum(
-            ETA @ jet.p, jet.spin, dataclasses.replace(forms, xs=xs), basis
+            ETA @ jet.p, jet.spin, dataclasses.replace(forms, xs=xs)
         )
 
 
@@ -104,7 +104,7 @@ def test_degenerate_inversion_guard(basis):
     )
     with pytest.raises(DegenerateInversion):
         velocity_from_momentum(
-            np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 0, 1.0]), forms, basis
+            np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 0, 1.0]), forms
         )
 
 
@@ -125,9 +125,9 @@ def test_field_momentum_matches_connection(basis):
     for x in [np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])]:
         jet = polar_jet(fld, bg, basis, x, h=1e-3)
         forms = compact_forms(jet, bg)
-        p_guid = momentum_from_velocity(jet.velocity, jet.spin, forms, basis)
+        p_guid = momentum_from_velocity(jet.velocity, jet.spin, forms)
         assert np.abs(p_guid - ETA @ jet.p).max() < 1e-6
-        back = velocity_from_momentum(ETA @ jet.p, jet.spin, forms, basis)
+        back = velocity_from_momentum(ETA @ jet.p, jet.spin, forms)
         assert np.abs(back - jet.velocity).max() < 1e-6
 
 

@@ -36,7 +36,7 @@ from diracpolar.fieldconn import (
     density_products,
     derivative_jet,
 )
-from diracpolar.gordon import _balance_stack, _density_derivatives
+from diracpolar.gordon import _density_derivatives
 from diracpolar.guidance import CompactForms, potentials, velocity_from_momentum
 
 from conftest import SpinorTable
@@ -52,14 +52,16 @@ point_batches = st.one_of(st.just(()), st.integers(1, 6).map(lambda n: (n,)), st
 
 def inverse_matrix(s, forms):
     """The inverse momentum map as an explicit matrix per point, divided by
-    xs denom: velocity = matrix @ p_low."""
-    xs = np.asarray(forms.xs)
-    zeta_low = forms.z / xs[..., None]
+    xs denom: velocity = matrix @ p_low.  Formed in long double from the
+    float64 inputs, so the reference's own rounding (denom may nearly cancel)
+    does not count against the kernel."""
+    xs = np.asarray(forms.xs, dtype=np.longdouble)
+    zeta_low = np.asarray(forms.z, dtype=np.longdouble) / xs[..., None]
     zeta = zeta_low * ETA_SIGNS
+    s = np.asarray(s, dtype=np.longdouble)
     s_low = s * ETA_SIGNS
     zs = np.sum(zeta_low * s, axis=-1)
-    z2 = np.sum(zeta_low * zeta, axis=-1)
-    denom = 1.0 + z2 + zs**2
+    denom = 1.0 + np.sum(zeta_low * zeta, axis=-1) + zs**2
 
     def outer(a, b):
         return a[..., :, None] * b[..., None, :]
@@ -93,7 +95,7 @@ def test_velocity_from_momentum_matches_explicit_inverse(basis, seed, batch, spe
     assume(np.all(np.abs(denom) > 1e-3))
     p_low = p * ETA_SIGNS
     want = (matrix @ p_low[..., None])[..., 0]
-    got = velocity_from_momentum(p, s, forms, basis)
+    got = velocity_from_momentum(p, s, forms)
     assert got.shape == batch + (4,)
     # the size of the terms the rows of matrix @ p_low sum
     scale = (np.abs(matrix) @ np.abs(p_low)[..., None])[..., 0]
@@ -134,10 +136,10 @@ def random_spinors(rng, shape):
 
 
 def density_derivatives_both_orders(sample, basis):
-    """The balance pieces from 84 matrices: the 42 of _balance_stack and
+    """The balance pieces from 84 matrices: the 42 of basis.balance_rows and
     their conjugate transposes, each contracted with the field as it stands.
     Sums and differences (..., 42, mu)."""
-    stack = _balance_stack(basis)
+    stack = basis.balance_rows.reshape(4, -1, 4).transpose(1, 0, 2)
     n = len(stack)
     both = density_products(
         sample.psi,
@@ -154,7 +156,7 @@ def test_density_derivatives_match_both_orders(basis, seed, batch, log_size):
     rng = np.random.default_rng(seed)
     psi = random_spinors(rng, batch + (4,)) * 10.0**log_size
     grad = random_spinors(rng, batch + (4, 4))
-    sample = FieldSample(np.zeros(batch + (4,)), psi, grad)
+    sample = FieldSample(np.zeros(batch + (4,)), np.concatenate([psi[..., None, :], grad], axis=-2))
     want_both = density_derivatives_both_orders(sample, basis)
     for got, want in zip(_density_derivatives(sample, basis), want_both):
         got = np.concatenate([piece.reshape(batch + (-1, 4)) for piece in got], axis=-2)

@@ -40,7 +40,7 @@ from diracpolar.bilinears import (
     is_regular,
     random_regular_spinor,
 )
-from diracpolar.errors import OutOfDomain, SingularSpinor
+from diracpolar.errors import SingularSpinor
 from diracpolar.fieldconn import (
     Background,
     BoxWindow,
@@ -163,9 +163,9 @@ def test_batch_equals_stacked_single_calls(basis, seed, n):
     pd = polar_decompose(psi, basis)
     rebuilt = polar_reconstruct(pd, basis)
     pair = lorentz_exp(lam, basis)
-    fierz = check_fierz(bil, basis)
+    fierz = check_fierz(bil)
     constraints = check_spinor_constraints(psi, basis)
-    transport = verify_transport(polar_jet(fld, bg, basis, points, H_JET), basis)
+    transport = verify_transport(polar_jet(fld, bg, basis, points, H_JET))
     exact = derivative_jet(fld, bg, basis, points)
     angles = {"chiral_angle", "residual_phase"}
     for k in range(n):
@@ -177,13 +177,13 @@ def test_batch_equals_stacked_single_calls(basis, seed, n):
                 gap = wrap_angle(got - want) if f.name in angles else got - want
                 assert np.abs(gap).max() <= 1e-14 * max(1.0, np.abs(want).max()), f.name
         for batch, one in (
-            (fierz, check_fierz(one_bil, basis)),
+            (fierz, check_fierz(one_bil)),
             (constraints, check_spinor_constraints(psi[k], basis)),
         ):
             assert list(batch) == list(one)
             for name, want in one.items():
                 assert abs(batch[name][k] - want) <= 1e-14, name
-        one = verify_transport(polar_jet(fld, bg, basis, points[k], H_JET), basis)
+        one = verify_transport(polar_jet(fld, bg, basis, points[k], H_JET))
         assert list(transport) == list(one)
         for name, want in one.items():
             # the jet divides rounding of order eps by 2h, and a stack and a
@@ -214,8 +214,7 @@ def test_empty_stacks_give_empty_results(basis):
     x = np.zeros((0, 4))
     psi = np.zeros((0, 4), dtype=complex)
     for field in (fld, grid, BoxWindow(fld, -np.ones(4), np.ones(4))):
-        assert field.products(x, basis.jet_rows).shape == (0, 10, 5)
-        assert field.densities(x, basis.velocity_rows).shape == (0, 6)
+        assert field.block(x).shape == (0, 5, 4)
     assert density_products(psi, np.zeros((0, 5, 4)), basis.density_rows).shape == (0, 16, 5)
     assert compute_bilinears(psi, basis).tensor.shape == (0, 4, 4)
     assert polar_decompose(psi, basis).l_spin.shape == (0, 4, 4)
@@ -223,7 +222,7 @@ def test_empty_stacks_give_empty_results(basis):
         assert jet.r.shape == (0, 4, 4, 4)
         assert jet.p.shape == (0, 4)
         assert verify_polar_derivative(jet, fld, bg, basis).shape == (0, 4)
-        groups = residual_polar_groups(jet, bg, basis)
+        groups = residual_polar_groups(jet, bg)
         assert {value.shape for value in groups.values()} == {(0,)}
     checks = residual_bilinear_gordon(fld, bg, basis, x)
     assert {value.shape for value in checks.values()} == {(0,)}
@@ -283,50 +282,13 @@ def test_jet_with_singular_row_raises(basis, seed, n, row, log_size):
 
 # a point, a stack of points and a stack of stacks
 POINT_SHAPES = st.sampled_from([(4,), (6, 4), (2, 3, 4)])
-# the table's products and the block's differ by at most this many eps
-# times sum_jk |a_j| |a_k| (1 + |p|), |p| the largest momentum component;
-# 20000 random draws reached 4.4
-TABLE_EPS = 16
-
-
-@PROPERTY
-@given(seed=seeds, n_waves=st.integers(1, 5), shape=POINT_SHAPES)
-def test_table_products_match_block(basis, seed, n_waves, shape):
-    # waves of any momentum, amplitude and phase: the table needs no mass shell
-    rng = np.random.default_rng(seed)
-    momenta = rng.uniform(-3.0, 3.0, size=(n_waves, 4))
-    amplitudes = rng.standard_normal((n_waves, 4)) + 1j * rng.standard_normal((n_waves, 4))
-    amplitudes *= 10.0 ** rng.uniform(-2.0, 1.0, (n_waves, 1))
-    amplitudes *= np.exp(1j * rng.uniform(0.0, 2 * np.pi, (n_waves, 1)))
-    fld = PlaneWaveField(map(PlaneWaveComponent, momenta, amplitudes))
-    x = rng.uniform(-2.0, 2.0, size=shape)
-    block = fld.block(x)
-    psi = block[..., 0, :]
-    size = np.linalg.norm(amplitudes, axis=-1).sum() ** 2 * (1 + np.abs(momenta).max())
-    products = fld.products(x, basis.jet_rows)
-    densities = fld.densities(x, basis.velocity_rows)
-    for got, want in (
-        (products, density_products(psi, block, basis.jet_rows)),
-        (densities, density_products(psi, psi[..., None, :], basis.velocity_rows)[..., 0]),
-    ):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= TABLE_EPS * EPS * size
-
-    # a window passes the table's products on inside its box, and only there
-    window = BoxWindow(fld, np.full(4, -2.0), np.full(4, 2.0))
-    assert np.array_equal(window.products(x, basis.jet_rows), products)
-    assert np.array_equal(window.densities(x, basis.velocity_rows), densities)
-    with pytest.raises(OutOfDomain):
-        window.products(x + 4.5, basis.jet_rows)
-    with pytest.raises(OutOfDomain):
-        window.densities(x + 4.5, basis.velocity_rows)
 
 
 @PROPERTY
 @given(seed=seeds, n_waves=st.integers(1, 3), charge=st.floats(-2.0, 2.0), shape=POINT_SHAPES)
-def test_table_jet_in_linear_potential(basis, seed, n_waves, charge, shape):
-    # the charge term joins the table's derivative columns after the product;
-    # the jet matches the one built psi first from the covariant derivative
+def test_jet_in_linear_potential(basis, seed, n_waves, charge, shape):
+    # the charge term joins the derivative rows in sample_field; the jet
+    # matches the one built from the covariant derivative as a neutral field
     rng = np.random.default_rng(seed)
     v3 = rng.uniform(-0.5, 0.5, size=(n_waves, 3))
     momenta = np.column_stack([np.sqrt(1.0 + np.sum(v3 * v3, axis=-1)), v3])
@@ -500,13 +462,13 @@ def test_derivative_jet_next_to_antipode(basis, seed, log_distance, azimuth):
     assert 3.0 <= coarse / fine <= 5.0
 
 
-def inversion_conditioning(forms, spin, basis):
+def inversion_conditioning(forms, spin):
     """zeta = z / xs and the size of the inverse momentum map, its largest
     entry, at every point of the forms: the largest component of the
     velocities it gives the four unit covectors."""
     zeta = forms.z / np.asarray(forms.xs)[..., None]
     columns = [
-        velocity_from_momentum(np.broadcast_to(e, np.shape(spin)), spin, forms, basis)
+        velocity_from_momentum(np.broadcast_to(e, np.shape(spin)), spin, forms)
         for e in np.eye(4)
     ]
     return zeta, np.abs(columns).max(axis=(0, -1))
@@ -534,8 +496,8 @@ def test_guidance_velocity_next_to_antipode(basis, seed, log_distance, azimuth):
     fld, bg = antipode_field(basis, seed, distance, azimuth, steady_turn=False)
     jet = derivative_jet(fld, bg, basis, np.zeros(4))
     forms = compact_forms(jet, bg)
-    guided = velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms, basis)
-    zeta, inverse = inversion_conditioning(forms, jet.spin, basis)
+    guided = velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms)
+    zeta, inverse = inversion_conditioning(forms, jet.spin)
     bound = 40 * EPS * (1 + np.abs(zeta).max()) * inverse
     assert np.abs(guided - jet.velocity).max() <= bound
 
@@ -578,7 +540,7 @@ def test_guidance_velocity_is_gauge_invariant(basis, seed, n_waves, charge, sign
     shifted = velocity_field(*gauge_shift_linear(fld, bg, shift), basis, "guidance")(points)
 
     jet = derivative_jet(fld, bg, basis, points)
-    _, inverse = inversion_conditioning(compact_forms(jet, bg), jet.spin, basis)
+    _, inverse = inversion_conditioning(compact_forms(jet, bg), jet.spin)
     size = 1 + np.abs(velocity).max(axis=-1)
     bound = 100 * EPS * jet.velocity[..., 0] ** 2 * inverse * size
     assert np.all(np.abs(shifted - velocity).max(axis=-1) <= bound)
@@ -609,8 +571,8 @@ def test_turn_about_spin_is_a_free_gauge(basis, seed, n_waves):
     velocities, inverses = [], []
     for each in (jet, shifted):
         forms = compact_forms(each, bg)
-        velocities.append(velocity_from_momentum(each.p * ETA_SIGNS, each.spin, forms, basis))
-        inverses.append(inversion_conditioning(forms, each.spin, basis)[1])
+        velocities.append(velocity_from_momentum(each.p * ETA_SIGNS, each.spin, forms))
+        inverses.append(inversion_conditioning(forms, each.spin)[1])
     size = 1 + np.abs(velocities[0]).max(axis=-1)
     bound = 12 * unit * np.maximum(*inverses) * size
     assert np.all(np.abs(velocities[1] - velocities[0]).max(axis=-1) <= bound)
@@ -669,7 +631,7 @@ def test_velocities_are_lorentz_covariant(basis, seed, n_waves, kicked):
     assert np.all(np.abs(forms[1].xs - forms[0].xs) <= 30 * unit * size * y_size)
 
     inverse = np.maximum(*(
-        inversion_conditioning(f, jet.spin, basis)[1] for f, jet in zip(forms, jets)
+        inversion_conditioning(f, jet.spin)[1] for f, jet in zip(forms, jets)
     ))
     gaps, speeds = {}, {}
     for mode in ("kinematic", "guidance"):
