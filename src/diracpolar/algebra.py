@@ -9,6 +9,9 @@ Conventions, fixed once here and used everywhere else:
   - sigma_ab = [gamma_a, gamma_b] / 4 with both indices lowered
   - pi = i gamma^0 gamma^1 gamma^2 gamma^3 = diag(-1, -1, +1, +1), chosen so
     the rest seed (1, 0, 1, 0) carries theta = 0, phi > 0 and spin along +z
+
+scipy.linalg is imported on the first expm call, from lorentz_exp, not with
+the package.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 ETA.setflags(write=False)
@@ -204,6 +206,13 @@ def verify_basis(basis: CliffordBasis) -> dict:
     gram = np.einsum("pij,qij->pq", sigma6.conj(), sigma6)
     out["sigma_orthogonality"] = np.abs(gram[~np.eye(6, dtype=bool)]).max()
     return out
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of a (..., n, n); scipy is imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)

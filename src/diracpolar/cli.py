@@ -543,7 +543,11 @@ def cmd_trajectory(args) -> int:
         # always leaves the node it starts from
         raise ConfigError(["grid: trajectory needs a [wave] field, not a grid file"])
     h_tau = args.htau if args.htau is not None else cfg.tau_step
-    tau_max = args.steps * h_tau if args.steps is not None else cfg.tau_max
+    try:
+        tau_max = args.steps * h_tau if args.steps is not None else cfg.tau_max
+    except OverflowError:
+        # more steps than a float holds: the count check below rejects it
+        tau_max = np.inf
     # a negative step runs backwards, with --steps or a negative tau_max
     if not (np.isfinite(h_tau) and h_tau != 0.0):
         raise ConfigError(["--htau or tau_step: expected a finite nonzero step, got %s" % h_tau])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import ETA_SIGNS
 from .bilinears import Densities, require_regular
-from .errors import DiracPolarError, ImmediateSingularity
+from .errors import ConfigError, DiracPolarError, ImmediateSingularity
 from .fieldconn import Background, density_products, derivative_jet
 from .guidance import compact_forms, velocity_from_momentum
 
@@ -106,24 +106,49 @@ def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
     Returns one Trajectory per seed, or the DiracPolarError that made the
     velocity undefined at the seed.  A curve that fails at a later step
     stops there, with the status a run from its seed alone would give.
+    Raises ConfigError when the samples of every step cannot be allocated.
     """
     vel = velocity_field(fld, bg, basis, mode)
     x0 = np.asarray(seeds, dtype=float).reshape(-1, 4)
     n_steps = int(round(tau_max / h_tau))
 
+    half_h, sixth_h = 0.5 * h_tau, h_tau / 6.0
+
     def rk4_step(state):
-        # state[:, 0] holds the points, state[:, 1] the velocities there
+        # state[:, 0] holds the points, state[:, 1] the velocities there.
+        # The stage points share one buffer and the weighted sum another,
+        # formed in place in the order of x + 0.5 * h_tau * k1 and
+        # x + (h_tau / 6) * (k1 + 2 k2 + 2 k3 + k4); only the operands of
+        # + and * swap, which leaves every bit as it was
         x, k1 = state[:, 0], state[:, 1]
-        k2 = vel(x + 0.5 * h_tau * k1)
-        k3 = vel(x + 0.5 * h_tau * k2)
-        k4 = vel(x + h_tau * k3)
-        x = x + (h_tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        point = k1 * half_h
+        point += x
+        k2 = vel(point)
+        np.multiply(k2, half_h, out=point)
+        point += x
+        k3 = vel(point)
+        np.multiply(k3, h_tau, out=point)
+        point += x
+        k4 = vel(point)
+        total = k2 * 2.0
+        total += k1
+        np.multiply(k3, 2.0, out=point)
+        total += point
+        total += k4
+        total *= sixth_h
+        total += x
         out = np.empty_like(state)
-        out[:, 0], out[:, 1] = x, vel(x)
+        out[:, 0], out[:, 1] = total, vel(total)
         return out
 
+    try:
+        samples = np.empty((len(x0), n_steps + 1, 2, 4))
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError for a shape past its own size limit
+        raise ConfigError(
+            ["%.6g steps: cannot allocate the samples of %d seeds (%s)" % (n_steps, len(x0), exc)]
+        ) from exc
     u0, seed_errors = _by_rows(vel, x0)
-    samples = np.empty((len(x0), n_steps + 1, 2, 4))
     samples[:, 0, 0] = x0
     samples[:, 0, 1] = u0
     length = np.full(len(x0), n_steps + 1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diracpolar import algebra
 from diracpolar.algebra import (
     EPS_LOWER,
     EPS_UPPER,
@@ -85,6 +86,17 @@ def test_seed_bilinears(basis):
     s = np.array([(adj @ basis.gamma[a] @ basis.pi @ psi).real for a in range(4)])
     assert np.array_equal(u, [2, 0, 0, 0])
     assert np.array_equal(s, [0, 0, 0, 2])
+
+
+def test_expm_is_scipy_expm(basis):
+    # algebra.expm imports scipy on its first call and hands back its result
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(17)
+    lam = random_antisymmetric(rng, 0.7)
+    gen = 0.5 * np.einsum("ab,abij->ij", lam, basis.sigma_lower)
+    for a in (gen, lam @ ETA, rng.standard_normal((3, 4, 4))):
+        assert np.array_equal(algebra.expm(a), expm(a))
 
 
 def test_lorentz_identity(basis):

@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import diracpolar
 from diracpolar import cli
 from diracpolar.cli import console_main, parse_config
 from diracpolar.errors import ConfigError
@@ -409,6 +413,19 @@ def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
     assert_config_error(tmp_path, capsys, argv, extra)
 
 
+@pytest.mark.parametrize(
+    "steps, count",
+    # numpy refuses each of these at once: 5.55 EiB of samples, a shape past
+    # its size limit, and a count no float holds.  Never test a count that
+    # could really be allocated.
+    [(10**17, "1e+17"), (10**20, "1e+20"), (10**400, "inf")],
+    ids=["memory", "shape", "overflow"],
+)
+def test_too_many_steps_exit_2(tmp_path, capsys, steps, count):
+    argv = ["trajectory", "--steps", str(steps)]
+    assert "%s steps" % count in assert_config_error(tmp_path, capsys, argv, "")
+
+
 def assert_config_error(tmp_path, capsys, argv, extra):
     """argv, with a TWO_WAVE config carrying the extra lines unless extra is
     None, exits 2 with config errors only; returns what it wrote to stderr."""
@@ -676,6 +693,35 @@ def test_grid_file_must_exist(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "file not found" in err
+
+
+COLD_START = """\
+import sys
+
+import diracpolar
+from diracpolar.cli import console_main
+
+config = sys.argv[1]
+runs = [["gordon", "--points", "2", "--seed", "3"]] + [
+    ["trajectory", "--steps", "2", "--mode", mode] for mode in ("kinematic", "guidance")
+]
+for argv in runs:
+    assert console_main(argv + ["--config", config, "--format", "records"]) == 0, argv
+assert "scipy" not in sys.modules
+assert console_main(["identities", "--random", "4"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_cold_start_leaves_scipy_out(tmp_path):
+    # a fresh interpreter: this process may have imported scipy already
+    src = os.path.dirname(os.path.dirname(diracpolar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START, write_cfg(tmp_path, TWO_WAVE)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_usage_error_exit_code():

@@ -175,7 +175,8 @@ def test_sup_divergence_guards_mismatched_tau(basis):
 
 
 def per_seed_rk4(vel, x0, n_steps, h_tau):
-    """Reference: the RK4 rule applied to one seed at a time, point by point."""
+    """Reference: the RK4 rule as plain expressions, from one seed (4,) or
+    from an ensemble (n, 4) advanced as one state."""
     x = np.asarray(x0, dtype=float)
     xs, us = [x], [vel(x)]
     for _ in range(n_steps):
@@ -213,6 +214,10 @@ def test_ensemble_matches_per_seed_loop(basis, mode, n_steps):
         assert np.abs(arc.x - xs).max() < 1e-12
         assert np.abs(arc.u - us).max() < 1e-12
         assert arc.diagnostics["velocity_evals"] == 1 + 4 * n_steps
+    # the in-place stage arithmetic keeps the bits of the expressions
+    xs, us = per_seed_rk4(vel, ENSEMBLE_SEEDS, n_steps, h_tau)
+    assert np.array_equal(np.stack([arc.x for arc in arcs], axis=1), xs)
+    assert np.array_equal(np.stack([arc.u for arc in arcs], axis=1), us)
 
 
 def test_ensemble_evaluates_once_per_stage(basis, monkeypatch):
