@@ -5,6 +5,12 @@ Conventions, fixed once here and used everywhere else:
   - metric eta = diag(+1, -1, -1, -1)
   - epsilon_{0123} = +1 with all indices lowered; raising all four flips the
     sign (det eta = -1), so epsilon^{0123} = -1
+  - the kernels contract epsilon through one read-only table, EPS_PAIRS =
+    epsilon^{abcd} as a (16, 16) matrix over the index pairs (ab) and (cd),
+    symmetric under the pair swap: pair_dual(w) = eps^{abcd} w_cd is a
+    reshape and one matmul, and the (4, 64) view contracts three indices;
+    EPS_LOWER and EPS_UPPER themselves serve the basis checks, the Fierz
+    identities and tables built once at import
   - gamma[a] holds the raised matrix gamma^a; lowered copies live alongside
   - sigma_ab = [gamma_a, gamma_b] / 4 with both indices lowered
   - pi = i gamma^0 gamma^1 gamma^2 gamma^3 = diag(-1, -1, +1, +1), chosen so
@@ -52,6 +58,9 @@ EPS_LOWER = _build_epsilon()
 EPS_LOWER.setflags(write=False)
 EPS_UPPER = -EPS_LOWER
 EPS_UPPER.setflags(write=False)
+# epsilon^{abcd} over the index pairs, row (ab) and column (cd); a view of
+# EPS_UPPER, so read-only as well
+EPS_PAIRS = EPS_UPPER.reshape(16, 16)
 
 # 3d Levi-Civita, used for rotation generators
 EPS3 = np.zeros((3, 3, 3))
@@ -80,6 +89,13 @@ def mdot(a: np.ndarray, b: np.ndarray):
     return np.sum(a * ETA_SIGNS * b, axis=-1)
 
 
+def pair_dual(w: np.ndarray) -> np.ndarray:
+    """eps^{abcd} w_cd of a matrix (4, 4), or of every matrix of a stack
+    (..., 4, 4): one product with EPS_PAIRS.  For w = x y^T, the outer
+    product of two covectors, it is eps^{abcd} x_c y_d."""
+    return (w.reshape(w.shape[:-2] + (16,)) @ EPS_PAIRS).reshape(w.shape)
+
+
 def side_by_side(stack: np.ndarray) -> np.ndarray:
     """The k matrices of a stack (k, 4, 4) side by side, (4, 4k): psi^dagger
     times it holds psi^dagger M for every M, one after another."""
@@ -94,8 +110,11 @@ class CliffordBasis:
     gamma_lower: np.ndarray  # (4, 4, 4), gamma_a
     sigma_lower: np.ndarray  # (4, 4, 4, 4), sigma_ab
     sigma_upper: np.ndarray  # (4, 4, 4, 4), sigma^ab
+    sigma_pairs: np.ndarray  # (6, 4, 4), sigma^ab for ab in INDEX_PAIRS
     pi: np.ndarray           # (4, 4)
     identity: np.ndarray     # (4, 4)
+    # the matrices of the Dirac operator, gamma^a then gamma^a pi, side by side
+    dirac_rows: np.ndarray   # (4, 32)
     # gamma^0 M for the sixteen density matrices M, in BilinearSet order, side
     # by side (see side_by_side): 1, i pi, gamma^a, gamma^a pi, 2i sigma_ab
     # for ab in INDEX_PAIRS
@@ -130,8 +149,10 @@ class CliffordBasis:
             gamma_lower=gam_low,
             sigma_lower=sig_low,
             sigma_upper=sig_up,
+            sigma_pairs=sig_up[PAIR_I, PAIR_J],
             pi=pi,
             identity=eye,
+            dirac_rows=side_by_side(np.concatenate([gam, gam @ pi])),
             density_rows=side_by_side(gam[0] @ np.array(densities)),
             balance_rows=side_by_side(balance),
             balance_signs=np.where(hermitian, 1.0, -1.0),
@@ -202,7 +223,7 @@ def verify_basis(basis: CliffordBasis) -> dict:
     # trace orthogonality of the six independent sigma^{ab}, needed by the
     # connection extraction's projection step: tr(sigma^P^dagger sigma^Q)
     # for every pair of index pairs P != Q
-    sigma6 = su[PAIR_I, PAIR_J]
+    sigma6 = basis.sigma_pairs
     gram = np.einsum("pij,qij->pq", sigma6.conj(), sigma6)
     out["sigma_orthogonality"] = np.abs(gram[~np.eye(6, dtype=bool)]).max()
     return out

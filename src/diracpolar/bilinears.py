@@ -63,11 +63,23 @@ class BilinearSet(Densities):
         return m
 
 
+def density_products(psi, columns, rows):
+    """psi^dagger M v for every matrix M of a stack (k, 4, 4) and spinor v of
+    columns (..., c, 4), such as grad or block, as an array (..., k, c): psi is
+    (..., 4) and rows the stack side by side (4, 4k), as side_by_side lays it out.
+
+    For M = gamma^0 N with gamma^0 N hermitian, twice the real part is d_mu
+    of the density adj(psi) N psi by the product rule; the charge terms of a
+    covariant derivative cancel in it.
+    """
+    products = psi.conj() @ rows
+    return products.reshape(psi.shape[:-1] + (rows.shape[1] // 4, 4)) @ columns.swapaxes(-1, -2)
+
+
 def compute_bilinears(psi, basis) -> BilinearSet:
-    """All sixteen densities of psi, shape (..., 4), in one contraction."""
+    """All sixteen densities of psi, shape (..., 4), in one density_products call."""
     psi = np.asarray(psi, dtype=complex)
-    rows = basis.density_rows.reshape(4, 16, 4)     # rows[i, k, j] = (gamma^0 M_k)[i, j]
-    pieces = np.einsum("...i,ikj,...j->...k", psi.conj(), rows, psi)
+    pieces = density_products(psi, psi[..., None, :], basis.density_rows)[..., 0]
     real = pieces.real
     # [()] turns the 0-d result of a single spinor into a scalar
     return BilinearSet(

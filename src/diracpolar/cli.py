@@ -341,6 +341,16 @@ def _require_at_least(value, minimum, option):
         raise ConfigError(["%s: expected an integer >= %d, got %d" % (option, minimum, value)])
 
 
+def _draw(count, option, draw):
+    """draw(), or a ConfigError naming option's count when numpy cannot
+    allocate the arrays it draws."""
+    try:
+        return draw()
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError for a shape past its own size limit
+        raise ConfigError(["%s: cannot allocate %d draws (%s)" % (option, count, exc)]) from exc
+
+
 def cmd_identities(args) -> int:
     if args.conventions:
         print(CONVENTIONS, end="")
@@ -352,14 +362,15 @@ def cmd_identities(args) -> int:
     basis = build_chiral_basis()
     checks = verify_basis(basis)
     rng = np.random.default_rng(args.seed)
-    lam = rng.standard_normal((args.random, 4, 4)) * 0.7
+    # both draws before any work, in the order that fixes each seed's values
+    lam = _draw(args.random, "--random", lambda: rng.standard_normal((args.random, 4, 4))) * 0.7
+    parts = _draw(args.random, "--random", lambda: rng.standard_normal((args.random, 2, 4)))
     pair = lorentz_exp(lam - np.swapaxes(lam, -1, -2), basis)
     # spin_rep^-1 gamma^a spin_rep against vec_rep^a_b gamma^b, axes (draw, a, i, j)
     lhs = np.linalg.inv(pair.spin_rep)[:, None] @ basis.gamma @ pair.spin_rep[:, None]
     rhs = np.einsum("nab,bij->naij", pair.vec_rep, basis.gamma)
     checks["lorentz_conjugation"] = np.abs(lhs - rhs).max(initial=0.0)
 
-    parts = rng.standard_normal((args.random, 2, 4))
     psi = parts[:, 0] + 1j * parts[:, 1]
     checks["density_interdependence"] = _worst(check_fierz(compute_bilinears(psi, basis)))
     checks["spinor_constraints"] = _worst(check_spinor_constraints(psi, basis))
@@ -457,7 +468,9 @@ def cmd_gordon(args) -> int:
         points = cfg.point[None, :]
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
-        points = cfg.point + rng.uniform(-1.0, 1.0, size=(args.points, 4))
+        points = cfg.point + _draw(
+            args.points, "--points", lambda: rng.uniform(-1.0, 1.0, size=(args.points, 4))
+        )
     rows = _gordon_point(fld, bg, basis, points)
     checked = {name: value for name, value in rows if not name.endswith(".point")}
     return _finish(rows, args.format, cfg.tolerance, checked)

@@ -57,7 +57,7 @@ from .algebra import (  # noqa: F401
     spin_inverse,
 )
 from .errors import OffShell, OutOfDomain, PhaseJump
-from .bilinears import Densities
+from .bilinears import Densities, density_products
 from .polar import polar_decompose, polar_variables, wrap_angle
 
 # polar_jet's stencil: the point itself, then +e_mu and -e_mu for mu = 0..3
@@ -341,19 +341,6 @@ def covariant_derivative(fld, bg: Background, x):
     return sample_field(fld, bg, x).grad
 
 
-def density_products(psi, columns, rows):
-    """psi^dagger M v for every matrix M of a stack (k, 4, 4) and spinor v of
-    columns (..., c, 4), such as grad or block, as an array (..., k, c): psi is
-    (..., 4) and rows the stack side by side (4, 4k), as side_by_side lays it out.
-
-    For M = gamma^0 N with gamma^0 N hermitian, twice the real part is d_mu
-    of the density adj(psi) N psi by the product rule; the charge terms of a
-    covariant derivative cancel in it.
-    """
-    products = psi.conj() @ rows
-    return products.reshape(psi.shape[:-1] + (rows.shape[1] // 4, 4)) @ columns.swapaxes(-1, -2)
-
-
 @dataclass
 class PolarJet:
     """Local polar variables and their first derivatives at a point, or at
@@ -459,10 +446,10 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
     ds = central(stencil.spin)
     g = spin_inverse(pd0.l_spin, basis)[..., None, :, :] @ central(stencil.l_spin)
 
-    # project each g_mu onto the identity and the six sigma^{ij}; the trace
-    # part joins the phase gradient in p
-    sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
-    coeff = np.einsum("pij,...mij->...mp", sigma6.conj(), g).real
+    # project each g_mu onto the identity and the six sigma^{ij}, tr(sigma^ij^dagger
+    # g_mu); the trace part joins the phase gradient in p
+    sigma6 = basis.sigma_pairs.reshape(6, 16)
+    coeff = (g.reshape(g.shape[:-2] + (16,)) @ sigma6.conj().T).real
     trace_part = np.trace(g, axis1=-2, axis2=-1).imag / 4.0
     r = np.zeros(x.shape[:-1] + (4, 4, 4))
     r[..., PAIR_I, PAIR_J] = coeff
@@ -481,13 +468,10 @@ def polar_derivative_operator(jet: PolarJet, basis):
     The trace part of the connection sits inside the momentum covector and
     cancels against the frame term, so it appears here only through p.
     """
-    sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
+    r6 = jet.r[..., PAIR_I, PAIR_J]
+    connection = (r6 @ basis.sigma_pairs.reshape(6, 16)).reshape(r6.shape[:-1] + (4, 4))
     diagonal = (jet.dlogdensity - 1j * jet.p)[..., None, None] * basis.identity
-    return (
-        diagonal
-        - 0.5j * jet.dchiral[..., None, None] * basis.pi
-        - np.einsum("...mp,pij->...mij", jet.r[..., PAIR_I, PAIR_J], sigma6)
-    )
+    return diagonal - 0.5j * jet.dchiral[..., None, None] * basis.pi - connection
 
 
 def verify_polar_derivative(jet: PolarJet, fld, bg, basis, sample=None):
@@ -513,7 +497,7 @@ def verify_transport(jet: PolarJet) -> dict:
         ("spin_transport", jet.spin, jet.ds),
     ):
         # d_mu v_i against v^j r_{ji mu}, rows mu, columns lowered i
-        predicted = np.einsum("...j,...mji->...mi", up, jet.r)
+        predicted = (up[..., None, None, :] @ jet.r)[..., 0, :]
         out[name] = np.abs(derivative * ETA_SIGNS - predicted).max(axis=(-2, -1))[()]
     return out
 

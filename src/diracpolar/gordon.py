@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import EPS_LOWER, EPS_UPPER, ETA_SIGNS
-from .bilinears import compute_bilinears
-from .fieldconn import Background, PolarJet, density_products, polar_jet, sample_field
+from .algebra import EPS_PAIRS, ETA_SIGNS, pair_dual
+from .bilinears import compute_bilinears, density_products
+from .fieldconn import Background, PolarJet, polar_jet, sample_field
 from .guidance import potentials
 
 # the diagonal signs of eta along one index, and along two (a, b)
@@ -108,8 +108,9 @@ def residual_bilinear_gordon(fld, bg: Background, basis, x, sample=None) -> dict
 
     dur = d_vec * _S[:, None]
     curl_u = dur - np.swapaxes(dur, -1, -2)
-    curl_u = curl_u + 1j * np.einsum("anmr,...rm->...an", EPS_UPPER, k_gam_pi * _S[:, None])
-    curl_u = curl_u - 2 * coup * np.einsum("ansr,...s,...r->...an", EPS_UPPER, w_low, u_low)
+    # eps^{anmr} k_rm = -pair_dual(k)_an, k = k_gam_pi lowered along its first index
+    curl_u = curl_u - 1j * pair_dual(k_gam_pi * _S[:, None])
+    curl_u = curl_u - 2 * coup * pair_dual(_outer(w_low, u_low))
     curl_u = curl_u - 2 * m * m_up
     out["vector_curl"] = worst(curl_u, (-2, -1))
 
@@ -118,19 +119,20 @@ def residual_bilinear_gordon(fld, bg: Background, basis, x, sample=None) -> dict
     acc = 0.5j * _trace(k_gam)
     out["scalar_kinetic"] = np.abs(acc - coup * _dot(w_low, s) - m * bil.scalar) / scale
 
-    curl_s = np.einsum("anmq,...mq->...an", EPS_UPPER, d_ax * _S)
+    curl_s = pair_dual(d_ax * _S)
     k = k_gam * _S        # adj(psi) gamma^al nabla^nu psi - reversed, [al, nu]
     curl_s = curl_s + 1j * (k - np.swapaxes(k, -1, -2))
     curl_s = curl_s + 2 * coup * (_outer(w, s) - _outer(s, w))
     out["axial_curl"] = worst(curl_s, (-2, -1))
 
     vr = 1j * k_one * _S + 2j * _trace(d_sig)    # d_mu m^{al mu}
-    vr = vr + coup * np.einsum("amrs,...m,...rs->...a", EPS_UPPER, w_low, m_low)
+    vr = vr + coup * (pair_dual(m_low) @ w_low[..., None])[..., 0]
     vr = vr - 2 * m * u
     out["vector_recovery"] = worst(vr, -1)
 
-    ai = k_pi * _S - 0.5 * np.einsum("amrs,...mrs->...a", EPS_UPPER, d_tens)
-    ai = ai + 2 * coup * np.einsum("...ab,...b->...a", m_up, w_low)
+    # eps^{amrs} d_tens_mrs through the (4, 64) view of the epsilon table
+    ai = k_pi * _S - 0.5 * d_tens.reshape(d_tens.shape[:-3] + (64,)) @ EPS_PAIRS.reshape(4, 64).T
+    ai = ai + 2 * coup * (m_up @ w_low[..., None])[..., 0]
     out["axial_recovery"] = worst(ai, -1)
 
     vi = d_one * _S + 2 * _trace(k_sig) + 2 * coup * w * bil.pseudoscalar[..., None]
@@ -152,11 +154,14 @@ def dirac_residual(fld, bg: Background, basis, x, sample=None):
     if sample is None:
         sample = sample_field(fld, bg, x)
     psi = sample.psi
+    batch = psi.shape[:-1]
     w_low = bg.w_value(sample.x) * _S
-    op = 1j * np.einsum("mij,...mj->...i", basis.gamma, sample.grad)
-    op = op - bg.torsion_coupling * np.einsum(
-        "...a,aij,...j->...i", w_low, basis.gamma @ basis.pi, psi
-    )
+    # gamma^a v_a and gamma^a pi v_a for spinors v_a, flattened to (..., 16),
+    # against the two halves of basis.dirac_rows
+    gamma, gamma_pi = basis.dirac_rows[:, :16].T, basis.dirac_rows[:, 16:].T
+    op = 1j * (sample.grad.reshape(batch + (16,)) @ gamma)
+    torsion = (w_low[..., :, None] * psi[..., None, :]).reshape(batch + (16,))
+    op = op - bg.torsion_coupling * (torsion @ gamma_pi)
     op = op - bg.mass * psi
     return (np.linalg.norm(op, axis=-1) / np.linalg.norm(psi, axis=-1))[()]
 
@@ -189,23 +194,23 @@ def residual_polar_groups(jet: PolarJet, bg: Background) -> dict:
     def worst(a, axes=-1):
         return np.abs(a).max(axis=axes)
 
-    def dual(a, b):
-        # eps^{x n m r} a_m b_r
-        return np.einsum("anmr,...m,...r->...an", EPS_UPPER, a, b)
+    # eps^{m x j k} u_j s_k, the dual of the lowered frame pair
+    frame = pair_dual(_outer(u_low, s_low))
 
     def cross(a):
         # eps^{j k m x} a_m u_j s_k: the covector a against the frame pair
-        return np.einsum("...m,...j,...k,jkma->...a", a, u_low, s_low, EPS_UPPER)
+        return (a[..., None, :] @ frame)[..., 0, :]
 
     out = {}
     out["a1"] = np.abs(_dot(f, u))
     out["a2"] = np.abs(_dot(e, u) + _dot(p, s))
-    a3 = dual(e, u_low) + _outer(f_up, u) - _outer(u, f_up) + dual(p, s_low)
+    # pair_dual(a b^T) = eps^{x n m r} a_m b_r
+    a3 = pair_dual(_outer(e, u_low) + _outer(p, s_low)) + _outer(f_up, u) - _outer(u, f_up)
     out["a3"] = worst(a3, (-2, -1))
 
     out["b1"] = np.abs(_dot(f, s))
     out["b2"] = np.abs(_dot(e, s) + _dot(p, u))
-    b3 = dual(e, s_low) + _outer(f_up, s) - _outer(s, f_up) + dual(p, u_low)
+    b3 = pair_dual(_outer(e, s_low) + _outer(p, u_low)) + _outer(f_up, s) - _outer(s, f_up)
     out["b3"] = worst(b3, (-2, -1))
 
     c1 = cross(f) + _dot(e, u)[..., None] * s - _dot(e, s)[..., None] * u - p_up
@@ -213,7 +218,8 @@ def residual_polar_groups(jet: PolarJet, bg: Background) -> dict:
     c2 = _dot(f, u)[..., None] * s - _dot(f, s)[..., None] * u - cross(e)
     out["c2"] = worst(c2)
 
-    d1 = f - np.einsum("mrna,...r,...n,...a->...m", EPS_LOWER, p_up, u, s)
+    # eps_{mrna} p^r u^n s^a is frame @ p with its free index lowered
+    d1 = f - _S * (frame @ p[..., None])[..., 0]
     out["d1"] = worst(d1)
     d2 = e - _dot(p, u)[..., None] * s_low + _dot(p, s)[..., None] * u_low
     out["d2"] = worst(d2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS_LOWER, EPS_UPPER, ETA, ETA_SIGNS
+from .algebra import EPS_LOWER, ETA, ETA_SIGNS, pair_dual
 from .errors import DegenerateInversion, DegenerateX
 from .fieldconn import Background, PolarJet
 
@@ -88,11 +88,8 @@ def momentum_from_velocity(u, s, forms: CompactForms) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     u_low, s_low = ETA @ u, ETA @ s
-    return (
-        forms.xs * u
-        + (forms.y @ u) * s
-        + np.einsum("i,j,k,ijka->a", forms.z, s_low, u_low, EPS_UPPER)
-    )
+    # z_i s_j u_k eps^{ijka}
+    return forms.xs * u + (forms.y @ u) * s + u_low @ pair_dual(np.outer(forms.z, s_low))
 
 
 def momentum_long_form(u, s, forms: CompactForms) -> np.ndarray:
@@ -100,11 +97,12 @@ def momentum_long_form(u, s, forms: CompactForms) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     u_low, s_low = ETA @ u, ETA @ s
+    # z_m u_j s_k eps^{jkma}
     return (
         forms.mass_cos * u
         + (forms.y @ u) * s
         - (forms.y @ s) * u
-        - np.einsum("m,j,k,jkma->a", forms.z, u_low, s_low, EPS_UPPER)
+        - forms.z @ pair_dual(np.outer(u_low, s_low))
     )
 
 
@@ -145,8 +143,7 @@ def velocity_from_momentum(p, s, forms: CompactForms) -> np.ndarray:
     c_zeta = zp + zs * sp
     c_s = sp + zs * c_zeta      # (1 + (zeta.s)^2) s.p + (zeta.s) zeta.p
     # zeta_i s_j eps^{ijka}, one (k, a) matrix per point, applied to p_low
-    wedge = (zeta_low[..., :, None] * (s * ETA_SIGNS)[..., None, :]).reshape(zs.shape + (16,))
-    dual = (wedge @ EPS_UPPER.reshape(16, 16)).reshape(zs.shape + (4, 4))
+    dual = pair_dual(zeta_low[..., :, None] * (s * ETA_SIGNS)[..., None, :])
     u = p + s * c_s[..., None] + zeta * c_zeta[..., None] + (dual @ p_low[..., None])[..., 0]
     return u / (xs * denom)[..., None]
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA_SIGNS
-from .bilinears import Densities, require_regular
+from .bilinears import Densities, density_products, require_regular
 from .errors import ConfigError, DiracPolarError, ImmediateSingularity
-from .fieldconn import Background, density_products, derivative_jet
+from .fieldconn import Background, derivative_jet
 from .guidance import compact_forms, velocity_from_momentum
 
 MODES = ("kinematic", "guidance")

@@ -426,6 +426,19 @@ def test_too_many_steps_exit_2(tmp_path, capsys, steps, count):
     assert "%s steps" % count in assert_config_error(tmp_path, capsys, argv, "")
 
 
+@pytest.mark.parametrize("count", [10**17, 10**20], ids=["memory", "shape"])
+@pytest.mark.parametrize(
+    "argv, extra",
+    [(["gordon", "--points"], ""), (["identities", "--random"], None)],
+    ids=["gordon-points", "identities-random"],
+)
+def test_too_many_draws_exit_2(tmp_path, capsys, argv, extra, count):
+    # numpy refuses both counts at once, as for --steps above.  Never test a
+    # count that could really be allocated.
+    err = assert_config_error(tmp_path, capsys, argv + [str(count)], extra)
+    assert "%s: cannot allocate %d draws" % (argv[1], count) in err
+
+
 def assert_config_error(tmp_path, capsys, argv, extra):
     """argv, with a TWO_WAVE config carrying the extra lines unless extra is
     None, exits 2 with config errors only; returns what it wrote to stderr."""

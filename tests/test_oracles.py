@@ -1,4 +1,5 @@
-"""The closed-form kernels of the guidance path against reference forms.
+"""The closed-form kernels of the guidance path and the gordon scan against
+reference forms.
 
 velocity_from_momentum applies the inverse momentum map to p term by term,
 and potentials contracts the connection r[..., mu, i, j] of a jet through
@@ -14,6 +15,13 @@ the stack; the reference contracts the stack and its conjugate transpose as
 they stand.  The exact jet reads psi^dagger pi psi and Im psi^dagger
 sigma^{ij} psi off the axial density; the reference contracts pi and the six
 sigma^{ij} directly.
+
+Every fixed contraction of the gordon scan is a reshape and one matmul
+against a table built once: EPS_PAIRS (through pair_dual and its (4, 64)
+view), basis.dirac_rows, basis.sigma_pairs and basis.density_rows.  The
+einsum forms they replaced are the references here, contraction by
+contraction and for the whole residual dicts, on fields that solve nothing
+and carry a charge, an EM potential and a torsion vector.
 """
 import numpy as np
 from hypothesis import assume, given, settings
@@ -27,17 +35,41 @@ from diracpolar.algebra import (
     PAIR_I,
     PAIR_J,
     mdot,
+    pair_dual,
     side_by_side,
+    spin_inverse,
 )
+from diracpolar.bilinears import compute_bilinears
 from diracpolar.fieldconn import (
+    _STENCIL,
     Background,
     FieldSample,
+    LinearVector,
+    PlaneWaveComponent,
+    PlaneWaveField,
     PolarJet,
     density_products,
     derivative_jet,
+    polar_derivative_operator,
+    polar_jet,
+    sample_field,
+    verify_transport,
 )
-from diracpolar.gordon import _density_derivatives
-from diracpolar.guidance import CompactForms, potentials, velocity_from_momentum
+from diracpolar.gordon import (
+    _density_derivatives,
+    compute_potentials,
+    dirac_residual,
+    residual_bilinear_gordon,
+    residual_polar_groups,
+)
+from diracpolar.guidance import (
+    CompactForms,
+    momentum_from_velocity,
+    momentum_long_form,
+    potentials,
+    velocity_from_momentum,
+)
+from diracpolar.polar import polar_decompose
 
 from conftest import SpinorTable
 
@@ -48,6 +80,8 @@ seeds = st.integers(0, 2**32 - 1)
 batches = st.one_of(st.just(()), st.integers(1, 6).map(lambda n: (n,)))
 # a point, a stack of points and a stack of stacks
 point_batches = st.one_of(st.just(()), st.integers(1, 6).map(lambda n: (n,)), st.just((2, 3)))
+# and the empty stack
+all_batches = st.one_of(point_batches, st.just((0,)))
 
 
 def inverse_matrix(s, forms):
@@ -194,3 +228,309 @@ def test_jet_momentum_matches_direct_products(basis, seed, batch, log_size):
     scale = np.abs(jet.dchiral).max(axis=-1) + np.abs(jet.r).max(axis=(-3, -2, -1))
     scale = scale + np.abs(grad).max(axis=(-2, -1)) / np.abs(psi).max(axis=-1)
     assert np.all(np.abs(jet.p - want) <= 4 * EPS * scale[..., None])
+
+
+# The einsum forms the gordon scan's table contractions replaced.  _S lowers
+# one index by its sign and _S2 two.
+_S = ETA_SIGNS
+_S2 = ETA_SIGNS[:, None] * ETA_SIGNS
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _dot(a, b):
+    return np.sum(a * b, axis=-1)
+
+
+def _trace(a):
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def reference_densities(psi, basis):
+    """The sixteen complex density products (..., 16), in one einsum."""
+    rows = basis.density_rows.reshape(4, 16, 4)     # rows[i, k, j] = (gamma^0 M_k)[i, j]
+    return np.einsum("...i,ikj,...j->...k", psi.conj(), rows, psi)
+
+
+def reference_dirac(sample, bg, basis):
+    psi = sample.psi
+    w_low = bg.w_value(sample.x) * _S
+    op = 1j * np.einsum("mij,...mj->...i", basis.gamma, sample.grad)
+    op = op - bg.torsion_coupling * np.einsum(
+        "...a,aij,...j->...i", w_low, basis.gamma @ basis.pi, psi
+    )
+    op = op - bg.mass * psi
+    return (np.linalg.norm(op, axis=-1) / np.linalg.norm(psi, axis=-1))[()]
+
+
+def reference_bilinear_gordon(sample, bg, basis):
+    """residual_bilinear_gordon with every epsilon and matrix contraction an
+    einsum, and the densities from reference_densities."""
+    sums, differences = _density_derivatives(sample, basis)
+    d_one, d_pi, d_gam, d_gam_pi, d_sig, _ = sums
+    k_one, k_pi, k_gam, k_gam_pi, k_sig, k_sig_pi = differences
+    values = reference_densities(sample.psi, basis).real
+    scalar, pseudoscalar, u, s = values[..., 0], values[..., 1], values[..., 2:6], values[..., 6:10]
+    m_low = np.zeros(values.shape[:-1] + (4, 4))
+    m_low[..., PAIR_I, PAIR_J] = values[..., 10:]
+    m_low[..., PAIR_J, PAIR_I] = -values[..., 10:]
+    m, coup = bg.mass, bg.torsion_coupling
+    w = np.broadcast_to(bg.w_value(sample.x), sample.psi.shape)
+    w_low, u_low = w * _S, u * _S
+    m_up = m_low * _S2
+    scale = u[..., 0]
+    d_vec = np.swapaxes(d_gam, -1, -2)
+    d_ax = np.swapaxes(d_gam_pi, -1, -2)
+    d_tens = 2j * np.moveaxis(d_sig, -1, -3) * _S2
+
+    def worst(a, axes):
+        return np.abs(a).max(axis=axes) / scale
+
+    out = {}
+    out["vector_divergence"] = np.abs(_trace(d_vec)) / scale
+    out["pseudoscalar_kinetic"] = np.abs(0.5j * _trace(k_gam_pi) - coup * _dot(w_low, u)) / scale
+    dur = d_vec * _S[:, None]
+    curl_u = dur - np.swapaxes(dur, -1, -2)
+    curl_u = curl_u + 1j * np.einsum("anmr,...rm->...an", EPS_UPPER, k_gam_pi * _S[:, None])
+    curl_u = curl_u - 2 * coup * np.einsum("ansr,...s,...r->...an", EPS_UPPER, w_low, u_low)
+    out["vector_curl"] = worst(curl_u - 2 * m * m_up, (-2, -1))
+    out["axial_divergence"] = np.abs(_trace(d_ax) - 2 * m * pseudoscalar) / scale
+    acc = 0.5j * _trace(k_gam) - coup * _dot(w_low, s) - m * scalar
+    out["scalar_kinetic"] = np.abs(acc) / scale
+    curl_s = np.einsum("anmq,...mq->...an", EPS_UPPER, d_ax * _S)
+    k = k_gam * _S
+    curl_s = curl_s + 1j * (k - np.swapaxes(k, -1, -2)) + 2 * coup * (_outer(w, s) - _outer(s, w))
+    out["axial_curl"] = worst(curl_s, (-2, -1))
+    vr = 1j * k_one * _S + 2j * _trace(d_sig)
+    vr = vr + coup * np.einsum("amrs,...m,...rs->...a", EPS_UPPER, w_low, m_low) - 2 * m * u
+    out["vector_recovery"] = worst(vr, -1)
+    ai = k_pi * _S - 0.5 * np.einsum("amrs,...mrs->...a", EPS_UPPER, d_tens)
+    ai = ai + 2 * coup * np.einsum("...ab,...b->...a", m_up, w_low)
+    out["axial_recovery"] = worst(ai, -1)
+    vi = d_one * _S + 2 * _trace(k_sig) + 2 * coup * w * pseudoscalar[..., None]
+    out["scalar_gradient"] = worst(vi, -1)
+    ar = 1j * d_pi * _S + 2j * _trace(k_sig_pi) - 2 * coup * w * scalar[..., None] + 2 * m * s
+    out["pseudoscalar_gradient"] = worst(ar, -1)
+    return {name: value[()] for name, value in out.items()}
+
+
+def reference_polar_groups(jet, bg):
+    """residual_polar_groups with the duals, the crosses and the d1 term as
+    einsum over EPS_UPPER and EPS_LOWER."""
+    e, f = compute_potentials(jet, bg)
+    p, u, s = jet.p, jet.velocity, jet.spin
+    u_low, s_low = u * _S, s * _S
+    f_up, p_up = f * _S, p * _S
+
+    def dual(a, b):
+        return np.einsum("anmr,...m,...r->...an", EPS_UPPER, a, b)
+
+    def cross(a):
+        return np.einsum("...m,...j,...k,jkma->...a", a, u_low, s_low, EPS_UPPER)
+
+    out = {"a1": np.abs(_dot(f, u)), "a2": np.abs(_dot(e, u) + _dot(p, s))}
+    a3 = dual(e, u_low) + _outer(f_up, u) - _outer(u, f_up) + dual(p, s_low)
+    out["a3"] = np.abs(a3).max(axis=(-2, -1))
+    out["b1"] = np.abs(_dot(f, s))
+    out["b2"] = np.abs(_dot(e, s) + _dot(p, u))
+    b3 = dual(e, s_low) + _outer(f_up, s) - _outer(s, f_up) + dual(p, u_low)
+    out["b3"] = np.abs(b3).max(axis=(-2, -1))
+    c1 = cross(f) + _dot(e, u)[..., None] * s - _dot(e, s)[..., None] * u - p_up
+    out["c1"] = np.abs(c1).max(axis=-1)
+    c2 = _dot(f, u)[..., None] * s - _dot(f, s)[..., None] * u - cross(e)
+    out["c2"] = np.abs(c2).max(axis=-1)
+    d1 = f - np.einsum("mrna,...r,...n,...a->...m", EPS_LOWER, p_up, u, s)
+    out["d1"] = np.abs(d1).max(axis=-1)
+    d2 = e - _dot(p, u)[..., None] * s_low + _dot(p, s)[..., None] * u_low
+    out["d2"] = np.abs(d2).max(axis=-1)
+    return out
+
+
+def charged_background(rng):
+    """Mass, charge and torsion coupling with an EM potential and a torsion
+    vector that vary across spacetime."""
+    return Background(
+        mass=rng.uniform(0.5, 2.0),
+        charge=rng.uniform(-1.0, 1.0),
+        torsion_coupling=rng.uniform(-1.0, 1.0),
+        em_potential=LinearVector(rng.standard_normal(4), rng.standard_normal((4, 4))),
+        torsion_vector=LinearVector(rng.standard_normal(4), rng.standard_normal((4, 4))),
+    )
+
+
+def random_field(rng, batch, log_size):
+    """Spinors and derivatives that solve nothing, at points x, under a
+    charged background: (field, background, x)."""
+    psi = random_spinors(rng, batch + (4,)) * 10.0**log_size
+    grad = random_spinors(rng, batch + (4, 4)) * 10.0**log_size
+    x = rng.uniform(-1.0, 1.0, batch + (4,))
+    return SpinorTable(psi, grad), charged_background(rng), x
+
+
+def l1(a, axis=-1):
+    return np.abs(a).sum(axis=axis)
+
+
+@ORACLE
+@given(seed=seeds, batch=all_batches)
+def test_pair_dual_matches_einsum(seed, batch):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(batch + (4, 4))
+    got = pair_dual(w)
+    assert got.shape == batch + (4, 4)
+    # each entry is one sum of two products w_cd, w_dc with epsilon = +-1
+    want = np.einsum("abcd,...cd->...ab", EPS_UPPER, w)
+    assert np.all(np.abs(got - want) <= EPS * l1(w, (-2, -1))[..., None, None])
+
+
+@ORACLE
+@given(seed=seeds, batch=all_batches, log_size=st.floats(-3.0, 3.0))
+def test_compute_bilinears_matches_einsum(basis, seed, batch, log_size):
+    rng = np.random.default_rng(seed)
+    psi = random_spinors(rng, batch + (4,)) * 10.0**log_size
+    bil = compute_bilinears(psi, basis)
+    got = np.concatenate(
+        [np.asarray(bil.scalar)[..., None], np.asarray(bil.pseudoscalar)[..., None],
+         bil.vector, bil.axial, bil.tensor6],
+        axis=-1,
+    )
+    want = reference_densities(psi, basis)
+    assert got.shape == want.shape == batch + (16,)
+    # every density sums 16 terms psi_i M_ij psi_j, |M_ij| <= 1; 3000 random
+    # draws reached 0.95 units
+    scale = l1(psi) ** 2
+    assert np.all(np.abs(got - want.real) <= 4 * EPS * scale[..., None])
+    assert np.all(np.abs(bil.imag_residual - np.abs(want.imag).max(axis=-1)) <= 4 * EPS * scale)
+
+
+@ORACLE
+@given(seed=seeds, batch=all_batches, log_size=st.floats(-3.0, 3.0))
+def test_dirac_residual_matches_einsum(basis, seed, batch, log_size):
+    rng = np.random.default_rng(seed)
+    fld, bg, x = random_field(rng, batch, log_size)
+    got = dirac_residual(fld, bg, basis, x)
+    want = reference_dirac(sample_field(fld, bg, x), bg, basis)
+    assert np.shape(got) == np.shape(want) == batch
+    # gamma^a nabla_a psi and the torsion term, per unit |psi|; 3000 random
+    # draws reached 0.68 units
+    sample = sample_field(fld, bg, x)
+    torsion = abs(bg.torsion_coupling) * l1(bg.w_value(x)) * l1(fld.psi)
+    scale = (l1(l1(sample.grad)) + torsion) / np.linalg.norm(fld.psi, axis=-1) + bg.mass
+    assert np.all(np.abs(got - want) <= 8 * EPS * scale)
+
+
+@ORACLE
+@given(seed=seeds, batch=all_batches, log_size=st.floats(-3.0, 3.0))
+def test_bilinear_gordon_matches_einsum(basis, seed, batch, log_size):
+    rng = np.random.default_rng(seed)
+    fld, bg, x = random_field(rng, batch, log_size)
+    got = residual_bilinear_gordon(fld, bg, basis, x)
+    sample = sample_field(fld, bg, x)
+    want = reference_bilinear_gordon(sample, bg, basis)
+    assert list(got) == list(want)
+    # the products |psi| |nabla psi| and the mass and torsion terms |psi|^2,
+    # per unit density u^0 = |psi|^2; 3000 random draws reached 1.28 units
+    psi = l1(fld.psi)
+    size = psi * (l1(sample.grad).max(axis=-1) + (bg.mass + abs(bg.torsion_coupling)
+                                                  * l1(bg.w_value(x))) * psi)
+    scale = size / np.vecdot(fld.psi, fld.psi).real
+    for name in want:
+        assert np.shape(got[name]) == np.shape(want[name]) == batch, name
+        assert np.all(np.abs(got[name] - want[name]) <= 16 * EPS * scale), name
+
+
+def jet_scale(jet, bg):
+    """The size of the terms of the polar groups: a covector e, f or p
+    against the velocity and the spin."""
+    e, f = compute_potentials(jet, bg)
+    return (l1(e) + l1(f) + l1(jet.p)) * l1(jet.velocity) * l1(jet.spin)
+
+
+@ORACLE
+@given(seed=seeds, batch=all_batches, log_size=st.floats(-3.0, 3.0))
+def test_polar_groups_match_einsum(basis, seed, batch, log_size):
+    rng = np.random.default_rng(seed)
+    fld, bg, x = random_field(rng, batch, log_size)
+    jet = derivative_jet(fld, bg, basis, x)
+    got = residual_polar_groups(jet, bg)
+    want = reference_polar_groups(jet, bg)
+    assert list(got) == list(want)
+    # 3000 random draws reached 0.35 units; a sign slip in any term, such as
+    # d1's eps_{mrna} p^r u^n s^a, is of the size of scale itself
+    scale = jet_scale(jet, bg)
+    for name in want:
+        assert np.shape(got[name]) == np.shape(want[name]) == batch, name
+        assert np.all(np.abs(got[name] - want[name]) <= 4 * EPS * scale), name
+
+
+@ORACLE
+@given(seed=seeds, batch=all_batches, log_size=st.floats(-3.0, 3.0))
+def test_jet_checks_match_einsum(basis, seed, batch, log_size):
+    rng = np.random.default_rng(seed)
+    fld, bg, x = random_field(rng, batch, log_size)
+    jet = derivative_jet(fld, bg, basis, x)
+    r6 = jet.r[..., PAIR_I, PAIR_J]
+    sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
+    want = (jet.dlogdensity - 1j * jet.p)[..., None, None] * basis.identity
+    want = want - 0.5j * jet.dchiral[..., None, None] * basis.pi
+    want = want - np.einsum("...mp,pij->...mij", r6, sigma6)
+    got = polar_derivative_operator(jet, basis)
+    assert got.shape == want.shape == batch + (4, 4, 4)
+    # six r coefficients against sigma entries of size <= 1/2; 3000 random
+    # draws stayed at 0 units here and reached 0.76 units in the transport
+    assert np.all(np.abs(got - want) <= 4 * EPS * l1(r6)[..., None, None])
+
+    transport = verify_transport(jet)
+    for name, up, derivative in (
+        ("velocity_transport", jet.velocity, jet.du),
+        ("spin_transport", jet.spin, jet.ds),
+    ):
+        predicted = np.einsum("...j,...mji->...mi", up, jet.r)
+        want = np.abs(derivative * ETA_SIGNS - predicted).max(axis=(-2, -1))
+        scale = l1(up) * np.abs(jet.r).max(axis=(-3, -2, -1))
+        assert np.shape(transport[name]) == batch
+        assert np.all(np.abs(transport[name] - want) <= 4 * EPS * scale), name
+
+
+@ORACLE
+@given(seed=seeds, speed=st.floats(0.0, 3.0), size=st.floats(0.0, 3.0))
+def test_momentum_maps_match_einsum(seed, speed, size):
+    rng = np.random.default_rng(seed)
+    u, s = unit_frame(rng, (), speed)
+    y, z = rng.standard_normal((2, 4)) * size
+    forms = CompactForms(y=y, z=z, xs=rng.uniform(0.1, 3.0), mass_cos=rng.uniform(-1.0, 1.0))
+    u_low, s_low = u * ETA_SIGNS, s * ETA_SIGNS
+    short = forms.xs * u + (y @ u) * s + np.einsum("i,j,k,ijka->a", z, s_low, u_low, EPS_UPPER)
+    long = forms.mass_cos * u + (y @ u) * s - (y @ s) * u
+    long = long - np.einsum("m,j,k,jkma->a", z, u_low, s_low, EPS_UPPER)
+    # 2000 random draws reached 0.17 units
+    scale = (abs(forms.xs) + abs(forms.mass_cos) + 2 * l1(y) * l1(s) + l1(z) * l1(s)) * l1(u)
+    assert np.all(np.abs(momentum_from_velocity(u, s, forms) - short) <= 4 * EPS * scale)
+    assert np.all(np.abs(momentum_long_form(u, s, forms) - long) <= 4 * EPS * scale)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, batch=all_batches)
+def test_stencil_projection_matches_einsum(basis, seed, batch):
+    # three waves of small momenta near the origin, with no node close by
+    rng = np.random.default_rng(seed)
+    waves = [
+        PlaneWaveComponent(np.concatenate([[1.5], rng.uniform(-0.3, 0.3, 3)]), amplitude)
+        for amplitude in random_spinors(rng, (3, 4)) * [[1.0], [0.2], [0.1]]
+    ]
+    fld = PlaneWaveField(waves)
+    x, h = rng.uniform(-0.2, 0.2, batch + (4,)), 1e-3
+    jet = polar_jet(fld, Background(mass=1.0), basis, x, h)
+    # g_mu = l_spin^-1 d_mu l_spin from the same stencil, projected with einsum
+    points = x + h * _STENCIL.reshape((9,) + (1,) * len(batch) + (4,))
+    l_spin = polar_decompose(fld.evaluate(points), basis).l_spin
+    dl = np.moveaxis((l_spin[1::2] - l_spin[2::2]) / (2 * h), 0, len(batch))
+    g = spin_inverse(l_spin[0], basis)[..., None, :, :] @ dl
+    sigma6 = basis.sigma_upper[PAIR_I, PAIR_J]
+    want = np.einsum("pij,...mij->...mp", sigma6.conj(), g).real
+    got = jet.r[..., PAIR_I, PAIR_J]
+    assert got.shape == want.shape == batch + (4, 6)
+    # 500 random draws stayed at 0 units
+    assert np.all(np.abs(got - want) <= 4 * EPS * l1(g.reshape(batch + (4, 16)))[..., None])

@@ -35,3 +35,32 @@ def test_no_unread_parameters():
         for function, param in unread_parameters(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def einsum_callers(tree):
+    """Name of every function, method or nested function whose body calls
+    einsum, as np.einsum or by a bare name.  Code at module level, such as a
+    table built once at import, is not in any body."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "einsum":
+                    yield node.name
+                    break
+
+
+def test_kernels_contract_without_einsum():
+    # the fixed contractions of the gordon scan and the guidance path are a
+    # reshape and one matmul against a table built once
+    found = [
+        "%s: %s" % (name, function)
+        for name in ("gordon.py", "fieldconn.py", "guidance.py")
+        for function in einsum_callers(ast.parse((PACKAGE / name).read_text()))
+    ]
+    bilinears = ast.parse((PACKAGE / "bilinears.py").read_text())
+    found += ["bilinears.py: %s" % f for f in einsum_callers(bilinears) if f == "compute_bilinears"]
+    assert found == []
