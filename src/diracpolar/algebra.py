@@ -374,25 +374,30 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     return spin, vec
 
 
-# _LOWER_PAIR lowers both indices of a matrix
-_LOWER_PAIR = ETA_SIGNS[:, None] * ETA_SIGNS
+# LOWER_PAIR lowers both indices of a matrix
+LOWER_PAIR = ETA_SIGNS[:, None] * ETA_SIGNS
 
 
-def frame_connection(u, du, s, ds):
-    """The connection r_mu of the transport gauge, lowered, from arrays of the
-    unit velocity and spin (..., 4) and their derivatives (..., mu, 4), all
-    raised: one (4, 4) matrix per mu, right after the batch axes.  With
-    a^b = a b^T - b a^T,
-
-      r_mu = u^du_mu - s^ds_mu + (s.du_mu) u^s.
+def transport_terms(u, du, s, ds):
+    """a_mu = u du_mu^T - s ds_mu^T + (s.du_mu) u s^T, raised, one (4, 4) matrix
+    per mu right after the batch axes, from the unit velocity and spin (..., 4)
+    and their derivatives (..., mu, 4), all raised: the transport terms of r.
 
     u and s fix every part of r_mu = l_vec^T eta d_mu l_vec but the turn about
     the spin, lam_mu eps_ijkl u^k s^l, and that turn holds all of the frame
     gauge.  The transport gauge sets lam_mu = 0: r is then covariant in u, s
     and their derivatives and regular wherever they are, and no frame enters.
     """
-    # the terms with raised indices, lowered once at the end
-    us = u[..., :, None] * s[..., None, :]
-    a = u[..., None, :, None] * du[..., None, :] - s[..., None, :, None] * ds[..., None, :]
-    a = a + (du @ (s * ETA_SIGNS)[..., None])[..., None] * us[..., None, :, :]
-    return (a - a.swapaxes(-1, -2)) * _LOWER_PAIR
+    q = du + (du @ (s * ETA_SIGNS)[..., None]) * s[..., None, :]
+    return u[..., None, :, None] * q[..., None, :] - s[..., None, :, None] * ds[..., None, :]
+
+
+def connection_from_transport(a):
+    """r_mu = a_mu - a_mu^T, lowered: the one formula for the connection."""
+    return (a - a.swapaxes(-1, -2)) * LOWER_PAIR
+
+
+def frame_connection(u, du, s, ds):
+    """The connection r_mu of the transport gauge, lowered, one (4, 4) matrix
+    per mu: with a^b = a b^T - b a^T, r_mu = u^du_mu - s^ds_mu + (s.du_mu) u^s."""
+    return connection_from_transport(transport_terms(u, du, s, ds))

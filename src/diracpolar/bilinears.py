@@ -100,7 +100,7 @@ def is_regular(bil: Densities):
 def require_regular(bil: Densities) -> None:
     """Raise SingularSpinor unless every spinor of the batch is regular."""
     regular = is_regular(bil)
-    if not regular.all():
+    if np.count_nonzero(regular) < np.size(regular):
         raise SingularSpinor(
             "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
             % (np.min(np.where(regular, np.inf, bil.density_squared())), REGULARITY_EPS)

@@ -72,23 +72,9 @@ def emit(rows, fmt, out=None):
     (out or sys.stdout).write(text)
 
 
-GLOBAL_KEYS = {
-    "mass",
-    "charge",
-    "torsion_coupling",
-    "em_potential",
-    "torsion_vector",
-    "grid",
-    "point",
-    "step",
-    "tolerance",
-    "seed",
-    "tau_max",
-    "tau_step",
-    "mode",
-}
-
 WAVE_KEYS = {"momentum", "velocity", "spin", "amplitude", "phase"}
+# the largest mass whose square is a finite float
+MASS_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 class RunConfig:
@@ -108,6 +94,11 @@ class RunConfig:
         self.waves = []
 
 
+# a global key sets the RunConfig attribute of its name; "step", the stencil
+# step of an earlier guidance jet, still parses but sets nothing
+GLOBAL_KEYS = (set(vars(RunConfig())) - {"waves"}) | {"step"}
+
+
 def _floats(text, count, key, problems):
     parts = text.replace(",", " ").split()
     try:
@@ -122,6 +113,15 @@ def _floats(text, count, key, problems):
         problems.append("%s: expected finite numbers, got %r" % (key, text))
         return None
     return np.array(vals)
+
+
+def _vector(text, count, key):
+    """The count finite numbers text holds, or a ConfigError naming key."""
+    problems = []
+    vals = _floats(text, count, key, problems)
+    if problems:
+        raise ConfigError(problems)
+    return vals
 
 
 def _number(text, key, problems):
@@ -202,15 +202,10 @@ def _apply_global(cfg, key, value, problems):
         else:
             setattr(cfg, key, ConstantVector(vec))
         return
-    if key == "mode":
-        cfg.mode = value
-        return
-    if key == "grid":
-        cfg.grid = value
+    if key in ("mode", "grid"):
+        setattr(cfg, key, value)
         return
     if key == "step":
-        # the stencil step of an earlier guidance jet: still accepted, so that
-        # older configs parse, but nothing reads it
         return
     if key == "seed":
         try:
@@ -222,7 +217,11 @@ def _apply_global(cfg, key, value, problems):
             problems.append("seed: expected an integer >= 0, got %d" % cfg.seed)
         return
     number = _number(value, key, problems)
-    if number is not None:
+    if key == "tolerance" and number is not None and not number > 0:
+        problems.append("tolerance: expected a number > 0, got %r" % value)
+    elif key == "mass" and number is not None and not 0 < number <= MASS_MAX:
+        problems.append("mass: expected a number in (0, %.17g], got %r" % (MASS_MAX, value))
+    elif number is not None:
         setattr(cfg, key, number)
 
 
@@ -357,8 +356,8 @@ def cmd_identities(args) -> int:
         return 0
     _require_at_least(args.random, 0, "--random")
     _require_at_least(args.seed, 0, "--seed")
-    if np.isnan(args.tolerance):
-        raise ConfigError(["--tolerance: expected a number, got nan"])
+    if not args.tolerance > 0:
+        raise ConfigError(["--tolerance: expected a number > 0, got %s" % args.tolerance])
     basis = build_chiral_basis()
     checks = verify_basis(basis)
     rng = np.random.default_rng(args.seed)
@@ -382,27 +381,12 @@ def _worst(checks):
     return np.max(list(checks.values()), initial=0.0)
 
 
-def _parse_spinor(text):
-    parts = text.replace(",", " ").split()
-    try:
-        vals = [float(t) for t in parts]
-    except ValueError:
-        raise ConfigError(["spinor: expected numbers, got %r" % text])
-    if len(vals) != 8:
-        raise ConfigError(
-            ["spinor: expected 8 numbers re0,im0,...,re3,im3, got %d" % len(vals)]
-        )
-    vals = np.array(vals)
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(["spinor: expected finite numbers, got %r" % text])
-    return vals[0::2] + 1j * vals[1::2]
-
-
 def cmd_polar(args) -> int:
     basis = build_chiral_basis()
     tolerance = 1e-6
     if args.spinor is not None:
-        psi = _parse_spinor(args.spinor)
+        parts = _vector(args.spinor, 8, "spinor")
+        psi = parts[0::2] + 1j * parts[1::2]
     elif args.config is not None:
         cfg = _load_config(args.config)
         tolerance = cfg.tolerance
@@ -483,10 +467,7 @@ def cmd_guidance(args) -> int:
     bg = build_background(cfg)
     x = cfg.point
     if args.at is not None:
-        probe = []
-        x = _floats(args.at, 4, "--at", probe)
-        if probe:
-            raise ConfigError(probe)
+        x = _vector(args.at, 4, "--at")
     jet = derivative_jet(fld, bg, basis, x)
     forms = compact_forms(jet, bg)
     p_compact = momentum_from_velocity(jet.velocity, jet.spin, forms)

@@ -20,20 +20,18 @@ and the same for the velocity.  The momentum covector is
   p_mu = d_mu(residual_phase) + trace_part_mu - charge * a_mu
 
 with trace_part_mu = Im tr(g_mu) / 4; p is invariant under a joint
-phase/potential gauge shift.  A jet carries r and p as plain lowered arrays:
-r_{ij mu} as r[..., mu, i, j], the layout of algebra.frame_connection, and
-p_mu as p[..., mu].
+phase/potential gauge shift.  A jet carries p_mu as p[..., mu] and r_{ij mu},
+as r[..., mu, i, j], through its transport terms; it forms r on demand.
 
-u and s fix r up to a turn about the spin, lam_mu eps_ijkl u^k s^l, the
-frame gauge; a turn by c_mu moves p by c_mu / 2 and leaves nabla psi as it
-is.  Two functions build a jet, in two gauges.  derivative_jet is exact: it
-takes the products of psi and its covariant derivative, from sample_field,
-with the ten density matrices behind S, P, U and A at the point and
-differentiates the closed forms; it decomposes nothing and sets lam = 0, the
-transport gauge.  polar_jet differences the polar variables of
-polar_decompose, whose frame is the boost and the minimal rotation, over a
-nine-point stencil of step h; it needs only evaluate and, with its turn about
-the spin taken out, checks the exact jet.
+u and s fix r up to a turn about the spin, the frame gauge; a turn by c_mu
+moves p by c_mu / 2 and leaves nabla psi as it is.  Two functions build a
+jet, in two gauges.  derivative_jet is exact: it contracts psi and its
+covariant derivative, from sample_field, with the ten density matrices behind
+S, P, U and A and differentiates the closed forms; it decomposes nothing and
+sets the turn to 0, the transport gauge.  polar_jet differences the polar
+variables of polar_decompose, whose frame is the boost and the minimal
+rotation, over a nine-point stencil of step h; it needs only evaluate and,
+with its turn about the spin taken out, checks the exact jet.
 """
 from __future__ import annotations
 
@@ -44,17 +42,19 @@ import numpy as np
 # lorentz_exp is not used here; it stays bound because bench/test_bench.py
 # checks that the tracer wraps it in this module
 from .algebra import (  # noqa: F401
+    EPS_LOWER,
     ETA,
     ETA_SIGNS,
     PAIR_I,
     PAIR_J,
     SEED_SPINOR,
     boost_reps,
-    frame_connection,
+    connection_from_transport,
     lorentz_exp,
     mdot,
     rot_z_to_reps,
     spin_inverse,
+    transport_terms,
 )
 from .errors import OffShell, OutOfDomain, PhaseJump
 from .bilinears import Densities, density_products
@@ -68,8 +68,18 @@ _STENCIL = np.concatenate(
 # unit steps along mu = 0..3, one row each
 _STEPS = np.eye(4, dtype=int)
 
-# the spatial pairs (j, k) = (2, 3), (3, 1), (1, 2), dual to l = 1, 2, 3
-_CYCLIC_J, _CYCLIC_K = np.array([2, 3, 1]), np.array([3, 1, 2])
+# CONNECTION_TABLE takes transport terms a, flattened to (..., 64), to what the
+# guidance path reads of r = connection_from_transport(a), in one exact product:
+# eps_m^{ij mu} r_{ij mu} / 4 (all raised by their signs) for y, -eta^{j mu}
+# r_{i j mu} / 2 for z and r_{jk mu} / 2, (j, k) = (2, 3), (3, 1), (1, 2), for p.
+# Its rows are those contractions of the r of each unit transport term
+_UNIT_R = connection_from_transport(np.eye(64).reshape(64, 4, 4, 4))
+CONNECTION_TABLE = np.hstack([
+    0.25 * np.einsum("amij,kijm,i,j,m->ak", _UNIT_R, EPS_LOWER, *[ETA_SIGNS] * 3),
+    -0.5 * np.einsum("ajij,j->ai", _UNIT_R, ETA_SIGNS),
+    0.5 * _UNIT_R[:, :, [2, 3, 1], [3, 1, 2]].reshape(64, 12),
+])
+CONNECTION_TABLE.setflags(write=False)
 
 
 class ConstantVector:
@@ -355,9 +365,18 @@ class PolarJet:
     dlogdensity: np.ndarray
     du: np.ndarray          # du[mu, a] = d_mu u^a
     ds: np.ndarray
-    r: np.ndarray           # r[mu, i, j] = r_{ij mu}, antisymmetric in i, j, lowered
+    transport: np.ndarray   # a[mu, i, j], raised: r = a - a^T, lowered
     p: np.ndarray           # momentum covector, lowered
     x: np.ndarray
+
+    def __post_init__(self):
+        """contractions: the parts of r the guidance path reads, one product."""
+        flat = self.transport.reshape(self.transport.shape[:-3] + (64,))
+        self.contractions = flat @ CONNECTION_TABLE
+
+    @property
+    def r(self):    # r[mu, i, j] = r_{ij mu}, antisymmetric in i, j, lowered
+        return connection_from_transport(self.transport)
 
 
 def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
@@ -371,8 +390,8 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
         (polar_variables), their derivatives from the product rule;
       - the connection r is frame_connection of u, s and their
         derivatives: the transport of u and s, with no turn about the spin
-        (the transport gauge, which needs no frame); the jet keeps the array
-        frame_connection returns;
+        (the transport gauge, which needs no frame); the jet keeps the
+        transport terms and reads p's part of r through CONNECTION_TABLE;
       - what remains of nabla psi once the known part is taken off lies
         along i psi, and its coefficient is -p, in the same gauge as r.
     """
@@ -383,17 +402,19 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     products = density_products(sample.psi, sample.block, basis.jet_rows)
     values = products[..., 0].real
     density, chiral, u, s = polar_variables(Densities.from_values(values))
-    d = 2.0 * products[..., 1:].real
-    mod = 2.0 * density**2      # |(S, P)|
-    # d log(S + i P) = d log|(S, P)| + i d(chiral angle)
-    dlog = (d[..., 0, :] + 1j * d[..., 1, :]) / (values[..., 0] + 1j * values[..., 1])[..., None]
-    dlogmod, dchiral = dlog.real, dlog.imag
-    # d_mu of (u, s) = (U, A) / |(S, P)|, from the rows (a, mu) of dU and dA
-    dunit = d[..., 2:10, :] - values[..., 2:10, None] * dlogmod[..., None, :]
-    dunit = dunit.swapaxes(-1, -2) / mod[..., None, None]
+    # half the product-rule derivatives, rows (S, P, U, A), columns mu; halving is exact
+    half_d = products[..., 1:].real
+    # d log(S + i P) / 2 = d log(density) + i d(chiral angle) / 2
+    half_dlog = half_d[..., 0, :] + 1j * half_d[..., 1, :]
+    half_dlog = half_dlog / (values[..., 0] + 1j * values[..., 1])[..., None]
+    dlogdensity, half_dchiral = half_dlog.real, half_dlog.imag
+    # d_mu of (u, s) = (U, A) / |(S, P)|, |(S, P)| = 2 density^2
+    dunit = half_d[..., 2:10, :] - values[..., 2:10, None] * dlogdensity[..., None, :]
+    dunit = dunit.swapaxes(-1, -2) / (density**2)[..., None, None]
     du, ds = dunit[..., :4], dunit[..., 4:]
 
-    r = frame_connection(u, du, s, ds)
+    jet = PolarJet(density, chiral, u, s, 2.0 * half_dchiral, dlogdensity, du, ds,
+                   transport_terms(u, du, s, ds), None, sample.x)
 
     # nabla psi = (K - i p) psi with the known part
     #   K = dlogdensity - i dchiral pi / 2 - r_{ij} sigma^{ij} / 2,
@@ -402,10 +423,11 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     # products: psi^dagger pi psi = A^0, psi^dagger sigma^{0i} psi is real, and
     # sigma^{12}, sigma^{31}, sigma^{23} = -i gamma^0 gamma^{3, 2, 1} pi / 2 give
     # Im psi^dagger sigma^{jk} psi = -A^l / 2 for (j, k, l) cyclic
-    known = 0.5 * dchiral * values[..., 6, None]
-    known = known - 0.5 * (r[..., _CYCLIC_J, _CYCLIC_K] @ values[..., 7:10, None])[..., 0]
-    p = -(products[..., 2, 1:].imag + known) / values[..., 2, None]
-    return PolarJet(density, chiral, u, s, dchiral, 0.5 * dlogmod, du, ds, r, p, sample.x)
+    half_cyclic = jet.contractions[..., 8:].reshape(du.shape[:-1] + (3,))
+    minus_known = (half_cyclic @ values[..., 7:10, None])[..., 0]
+    minus_known = minus_known - half_dchiral * values[..., 6, None]
+    jet.p = (minus_known - products[..., 2, 1:].imag) / values[..., 2, None]
+    return jet
 
 
 def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
@@ -451,13 +473,13 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
     sigma6 = basis.sigma_pairs.reshape(6, 16)
     coeff = (g.reshape(g.shape[:-2] + (16,)) @ sigma6.conj().T).real
     trace_part = np.trace(g, axis1=-2, axis2=-1).imag / 4.0
-    r = np.zeros(x.shape[:-1] + (4, 4, 4))
-    r[..., PAIR_I, PAIR_J] = coeff
-    r[..., PAIR_J, PAIR_I] = -coeff
+    transport = np.zeros(x.shape[:-1] + (4, 4, 4))
+    transport[..., PAIR_I, PAIR_J] = coeff * ETA_SIGNS[PAIR_I] * ETA_SIGNS[PAIR_J]
 
     p = dphase + trace_part - bg.charge * (bg.a_value(x) * ETA_SIGNS)
     return PolarJet(
-        pd0.density, pd0.chiral_angle, pd0.velocity, pd0.spin, dchiral, dlogden, du, ds, r, p, x
+        pd0.density, pd0.chiral_angle, pd0.velocity, pd0.spin, dchiral, dlogden, du, ds,
+        transport, p, x,
     )
 
 

@@ -8,8 +8,9 @@ The momentum covector of a polar field splits along the frame as
 where y and z collect the chiral-angle gradient, the connection and the
 density gradient.  The map u -> p is linear and, remarkably, invertible
 without knowing y: the inverse matrix annihilates s, so the y.u admixture
-drops out.  Both directions are implemented, plus the slow-motion limit
-p_vec = m v + grad(log density) x spin used as a sanity anchor.
+drops out; the inverse ends in a triple product of z / xs, s and p, one
+product with a constant epsilon table.  Both directions are implemented, plus
+the slow-motion limit p_vec = m v + grad(log density) x spin as an anchor.
 """
 from __future__ import annotations
 
@@ -17,22 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS_LOWER, ETA, ETA_SIGNS, pair_dual
+from .algebra import EPS_UPPER, ETA, ETA_SIGNS, pair_dual
 from .errors import DegenerateInversion, DegenerateX
 from .fieldconn import Background, PolarJet
 
 X_GUARD = 1e-12
 INVERSION_GUARD = 1e-10
 
-# potentials' contractions of the connection r_{ij mu}, stored r[..., mu, i, j]
-# and flattened to (..., 64): eps_m^{ij mu} r_{ij mu} / 4, all three indices
-# raised by their signs, and eta^{j mu} r_{i j mu} / 2
-_AXIAL_DUAL = 0.25 * np.einsum(
-    "mijk,i,j,k->kijm", EPS_LOWER, ETA_SIGNS, ETA_SIGNS, ETA_SIGNS
-).reshape(64, 4)
-_TRACE_CONTRACTION = 0.5 * np.einsum(
-    "im,jk,j->kijm", np.eye(4), np.eye(4), ETA_SIGNS
-).reshape(64, 4)
+# eps^{ijk}_a over the rows (i, j, a) and the column k: zeta_i s_j p^a,
+# flattened to (..., 64), times it is eps^{ijka} zeta_i s_j p_a
+_EPS_TRIPLE = (EPS_UPPER * ETA_SIGNS).transpose(0, 1, 3, 2).reshape(64, 4)
 
 
 @dataclass
@@ -54,7 +49,7 @@ def _first(values, mask):
 def _require_xs(xs, guard_scale):
     """Raise DegenerateX if any |xs| falls below X_GUARD * guard_scale."""
     degenerate = np.abs(xs) < X_GUARD * guard_scale
-    if degenerate.any():
+    if np.count_nonzero(degenerate):
         raise DegenerateX(
             "effective mass scale %.3e too close to zero" % _first(xs, degenerate)
         )
@@ -62,13 +57,14 @@ def _require_xs(xs, guard_scale):
 
 def potentials(jet: PolarJet, bg: Background):
     """The y and z potentials of a jet, lowered, with the jet's batch axes;
-    no guard.  The torsion term is formed only when there is a torsion vector."""
-    r = jet.r.reshape(jet.r.shape[:-3] + (64,))
-    y = r @ _AXIAL_DUAL
+    no guard.  The connection enters through jet.contractions, the torsion
+    term only when there is a torsion vector."""
+    parts = jet.contractions
+    y = parts[..., :4]
     if bg.torsion_vector is not None:
         y = y - bg.torsion_coupling * (bg.w_value(jet.x) * ETA_SIGNS)
     y = y + 0.5 * jet.dchiral
-    z = -jet.dlogdensity - r @ _TRACE_CONTRACTION
+    z = parts[..., 4:8] - jet.dlogdensity
     return y, z
 
 
@@ -109,42 +105,37 @@ def momentum_long_form(u, s, forms: CompactForms) -> np.ndarray:
 def velocity_from_momentum(p, s, forms: CompactForms) -> np.ndarray:
     """Invert the momentum map; only z, s and xs enter.
 
-    With zeta = z / xs and the contractions s.p, zeta.p, zeta.s, the inverse
-    applied to p is
+    With zeta = z / xs and w = zeta + (zeta.s) s, the inverse applied to p is
 
-      xs denom u = p + s [(1 + (zeta.s)^2) s.p + (zeta.s) zeta.p]
-                     + zeta [zeta.p + (zeta.s) s.p] + zeta_i s_j eps^{ijka} p_a,
-      denom = 1 + zeta.zeta + (zeta.s)^2.
+      xs denom u = p + s (s.p) + w (w.p) + zeta_i s_j eps^{ijka} p_a,
+      denom = 1 + zeta.zeta + (zeta.s)^2 = 1 + w.w.
 
     It annihilates s, so whatever multiple of s the momentum carries (the y.u
-    part) cannot and need not be recovered.  p and s may carry a batch shape
-    (..., 4) matching forms; a batch raises if any of its points fails a guard.
+    part) cannot and need not be recovered.  The last term is zeta_i s_j p^a,
+    zeta and s lowered, times one constant table.  p and s may carry a batch
+    shape (..., 4) matching forms; a batch raises if any point fails a guard.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
     xs = np.asarray(forms.xs)
     _require_xs(xs, forms.guard_scale)
     zeta_low = forms.z / xs[..., None]
-    zeta = zeta_low * ETA_SIGNS
-    zs = np.vecdot(zeta_low, s)
+    s_low = s * ETA_SIGNS
     # denom divides every component, and its three terms may nearly cancel
     # next to a degenerate inversion: form it in long double
     long_low = np.divide(forms.z, xs[..., None], dtype=np.longdouble)
-    denom = 1.0 + np.vecdot(long_low, long_low * ETA_SIGNS) + np.vecdot(long_low, s) ** 2
-    denom = denom.astype(float)
+    zs = np.vecdot(long_low, s)
+    denom = (1.0 + np.vecdot(long_low, long_low * ETA_SIGNS) + zs**2).astype(float)
     vanishing = np.abs(denom) < INVERSION_GUARD
-    if vanishing.any():
+    if np.count_nonzero(vanishing):
         raise DegenerateInversion(
             "inversion denominator %.3e vanishes" % _first(denom, vanishing)
         )
-    p_low = p * ETA_SIGNS
-    zp = np.vecdot(zeta, p_low)
-    sp = np.vecdot(s, p_low)
-    c_zeta = zp + zs * sp
-    c_s = sp + zs * c_zeta      # (1 + (zeta.s)^2) s.p + (zeta.s) zeta.p
-    # zeta_i s_j eps^{ijka}, one (k, a) matrix per point, applied to p_low
-    dual = pair_dual(zeta_low[..., :, None] * (s * ETA_SIGNS)[..., None, :])
-    u = p + s * c_s[..., None] + zeta * c_zeta[..., None] + (dual @ p_low[..., None])[..., 0]
+    w_low = zeta_low + zs.astype(float)[..., None] * s_low
+    triple = zeta_low[..., :, None, None] * s_low[..., None, :, None] * p[..., None, None, :]
+    u = p + s * np.vecdot(s_low, p)[..., None]
+    u = u + (w_low * ETA_SIGNS) * np.vecdot(w_low, p)[..., None]
+    u = u + triple.reshape(triple.shape[:-3] + (64,)) @ _EPS_TRIPLE
     return u / (xs * denom)[..., None]
 
 

@@ -11,7 +11,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, build_chiral_basis
+from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, LOWER_PAIR, build_chiral_basis
 
 
 @pytest.fixture(scope="session")
@@ -103,9 +103,11 @@ def turn_about_spin(r, u, s):
 
 def shift_turn(jet, c):
     """The jet in another frame gauge: the turn about the spin shifted by c
-    (..., mu), r += c *(u^s) and p += c / 2, which leaves nabla psi as it is."""
-    dual = spin_dual(jet.velocity, jet.spin)[..., None, :, :]
-    return replace(jet, r=jet.r + c[..., None, None] * dual, p=jet.p + 0.5 * c)
+    (..., mu), r += c *(u^s) and p += c / 2, which leaves nabla psi as it is.
+    r is formed from transport terms, and c *(u^s) raised and halved are
+    transport terms whose r is c *(u^s)."""
+    dual = spin_dual(jet.velocity, jet.spin)[..., None, :, :] * (0.5 * LOWER_PAIR)
+    return replace(jet, transport=jet.transport + c[..., None, None] * dual, p=jet.p + 0.5 * c)
 
 
 def transport_gauge(jet):

@@ -404,13 +404,41 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
         (["gordon", "--points", "3"], "seed = -3\n"),
         (["gordon", "--points", "0"], ""),
         (["gordon", "--points=-4"], ""),
+        # no residual is below 0, so every gated command would exit 1 on
+        # correct output
+        (["gordon"], "tolerance = 0\n"),
+        (["trajectory", "--steps", "2"], "tolerance = -1\n"),
+        (["identities", "--tolerance", "-1"], None),
+        (["identities", "--tolerance", "0"], None),
     ],
     ids=["htau-zero", "htau-nan", "steps-negative", "tau_step-zero", "tau_max-negative",
          "tolerance-nan", "identities-tolerance-nan", "gordon-seed-negative",
-         "identities-seed-negative", "config-seed-negative", "points-zero", "points-negative"],
+         "identities-seed-negative", "config-seed-negative", "points-zero", "points-negative",
+         "tolerance-zero", "tolerance-negative", "identities-tolerance-negative",
+         "identities-tolerance-zero"],
 )
 def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
-    assert_config_error(tmp_path, capsys, argv, extra)
+    err = assert_config_error(tmp_path, capsys, argv, extra)
+    if "tolerance" in "".join(argv) + (extra or ""):
+        assert "tolerance: expected a " in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        # mass**2 overflows a float
+        ("gordon", TWO_WAVE.replace("mass = 1.0", "mass = 1e160")),
+        # on the massless shell, but plane_wave divides by the mass
+        ("guidance", "mass = 0\n[wave]\nmomentum = 1 0 0 1\n"),
+        # on the shell p.p = m^2, but no positive-energy wave has a negative mass
+        ("guidance", "mass = -1\n[wave]\nmomentum = 1 0 0 0\n"),
+    ],
+    ids=["huge", "zero", "negative"],
+)
+def test_mass_out_of_range_exit_2(tmp_path, capsys, command, text):
+    argv = [command, "--config", write_cfg(tmp_path, text)]
+    err = assert_config_error(tmp_path, capsys, argv, None)
+    assert "mass: expected a number in (0, 1.3407807929942596e+154]" in err
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from diracpolar.algebra import ETA, ETA_SIGNS, mdot
+from diracpolar.algebra import ETA, ETA_SIGNS, frame_connection, mdot
 from diracpolar.errors import OffShell, OutOfDomain, PhaseJump
 from diracpolar.fieldconn import (
     Background,
@@ -26,7 +26,7 @@ from diracpolar.fieldconn import (
 )
 from diracpolar.guidance import potentials
 from diracpolar.polar import polar_decompose, wrap_angle
-from diracpolar.trajectories import velocity_field
+from diracpolar.trajectories import integrate, velocity_field
 
 from conftest import jet_gap, torsion_wave, transport_gauge
 
@@ -465,3 +465,28 @@ def test_guidance_evaluation_decomposes_nothing(basis, monkeypatch):
     # the wrapper does see the stencil's one decomposition
     polar_jet(fld, bg, basis, points)
     assert calls == [(9, 3, 4)]
+
+
+def test_guidance_never_forms_the_connection(basis, monkeypatch):
+    # the guidance path reads r only through CONNECTION_TABLE; with the one
+    # formula for r broken, a guidance integration still completes
+    class Formed(Exception):
+        pass
+
+    def broken(a):
+        raise Formed
+
+    fld, bg = jet_field("charged", basis)
+    x0 = np.array([0.1, -0.2, 0.05, 0.3])
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "diracpolar" and hasattr(module, "connection_from_transport"):
+                patch.setattr(module, "connection_from_transport", broken)
+        arc = integrate(fld, bg, basis, x0, tau_max=0.2, h_tau=0.05, mode="guidance")
+        assert arc.completed and len(arc.tau) == 5
+        jet = derivative_jet(fld, bg, basis, x0)
+        with pytest.raises(Formed):
+            jet.r
+    # restored, the jet's r is frame_connection of its u, s and derivatives
+    jet = derivative_jet(fld, bg, basis, x0)
+    assert np.array_equal(jet.r, frame_connection(jet.velocity, jet.du, jet.spin, jet.ds))
