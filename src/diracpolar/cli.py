@@ -55,21 +55,28 @@ from .trajectories import MODES, batch_integrate
 G = "%.17g"
 
 
-def _fmt(value):
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return " ".join(G % v for v in np.asarray(value, dtype=float))
-    return G % value
+def _template(names, sizes, fmt, width, prefix="", shown=0):
+    """One format string for a report: a line per name, behind prefix, then
+    its sizes[i] values as G; "name=values" for records, the name padded to
+    width for a table.  prefix is format text that prints shown characters,
+    such as the "p%d." of a point index."""
+    if fmt == "records":
+        pads = ["="] * len(names)
+    else:
+        pads = [" " * (width + 2 - shown - len(name)) for name in names]
+    return "".join(
+        prefix + name.replace("%", "%%") + pad + " ".join([G] * size) + "\n"
+        for name, pad, size in zip(names, pads, sizes)
+    )
 
 
 def emit(rows, fmt, out=None):
     """Write (name, value) pairs, value a scalar or a vector, one line each:
     name=value for records, an aligned table otherwise."""
-    if fmt == "records":
-        line = "%s=%s\n"
-    else:
-        line = "%%-%ds  %%s\n" % max((len(name) for name, _ in rows), default=0)
-    text = "".join(line % (name, _fmt(value)) for name, value in rows)
-    (out or sys.stdout).write(text)
+    names = [name for name, _ in rows]
+    values = [np.ravel(np.asarray(value, dtype=float)) for _, value in rows]
+    line = _template(names, [v.size for v in values], fmt, max(map(len, names), default=0))
+    (out or sys.stdout).write(line % tuple(np.concatenate([[], *values]).tolist()))
 
 
 WAVE_KEYS = {"momentum", "velocity", "spin", "amplitude", "phase"}
@@ -294,19 +301,24 @@ def _load_config(path):
 
 def _finish(rows, fmt, tolerance, checked):
     """Print rows, then fail if the worst of the checked residuals, a dict of
-    names to values, breaks tolerance.  A value that is not finite fails:
-    NaN would pass every comparison."""
+    names to values, breaks tolerance."""
     emit(rows, fmt)
-    if not checked:
+    names = list(checked)
+    return _check(np.fromiter(checked.values(), float, len(checked)), names.__getitem__, tolerance)
+
+
+def _check(values, name, tolerance):
+    """0, or 1 once stderr names the worst of values (flat floats) as name(i)
+    when it breaks tolerance.  A value that is not finite fails first: NaN
+    would pass every comparison.  Ties go to the first in order."""
+    if not values.size:
         return 0
-    values = np.fromiter(checked.values(), float, len(checked))
     broken = ~np.isfinite(values)
     worst = broken.argmax() if broken.any() else values.argmax()
-    name = list(checked)[worst]
     if broken[worst] or values[worst] >= tolerance:
         print(
             "tolerance violation: %s = %s (tolerance %s)"
-            % (name, G % checked[name], G % tolerance),
+            % (name(worst), G % values[worst], G % tolerance),
             file=sys.stderr,
         )
         return 1
@@ -413,8 +425,8 @@ def cmd_polar(args) -> int:
 
 
 def _gordon_point(fld, bg, basis, points):
-    """Every residual at every point of a stack (n, 4), as the (label, value)
-    rows of the report in point order: pK.point first, then its residuals.
+    """Every residual at every point of a stack (n, 4): the c residual labels,
+    and one array (n, 4 + c) of each point followed by its residuals.
 
     Each check runs once over the whole stack, so a failing point aborts the
     scan.  The balance checks and the exact jet share one field sample.
@@ -431,13 +443,7 @@ def _gordon_point(fld, bg, basis, points):
     columns["transport"] = np.maximum(
         transport["velocity_transport"], transport["spin_transport"]
     )
-    table = np.column_stack(list(columns.values())).tolist()
-    rows = []
-    for k, (x, values) in enumerate(zip(points, table)):
-        tag = "p%d." % k
-        rows.append((tag + "point", x))
-        rows.extend(zip([tag + label for label in columns], values))
-    return rows
+    return list(columns), np.column_stack([points, *columns.values()])
 
 
 def cmd_gordon(args) -> int:
@@ -455,9 +461,22 @@ def cmd_gordon(args) -> int:
         points = cfg.point + _draw(
             args.points, "--points", lambda: rng.uniform(-1.0, 1.0, size=(args.points, 4))
         )
-    rows = _gordon_point(fld, bg, basis, points)
-    checked = {name: value for name, value in rows if not name.endswith(".point")}
-    return _finish(rows, args.format, cfg.tolerance, checked)
+    labels, table = _gordon_point(fld, bg, basis, points)
+    n, c = len(table), len(labels)
+    names, sizes = ["point"] + labels, [4] + [1] * c
+    width = len("p%d." % (n - 1)) + max(map(len, names))
+    # a block of lines per point, its index in the %d slots; in a table the
+    # points with as many digits share the padding of one block
+    template = "".join(
+        _template(names, sizes, args.format, width, "p%d.", digits + 2)
+        * (min(n, 10**digits) - (10 ** (digits - 1) if digits > 1 else 0))
+        for digits in range(1, len(str(n - 1)) + 1)
+    )
+    cells = np.insert(table, [0, *range(4, 4 + c)], np.arange(n)[:, None], axis=1)
+    sys.stdout.write(template % tuple(cells.ravel().tolist()))
+    return _check(
+        table[:, 4:].ravel(), lambda i: "p%d.%s" % (i // c, labels[i % c]), cfg.tolerance
+    )
 
 
 def cmd_guidance(args) -> int:
@@ -474,9 +493,11 @@ def cmd_guidance(args) -> int:
     p_long = momentum_long_form(jet.velocity, jet.spin, forms)
     p_conn = ETA @ jet.p
     u_back = velocity_from_momentum(p_conn, jet.spin, forms)
+    # the momenta scale with the mass, so their gaps count in units of |p|
+    size = max(1.0, float(np.abs(p_conn).max()))
     checked = {
-        "momentum_form_gap": float(np.abs(p_compact - p_long).max()),
-        "momentum_consistency": float(np.abs(p_compact - p_conn).max()),
+        "momentum_form_gap": float(np.abs(p_compact - p_long).max()) / size,
+        "momentum_consistency": float(np.abs(p_compact - p_conn).max()) / size,
         "velocity_round_trip": float(np.abs(u_back - jet.velocity).max()),
     }
     rows = [
@@ -496,7 +517,7 @@ def cmd_guidance(args) -> int:
 def _emit_trajectory(tr, index, fmt, out):
     print("# trajectory %d mode=%s status=%s" % (index, tr.mode, tr.status), file=out)
     if fmt == "records":
-        # one format string for the whole row: the same text as _fmt per value
+        # one format string for the whole row: the same text as emit per value
         line = "sample=%d" % index + (" " + G) * 9 + "\n"
         rows = np.column_stack([tr.tau, tr.x, tr.u]).tolist()
         out.write("".join(line % tuple(row) for row in rows))

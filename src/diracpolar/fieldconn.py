@@ -176,13 +176,15 @@ class PlaneWaveField:
 
 def require_on_shell(momentum, mass) -> None:
     """Raise OffShell unless the momentum (4,), or every momentum of a stack
-    (..., 4), satisfies the mass shell within 1e-10 and points forward."""
-    p = np.asarray(momentum, dtype=float)
-    residual = np.abs(mdot(p, p) - mass**2)
-    off = (residual > 1e-10 * max(1.0, mass**2)) | (p[..., 0] <= 0)
+    (..., 4), satisfies the mass shell within 1e-10 * max(1, mass^2) and points
+    forward.  It is tested on p / mass, so that no square overflows."""
+    q = np.asarray(momentum, dtype=float) / mass
+    residual = np.abs(mdot(q, q) - 1.0)
+    off = (residual * min(1.0, mass) ** 2 > 1e-10) | (q[..., 0] <= 0)
     if np.any(off):
         raise OffShell(
-            "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0" % residual[off][0]
+            "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0"
+            % (float(residual[off][0]) * mass**2)
         )
 
 

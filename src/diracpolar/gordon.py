@@ -18,10 +18,12 @@ amplitudes drop out.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import EPS_PAIRS, ETA_SIGNS, pair_dual
-from .bilinears import compute_bilinears, density_products
+from .bilinears import density_products
 from .fieldconn import Background, PolarJet, polar_jet, sample_field
 from .guidance import potentials
 
@@ -29,32 +31,39 @@ from .guidance import potentials
 _S = ETA_SIGNS
 _S2 = ETA_SIGNS[:, None] * ETA_SIGNS
 
+# the ten balance equations as reported, with the number of components each
+# stacks into the columns of the balance tables, and the first of them
+BALANCE = {"vector_divergence": 1, "pseudoscalar_kinetic": 1, "vector_curl": 16,
+           "axial_divergence": 1, "scalar_kinetic": 1, "axial_curl": 16, "vector_recovery": 4,
+           "axial_recovery": 4, "scalar_gradient": 4, "pseudoscalar_gradient": 4}
+_STARTS = np.cumsum([0, *BALANCE.values()])[:-1]
 
-def _density_derivatives(sample, basis):
-    """Sum and difference of adj(psi) M nabla_mu psi and adj(nabla_mu psi) M psi
-    for every matrix of basis.balance_rows, split by kind.
 
-    The sums are the first derivatives of the densities by the product rule;
-    the differences are the kinetic terms.  Each piece carries the batch axes,
-    then the matrix indices, then mu last.
+def _density_derivatives(products, signs):
+    """Sum and difference of adj(psi) M v and adj(v) M psi from the products
+    psi^dagger (gamma^0 M) v (..., 42, c) of the matrices of
+    basis.balance_rows, with their hermiticity signs, split by kind.
+
+    For v = nabla_mu psi the sums are the first derivatives of the densities
+    by the product rule and the differences the kinetic terms.  Each piece
+    carries the batch axes, then the matrix indices, then c last.
     """
-    forward = density_products(sample.psi, sample.grad, basis.balance_rows)
-    # adj(nabla psi) M psi is the conjugate of psi^dagger (gamma^0 M)^dagger
-    # nabla psi, and (gamma^0 M)^dagger = +-gamma^0 M
-    backward = basis.balance_signs[:, None] * forward.conj()
+    # adj(v) M psi is the conjugate of psi^dagger (gamma^0 M)^dagger v, and
+    # (gamma^0 M)^dagger = +-gamma^0 M
+    backward = signs[:, None] * products.conj()
 
     def split(pairs):
-        batch = pairs.shape[:-2]
+        batch, c = pairs.shape[:-2], pairs.shape[-1]
         return (
             pairs[..., 0, :],
             pairs[..., 1, :],
             pairs[..., 2:6, :],
             pairs[..., 6:10, :],
-            pairs[..., 10:26, :].reshape(batch + (4, 4, 4)),
-            pairs[..., 26:42, :].reshape(batch + (4, 4, 4)),
+            pairs[..., 10:26, :].reshape(batch + (4, 4, c)),
+            pairs[..., 26:42, :].reshape(batch + (4, 4, c)),
         )
 
-    return split(forward + backward), split(forward - backward)
+    return split(products + backward), split(products - backward)
 
 
 def _trace(a):
@@ -69,80 +78,129 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
-def residual_bilinear_gordon(fld, bg: Background, basis, x, sample=None) -> dict:
-    """Max-abs residual of each of the ten density balance equations at a
-    point (4,), or one per point of a stack (..., 4).
+def _balance_components(products, signs, w, m, coup):
+    """Every component of the ten balance equations (..., 52), in BALANCE
+    order, from the products psi^dagger (gamma^0 M) [psi, nabla_mu psi]
+    (..., 42, 5) of the matrices of basis.balance_rows, their hermiticity
+    signs, the torsion vector w, the mass m and the torsion coupling coup.
 
-    sample is the field at x from sample_field, when the caller has it.
+    Real and linear in the products, the psi column entering only with m or
+    coup * w: _balance_tables reads it off unit products once.
     """
-    if sample is None:
-        sample = sample_field(fld, bg, x)
-    sums, differences = _density_derivatives(sample, basis)
+    sums, differences = _density_derivatives(products[..., 1:], signs)
     d_one, d_pi, d_gam, d_gam_pi, d_sig, _ = sums
     k_one, k_pi, k_gam, k_gam_pi, k_sig, k_sig_pi = differences
-    bil = compute_bilinears(sample.psi, basis)
-    m = bg.mass
-    coup = bg.torsion_coupling
-    w = np.broadcast_to(bg.w_value(sample.x), sample.psi.shape)
-    w_low = w * _S
-    u, s = bil.vector, bil.axial
-    u_low, s_low = u * _S, s * _S
-    m_low = bil.tensor
-    m_up = m_low * _S2
-    scale = bil.vector[..., 0]
+    # the densities from the psi column: P = i adj(psi) pi psi and
+    # m^{ab} = 2i adj(psi) sigma^{ab} psi are -Im and -2 Im of their rows
+    dens = products[..., 0]
+    scalar, pseudoscalar = dens[..., 0].real, -dens[..., 1].imag
+    u, s = dens[..., 2:6].real, dens[..., 6:10].real
+    m_up = -2.0 * dens[..., 10:26].imag.reshape(dens.shape[:-1] + (4, 4))
+    m_low = m_up * _S2
+    w = np.broadcast_to(w, u.shape)
+    w_low, u_low = w * _S, u * _S
 
     # d_mu of the densities, mu first: d_vec[mu, a] = d_mu u^a and the like
     d_vec = np.swapaxes(d_gam, -1, -2)
     d_ax = np.swapaxes(d_gam_pi, -1, -2)
     d_tens = 2j * np.moveaxis(d_sig, -1, -3) * _S2
 
-    def worst(a, axes):
-        return np.abs(a).max(axis=axes) / scale
-
     out = {}
 
-    out["vector_divergence"] = np.abs(_trace(d_vec)) / scale
+    out["vector_divergence"] = _trace(d_vec)
 
-    acc = 0.5j * _trace(k_gam_pi)
-    out["pseudoscalar_kinetic"] = np.abs(acc - coup * _dot(w_low, u)) / scale
+    out["pseudoscalar_kinetic"] = 0.5j * _trace(k_gam_pi) - coup * _dot(w_low, u)
 
     dur = d_vec * _S[:, None]
     curl_u = dur - np.swapaxes(dur, -1, -2)
     # eps^{anmr} k_rm = -pair_dual(k)_an, k = k_gam_pi lowered along its first index
     curl_u = curl_u - 1j * pair_dual(k_gam_pi * _S[:, None])
     curl_u = curl_u - 2 * coup * pair_dual(_outer(w_low, u_low))
-    curl_u = curl_u - 2 * m * m_up
-    out["vector_curl"] = worst(curl_u, (-2, -1))
+    out["vector_curl"] = curl_u - 2 * m * m_up
 
-    out["axial_divergence"] = np.abs(_trace(d_ax) - 2 * m * bil.pseudoscalar) / scale
+    out["axial_divergence"] = _trace(d_ax) - 2 * m * pseudoscalar
 
-    acc = 0.5j * _trace(k_gam)
-    out["scalar_kinetic"] = np.abs(acc - coup * _dot(w_low, s) - m * bil.scalar) / scale
+    out["scalar_kinetic"] = 0.5j * _trace(k_gam) - coup * _dot(w_low, s) - m * scalar
 
     curl_s = pair_dual(d_ax * _S)
     k = k_gam * _S        # adj(psi) gamma^al nabla^nu psi - reversed, [al, nu]
     curl_s = curl_s + 1j * (k - np.swapaxes(k, -1, -2))
-    curl_s = curl_s + 2 * coup * (_outer(w, s) - _outer(s, w))
-    out["axial_curl"] = worst(curl_s, (-2, -1))
+    out["axial_curl"] = curl_s + 2 * coup * (_outer(w, s) - _outer(s, w))
 
     vr = 1j * k_one * _S + 2j * _trace(d_sig)    # d_mu m^{al mu}
     vr = vr + coup * (pair_dual(m_low) @ w_low[..., None])[..., 0]
-    vr = vr - 2 * m * u
-    out["vector_recovery"] = worst(vr, -1)
+    out["vector_recovery"] = vr - 2 * m * u
 
     # eps^{amrs} d_tens_mrs through the (4, 64) view of the epsilon table
     ai = k_pi * _S - 0.5 * d_tens.reshape(d_tens.shape[:-3] + (64,)) @ EPS_PAIRS.reshape(4, 64).T
-    ai = ai + 2 * coup * (m_up @ w_low[..., None])[..., 0]
-    out["axial_recovery"] = worst(ai, -1)
+    out["axial_recovery"] = ai + 2 * coup * (m_up @ w_low[..., None])[..., 0]
 
-    vi = d_one * _S + 2 * _trace(k_sig) + 2 * coup * w * bil.pseudoscalar[..., None]
-    out["scalar_gradient"] = worst(vi, -1)
+    vi = d_one * _S + 2 * _trace(k_sig) + 2 * coup * w * pseudoscalar[..., None]
+    out["scalar_gradient"] = vi
 
     ar = 1j * d_pi * _S + 2j * _trace(k_sig_pi)
-    ar = ar - 2 * coup * w * bil.scalar[..., None] + 2 * m * s
-    out["pseudoscalar_gradient"] = worst(ar, -1)
+    out["pseudoscalar_gradient"] = ar - 2 * coup * w * scalar[..., None] + 2 * m * s
 
-    return {name: value[()] for name, value in out.items()}
+    batch = u.shape[:-1]
+    return np.concatenate([np.reshape(out[n], batch + (k,)) for n, k in BALANCE.items()], -1)
+
+
+@functools.lru_cache(maxsize=1)
+def _balance_tables(signs):
+    """_balance_components as real tables (rows, field, psi_terms) over the
+    real and imaginary parts of the products (..., 42, 5), flattened to 420.
+    With parts = flat[..., rows], the parts of the gradient columns first,
+
+      components = parts[..., :len(field)] @ field
+                   + [m, coup * w] . (parts[..., len(field):] @ psi_terms)
+
+    and psi_terms (., 5 * 52).  signs is basis.balance_signs as bytes.  Each
+    entry sums products of +-1/2, +-1, +-2 and epsilon: the tables are exact.
+    """
+    signs = np.frombuffer(signs)
+    # the 84 parts of each column of the products, probed one column at a
+    # time, which keeps the probes' arrays small
+    parts = [np.flatnonzero(np.arange(420) // 2 % 5 == c) for c in range(5)]
+
+    def probe(c, w, m, coup):
+        unit = np.zeros((84, 420))
+        unit[np.arange(84), parts[c]] = 1.0
+        return _balance_components(unit.view(complex).reshape(84, 42, 5), signs, w, m, coup).real
+
+    zero = np.zeros(4)
+    field = np.concatenate([probe(c, zero, 0.0, 0.0) for c in range(1, 5)])
+    terms = [probe(0, zero, 1.0, 0.0)] + [probe(0, e, 0.0, 1.0) for e in np.eye(4)]
+    psi_terms = np.concatenate(terms, axis=1)
+    read, read_psi = field.any(axis=1), psi_terms.any(axis=1)
+    rows = np.concatenate([np.concatenate(parts[1:])[read], parts[0][read_psi]])
+    tables = rows, field[read], psi_terms[read_psi]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def residual_bilinear_gordon(fld, bg: Background, basis, x, sample=None) -> dict:
+    """Max-abs residual of each of the ten density balance equations at a
+    point (4,), or one per point of a stack (..., 4), per unit density u^0.
+
+    sample is the field at x from sample_field, when the caller has it.  One
+    product pairs the 42 balance matrices with psi and nabla_mu psi, two more
+    with the constant balance tables give every component, and one reduceat
+    takes the worst of each equation.
+    """
+    if sample is None:
+        sample = sample_field(fld, bg, x)
+    products = density_products(sample.psi, sample.block, basis.balance_rows)
+    rows, field, psi_terms = _balance_tables(basis.balance_signs.tobytes())
+    batch = products.shape[:-2]
+    parts = products.view(float).reshape(batch + (420,))[..., rows]
+    w = bg.torsion_coupling * bg.w_value(sample.x)
+    scales = np.concatenate([np.full(w.shape[:-1] + (1, 1), bg.mass), w[..., None, :]], -1)
+    by_scale = (parts[..., len(field) :] @ psi_terms).reshape(batch + (5, len(field.T)))
+    components = parts[..., : len(field)] @ field + (scales @ by_scale)[..., 0, :]
+    worst = np.maximum.reduceat(np.abs(components), _STARTS, axis=-1)
+    worst /= products[..., 2, 0].real[..., None]
+    return {name: worst[..., k][()] for k, name in enumerate(BALANCE)}
 
 
 def dirac_residual(fld, bg: Background, basis, x, sample=None):

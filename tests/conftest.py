@@ -131,3 +131,21 @@ class SpinorTable:
 
     def block(self, x):
         return np.concatenate([self.psi[..., None, :], self.grad], axis=-2)
+
+
+def per_row_emit(rows, fmt, out):
+    """The emitter that printed one (name, value) row at a time, each value
+    through its own format call, kept as the byte reference for reports."""
+
+    def fmt_value(value):
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return " ".join("%.17g" % v for v in np.asarray(value, dtype=float))
+        return "%.17g" % value
+
+    if fmt == "records":
+        for name, value in rows:
+            print("%s=%s" % (name, fmt_value(value)), file=out)
+    else:
+        width = max((len(name) for name, _ in rows), default=0)
+        for name, value in rows:
+            print("%-*s  %s" % (width, name, fmt_value(value)), file=out)

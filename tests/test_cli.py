@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import diracpolar
 from diracpolar import cli
 from diracpolar.cli import console_main, parse_config
 from diracpolar.errors import ConfigError
+
+from conftest import per_row_emit
 
 TWO_WAVE = """\
 mass = 1.0
@@ -191,24 +194,18 @@ def test_gordon_scan_keeps_labels_and_points(tmp_path, capsys):
     assert [value for key, value in lines if key.endswith(".point")] == SEED7_POINTS
 
 
-def per_row_emit(rows, fmt, out):
-    """The emitter that printed one row at a time, kept as the byte reference."""
-    if fmt == "records":
-        for name, value in rows:
-            print("%s=%s" % (name, cli._fmt(value)), file=out)
-    else:
-        width = max((len(name) for name, _ in rows), default=0)
-        for name, value in rows:
-            print("%-*s  %s" % (width, name, cli._fmt(value)), file=out)
-
-
 @pytest.mark.parametrize("fmt", ["table", "records"])
 def test_emit_matches_per_row_printing(basis, fmt):
     run = parse_config(TWO_WAVE)
     points = run.point + np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 4))
-    rows = cli._gordon_point(
+    labels, table = cli._gordon_point(
         cli.build_field(run, basis), cli.build_background(run), basis, points
     )
+    rows = [
+        ("p%d.%s" % (k, label), value)
+        for k, row in enumerate(table)
+        for label, value in zip(["point"] + labels, [row[:4], *row[4:]])
+    ]
     assert len(rows) == 20 * (1 + len(GORDON_LABELS))
     want, got = io.StringIO(), io.StringIO()
     per_row_emit(rows, fmt, want)
@@ -421,6 +418,29 @@ def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
     err = assert_config_error(tmp_path, capsys, argv, extra)
     if "tolerance" in "".join(argv) + (extra or ""):
         assert "tolerance: expected a " in err
+
+
+@pytest.mark.parametrize("mass", ["5e-324", "1e-160", "1e150", "%.17g" % cli.MASS_MAX])
+def test_every_accepted_mass_runs_without_warnings(tmp_path, capsys, mass):
+    # the on-shell check squares p / mass, which stays finite up to MASS_MAX;
+    # below, the guidance map may stop on a vanishing mass scale (exit 1)
+    cfg = write_cfg(tmp_path, TWO_WAVE.replace("mass = 1.0", "mass = " + mass))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["gordon", "--points", "3"], ["guidance"],
+                     ["trajectory", "--mode", "kinematic", "--steps", "2"]):
+            assert console_main(argv + ["--config", cfg]) in (0, 1)
+            assert "Warning" not in capsys.readouterr().err
+
+
+def test_guidance_gaps_count_in_units_of_the_momentum(tmp_path, capsys):
+    # at mass 1e150 the momenta are about 1e150 and agree to rounding
+    cfg = write_cfg(tmp_path, TWO_WAVE.replace("mass = 1.0", "mass = 1e150"))
+    assert console_main(["guidance", "--config", cfg, "--format", "records"]) == 0
+    got = records(capsys.readouterr().out)
+    assert float(got["momentum_form_gap"]) < 1e-14
+    assert float(got["momentum_consistency"]) < 1e-14
+    assert float(got["velocity_round_trip"]) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -29,14 +29,20 @@ view), basis.dirac_rows, basis.sigma_pairs and basis.density_rows.  The
 einsum forms they replaced are the references here, contraction by
 contraction and for the whole residual dicts, on fields that solve nothing
 and carry a charge, an EM potential and a torsion vector.
+
+The gordon report is one format string filled from one residual array; the
+reference is the scan as (label, value) row tuples, printed one row at a
+time and checked through a dict, which must give the same bytes and exit code.
 """
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diracpolar import cli
 from diracpolar.algebra import (
     EPS_LOWER,
     EPS_UPPER,
@@ -85,7 +91,7 @@ from diracpolar.guidance import (
 from diracpolar.polar import polar_decompose
 from diracpolar.trajectories import velocity_field
 
-from conftest import SpinorTable
+from conftest import SpinorTable, per_row_emit
 
 EPS = np.finfo(float).eps
 ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -208,7 +214,8 @@ def test_density_derivatives_match_both_orders(basis, seed, batch, log_size):
     grad = random_spinors(rng, batch + (4, 4))
     sample = FieldSample(np.zeros(batch + (4,)), np.concatenate([psi[..., None, :], grad], axis=-2))
     want_both = density_derivatives_both_orders(sample, basis)
-    for got, want in zip(_density_derivatives(sample, basis), want_both):
+    products = density_products(sample.psi, sample.grad, basis.balance_rows)
+    for got, want in zip(_density_derivatives(products, basis.balance_signs), want_both):
         got = np.concatenate([piece.reshape(batch + (-1, 4)) for piece in got], axis=-2)
         assert got.shape == want.shape == batch + (42, 4)
         # every product sums 16 terms psi_i M_ij v_j, |M_ij| <= 1; 20000
@@ -284,7 +291,8 @@ def reference_dirac(sample, bg, basis):
 def reference_bilinear_gordon(sample, bg, basis):
     """residual_bilinear_gordon with every epsilon and matrix contraction an
     einsum, and the densities from reference_densities."""
-    sums, differences = _density_derivatives(sample, basis)
+    products = density_products(sample.psi, sample.grad, basis.balance_rows)
+    sums, differences = _density_derivatives(products, basis.balance_signs)
     d_one, d_pi, d_gam, d_gam_pi, d_sig, _ = sums
     k_one, k_pi, k_gam, k_gam_pi, k_sig, k_sig_pi = differences
     values = reference_densities(sample.psi, basis).real
@@ -714,3 +722,100 @@ def test_guidance_velocity_matches_connection_array_route(basis, charged):
         # 2000 points reached 4.4e-16 without the background and 6.4e-16 with it
         scale = np.maximum(1.0, np.abs(want).max(axis=-1, initial=0.0))
         assert np.all(np.abs(got - want).max(axis=-1, initial=0.0) <= 1e-15 * scale)
+
+
+def row_gordon_point(fld, bg, basis, points):
+    """The gordon scan as (label, value) row tuples in point order, pK.point
+    first, then its residuals: the report before it became one array."""
+    sample = cli.sample_field(fld, bg, points)
+    columns = {"dirac": cli.dirac_residual(fld, bg, basis, points, sample)}
+    columns.update(cli.residual_bilinear_gordon(fld, bg, basis, points, sample))
+    jet = cli.derivative_jet(fld, bg, basis, points, sample)
+    for name, value in cli.residual_polar_groups(jet, bg).items():
+        columns["group_" + name] = value
+    derivative = cli.verify_polar_derivative(jet, fld, bg, basis, sample)
+    columns["polar_derivative"] = derivative.max(axis=-1)
+    transport = cli.verify_transport(jet)
+    columns["transport"] = np.maximum(
+        transport["velocity_transport"], transport["spin_transport"]
+    )
+    table = np.column_stack(list(columns.values())).tolist()
+    rows = []
+    for k, (x, values) in enumerate(zip(points, table)):
+        tag = "p%d." % k
+        rows.append((tag + "point", x))
+        rows.extend(zip([tag + label for label in columns], values))
+    return rows
+
+
+def row_gordon(argv):
+    """diracpolar gordon through the row tuples, printed one row at a time,
+    and a dict of the checked rows: the exit code, stdout and stderr."""
+    args = cli.build_parser().parse_args(argv)
+    cfg = cli._load_config(args.config)
+    basis = cli.build_chiral_basis()
+    fld = cli.build_field(cfg, basis)
+    bg = cli.build_background(cfg)
+    if args.points == 1:
+        points = cfg.point[None, :]
+    else:
+        rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
+        points = cfg.point + rng.uniform(-1.0, 1.0, size=(args.points, 4))
+    rows = row_gordon_point(fld, bg, basis, points)
+    out, err = io.StringIO(), io.StringIO()
+    per_row_emit(rows, args.format, out)
+    checked = {name: value for name, value in rows if not name.endswith(".point")}
+    values = np.fromiter(checked.values(), float, len(checked))
+    broken = ~np.isfinite(values)
+    worst = broken.argmax() if broken.any() else values.argmax()
+    name = list(checked)[worst]
+    code = 0
+    if broken[worst] or values[worst] >= cfg.tolerance:
+        print(
+            "tolerance violation: %s = %.17g (tolerance %.17g)"
+            % (name, checked[name], cfg.tolerance),
+            file=err,
+        )
+        code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def poison_groups(groups):
+    """residual_polar_groups with NaN at p3.group_b2 and inf at p7.group_a1:
+    the first non-finite value in point order is p3's, in label order p7's."""
+
+    def poisoned(jet, bg):
+        out = {name: np.array(value, dtype=float) for name, value in groups(jet, bg).items()}
+        out["b2"][3] = np.nan
+        out["a1"][7] = np.inf
+        return out
+
+    return poisoned
+
+
+@pytest.mark.parametrize("fmt", ["records", "table"])
+@pytest.mark.parametrize(
+    "points, tolerance, poison",
+    [(1, "1e-6", False), (20, "1e-6", False), (20, "1e-15", False), (20, "1e-6", True)],
+    ids=["one-point", "twenty-points", "broken-tolerance", "nan-residual"],
+)
+def test_gordon_report_matches_row_tuples(tmp_path, capsys, monkeypatch, fmt, points,
+                                          tolerance, poison):
+    # criterion 5's two-wave solution
+    path = tmp_path / "two-wave.cfg"
+    path.write_text(
+        "mass = 1.0\ntolerance = %s\npoint = 0.0 0.1 0.05 -0.1\n"
+        "[wave]\nvelocity = 0.25 -0.1 0.05\nspin = 0.1 0.2 1.0\n"
+        "[wave]\nvelocity = 0.1 0.15 -0.08\nspin = -0.1 0.1 1.0\namplitude = 0.3\n"
+        % tolerance
+    )
+    if poison:
+        monkeypatch.setattr(cli, "residual_polar_groups", poison_groups(cli.residual_polar_groups))
+    argv = ["gordon", "--config", str(path), "--points", str(points), "--seed", "7",
+            "--format", fmt]
+    want = row_gordon(argv)
+    got = (cli.console_main(argv), *capsys.readouterr())
+    assert got == want
+    if poison:
+        assert "tolerance violation: p3.group_b2 = nan" in got[2]
+    assert got[0] == (0 if tolerance == "1e-6" and not poison else 1)
