@@ -70,13 +70,32 @@ def _template(names, sizes, fmt, width, prefix="", shown=0):
     )
 
 
-def emit(rows, fmt, out=None):
+def emit(rows, fmt, out=None, points=None):
     """Write (name, value) pairs, value a scalar or a vector, one line each:
-    name=value for records, an aligned table otherwise."""
+    name=value for records, an aligned table otherwise.
+
+    With points=n every value is a stack (n, ...), and the lines repeat for
+    each point k with the names behind "pk.", all points one table."""
     names = [name for name, _ in rows]
-    values = [np.ravel(np.asarray(value, dtype=float)) for _, value in rows]
-    line = _template(names, [v.size for v in values], fmt, max(map(len, names), default=0))
-    (out or sys.stdout).write(line % tuple(np.concatenate([[], *values]).tolist()))
+    n = points or 1
+    values = [np.asarray(value, dtype=float).reshape(n, -1) for _, value in rows]
+    sizes = [v.shape[1] for v in values]
+    width = max(map(len, names), default=0)
+    if points is None:
+        template = _template(names, sizes, fmt, width)
+    else:
+        # a block of lines per point, its index in the %d slots; in a table
+        # the points with as many digits share the padding of one block
+        width += len("p%d." % (n - 1))
+        template = "".join(
+            _template(names, sizes, fmt, width, "p%d.", digits + 2)
+            * (min(n, 10**digits) - (10 ** (digits - 1) if digits > 1 else 0))
+            for digits in range(1, len(str(n - 1)) + 1)
+        )
+        index = np.arange(n, dtype=float)[:, None]
+        values = [part for value in values for part in (index, value)]
+    cells = np.concatenate([np.empty((n, 0)), *values], axis=1)
+    (out or sys.stdout).write(template % tuple(cells.ravel().tolist()))
 
 
 WAVE_KEYS = {"momentum", "velocity", "spin", "amplitude", "phase"}
@@ -462,18 +481,8 @@ def cmd_gordon(args) -> int:
             args.points, "--points", lambda: rng.uniform(-1.0, 1.0, size=(args.points, 4))
         )
     labels, table = _gordon_point(fld, bg, basis, points)
-    n, c = len(table), len(labels)
-    names, sizes = ["point"] + labels, [4] + [1] * c
-    width = len("p%d." % (n - 1)) + max(map(len, names))
-    # a block of lines per point, its index in the %d slots; in a table the
-    # points with as many digits share the padding of one block
-    template = "".join(
-        _template(names, sizes, args.format, width, "p%d.", digits + 2)
-        * (min(n, 10**digits) - (10 ** (digits - 1) if digits > 1 else 0))
-        for digits in range(1, len(str(n - 1)) + 1)
-    )
-    cells = np.insert(table, [0, *range(4, 4 + c)], np.arange(n)[:, None], axis=1)
-    sys.stdout.write(template % tuple(cells.ravel().tolist()))
+    c = len(labels)
+    emit([("point", table[:, :4]), *zip(labels, table[:, 4:].T)], args.format, points=len(table))
     return _check(
         table[:, 4:].ravel(), lambda i: "p%d.%s" % (i // c, labels[i % c]), cfg.tolerance
     )

@@ -177,14 +177,21 @@ class PlaneWaveField:
 def require_on_shell(momentum, mass) -> None:
     """Raise OffShell unless the momentum (4,), or every momentum of a stack
     (..., 4), satisfies the mass shell within 1e-10 * max(1, mass^2) and points
-    forward.  It is tested on p / mass, so that no square overflows."""
-    q = np.asarray(momentum, dtype=float) / mass
-    residual = np.abs(mdot(q, q) - 1.0)
-    off = (residual * min(1.0, mass) ** 2 > 1e-10) | (q[..., 0] <= 0)
+    forward.  It is tested in units of a power of two s, s <= max(mass, |p_mu|)
+    < 2s: the scaling is exact, so the test rounds as on p itself, and no
+    square overflows.  A residual that is not finite fails."""
+    p = np.asarray(momentum, dtype=float)
+    s = np.ldexp(1.0, np.frexp(np.maximum(mass, np.abs(p).max(axis=-1)))[1] - 1)
+    q = p / s[..., None]
+    residual = np.abs(mdot(q, q) - (mass / s) ** 2)
+    # |p.p - m^2| <= 1e-10 max(1, m^2), with s^2 = min(1, s)^2 max(1, s)^2 split
+    # between the two sides so that neither overflows
+    bound = 1e-10 * (max(1.0, mass) / np.maximum(1.0, s)) ** 2
+    off = ~((residual * np.minimum(1.0, s) ** 2 <= bound) & (p[..., 0] > 0))
     if np.any(off):
+        r, scale = float(residual[off][0]), float(np.broadcast_to(s, off.shape)[off][0])
         raise OffShell(
-            "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0"
-            % (float(residual[off][0]) * mass**2)
+            "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0" % (r * scale * scale)
         )
 
 

@@ -422,8 +422,9 @@ def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
 
 @pytest.mark.parametrize("mass", ["5e-324", "1e-160", "1e150", "%.17g" % cli.MASS_MAX])
 def test_every_accepted_mass_runs_without_warnings(tmp_path, capsys, mass):
-    # the on-shell check squares p / mass, which stays finite up to MASS_MAX;
-    # below, the guidance map may stop on a vanishing mass scale (exit 1)
+    # the on-shell check squares p in units of max(mass, |p|), which stays
+    # finite up to MASS_MAX; below, the guidance map may stop on a vanishing
+    # mass scale (exit 1)
     cfg = write_cfg(tmp_path, TWO_WAVE.replace("mass = 1.0", "mass = " + mass))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -441,6 +442,26 @@ def test_guidance_gaps_count_in_units_of_the_momentum(tmp_path, capsys):
     assert float(got["momentum_form_gap"]) < 1e-14
     assert float(got["momentum_consistency"]) < 1e-14
     assert float(got["velocity_round_trip"]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "momentum, code, err",
+    [
+        ("1 0 0 0.5", 2,
+         "config error: wave 1: momentum fails p.p = m^2 (residual 7.500e-01) or has p0 <= 0\n"),
+        ("1.25e-160 0 0 0.75e-160", 0, ""),
+    ],
+    ids=["off-shell", "on-shell"],
+)
+def test_momentum_waves_at_a_tiny_mass(tmp_path, capsys, momentum, code, err):
+    # p / mass reaches 1e160 here and its square overflows: the shell test
+    # must neither overflow nor let a NaN residual pass
+    text = "mass = 1e-160\npoint = 0 0 0 0\n\n[wave]\nmomentum = %s\n" % momentum
+    argv = ["gordon", "--points", "3", "--config", write_cfg(tmp_path, text)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert console_main(argv) == code
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(
