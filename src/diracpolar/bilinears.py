@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPS_LOWER, EPS_UPPER, ETA_SIGNS, PAIR_I, PAIR_J, mdot
-from .errors import SingularSpinor
+from .errors import SingularSpinor, raise_rows
 
 REGULARITY_EPS = 1e-10
 
@@ -98,13 +98,11 @@ def is_regular(bil: Densities):
 
 
 def require_regular(bil: Densities) -> None:
-    """Raise SingularSpinor unless every spinor of the batch is regular."""
-    regular = is_regular(bil)
-    if np.count_nonzero(regular) < np.size(regular):
-        raise SingularSpinor(
-            "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
-            % (np.min(np.where(regular, np.inf, bil.density_squared())), REGULARITY_EPS)
-        )
+    """Raise SingularSpinor, naming every spinor of the batch that is not regular."""
+    squared = bil.density_squared()    # is_regular, keeping S^2 + P^2 for the message
+    singular = ~(squared > REGULARITY_EPS * bil.vector[..., 0] ** 2)
+    message = "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
+    raise_rows(singular, SingularSpinor, message, squared, REGULARITY_EPS)
 
 
 def random_spinor(rng, scale: float = 1.0) -> np.ndarray:

@@ -32,12 +32,12 @@ from .algebra import ETA, build_chiral_basis, lorentz_exp, verify_basis
 from .bilinears import check_fierz, check_spinor_constraints, compute_bilinears
 from .errors import ConfigError, DiracPolarError, OffShell, SingularSpinor
 from .fieldconn import (
+    BOOST_MAX,
     Background,
     ConstantVector,
     derivative_jet,
     load_grid,
     plane_wave,
-    require_on_shell,
     sample_field,
     verify_polar_derivative,
     verify_transport,
@@ -264,6 +264,9 @@ def _check_wave(wave, index, problems):
         wave["momentum"] = _floats(wave["momentum"], 4, "wave %d momentum" % index, probe)
     if has_v:
         wave["velocity"] = _floats(wave["velocity"], 3, "wave %d velocity" % index, probe)
+    # plane_wave bounds p / mass the same way, once p is on the mass shell
+    if has_v and wave["velocity"] is not None and np.abs(wave["velocity"]).max() > BOOST_MAX:
+        probe.append("wave %d velocity: a component exceeds %.0e" % (index, BOOST_MAX))
     if "spin" in wave:
         wave["spin"] = _floats(wave["spin"], 3, "wave %d spin" % index, probe)
     else:
@@ -292,22 +295,16 @@ def build_field(cfg: RunConfig, basis):
             return load_grid(cfg.grid)
         except (OSError, ValueError) as exc:
             raise ConfigError(["grid: %s" % exc])
-    momenta, problems = [], []
-    for index, wave in enumerate(cfg.waves, start=1):
-        if wave.get("momentum") is not None:
-            p = wave["momentum"]
-        else:
-            v3 = wave["velocity"]
-            p = cfg.mass * np.concatenate([[np.sqrt(1 + v3 @ v3)], v3])
-        try:
-            require_on_shell(p, cfg.mass)
-        except OffShell as exc:
-            problems.append("wave %d: %s" % (index, exc))
-        momenta.append(p)
-    if problems:
-        raise ConfigError(problems)
+    momenta = [
+        w["momentum"] if (v3 := w.get("velocity")) is None
+        else cfg.mass * np.append(np.sqrt(1 + v3 @ v3), v3)
+        for w in cfg.waves
+    ]
     weights = [w["amplitude"] * np.exp(-1j * w["phase"]) for w in cfg.waves]
-    return plane_wave(momenta, cfg.mass, [w["spin"] for w in cfg.waves], weights, basis)
+    try:
+        return plane_wave(momenta, cfg.mass, [w["spin"] for w in cfg.waves], weights, basis)
+    except OffShell as exc:
+        raise ConfigError(["wave %d: %s" % (row + 1, text) for row, text in exc.rows.items()])
 
 
 def _load_config(path):
@@ -448,7 +445,8 @@ def _gordon_point(fld, bg, basis, points):
     and one array (n, 4 + c) of each point followed by its residuals.
 
     Each check runs once over the whole stack, so a failing point aborts the
-    scan.  The balance checks and the exact jet share one field sample.
+    scan.  The balance checks and the exact jet share one field sample.  Every
+    residual scales with the mass, so each is reported per unit mass.
     """
     sample = sample_field(fld, bg, points)
     columns = {"dirac": dirac_residual(fld, bg, basis, points, sample)}
@@ -462,7 +460,7 @@ def _gordon_point(fld, bg, basis, points):
     columns["transport"] = np.maximum(
         transport["velocity_transport"], transport["spin_transport"]
     )
-    return list(columns), np.column_stack([points, *columns.values()])
+    return list(columns), np.column_stack([points, *(v / bg.mass for v in columns.values())])
 
 
 def cmd_gordon(args) -> int:
@@ -502,8 +500,8 @@ def cmd_guidance(args) -> int:
     p_long = momentum_long_form(jet.velocity, jet.spin, forms)
     p_conn = ETA @ jet.p
     u_back = velocity_from_momentum(p_conn, jet.spin, forms)
-    # the momenta scale with the mass, so their gaps count in units of |p|
-    size = max(1.0, float(np.abs(p_conn).max()))
+    # the momenta scale with the mass: their gaps count in units of max(mass, |p|)
+    size = max(cfg.mass, float(np.abs(p_conn).max()))
     checked = {
         "momentum_form_gap": float(np.abs(p_compact - p_long).max()) / size,
         "momentum_consistency": float(np.abs(p_compact - p_conn).max()) / size,

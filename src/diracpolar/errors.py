@@ -1,8 +1,25 @@
 """Exception types shared across the package."""
+import numpy as np
 
 
 class DiracPolarError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.  rows maps the
+    flat index of each failing row of a batch to the message that row raises
+    alone; the error's text is the first row's."""
+
+    def __init__(self, message="", rows=None):
+        super().__init__(message)
+        self.rows = rows or {}
+
+
+def raise_rows(failing, kind, message, *values):
+    """Raise kind if failing, a bool per row of a batch, holds for any row;
+    row i's message is message % the values, broadcast to failing, at i."""
+    if np.count_nonzero(failing):
+        flat = np.flatnonzero(failing).tolist()
+        columns = [np.broadcast_to(v, np.shape(failing)).ravel()[flat].tolist() for v in values]
+        rows = {i: message % tuple(row) for i, *row in zip(flat, *columns)}
+        raise kind(rows[flat[0]], rows)
 
 
 class SingularSpinor(DiracPolarError):
@@ -10,7 +27,7 @@ class SingularSpinor(DiracPolarError):
 
 
 class OffShell(DiracPolarError):
-    """Plane-wave momentum violates p.p = m^2 or is not future-pointing timelike."""
+    """Plane-wave momentum off p.p = m^2, not forward, or past BOOST_MAX times the mass."""
 
 
 class OutOfDomain(DiracPolarError):

@@ -56,7 +56,7 @@ from .algebra import (  # noqa: F401
     spin_inverse,
     transport_terms,
 )
-from .errors import OffShell, OutOfDomain, PhaseJump
+from .errors import OffShell, OutOfDomain, PhaseJump, raise_rows
 from .bilinears import Densities, density_products
 from .polar import polar_decompose, polar_variables, wrap_angle
 
@@ -67,6 +67,10 @@ _STENCIL = np.concatenate(
 
 # unit steps along mu = 0..3, one row each
 _STEPS = np.eye(4, dtype=int)
+
+# the largest |p_mu| / mass of a wave: a lone wave is regular only up to about
+# 1e5, and past 1e10 the Dirac residual's norm overflows at the largest mass
+BOOST_MAX = 1e8
 
 # CONNECTION_TABLE takes transport terms a, flattened to (..., 64), to what the
 # guidance path reads of r = connection_from_transport(a), in one exact product:
@@ -175,24 +179,24 @@ class PlaneWaveField:
 
 
 def require_on_shell(momentum, mass) -> None:
-    """Raise OffShell unless the momentum (4,), or every momentum of a stack
-    (..., 4), satisfies the mass shell within 1e-10 * max(1, mass^2) and points
-    forward.  It is tested in units of a power of two s, s <= max(mass, |p_mu|)
-    < 2s: the scaling is exact, so the test rounds as on p itself, and no
+    """Raise OffShell naming every momentum (..., 4) that points backward or
+    misses the mass shell by more than both 1e-10 * max(1, mass^2) and 4 eps
+    (p0^2 + |p|^2), twice its rounding, the larger from |p| of about 1e3 mass
+    on.  It is tested in units of a power of two s, s <= max(mass, |p_mu|) <
+    2s: the scaling is exact, so the test rounds as on p itself, and no
     square overflows.  A residual that is not finite fails."""
     p = np.asarray(momentum, dtype=float)
     s = np.ldexp(1.0, np.frexp(np.maximum(mass, np.abs(p).max(axis=-1)))[1] - 1)
     q = p / s[..., None]
     residual = np.abs(mdot(q, q) - (mass / s) ** 2)
+    rounding = 4.0 * np.finfo(float).eps * np.vecdot(q, q)
     # |p.p - m^2| <= 1e-10 max(1, m^2), with s^2 = min(1, s)^2 max(1, s)^2 split
     # between the two sides so that neither overflows
     bound = 1e-10 * (max(1.0, mass) / np.maximum(1.0, s)) ** 2
-    off = ~((residual * np.minimum(1.0, s) ** 2 <= bound) & (p[..., 0] > 0))
-    if np.any(off):
-        r, scale = float(residual[off][0]), float(np.broadcast_to(s, off.shape)[off][0])
-        raise OffShell(
-            "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0" % (r * scale * scale)
-        )
+    on = ((residual * np.minimum(1.0, s) ** 2 <= bound) | (residual <= rounding)) & (p[..., 0] > 0)
+    with np.errstate(over="ignore"):    # the residual as printed, inf past the largest float
+        shown = residual * s * s
+    raise_rows(~on, OffShell, "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0", shown)
 
 
 def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
@@ -200,10 +204,12 @@ def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
     wave per row of momenta (n, 4), spin axes (n, 3) and amplitudes (n,), all
     framed in one call.
 
-    Every momentum must satisfy the mass shell within 1e-10 and point forward.
+    Each momentum must pass require_on_shell and stay within BOOST_MAX times the mass.
     """
     p = np.asarray(momentum, dtype=float)
     require_on_shell(p, mass)
+    beyond = np.abs(p).max(axis=-1) > BOOST_MAX * mass
+    raise_rows(beyond, OffShell, "momentum: a component exceeds %.0e times the mass" % BOOST_MAX)
     boost_spin, _ = boost_reps(p / mass, basis)
     rot_spin, _ = rot_z_to_reps(spin_axis, basis)
     frame = spin_inverse(rot_spin @ boost_spin, basis) @ SEED_SPINOR
@@ -237,10 +243,10 @@ class GriddedField:
         """Node index of a point, or index arrays of a stack of points."""
         rel = (np.asarray(x, dtype=float) - self.origin) / self.spacing
         idx = np.rint(rel).astype(int)
-        if np.abs(rel - idx).max(initial=0.0) > 1e-6:
-            raise OutOfDomain("point does not sit on a grid node")
-        if np.any(idx < 0) or np.any(idx >= self.data.shape[:4]):
-            raise OutOfDomain("point outside the gridded region")
+        off = np.abs(rel - idx).max(axis=-1) > 1e-6
+        raise_rows(off, OutOfDomain, "point does not sit on a grid node")
+        outside = (idx < 0) | (idx >= self.data.shape[:4])
+        raise_rows(outside.any(axis=-1), OutOfDomain, "point outside the gridded region")
         return tuple(np.moveaxis(idx, -1, 0))
 
     def evaluate(self, x):
@@ -252,8 +258,8 @@ class GriddedField:
         (..., 4); a stack raises OutOfDomain if any of its stencils leaves
         the grid."""
         idx = np.stack(self._index(x), axis=-1)
-        if np.any(idx == 0) or np.any(idx == np.array(self.data.shape[:4]) - 1):
-            raise OutOfDomain("derivative stencil leaves the gridded region")
+        edge = (idx == 0) | (idx == np.array(self.data.shape[:4]) - 1)
+        raise_rows(edge.any(axis=-1), OutOfDomain, "derivative stencil leaves the gridded region")
         # neighbour nodes along each mu, with mu right after the batch axes
         up = tuple(np.moveaxis(idx[..., None, :] + _STEPS, -1, 0))
         dn = tuple(np.moveaxis(idx[..., None, :] - _STEPS, -1, 0))
@@ -275,8 +281,8 @@ class BoxWindow:
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.lo) or np.any(x > self.hi):
-            raise OutOfDomain("point outside the windowed region")
+        outside = (x < self.lo) | (x > self.hi)
+        raise_rows(outside.any(axis=-1), OutOfDomain, "point outside the windowed region")
         return x
 
     def evaluate(self, x):

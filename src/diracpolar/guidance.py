@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPS_UPPER, ETA, ETA_SIGNS, pair_dual
-from .errors import DegenerateInversion, DegenerateX
+from .errors import DegenerateInversion, DegenerateX, raise_rows
 from .fieldconn import Background, PolarJet
 
 X_GUARD = 1e-12
@@ -38,21 +38,13 @@ class CompactForms:
     z: np.ndarray        # lowered components
     xs: float
     mass_cos: float      # mass times cosine of the chiral angle
-    guard_scale: float = 1.0   # max(1, |mass|): xs is degenerate below X_GUARD times this
-
-
-def _first(values, mask):
-    """First entry of values (a scalar or an array) where mask holds."""
-    return np.asarray(values)[mask][0]
+    guard_scale: float = 1.0   # |mass|: xs is degenerate below X_GUARD times this
 
 
 def _require_xs(xs, guard_scale):
-    """Raise DegenerateX if any |xs| falls below X_GUARD * guard_scale."""
+    """Raise DegenerateX naming every point whose |xs| falls below X_GUARD * guard_scale."""
     degenerate = np.abs(xs) < X_GUARD * guard_scale
-    if np.count_nonzero(degenerate):
-        raise DegenerateX(
-            "effective mass scale %.3e too close to zero" % _first(xs, degenerate)
-        )
+    raise_rows(degenerate, DegenerateX, "effective mass scale %.3e too close to zero", xs)
 
 
 def potentials(jet: PolarJet, bg: Background):
@@ -74,7 +66,7 @@ def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
     y, z = potentials(jet, bg)
     mass_cos = bg.mass * np.cos(jet.chiral_angle)
     xs = mass_cos - np.vecdot(y, jet.spin)
-    guard_scale = max(1.0, abs(bg.mass))
+    guard_scale = abs(bg.mass)
     _require_xs(xs, guard_scale)
     return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos, guard_scale=guard_scale)
 
@@ -127,10 +119,7 @@ def velocity_from_momentum(p, s, forms: CompactForms) -> np.ndarray:
     zs = np.vecdot(long_low, s)
     denom = (1.0 + np.vecdot(long_low, long_low * ETA_SIGNS) + zs**2).astype(float)
     vanishing = np.abs(denom) < INVERSION_GUARD
-    if np.count_nonzero(vanishing):
-        raise DegenerateInversion(
-            "inversion denominator %.3e vanishes" % _first(denom, vanishing)
-        )
+    raise_rows(vanishing, DegenerateInversion, "inversion denominator %.3e vanishes", denom)
     w_low = zeta_low + zs.astype(float)[..., None] * s_low
     triple = zeta_low[..., :, None, None] * s_low[..., None, :, None] * p[..., None, None, :]
     u = p + s * np.vecdot(s_low, p)[..., None]

@@ -78,26 +78,23 @@ class Trajectory:
         return self.status == "completed"
 
 
-def _by_rows(fn, state):
-    """fn of the (n, ...) state, whose output has the state's shape.
-
-    When the call on the whole state raises a DiracPolarError, every row is
-    tried again alone, as a batch of one, to find the rows that fail.
-    Returns the output, NaN in failed rows, and {row: the error it raised}.
-    """
-    try:
-        return fn(state), {}
-    except DiracPolarError as exc:
-        if len(state) == 1:
-            return np.full_like(state, np.nan), {0: exc}
-    out = np.full_like(state, np.nan)
-    errors = {}
-    for row in range(len(state)):
+def _without_failures(fn, state, rows):
+    """fn of the (n, ...) state, whose output has the state's shape, the
+    labels, of rows, of the state's rows that it holds, and {label: error}.
+    The rows a DiracPolarError names fail with the error each raises alone,
+    and fn runs again without them; an error that names no rows fails them
+    all.  A call in which no row fails is the only call."""
+    failed = {}
+    while len(rows):
         try:
-            out[row] = fn(state[row : row + 1])[0]
+            return fn(state), rows, failed
         except DiracPolarError as exc:
-            errors[row] = exc
-    return out, errors
+            named = exc.rows or dict.fromkeys(range(len(rows)), str(exc))
+            for row, message in named.items():
+                failed[rows[row]] = type(exc)(message, {0: message}) if exc.rows else exc
+            going = np.isin(np.arange(len(rows)), list(named), invert=True)
+            state, rows = state[going], rows[going]
+    return state, rows, failed
 
 
 def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
@@ -148,24 +145,19 @@ def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
         raise ConfigError(
             ["%.6g steps: cannot allocate the samples of %d seeds (%s)" % (n_steps, len(x0), exc)]
         ) from exc
-    u0, seed_errors = _by_rows(vel, x0)
+    u0, active, seed_errors = _without_failures(vel, x0, np.arange(len(x0)))
     samples[:, 0, 0] = x0
-    samples[:, 0, 1] = u0
+    samples[active, 0, 1] = u0
     length = np.full(len(x0), n_steps + 1)
     stops = {}
-    active = np.array([i for i in range(len(x0)) if i not in seed_errors], dtype=int)
     state = samples[active, 0]
     for k in range(n_steps):
         if not active.size:
             break
-        state, errors = _by_rows(rk4_step, state)
-        if errors:
-            for row, exc in errors.items():
-                reason = "%s: %s" % (type(exc).__name__, exc)
-                stops[active[row]] = "aborted at tau=%.6g: %s" % (k * h_tau, reason)
-                length[active[row]] = k + 1
-            going = np.isin(np.arange(len(active)), list(errors), invert=True)
-            active, state = active[going], state[going]
+        state, active, failed = _without_failures(rk4_step, state, active)
+        for i, exc in failed.items():
+            stops[i] = "aborted at tau=%.6g: %s: %s" % (k * h_tau, type(exc).__name__, exc)
+            length[i] = k + 1
         if len(active) == len(x0):
             samples[:, k + 1] = state
         else:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -423,8 +424,8 @@ def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
 @pytest.mark.parametrize("mass", ["5e-324", "1e-160", "1e150", "%.17g" % cli.MASS_MAX])
 def test_every_accepted_mass_runs_without_warnings(tmp_path, capsys, mass):
     # the on-shell check squares p in units of max(mass, |p|), which stays
-    # finite up to MASS_MAX; below, the guidance map may stop on a vanishing
-    # mass scale (exit 1)
+    # finite up to MASS_MAX; at a subnormal mass the momenta keep few bits,
+    # and gordon, per unit mass, sees that (exit 1)
     cfg = write_cfg(tmp_path, TWO_WAVE.replace("mass = 1.0", "mass = " + mass))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -463,6 +464,78 @@ def test_momentum_waves_at_a_tiny_mass(tmp_path, capsys, momentum, code, err):
         assert console_main(argv) == code
     assert capsys.readouterr().err == err
 
+
+
+def run_quietly(argv, cfg):
+    """console_main of argv on the config with every warning an error: the
+    exit code and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = console_main(argv + ["--config", cfg])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "mass, argv",
+    [
+        # the effective mass scale xs is about the mass: its guard scales with it
+        ("1e-100", ["guidance"]),
+        ("1e-100", ["trajectory", "--mode", "guidance", "--steps", "3", "--htau", "5e98"]),
+        # the balance terms of size mass u^0 cancel to rounding, per unit mass
+        ("1e150", ["gordon", "--points", "3"]),
+        ("%.17g" % cli.MASS_MAX, ["gordon", "--points", "3"]),
+    ],
+    ids=["guidance-1e-100", "trajectory-1e-100", "gordon-1e150", "gordon-MASS_MAX"],
+)
+def test_exact_solutions_pass_at_any_mass(tmp_path, mass, argv):
+    text = TWO_WAVE.replace("mass = 1.0", "mass = " + mass)
+    text = text.replace("point = 0.0 0.1 0.05 -0.1", "point = 0 0 0 0")
+    assert run_quietly(argv, write_cfg(tmp_path, text)) == (0, "")
+
+
+@pytest.mark.parametrize("command", [["guidance"], ["polar"], ["trajectory", "--steps", "4"],
+                                     ["trajectory", "--mode", "guidance", "--steps", "4"]])
+def test_fast_velocity_wave_is_on_the_shell(tmp_path, command):
+    # p.p rounds to about 1e-10 of m^2 at |v| = 1000: the shell allows for it
+    cfg = write_cfg(tmp_path, "mass = 1\npoint = 0 0 0 0\n\n[wave]\nvelocity = 1000 0 0\n")
+    assert run_quietly(command, cfg) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "mass, wave, err",
+    [
+        ("1", "velocity = 1e200 0 0", "config error: wave 1 velocity: a component exceeds 1e+08\n"),
+        ("1e-160", "momentum = 1 0 0 1",
+         "config error: wave 2: momentum: a component exceeds 1e+08 times the mass\n"),
+    ],
+    ids=["velocity", "momentum"],
+)
+def test_waves_boosted_past_the_limit_exit_2(tmp_path, mass, wave, err):
+    # p / mass of 1e160 or 1e200 overflows in the squares of the boost; the
+    # first wave of the momentum case is on the shell and within the limit
+    first = "momentum = 1e-160 0 0 0\n\n[wave]\n" if mass == "1e-160" else ""
+    text = "mass = %s\npoint = 0 0 0 0\n\n[wave]\n%s%s\n" % (mass, first, wave)
+    for argv in (["gordon"], ["guidance"], ["polar"], ["trajectory", "--steps", "2"]):
+        assert run_quietly(argv, write_cfg(tmp_path, text)) == (2, err)
+
+
+def test_build_field_checks_the_shell_once(basis, monkeypatch):
+    from diracpolar import fieldconn
+
+    calls = []
+
+    def counting(momentum, mass):
+        calls.append(np.shape(momentum))
+        return require_on_shell(momentum, mass)
+
+    require_on_shell = fieldconn.require_on_shell
+    for module in (fieldconn, cli):
+        if hasattr(module, "require_on_shell"):
+            monkeypatch.setattr(module, "require_on_shell", counting)
+    cli.build_field(parse_config(MIXED_WAVES), basis)
+    # the four waves as one stack, in plane_wave
+    assert calls == [(4, 4)]
 
 @pytest.mark.parametrize(
     "command, text",

@@ -83,8 +83,8 @@ def test_degenerate_x_guard(basis):
 
 def test_x_guard_scales_with_mass(basis):
     # compact_forms and velocity_from_momentum share one guard, X_GUARD *
-    # max(1, |mass|): an xs between X_GUARD and X_GUARD * mass is degenerate
-    # for the inversion too, not only for the forms
+    # |mass|: an xs between X_GUARD and X_GUARD * mass is degenerate for the
+    # inversion too, not only for the forms
     heavy = 1e4
     fld = plane_wave([MASS, 0, 0, 0], MASS, [0, 0, 1.0], 1.0, basis)
     jet = polar_jet(fld, Background(mass=MASS), basis, np.zeros(4), h=1e-3)

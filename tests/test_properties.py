@@ -16,6 +16,10 @@ it at zero.  The guidance velocity is unchanged by a joint phase and
 potential shift, and both velocities, p and xs turn with a Lorentz
 transformation of the field, on and off solutions.
 """
+import io
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diracpolar import cli
 from diracpolar.algebra import (
     ETA_SIGNS,
     SEED_SPINOR,
@@ -641,3 +646,85 @@ def test_velocities_are_lorentz_covariant(basis, seed, n_waves, kicked):
         speeds[mode] = 1 + np.abs(velocity).max(axis=-1)
     assert np.all(gaps["kinematic"] <= 25 * unit * size)
     assert np.all(gaps["guidance"] <= 200 * unit * size * inverse * speeds["guidance"])
+
+
+# -- scale covariance: the mass-m field at x / m is the mass-1 field at x ----
+
+# one or two waves with |v| < 10, the second small enough that no node forms
+waves = st.lists(
+    st.tuples(
+        st.lists(st.floats(-5.7, 5.7), min_size=3, max_size=3),
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda t: np.linalg.norm(t) > 0.1
+        ),
+        st.floats(-3.0, 3.0),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+def numbers(values):
+    return " ".join("%.17g" % v for v in values)
+
+
+def wave_config(mass, point, drawn, amplitude):
+    """Config text of velocity waves, every number in 17 digits."""
+    lines = ["mass = %.17g" % mass, "point = " + numbers(point)]
+    for k, (velocity, spin, phase) in enumerate(drawn):
+        lines += ["", "[wave]", "velocity = " + numbers(velocity), "spin = " + numbers(spin),
+                  "phase = %.17g" % phase] + (["amplitude = %.17g" % amplitude] if k else [])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    log_mass=st.floats(-150.0, 150.0),
+    drawn=waves,
+    amplitude=st.floats(0.01, 0.2),
+    x=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(np.array),
+)
+def test_scale_covariance(basis, log_mass, drawn, amplitude, x):
+    mass = 10.0**log_mass
+    fields = []
+    for m, point in ((1.0, x), (mass, x / mass)):
+        cfg = cli.parse_config(wave_config(m, point, drawn, amplitude))
+        fields.append((cli.build_field(cfg, basis), cli.build_background(cfg), point))
+    (one, bg_one, _), (heavy, bg, point) = fields
+
+    # Both velocities are functions of p / m and m x alone, and every balance
+    # residual grows as the mass.  The rounding of p / m and of the phases
+    # grows as powers of the largest Lorentz factor; over 2100 random draws
+    # the gaps reached 0.9 eps gamma^4 (kinematic), 60 eps gamma^4 times the
+    # inversion's conditioning (guidance), 27 eps for the balance equations,
+    # which are per unit density, and 36 eps gamma^5 for the polar groups
+    gamma = max(np.sqrt(1.0 + np.dot(v, v)) for v, _, _ in drawn)
+    jet = derivative_jet(one, bg_one, basis, x)
+    conditioning = inversion_conditioning(compact_forms(jet, bg_one), jet.spin)[1]
+    for mode, bound in (("kinematic", 8.0), ("guidance", 250.0 * conditioning)):
+        want = velocity_field(one, bg_one, basis, mode)(x)
+        got = velocity_field(heavy, bg, basis, mode)(point)
+        assert np.abs(got - want).max() <= bound * EPS * gamma**4
+    for residuals, bound in (
+        (lambda f, b, y: residual_bilinear_gordon(f, b, basis, y), 100.0),
+        (lambda f, b, y: residual_polar_groups(derivative_jet(f, b, basis, y), b), 300 * gamma**5),
+    ):
+        want, got = residuals(one, bg_one, x), residuals(heavy, bg, point)
+        for name in want:
+            assert abs(got[name] / mass - want[name]) <= bound * EPS
+
+    # and every command passes on the mass-m config, with no warning
+    commands = [["polar"], ["gordon"], ["guidance"]] + [
+        ["trajectory", "--mode", mode, "--steps", "3", "--htau", "%.17g" % (0.05 / mass)]
+        for mode in ("kinematic", "guidance")
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = tmp + "/run.cfg"
+        with open(path, "w") as fh:
+            fh.write(wave_config(mass, point, drawn, amplitude))
+        for argv in commands:
+            err = io.StringIO()
+            with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = cli.console_main(argv + ["--config", path])
+            assert (code, err.getvalue()) == (0, ""), argv

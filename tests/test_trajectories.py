@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from diracpolar import bilinears
 from diracpolar.algebra import ETA, boost_reps
-from diracpolar.errors import ImmediateSingularity
+from diracpolar.errors import DiracPolarError, ImmediateSingularity
 from diracpolar.fieldconn import (
     Background,
     BoxWindow,
@@ -12,6 +13,7 @@ from diracpolar.fieldconn import (
     derivative_jet,
     plane_wave,
     superpose,
+    to_grid,
 )
 from diracpolar.trajectories import (
     batch_integrate,
@@ -303,3 +305,87 @@ def test_charged_guidance_ensemble_in_linear_potential(basis):
 def test_no_seeds_give_no_arcs(basis, mode):
     bg = Background(mass=MASS)
     assert batch_integrate(two_wave(basis), bg, basis, np.zeros((0, 4)), 0.1, mode=mode) == []
+
+
+# -- failures: the ensemble drops the rows an error names and goes on -------
+
+
+def node_field(basis):
+    """A wave and a rest wave of opposite amplitude: the field vanishes at 0."""
+    f1 = boosted_wave(basis, (0.2, 0.0, 0.0), (0.0, 0.0, 1.0))
+    rest = PlaneWaveComponent(np.array([MASS, 0.0, 0.0, 0.0]), -f1.components[0].amplitude)
+    return superpose(f1, PlaneWaveField([rest]))
+
+
+def failing_ensembles(basis):
+    """name: (field, seeds, tau_max, h_tau, the statuses the arcs start with)."""
+    window = BoxWindow(two_wave(basis), np.full(4, -1.0), np.full(4, 1.0))
+    grid = to_grid(two_wave(basis).evaluate, np.zeros(4), 0.05, (5, 5, 5, 5))
+    # with a wider regularity guard, one arc turns singular in the step in
+    # which another leaves a window that ends at time 1
+    late = BoxWindow(two_wave(basis), np.full(4, -5.0), [1.0, 5.0, 5.0, 5.0])
+    pair = [[-0.18, -0.52, -0.92, 0.75], [0.65, 0.61, -0.35, 0.44],
+            [-0.57, -0.68, 0.23, -0.91], [0.28, 0.48, -0.82, 0.08]]
+    return {
+        "node": (node_field(basis), [np.zeros(4), *ENSEMBLE_SEEDS], 1.0, 0.1,
+                 ["failed: velocity undefined at the seed point: "] + ["completed"] * 4),
+        "window": (window, [[-0.9, 0.0, 0.1, -0.1], [0.5, 0.1, 0.0, 0.2], [1.5, 0.0, 0.0, 0.0],
+                            [0.0, -0.2, 0.3, 0.0], [0.2, 0.0, -0.1, 0.1]], 1.5, 0.05,
+                   ["completed", "aborted at tau=", "failed: ", "aborted at tau=", "aborted at"]),
+        # the first RK4 stage leaves the node; guidance fails at a stencil
+        # on the edge already at the seed
+        "grid": (grid, 0.05 * np.array([[1, 1, 2, 1], [2, 2, 2, 3], [1.5, 1, 1, 1],
+                                        [9, 1, 1, 1], [0, 3, 2, 2]]), 0.2, 0.05,
+                 ["aborted at tau=0: OutOfDomain", "aborted at tau=0: OutOfDomain", "failed: ",
+                  "failed: ", ("aborted at tau=0: OutOfDomain", "failed: ")]),
+        "two_guards": (late, pair, 1.5, 0.05,
+                       ["aborted at tau=0.3: SingularSpinor", "aborted at tau=0.3: OutOfDomain",
+                        "completed", "failed: "]),
+    }
+
+
+@pytest.mark.parametrize("mode", ["kinematic", "guidance"])
+@pytest.mark.parametrize("name", ["node", "window", "grid", "two_guards"])
+def test_failing_arcs_match_lone_runs_without_single_row_calls(basis, monkeypatch, mode, name):
+    from diracpolar import trajectories
+
+    fld, seeds, tau_max, h_tau, starts = failing_ensembles(basis)[name]
+    if name == "two_guards":
+        monkeypatch.setattr(bilinears, "REGULARITY_EPS", 0.95)
+    calls = []
+
+    def counting_field(*args, **kwargs):
+        vel = velocity_field(*args, **kwargs)
+
+        def evaluate(x):
+            calls.append([len(x), False])
+            try:
+                return vel(x)
+            except DiracPolarError:
+                calls[-1][1] = True
+                raise
+
+        return evaluate
+
+    monkeypatch.setattr(trajectories, "velocity_field", counting_field)
+    lone = [batch_integrate(fld, Background(mass=MASS), basis, [x0], tau_max, h_tau, mode)[0]
+            for x0 in seeds]
+    calls.clear()
+    arcs = batch_integrate(fld, Background(mass=MASS), basis, seeds, tau_max, h_tau, mode)
+    assert len(arcs) == len(starts)
+    for arc, alone, start in zip(arcs, lone, starts):
+        assert arc.status.startswith(start)
+        assert arc.status == alone.status
+        assert np.array_equal(arc.tau, alone.tau)
+        assert arc.x.shape == alone.x.shape
+        # a stack and a single row can round differently in the last bit
+        assert np.abs(arc.x - alone.x).max(initial=0.0) < 1e-12
+        assert np.abs(arc.u - alone.u).max(initial=0.0) < 1e-12
+        assert arc.diagnostics == pytest.approx(alone.diagnostics, abs=1e-12)
+    # rows only ever leave the batch: no arc is evaluated again alone while
+    # others run, and each error costs at most the four calls of its step
+    sizes = [size for size, _ in calls]
+    assert sizes == sorted(sizes, reverse=True)
+    raised = sum(raised for _, raised in calls)
+    assert raised >= 1
+    assert len(calls) <= 1 + 4 * round(tau_max / h_tau) + 4 * raised
