@@ -168,14 +168,29 @@ def _suggest(key, pool):
     return " (did you mean %r?)" % close[0] if close else ""
 
 
+def _lines(text):
+    """(number, text) of every line of text that holds more than a comment;
+    a comment runs from "#" to the end of its line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _read(path, what):
+    """The text of the file at path, or a ConfigError naming it as what."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(["cannot read %s %s: %s" % (what, path, exc)])
+
+
 def parse_config(text) -> RunConfig:
     cfg = RunConfig()
     problems = []
     section = None    # None for globals, else dict of current wave
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if line.startswith("["):
             if line != "[wave]":
                 problems.append("line %d: unknown section %s" % (lineno, line))
@@ -308,11 +323,7 @@ def build_field(cfg: RunConfig, basis):
 
 
 def _load_config(path):
-    try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(["cannot read config %s: %s" % (path, exc)])
+    return parse_config(_read(path, "config"))
 
 
 def _finish(rows, fmt, tolerance, checked):
@@ -522,32 +533,26 @@ def cmd_guidance(args) -> int:
 
 
 def _emit_trajectory(tr, index, fmt, out):
-    print("# trajectory %d mode=%s status=%s" % (index, tr.mode, tr.status), file=out)
+    """Write an arc in one format call: a line naming its seed index, mode and
+    status, then a line per sample of the index, tau, x and u, behind a line
+    of column names in a table.  The index is a float cell, which G and %g
+    print as %d does."""
+    columns = ("seed", "tau", "x0", "x1", "x2", "x3", "u0", "u1", "u2", "u3")
     if fmt == "records":
-        # one format string for the whole row: the same text as emit per value
-        line = "sample=%d" % index + (" " + G) * 9 + "\n"
-        rows = np.column_stack([tr.tau, tr.x, tr.u]).tolist()
-        out.write("".join(line % tuple(row) for row in rows))
+        head, line = "", "sample=" + " ".join([G] * len(columns)) + "\n"
     else:
-        header = ("seed", "tau", "x0", "x1", "x2", "x3", "u0", "u1", "u2", "u3")
-        print("  ".join("%22s" % h for h in header), file=out)
-        for k in range(len(tr.tau)):
-            cells = [float(index), tr.tau[k], *tr.x[k], *tr.u[k]]
-            print("  ".join("%22.15g" % c for c in cells), file=out)
+        head = "  ".join("%22s" % name for name in columns) + "\n"
+        line = "  ".join(["%22.15g"] * len(columns)) + "\n"
+    n = len(tr.tau)
+    cells = np.column_stack([np.full(n, index), tr.tau, tr.x, tr.u]).ravel().tolist()
+    template = "# trajectory %d mode=%s status=%s\n" + head + line * n
+    out.write(template % (index, tr.mode, tr.status, *cells))
 
 
 def _read_seeds(path):
     seeds = []
     problems = []
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(["cannot read seeds %s: %s" % (path, exc)])
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(_read(path, "seeds")):
         vec = _floats(line, 4, "seeds line %d" % lineno, problems)
         if vec is not None:
             seeds.append(vec)
@@ -589,31 +594,23 @@ def cmd_trajectory(args) -> int:
     except OSError as exc:
         raise ConfigError(["cannot write --out %s: %s" % (args.out, exc)])
     try:
-        results = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=mode)
+        arcs = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=mode)
         out = sink or sys.stdout
-        worst = 0.0
-        failures = []
-        for index, tr in enumerate(results):
-            _emit_trajectory(tr, index, args.format, out)
-            worst = max(worst, tr.diagnostics.get("max_unit_violation", 0.0))
-            if not tr.completed:
-                failures.append((index, tr.status))
-        print("max_unit_violation=%s" % (G % worst), file=out)
+        for index, arc in enumerate(arcs):
+            _emit_trajectory(arc, index, args.format, out)
+        # an arc that failed at its seed has no samples to check
+        violations = [arc.diagnostics.get("max_unit_violation", 0.0) for arc in arcs]
+        worst = np.max(violations, initial=0.0)
+        emit([("max_unit_violation", worst)], "records", out)
     finally:
         if sink is not None:
             sink.close()
-    if failures:
-        for index, status in failures:
-            print("trajectory %d did not complete: %s" % (index, status), file=sys.stderr)
+    stopped = [index for index, arc in enumerate(arcs) if not arc.completed]
+    for index in stopped:
+        print("trajectory %d did not complete: %s" % (index, arcs[index].status), file=sys.stderr)
+    if stopped:
         return 1
-    if worst >= cfg.tolerance:
-        print(
-            "tolerance violation: max_unit_violation = %s (tolerance %s)"
-            % (G % worst, G % cfg.tolerance),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _check(np.array([worst]), ["max_unit_violation"].__getitem__, cfg.tolerance)
 
 
 class _Parser(argparse.ArgumentParser):

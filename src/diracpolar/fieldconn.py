@@ -167,6 +167,7 @@ class PlaneWaveField:
         # matrix product block forms
         return (self._phases(x)[..., None, :] @ self._amplitudes)[..., 0, :]
 
+    # bench/tracer.py looks this method up by name; the package reads block
     def partial(self, x):
         """d_mu psi at a point (4,) or at every point of a stack (..., 4)."""
         return self.block(x)[..., 1:, :]
@@ -287,11 +288,6 @@ class BoxWindow:
 
     def evaluate(self, x):
         return self.inner.evaluate(self._check(x))
-
-    def partial(self, x):
-        """Inner derivative at a point (4,) or a stack (..., 4); a stack
-        raises OutOfDomain if any of its points leaves the box."""
-        return self.inner.partial(self._check(x))
 
     def block(self, x):
         return self.inner.block(self._check(x))

@@ -12,10 +12,11 @@ On an exact solution the two coincide, so their trajectory divergence is a
 practical integration diagnostic.  Curves are parametrized by proper time
 and advanced with a fixed-step fourth-order Runge-Kutta rule.  All seeds of
 a run advance together as one (n, 4) state, one velocity evaluation per
-stage for the whole ensemble; a single seed is an ensemble of one.  A
-failure at a seed point raises (integrate) or gives a failed record
-(batch_integrate); a failure later on truncates that curve and reports the
-reason, while the other curves go on.
+stage for the whole ensemble; a single seed is an ensemble of one.  When the
+velocity of a curve fails, that curve stops and the others go on.  Its record
+keeps the error, with the samples up to the last step it completed, none when
+the seed itself failed; its status line is derived from the two.  integrate
+raises ImmediateSingularity for a seed that fails.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .fieldconn import Background, derivative_jet
 from .guidance import compact_forms, velocity_from_momentum
 
 MODES = ("kinematic", "guidance")
+SEED_FAILURE = "velocity undefined at the seed point: %s"
 
 
 def velocity_field(fld, bg: Background, basis, mode="kinematic"):
@@ -65,17 +67,32 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic"):
 
 @dataclass
 class Trajectory:
+    """One arc: its samples, and the DiracPolarError that stopped it, or None
+    once it ran its full length.  An arc that fails at its seed holds no
+    samples; one stopped later ends at the last point it reached, x[-1] at
+    proper time tau[-1]."""
+
     tau: np.ndarray
     x: np.ndarray
     u: np.ndarray
     mode: str
     h_tau: float
-    status: str
+    error: DiracPolarError | None
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def completed(self) -> bool:
-        return self.status == "completed"
+        return self.error is None
+
+    @property
+    def status(self) -> str:
+        """The outcome as one line of text."""
+        if self.error is None:
+            return "completed"
+        if not len(self.tau):
+            return "failed: " + SEED_FAILURE % self.error
+        kind = type(self.error).__name__
+        return "aborted at tau=%.6g: %s: %s" % (self.tau[-1], kind, self.error)
 
 
 def _without_failures(fn, state, rows):
@@ -97,13 +114,13 @@ def _without_failures(fn, state, rows):
     return state, rows, failed
 
 
-def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
-    """Curves from every seed, advanced together as one (n, 4) state.
+def batch_integrate(fld, bg, basis, seeds, tau_max, h_tau=0.05, mode="kinematic"):
+    """One Trajectory per seed, every curve advanced together as one (n, 4)
+    state.
 
-    Returns one Trajectory per seed, or the DiracPolarError that made the
-    velocity undefined at the seed.  A curve that fails at a later step
-    stops there, with the status a run from its seed alone would give.
-    Raises ConfigError when the samples of every step cannot be allocated.
+    A curve whose velocity fails stops there, with the error a run from its
+    seed alone would raise, while the others go on.  Raises ConfigError when
+    the samples of every step cannot be allocated.
     """
     vel = velocity_field(fld, bg, basis, mode)
     x0 = np.asarray(seeds, dtype=float).reshape(-1, 4)
@@ -145,18 +162,19 @@ def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
         raise ConfigError(
             ["%.6g steps: cannot allocate the samples of %d seeds (%s)" % (n_steps, len(x0), exc)]
         ) from exc
-    u0, active, seed_errors = _without_failures(vel, x0, np.arange(len(x0)))
+    u0, active, errors = _without_failures(vel, x0, np.arange(len(x0)))
     samples[:, 0, 0] = x0
     samples[active, 0, 1] = u0
+    # the samples each arc holds: none when its seed failed
     length = np.full(len(x0), n_steps + 1)
-    stops = {}
+    length[list(errors)] = 0
     state = samples[active, 0]
     for k in range(n_steps):
         if not active.size:
             break
         state, active, failed = _without_failures(rk4_step, state, active)
-        for i, exc in failed.items():
-            stops[i] = "aborted at tau=%.6g: %s: %s" % (k * h_tau, type(exc).__name__, exc)
+        errors.update(failed)
+        for i in failed:
             length[i] = k + 1
         if len(active) == len(x0):
             samples[:, k + 1] = state
@@ -164,33 +182,27 @@ def _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode):
             samples[active, k + 1] = state
 
     tau = np.arange(n_steps + 1) * h_tau
-    out = []
-    for i, n in enumerate(length):
-        if i in seed_errors:
-            out.append(seed_errors[i])
-            continue
+    arcs = []
+    for i, n in enumerate(length.tolist()):
         x, u = samples[i, :n, 0].copy(), samples[i, :n, 1].copy()
         norms = np.sum(u * u * ETA_SIGNS, axis=-1)
-        out.append(
+        diagnostics = {
+            "max_unit_violation": float(np.abs(norms - 1.0).max(initial=0.0)),
+            # each completed step evaluates the velocity four times
+            "velocity_evals": 1 + 4 * (n - 1),
+        }
+        arcs.append(
             Trajectory(
                 tau=tau[:n].copy(),
                 x=x,
                 u=u,
                 mode=mode,
                 h_tau=h_tau,
-                status=stops.get(i, "completed"),
-                diagnostics={
-                    "max_unit_violation": float(np.abs(norms - 1.0).max()),
-                    # each completed step evaluates the velocity four times
-                    "velocity_evals": int(1 + 4 * (n - 1)),
-                },
+                error=errors.get(i),
+                diagnostics=diagnostics if n else {},
             )
         )
-    return out
-
-
-def _seed_failure(exc) -> str:
-    return "velocity undefined at the seed point: %s" % exc
+    return arcs
 
 
 def integrate(
@@ -202,30 +214,12 @@ def integrate(
     h_tau=0.05,
     mode="kinematic",
 ) -> Trajectory:
-    """Fixed-step fourth-order curve of the chosen velocity field from x0."""
-    (arc,) = _integrate_seeds(fld, bg, basis, [x0], tau_max, h_tau, mode)
-    if isinstance(arc, DiracPolarError):
-        raise ImmediateSingularity(_seed_failure(arc)) from arc
+    """Fixed-step fourth-order curve of the chosen velocity field from x0;
+    raises ImmediateSingularity when the velocity is undefined at x0."""
+    (arc,) = batch_integrate(fld, bg, basis, [x0], tau_max, h_tau, mode)
+    if not len(arc.tau):
+        raise ImmediateSingularity(SEED_FAILURE % arc.error) from arc.error
     return arc
-
-
-def batch_integrate(fld, bg, basis, seeds, tau_max, h_tau=0.05, mode="kinematic"):
-    """Integrate from many seeds as one ensemble; a bad seed yields a failed
-    record, not a raise."""
-    return [
-        Trajectory(
-            tau=np.zeros(0),
-            x=np.zeros((0, 4)),
-            u=np.zeros((0, 4)),
-            mode=mode,
-            h_tau=h_tau,
-            status="failed: %s" % _seed_failure(arc),
-            diagnostics={},
-        )
-        if isinstance(arc, DiracPolarError)
-        else arc
-        for arc in _integrate_seeds(fld, bg, basis, seeds, tau_max, h_tau, mode)
-    ]
 
 
 def sup_divergence(a: Trajectory, b: Trajectory) -> float:

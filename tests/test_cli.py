@@ -698,6 +698,96 @@ amplitude = -1.0
     assert "failed" in captured.out
 
 
+# Reports of trajectory runs, byte for byte.  Each text is the output of the
+# run that follows it; a change to the values, their format or the order of
+# the lines shows here.
+
+TABLE_TWO_SEEDS = """\
+# trajectory 0 mode=kinematic status=completed
+                  seed                     tau                      x0                      x1                      x2                      x3                      u0                      u1                      u2                      u3
+                     0                       0                       0                       0                       0                       0        1.02355111462134        0.21261297236651     -0.0479326498288605      0.0124526826205577
+                     0                    0.25       0.255895599582087      0.0531958968992515     -0.0119630789722333     0.00310458288654228        1.02361374212085       0.212954336282663     -0.0477721401284434      0.0123841166262625
+                     0                     0.5       0.511806901160995        0.10647723515009     -0.0238861490370577     0.00619212634498892        1.02367673082866        0.21329650430716     -0.0476125781059166      0.0123163670175791
+# trajectory 1 mode=kinematic status=completed
+                  seed                     tau                      x0                      x1                      x2                      x3                      u0                      u1                      u2                      u3
+                     1                       0                       0                     0.1                     0.2                    -0.1        1.02312417539027       0.210253498858977     -0.0490789513687895      0.0129538032294971
+                     1                    0.25       0.255788554472658       0.152605351007264       0.187751183123584     -0.0967708536048182        1.02318431905075       0.210589435219947     -0.0489117455824638      0.0128795057809158
+                     1                     0.5       0.511592188900693       0.205294780874481       0.175544046388735      -0.093560178258772        1.02324481521651       0.210926130758139     -0.0487455096404518      0.0128060345449232
+max_unit_violation=4.4408920985006262e-16
+"""
+
+WINDOW_RECORDS = """\
+# trajectory 0 mode=kinematic status=completed
+sample=0 0 0 0 0 0 1.0235511146213394 0.2126129723665095 -0.047932649828860543 0.012452682620557733
+sample=0 0.20000000000000001 0.20471522639502202 0.042549888641411869 -0.0095736714728886802 0.0024850359949713037 1.0236011877689071 0.21288599938718039 -0.047804166165089583 0.012397764479900037
+sample=0 0.40000000000000002 0.40944049050714104 0.085154434005614718 -0.019121706923878885 0.0049591406334052023 1.0236514919107496 0.21315954017031696 -0.047676289370545126 0.012343368962279604
+sample=0 0.60000000000000009 0.61417583860686298 0.12781373919193251 -0.028644227584761643 0.0074224183854939675 1.0237020277663118 0.21343359819069488 -0.047549018032403217 0.012289495530180888
+sample=0 0.80000000000000004 0.8189213171103451 0.17052790799852982 -0.038141354409393632 0.0098749736179089033 1.023752796072668 0.21370817696197067 -0.047422350784140969 0.012236143685911537
+# trajectory 1 mode=kinematic status=aborted at tau=0.4: OutOfDomain: point outside the windowed region
+sample=1 0 0.5 0.10000000000000001 0 0.20000000000000001 1.0238474748074053 0.21421829578894086 -0.047189257884822665 0.012138672046889338
+sample=1 0.20000000000000001 0.70477463460820577 0.14287125867848394 -0.0094253464776930113 0.20242253911359498 1.0238989104497034 0.21449437979839842 -0.047064306865996872 0.012086805790344612
+sample=1 0.40000000000000002 0.90955957987692582 0.18579778756291385 -0.018825762696804405 0.20483475698557502 1.0239505815482814 0.214770998462542 -0.046939955104831545 0.012035459576719044
+# trajectory 2 mode=kinematic status=failed: velocity undefined at the seed point: point outside the windowed region
+max_unit_violation=7.7715611723760958e-16
+"""
+
+WINDOW_ERRORS = """\
+trajectory 1 did not complete: aborted at tau=0.4: OutOfDomain: point outside the windowed region
+trajectory 2 did not complete: failed: velocity undefined at the seed point: point outside the windowed region
+"""
+
+
+def test_trajectory_table_bytes(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_WAVE)
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0 0 0 0\n0 0.1 0.2 -0.1\n")
+    argv = ["trajectory", "--config", cfg, "--seeds", str(seeds), "--steps", "2", "--htau", "0.25"]
+    assert console_main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == TABLE_TWO_SEEDS
+    assert captured.err == ""
+
+
+def test_trajectory_outcome_bytes(tmp_path, capsys, monkeypatch):
+    from diracpolar.fieldconn import BoxWindow
+
+    # a window on the two-wave field: the first arc stays inside it, the
+    # second leaves it at its third step and the third starts outside
+    field = cli.build_field
+    monkeypatch.setattr(
+        cli, "build_field",
+        lambda cfg, basis: BoxWindow(field(cfg, basis), np.full(4, -1.0), np.full(4, 1.0)),
+    )
+    cfg = write_cfg(tmp_path, TWO_WAVE)
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0 0 0 0\n0.5 0.1 0 0.2\n1.5 0 0 0\n")
+    argv = ["trajectory", "--config", cfg, "--seeds", str(seeds),
+            "--steps", "4", "--htau", "0.2", "--format", "records"]
+    assert console_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == WINDOW_RECORDS
+    assert captured.err == WINDOW_ERRORS
+
+
+def test_seeds_file_problems_are_named(tmp_path, capsys):
+    # comments and blank lines as in a config; the lines keep their numbers
+    cfg = write_cfg(tmp_path, TWO_WAVE)
+    seeds = tmp_path / "seeds.txt"
+    argv = ["trajectory", "--config", cfg, "--seeds", str(seeds)]
+    seeds.write_text("0 0 0\n# a comment\n\nfoo 1 2 3  # the fourth line\n0 0 0 0\n")
+    assert console_main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: seeds line 1: expected 4 numbers, got 3\n"
+        "config error: seeds line 4: expected numbers, got 'foo 1 2 3'\n"
+    )
+    seeds.write_text("# no points\n\n")
+    assert console_main(argv) == 2
+    assert capsys.readouterr().err == "config error: seeds file %s lists no points\n" % seeds
+    argv[-1] = str(tmp_path / "missing.txt")
+    assert console_main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read seeds %s: " % argv[-1])
+
+
 def test_config_errors_are_collected(tmp_path, capsys):
     bad = """\
 mas = 1.0

@@ -3,7 +3,7 @@ import pytest
 
 from diracpolar import bilinears
 from diracpolar.algebra import ETA, boost_reps
-from diracpolar.errors import DiracPolarError, ImmediateSingularity
+from diracpolar.errors import DiracPolarError, ImmediateSingularity, OutOfDomain, SingularSpinor
 from diracpolar.fieldconn import (
     Background,
     BoxWindow,
@@ -101,8 +101,10 @@ def test_seed_on_singular_point_raises(basis):
     fld = superpose(f1, f2)
     assert np.abs(fld.evaluate(np.zeros(4))).max() < 1e-15
     bg = Background(mass=MASS)
-    with pytest.raises(ImmediateSingularity):
+    with pytest.raises(ImmediateSingularity) as caught:
         integrate(fld, bg, basis, np.zeros(4), 1.0, 0.1)
+    # raised from the error that the arc's record keeps
+    assert isinstance(caught.value.__cause__, SingularSpinor)
 
 
 def test_windowed_trajectory_aborts_at_boundary(basis):
@@ -112,7 +114,7 @@ def test_windowed_trajectory_aborts_at_boundary(basis):
     window = BoxWindow(fld, np.full(4, -1.0), np.full(4, 1.0))
     tr = integrate(window, bg, basis, np.zeros(4), 5.0, 0.05)
     assert not tr.completed
-    assert "OutOfDomain" in tr.status
+    assert isinstance(tr.error, OutOfDomain)
     assert len(tr.tau) >= 2
     assert tr.tau[-1] < 5.0
     # the recorded arc stayed inside
@@ -128,7 +130,7 @@ def test_batch_integrate_mixed_seeds(basis):
     seeds = [np.zeros(4), np.array([0.0, 0.9, 0.4, 0.3])]
     out = batch_integrate(fld, bg, basis, seeds, 1.0, 0.1)
     assert len(out) == 2
-    assert out[0].status.startswith("failed")
+    assert isinstance(out[0].error, SingularSpinor)
     assert len(out[0].tau) == 0
     assert out[1].completed
 
@@ -265,7 +267,7 @@ def test_mixed_ensemble_arcs_match_lone_runs(basis):
             arcs = batch_integrate(window, bg, basis, seeds[:n], tau_max, h_tau, mode)
             assert [arc.completed for arc in arcs[:3]] == [True, False, False]
             for arc in arcs[1:3]:
-                assert "OutOfDomain" in arc.status and 1 < len(arc.tau) < 31
+                assert isinstance(arc.error, OutOfDomain) and 1 < len(arc.tau) < 31
             # the loop goes on with three arcs, then with two, then with one
             assert len(arcs[1].tau) < len(arcs[2].tau)
             for arc, alone in zip(arcs, lone):
@@ -275,7 +277,7 @@ def test_mixed_ensemble_arcs_match_lone_runs(basis):
                 assert np.abs(arc.x - alone.x).max() < 1e-12
                 assert np.abs(arc.u - alone.u).max() < 1e-12
                 assert arc.diagnostics["velocity_evals"] == alone.diagnostics["velocity_evals"]
-        assert arcs[3].status.startswith("failed: velocity undefined at the seed point")
+        assert isinstance(arcs[3].error, OutOfDomain) and len(arcs[3].tau) == 0
 
 
 def test_charged_guidance_ensemble_in_linear_potential(basis):
