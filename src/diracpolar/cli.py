@@ -99,8 +99,16 @@ def emit(rows, fmt, out=None, points=None):
 
 
 WAVE_KEYS = {"momentum", "velocity", "spin", "amplitude", "phase"}
-# the largest mass whose square is a finite float
+# the mass range: the smallest normal float, below which the momenta mass * (p0,
+# v) keep few bits, and the largest mass whose square is a finite float
+MASS_MIN = float(np.finfo(float).tiny)
 MASS_MAX = float(np.sqrt(np.finfo(float).max))
+# the range of a nonzero |amplitude|: the densities' products take its fourth
+# power, which leaves the normal floats below 1.2e-77 and overflows on a wave
+# boosted to BOOST_MAX from 1e73 on; each end keeps a factor 1000 or more
+AMPLITUDE_MIN, AMPLITUDE_MAX = 1e-70, 1e70
+# the proper time of an arc when no --steps gives its length
+TAU_MAX = 10.0
 
 
 class RunConfig:
@@ -113,10 +121,7 @@ class RunConfig:
         self.grid = None
         self.point = np.zeros(4)
         self.tolerance = 1e-6
-        self.seed = 0
-        self.tau_max = 10.0
         self.tau_step = 0.05
-        self.mode = "kinematic"
         self.waves = []
 
 
@@ -139,15 +144,6 @@ def _floats(text, count, key, problems):
         problems.append("%s: expected finite numbers, got %r" % (key, text))
         return None
     return np.array(vals)
-
-
-def _vector(text, count, key):
-    """The count finite numbers text holds, or a ConfigError naming key."""
-    problems = []
-    vals = _floats(text, count, key, problems)
-    if problems:
-        raise ConfigError(problems)
-    return vals
 
 
 def _number(text, key, problems):
@@ -226,8 +222,6 @@ def parse_config(text) -> RunConfig:
         problems.append("config defines no field: add [wave] sections or a grid key")
     if cfg.grid is not None and not os.path.isfile(cfg.grid):
         problems.append("grid: file not found: %s" % cfg.grid)
-    if cfg.mode not in MODES:
-        problems.append("mode: must be one of %s" % (MODES,))
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -243,25 +237,18 @@ def _apply_global(cfg, key, value, problems):
         else:
             setattr(cfg, key, ConstantVector(vec))
         return
-    if key in ("mode", "grid"):
-        setattr(cfg, key, value)
+    if key == "grid":
+        cfg.grid = value
         return
     if key == "step":
-        return
-    if key == "seed":
-        try:
-            cfg.seed = int(value)
-        except ValueError:
-            problems.append("seed: expected an integer, got %r" % value)
-            return
-        if cfg.seed < 0:
-            problems.append("seed: expected an integer >= 0, got %d" % cfg.seed)
         return
     number = _number(value, key, problems)
     if key == "tolerance" and number is not None and not number > 0:
         problems.append("tolerance: expected a number > 0, got %r" % value)
-    elif key == "mass" and number is not None and not 0 < number <= MASS_MAX:
-        problems.append("mass: expected a number in (0, %.17g], got %r" % (MASS_MAX, value))
+    elif key == "mass" and number is not None and not MASS_MIN <= number <= MASS_MAX:
+        problems.append(
+            "mass: expected a number in [%.17g, %.17g], got %r" % (MASS_MIN, MASS_MAX, value)
+        )
     elif number is not None:
         setattr(cfg, key, number)
 
@@ -291,6 +278,12 @@ def _check_wave(wave, index, problems):
             wave[key] = _number(wave[key], "wave %d %s" % (index, key), probe)
         else:
             wave[key] = default
+    amplitude = wave["amplitude"]
+    if amplitude and not AMPLITUDE_MIN <= abs(amplitude) <= AMPLITUDE_MAX:
+        probe.append(
+            "wave %d amplitude: expected 0 or a magnitude in [%.0e, %.0e], got %r"
+            % (index, AMPLITUDE_MIN, AMPLITUDE_MAX, amplitude)
+        )
     problems.extend(probe)
 
 
@@ -424,7 +417,10 @@ def cmd_polar(args) -> int:
     basis = build_chiral_basis()
     tolerance = 1e-6
     if args.spinor is not None:
-        parts = _vector(args.spinor, 8, "spinor")
+        problems = []
+        parts = _floats(args.spinor, 8, "spinor", problems)
+        if problems:
+            raise ConfigError(problems)
         psi = parts[0::2] + 1j * parts[1::2]
     elif args.config is not None:
         cfg = _load_config(args.config)
@@ -476,8 +472,7 @@ def _gordon_point(fld, bg, basis, points):
 
 def cmd_gordon(args) -> int:
     _require_at_least(args.points, 1, "--points")
-    if args.seed is not None:
-        _require_at_least(args.seed, 0, "--seed")
+    _require_at_least(args.seed, 0, "--seed")
     cfg = _load_config(args.config)
     basis = build_chiral_basis()
     fld = build_field(cfg, basis)
@@ -485,7 +480,7 @@ def cmd_gordon(args) -> int:
     if args.points == 1:
         points = cfg.point[None, :]
     else:
-        rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
+        rng = np.random.default_rng(args.seed)
         points = cfg.point + _draw(
             args.points, "--points", lambda: rng.uniform(-1.0, 1.0, size=(args.points, 4))
         )
@@ -503,8 +498,6 @@ def cmd_guidance(args) -> int:
     fld = build_field(cfg, basis)
     bg = build_background(cfg)
     x = cfg.point
-    if args.at is not None:
-        x = _vector(args.at, 4, "--at")
     jet = derivative_jet(fld, bg, basis, x)
     forms = compact_forms(jet, bg)
     p_compact = momentum_from_velocity(jet.velocity, jet.spin, forms)
@@ -571,22 +564,20 @@ def cmd_trajectory(args) -> int:
         raise ConfigError(["grid: trajectory needs a [wave] field, not a grid file"])
     h_tau = args.htau if args.htau is not None else cfg.tau_step
     try:
-        tau_max = args.steps * h_tau if args.steps is not None else cfg.tau_max
+        tau_max = args.steps * h_tau if args.steps is not None else TAU_MAX
     except OverflowError:
         # more steps than a float holds: the count check below rejects it
         tau_max = np.inf
-    # a negative step runs backwards, with --steps or a negative tau_max
+    # a negative step runs backwards --steps steps; without --steps its count
+    # TAU_MAX / h_tau is negative, which the count check rejects
     if not (np.isfinite(h_tau) and h_tau != 0.0):
         raise ConfigError(["--htau or tau_step: expected a finite nonzero step, got %s" % h_tau])
     steps = tau_max / h_tau
     if not (np.isfinite(steps) and round(steps) >= 0):
-        raise ConfigError(
-            ["--steps or tau_max: %.6g steps, expected a finite count >= 0" % steps]
-        )
+        raise ConfigError(["--steps: %.6g steps, expected a finite count >= 0" % steps])
     basis = build_chiral_basis()
     fld = build_field(cfg, basis)
     bg = build_background(cfg)
-    mode = args.mode if args.mode is not None else cfg.mode
     seeds = _read_seeds(args.seeds) if args.seeds is not None else [cfg.point]
     # opened before the integration, so that a bad path costs no arcs
     try:
@@ -594,7 +585,7 @@ def cmd_trajectory(args) -> int:
     except OSError as exc:
         raise ConfigError(["cannot write --out %s: %s" % (args.out, exc)])
     try:
-        arcs = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=mode)
+        arcs = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=args.mode)
         out = sink or sys.stdout
         for index, arc in enumerate(arcs):
             _emit_trajectory(arc, index, args.format, out)
@@ -614,7 +605,7 @@ def cmd_trajectory(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes "-0.3,0.1,0,0" for a value, as in "guidance --at -0.3,0.1,0,0".
+    """Takes "-1,0,0,0,1,0,0,0" for a value, as in "polar --spinor -1,0,0,0,1,0,0,0".
     Plain argparse takes a word that starts with "-" for a value only when the
     whole word is one number, and otherwise for an unknown option; here "-"
     followed by a digit, or by a point and a digit, starts a value.  No option
@@ -656,20 +647,19 @@ def build_parser():
     p_gor = add("gordon", help="density balance and polar group residuals")
     p_gor.add_argument("--config", required=True)
     p_gor.add_argument("--points", type=int, default=1, metavar="N", help="sample N points")
-    p_gor.add_argument("--seed", type=int, default=None, metavar="S")
+    p_gor.add_argument("--seed", type=int, default=0, metavar="S")
     p_gor.add_argument("--format", choices=("table", "records"), default="table")
     p_gor.set_defaults(func=cmd_gordon)
 
     p_gui = add("guidance", help="momentum and velocity maps at a point")
     p_gui.add_argument("--config", required=True)
-    p_gui.add_argument("--at", metavar="X0,X1,X2,X3", help="evaluation point override")
     p_gui.add_argument("--format", choices=("table", "records"), default="table")
     p_gui.set_defaults(func=cmd_guidance)
 
     p_tra = add("trajectory", help="integrate integral curves")
     p_tra.add_argument("--config", required=True)
     p_tra.add_argument("--seeds", metavar="FILE", help="file of start points, 4 numbers per line")
-    p_tra.add_argument("--mode", choices=MODES, default=None)
+    p_tra.add_argument("--mode", choices=MODES, default="kinematic")
     p_tra.add_argument("--steps", type=int, default=None, metavar="N")
     p_tra.add_argument("--htau", type=float, default=None, metavar="H")
     p_tra.add_argument("--out", metavar="FILE", help="write the table here instead of stdout")

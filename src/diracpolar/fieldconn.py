@@ -1,10 +1,12 @@
 """Spinor fields on spacetime, backgrounds, and the frame connection.
 
 Fields come in two kinds: analytic superpositions of plane waves, with exact
-derivatives, and gridded samples differentiated by central differences.  Both
-expose evaluate(x), partial(x) and block(x), which stacks psi and d_0 psi ...
-d_3 psi as (..., 5, 4); everything downstream is agnostic.  All take a point
-(4,) or a stack (..., 4); partial puts mu right after the batch axes.  Every
+derivatives, and gridded samples differentiated by central differences;
+BoxWindow restricts either to a box.  Every field exposes evaluate(x) and
+block(x), which stacks psi and d_0 psi ... d_3 psi as (..., 5, 4), and the
+package reads nothing else; all take a point (4,) or a stack (..., 4).  The
+grid's block is built on its partial(x), d_mu psi with mu right after the
+batch axes; the plane wave keeps its partial for the benchmark's tracer.  Every
 density product psi^dagger M [psi, d_mu psi] is density_products of the
 field's own spinors, so its rounding is relative to |psi| and to |d_mu psi|,
 also next to a node of the field.

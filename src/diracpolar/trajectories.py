@@ -76,7 +76,6 @@ class Trajectory:
     x: np.ndarray
     u: np.ndarray
     mode: str
-    h_tau: float
     error: DiracPolarError | None
     diagnostics: dict = field(default_factory=dict)
 
@@ -197,7 +196,6 @@ def batch_integrate(fld, bg, basis, seeds, tau_max, h_tau=0.05, mode="kinematic"
                 x=x,
                 u=u,
                 mode=mode,
-                h_tau=h_tau,
                 error=errors.get(i),
                 diagnostics=diagnostics if n else {},
             )

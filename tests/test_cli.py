@@ -307,22 +307,11 @@ def test_guidance_jet_is_exact(tmp_path, capsys):
     assert float(got["velocity_round_trip"]) <= 1e-13
 
 
-def test_guidance_at_override(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TWO_WAVE)
-    code = console_main(
-        ["guidance", "--config", cfg, "--at", "0.2,0,0.1,-0.3", "--format", "records"]
-    )
-    got = records(capsys.readouterr().out)
-    assert code == 0
-    point = np.array([float(t) for t in got["point"].split()])
-    assert np.allclose(point, [0.2, 0, 0.1, -0.3])
-
-
 def test_trajectory_completes(tmp_path, capsys):
     # globals live above the wave sections
-    text = "tau_max = 1.0\ntau_step = 0.25\nmode = guidance\n" + TWO_WAVE
-    cfg = write_cfg(tmp_path, text)
-    code = console_main(["trajectory", "--config", cfg, "--format", "records"])
+    cfg = write_cfg(tmp_path, "tau_step = 0.25\n" + TWO_WAVE)
+    argv = ["trajectory", "--config", cfg, "--steps", "4", "--mode", "guidance"]
+    code = console_main(argv + ["--format", "records"])
     got = capsys.readouterr().out
     assert code == 0
     assert "status=completed" in got
@@ -393,13 +382,11 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
         (["trajectory", "--htau", "nan"], ""),
         (["trajectory", "--steps", "-3"], ""),
         (["trajectory"], "tau_step = 0\n"),
-        (["trajectory"], "tau_max = -1\n"),
         # NaN fails every comparison, so it would pass every check
         (["gordon"], "tolerance = nan\n"),
         (["identities", "--tolerance", "nan"], None),
         (["gordon", "--points", "3", "--seed=-1"], ""),
         (["identities", "--seed=-2"], None),
-        (["gordon", "--points", "3"], "seed = -3\n"),
         (["gordon", "--points", "0"], ""),
         (["gordon", "--points=-4"], ""),
         # no residual is below 0, so every gated command would exit 1 on
@@ -409,11 +396,10 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
         (["identities", "--tolerance", "-1"], None),
         (["identities", "--tolerance", "0"], None),
     ],
-    ids=["htau-zero", "htau-nan", "steps-negative", "tau_step-zero", "tau_max-negative",
-         "tolerance-nan", "identities-tolerance-nan", "gordon-seed-negative",
-         "identities-seed-negative", "config-seed-negative", "points-zero", "points-negative",
-         "tolerance-zero", "tolerance-negative", "identities-tolerance-negative",
-         "identities-tolerance-zero"],
+    ids=["htau-zero", "htau-nan", "steps-negative", "tau_step-zero", "tolerance-nan",
+         "identities-tolerance-nan", "gordon-seed-negative", "identities-seed-negative",
+         "points-zero", "points-negative", "tolerance-zero", "tolerance-negative",
+         "identities-tolerance-negative", "identities-tolerance-zero"],
 )
 def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
     err = assert_config_error(tmp_path, capsys, argv, extra)
@@ -421,17 +407,20 @@ def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
         assert "tolerance: expected a " in err
 
 
-@pytest.mark.parametrize("mass", ["5e-324", "1e-160", "1e150", "%.17g" % cli.MASS_MAX])
+@pytest.mark.parametrize(
+    "mass", ["5e-324", "%.17g" % cli.MASS_MIN, "1e-160", "1e150", "%.17g" % cli.MASS_MAX]
+)
 def test_every_accepted_mass_runs_without_warnings(tmp_path, capsys, mass):
     # the on-shell check squares p in units of max(mass, |p|), which stays
-    # finite up to MASS_MAX; at a subnormal mass the momenta keep few bits,
-    # and gordon, per unit mass, sees that (exit 1)
+    # finite up to MASS_MAX; below the smallest normal float the momenta
+    # mass * (p0, v) keep few bits, and such a mass is rejected
+    code = 2 if float(mass) < cli.MASS_MIN else 0
     cfg = write_cfg(tmp_path, TWO_WAVE.replace("mass = 1.0", "mass = " + mass))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in (["gordon", "--points", "3"], ["guidance"],
                      ["trajectory", "--mode", "kinematic", "--steps", "2"]):
-            assert console_main(argv + ["--config", cfg]) in (0, 1)
+            assert console_main(argv + ["--config", cfg]) == code
             assert "Warning" not in capsys.readouterr().err
 
 
@@ -520,6 +509,47 @@ def test_waves_boosted_past_the_limit_exit_2(tmp_path, mass, wave, err):
         assert run_quietly(argv, write_cfg(tmp_path, text)) == (2, err)
 
 
+# the two-wave config of the amplitude range, the amplitude on both waves
+AMPLITUDES = "mass = 1\npoint = 0 0 0 0\n" + "".join(
+    "\n[wave]\nvelocity = %s\namplitude = %%s\n" % v for v in ("0.1 0 0", "0 0.2 0")
+)
+RANGE = "expected 0 or a magnitude in [1e-70, 1e+70]"
+RUNS = (["gordon", "--points", "3"], ["guidance"], ["polar"], ["trajectory", "--steps", "2"],
+        ["trajectory", "--mode", "guidance", "--steps", "2"])
+
+
+@pytest.mark.parametrize(
+    "amplitude, code, err",
+    [
+        ("1e-70", 0, ""),
+        ("-1e70", 0, ""),
+        ("9e-71", 2, "".join(
+            "config error: wave %d amplitude: %s, got 9e-71\n" % (i, RANGE) for i in (1, 2))),
+        ("-1.1e70", 2, "".join(
+            "config error: wave %d amplitude: %s, got -1.1e+70\n" % (i, RANGE) for i in (1, 2))),
+    ],
+    ids=["smallest", "largest", "below", "above"],
+)
+def test_amplitudes_past_the_range_exit_2(tmp_path, amplitude, code, err):
+    # the densities' products take the fourth power of the amplitude: it
+    # leaves the normal floats below 1.2e-77 and overflows from 1e77 on, from
+    # 1e73 on when a wave is boosted to BOOST_MAX
+    cfg = write_cfg(tmp_path, AMPLITUDES % (amplitude, amplitude))
+    for argv in RUNS:
+        assert run_quietly(argv, cfg) == (code, err)
+
+
+@pytest.mark.parametrize("amplitude", ["1e-70", "1e70"])
+def test_amplitude_range_runs_on_boosted_waves(tmp_path, amplitude):
+    # no warning at either end on waves boosted to BOOST_MAX; gordon's
+    # transport residual grows with the boost past the tolerance (exit 1)
+    text = AMPLITUDES.replace("0.1 0 0", "1e8 0 0").replace("0 0.2 0", "0 1e8 0")
+    cfg = write_cfg(tmp_path, text % (amplitude, amplitude))
+    for argv in RUNS:
+        code, err = run_quietly(argv, cfg)
+        assert code == 0 or err.startswith("tolerance violation: "), (argv, err)
+
+
 def test_build_field_checks_the_shell_once(basis, monkeypatch):
     from diracpolar import fieldconn
 
@@ -552,7 +582,7 @@ def test_build_field_checks_the_shell_once(basis, monkeypatch):
 def test_mass_out_of_range_exit_2(tmp_path, capsys, command, text):
     argv = [command, "--config", write_cfg(tmp_path, text)]
     err = assert_config_error(tmp_path, capsys, argv, None)
-    assert "mass: expected a number in (0, 1.3407807929942596e+154]" in err
+    assert "mass: expected a number in [2.2250738585072014e-308, 1.3407807929942596e+154]" in err
 
 
 @pytest.mark.parametrize(
@@ -598,11 +628,10 @@ def assert_config_error(tmp_path, capsys, argv, extra):
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["guidance", "--at", "nan,0,0,0"], ""),
         (["guidance"], "point = inf 0 0 0\n"),
         (["polar", "--spinor", "nan,0,0,0,1,0,0,0"], None),
     ],
-    ids=["at-nan", "config-point-inf", "spinor-nan"],
+    ids=["config-point-inf", "spinor-nan"],
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, extra):
     assert "expected finite numbers" in assert_config_error(tmp_path, capsys, argv, extra)
@@ -616,12 +645,12 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, extra):
         ("gordon", "charge", "charge = inf"),
         ("guidance", "mass", "mass = nan"),
         ("gordon", "tolerance", "tolerance = inf"),
-        ("trajectory", "tau_max", "tau_max = -inf"),
+        ("trajectory", "tau_step", "tau_step = -inf"),
         ("guidance", "wave 2 amplitude", "amplitude = inf"),
         ("gordon", "wave 2 phase", "phase = nan"),
     ],
     ids=["guidance-torsion-nan", "gordon-torsion-nan", "charge-inf", "mass-nan",
-         "tolerance-inf", "tau_max-inf", "amplitude-inf", "phase-nan"],
+         "tolerance-inf", "tau_step-inf", "amplitude-inf", "phase-nan"],
 )
 def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, key, line):
     # a global line goes first (a later line of the same key does not hide
@@ -645,24 +674,17 @@ def test_non_finite_check_is_a_violation(capsys, value):
 @pytest.mark.parametrize(
     "command, option, value",
     [
-        ("guidance", "--at", "-0.3,0.1,0,0"),
         ("polar", "--spinor", "-1,0,0,0,1,0,0,0"),
         ("polar", "--spinor", "-.5,0,0,0,1,0,0,0"),
     ],
 )
-def test_values_with_a_leading_minus(tmp_path, capsys, command, option, value):
-    # "--at -0.3,..." reads like "--at=-0.3,...", not like an unknown option
+def test_values_with_a_leading_minus(capsys, command, option, value):
+    # "--spinor -1,..." reads like "--spinor=-1,...", not like an unknown option
     argv = [command, "--format", "records"]
-    if command == "guidance":
-        argv += ["--config", write_cfg(tmp_path, TWO_WAVE)]
     assert console_main(argv + [option + "=" + value]) == 0
     joined = capsys.readouterr().out
     assert console_main(argv + [option, value]) == 0
     assert capsys.readouterr().out == joined
-    if command == "guidance":
-        assert np.array_equal(
-            [float(t) for t in records(joined)["point"].split()], [-0.3, 0.1, 0, 0]
-        )
 
 
 def test_trajectory_negative_step_runs_backwards(tmp_path, capsys):
@@ -793,7 +815,7 @@ def test_config_errors_are_collected(tmp_path, capsys):
 mas = 1.0
 charge = abc
 point = 1 2 3
-mode = sideways
+tolerance = -1
 
 [wave]
 velocity = 0.1 0.2
@@ -807,7 +829,7 @@ spn = 1 0 0
     assert "did you mean 'spin'" in err
     assert "expected a number" in err
     assert "expected 4 numbers" in err
-    assert "mode: must be one of" in err
+    assert "tolerance: expected a number > 0" in err
     # every problem reported in one pass
     assert err.count("config error:") >= 5
 
@@ -978,6 +1000,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, line, err",
+    [
+        (["trajectory", "--steps", "2"], "tau_max = 1", "unknown key 'tau_max'"),
+        (["trajectory", "--steps", "2"], "mode = guidance", "unknown key 'mode'"),
+        (["gordon", "--points", "3"], "seed = 3", "unknown key 'seed'"),
+        (["guidance", "--at", "0,0,0,0"], "", "unrecognized arguments: --at 0,0,0,0"),
+    ],
+    ids=["tau_max", "mode", "seed", "guidance-at"],
+)
+def test_removed_routes_exit_2(tmp_path, capsys, argv, line, err):
+    # --steps, --mode, --seed and the config's point set these values
+    argv = argv + ["--config", write_cfg(tmp_path, line + "\n" + TWO_WAVE)]
+    try:
+        code = console_main(argv)
+    except SystemExit as exc:    # argparse rejects an unknown option
+        code = exc.code
+    assert code == 2
+    assert err in capsys.readouterr().err
+
+
 def test_parse_config_requires_field():
     with pytest.raises(ConfigError) as exc:
         parse_config("mass = 2.0\n")
@@ -988,14 +1031,12 @@ def test_parse_config_reads_background():
     text = (
         "mass = 2.0\ncharge = 0.5\ntorsion_coupling = 0.4\n"
         "em_potential = 0.1 0 0 0\ntorsion_vector = 0 0.1 -0.05 0.2\n"
-        "seed = 11\n"
         "[wave]\nvelocity = 0.1 0 0\n"
     )
     cfg = parse_config(text)
     assert cfg.mass == 2.0
     assert cfg.charge == 0.5
     assert cfg.torsion_coupling == 0.4
-    assert cfg.seed == 11
     assert np.allclose(cfg.em_potential.value(np.zeros(4)), [0.1, 0, 0, 0])
     assert np.allclose(cfg.torsion_vector.value(np.zeros(4)), [0, 0.1, -0.05, 0.2])
     assert cfg.waves[0]["spin"] @ cfg.waves[0]["spin"] == 1.0

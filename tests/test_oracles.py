@@ -759,7 +759,7 @@ def row_gordon(argv):
     if args.points == 1:
         points = cfg.point[None, :]
     else:
-        rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
+        rng = np.random.default_rng(args.seed)
         points = cfg.point + rng.uniform(-1.0, 1.0, size=(args.points, 4))
     rows = row_gordon_point(fld, bg, basis, points)
     out, err = io.StringIO(), io.StringIO()
