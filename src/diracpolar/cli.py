@@ -14,14 +14,16 @@ tolerance violation or a run that stops early (the worst offender is named),
 
 Field setup comes from a plain-text config: global "key = value" lines first,
 then one "[wave]" section per plane-wave component, or a "grid" key naming a
-saved grid file.  Unknown keys are rejected with a spelling suggestion, and
-every problem in the file is reported in one pass, not just the first.
+saved grid file.  Unknown keys (with a spelling suggestion) and keys given
+twice in a section are rejected, every problem in one pass, not just the first.
 """
 from __future__ import annotations
 
 import argparse
+import copy
 import difflib
 import functools
+import math
 import os
 import re
 import sys
@@ -98,7 +100,6 @@ def emit(rows, fmt, out=None, points=None):
     (out or sys.stdout).write(template % tuple(cells.ravel().tolist()))
 
 
-WAVE_KEYS = {"momentum", "velocity", "spin", "amplitude", "phase"}
 # the mass range: the smallest normal float, below which the momenta mass * (p0,
 # v) keep few bits, and the largest mass whose square is a finite float
 MASS_MIN = float(np.finfo(float).tiny)
@@ -110,51 +111,87 @@ AMPLITUDE_MIN, AMPLITUDE_MAX = 1e-70, 1e70
 # the proper time of an arc when no --steps gives its length
 TAU_MAX = 10.0
 
+# Every config key: how many numbers it takes (0 for text), its default, and
+# its check, which takes the value and its text and returns their problem or
+# None.  A global key sets the RunConfig attribute of its name, but step, the
+# stencil step of an earlier guidance jet, parses and sets nothing.
+GLOBAL_KEYS = {
+    "mass": (1, 1.0, lambda mass, text: None if MASS_MIN <= mass <= MASS_MAX else (
+        "expected a number in [%.17g, %.17g], got %r" % (MASS_MIN, MASS_MAX, text))),
+    "charge": (1, 0.0, None),
+    "torsion_coupling": (1, 0.0, None),
+    "em_potential": (4, None, None),
+    "torsion_vector": (4, None, None),
+    "grid": (0, None, None),
+    "point": (4, np.zeros(4), None),
+    "tolerance": (1, 1e-6, lambda tolerance, text: None if tolerance > 0 else (
+        "expected a number > 0, got %r" % text)),
+    "tau_step": (1, 0.05, None),
+    "step": (0, None, None),
+}
+# A wave's velocity v gives it the momentum mass * (sqrt(1 + v.v), v), which
+# plane_wave bounds by BOOST_MAX times the mass; the components go first, so
+# that no square overflows.  Every wave gives its velocity.
+WAVE_KEYS = {
+    "velocity": (3, None, lambda v, text: (
+        "a component exceeds %.0e" % BOOST_MAX if np.abs(v).max() > BOOST_MAX
+        else "p0 / mass = sqrt(1 + v.v) exceeds %.0e, got %r" % (BOOST_MAX, text)
+        if np.sqrt(1 + v @ v) > BOOST_MAX else None)),
+    "spin": (3, np.array([0.0, 0.0, 1.0]), None),
+    "amplitude": (1, 1.0, lambda amplitude, text: (
+        None if not amplitude or AMPLITUDE_MIN <= abs(amplitude) <= AMPLITUDE_MAX
+        else "expected 0 or a magnitude in [%.0e, %.0e], got %r"
+        % (AMPLITUDE_MIN, AMPLITUDE_MAX, amplitude))),
+    "phase": (1, 0.0, None),
+}
+
+
+def _defaults(keys):
+    """Each key of a table at its default, arrays copied, so that no two
+    configs or waves share one."""
+    return {key: copy.copy(default) for key, (_, default, _) in keys.items()}
+
 
 class RunConfig:
+    """A parsed config: an attribute per global key but step, at its default
+    until a line sets it, and a dict of the wave keys per [wave]."""
+
     def __init__(self):
-        self.mass = 1.0
-        self.charge = 0.0
-        self.torsion_coupling = 0.0
-        self.em_potential = None
-        self.torsion_vector = None
-        self.grid = None
-        self.point = np.zeros(4)
-        self.tolerance = 1e-6
-        self.tau_step = 0.05
+        vars(self).update(_defaults(GLOBAL_KEYS))
+        del self.step
         self.waves = []
 
 
-# a global key sets the RunConfig attribute of its name; "step", the stencil
-# step of an earlier guidance jet, still parses but sets nothing
-GLOBAL_KEYS = (set(vars(RunConfig())) - {"waves"}) | {"step"}
-
-
 def _floats(text, count, key, problems):
-    parts = text.replace(",", " ").split()
+    """The count finite numbers text holds, one as a float and more as an
+    array, or None once problems names key."""
+    one = count == 1
+    parts = [text] if one else text.replace(",", " ").split()
     try:
-        vals = [float(t) for t in parts]
+        values = [float(part) for part in parts]
     except ValueError:
-        problems.append("%s: expected numbers, got %r" % (key, text))
+        problems.append("%s: expected %s, got %r" % (key, "a number" if one else "numbers", text))
         return None
-    if len(vals) != count:
-        problems.append("%s: expected %d numbers, got %d" % (key, count, len(vals)))
+    if len(values) != count:
+        problems.append("%s: expected %d numbers, got %d" % (key, count, len(values)))
         return None
-    if not np.all(np.isfinite(vals)):
-        problems.append("%s: expected finite numbers, got %r" % (key, text))
+    if not all(map(math.isfinite, values)):
+        what = "a finite number" if one else "finite numbers"
+        problems.append("%s: expected %s, got %r" % (key, what, text))
         return None
-    return np.array(vals)
+    return values[0] if one else np.array(values)
 
 
-def _number(text, key, problems):
-    """The finite number text holds, or None once problems names key."""
-    try:
-        value = float(text)
-    except ValueError:
-        problems.append("%s: expected a number, got %r" % (key, text))
-        return None
-    if not np.isfinite(value):
-        problems.append("%s: expected a finite number, got %r" % (key, text))
+def _value(keys, key, text, name, problems):
+    """The value of key in the table keys, given as text, or None once
+    problems names it as name."""
+    count, _, check = keys[key]
+    if not count:
+        return text
+    value = _floats(text, count, name, problems)
+    problem = value is not None and check is not None and check(value, text)
+    if problem:
+        problems.append("%s: %s" % (name, problem))
         return None
     return value
 
@@ -185,37 +222,39 @@ def _read(path, what):
 def parse_config(text) -> RunConfig:
     cfg = RunConfig()
     problems = []
-    section = None    # None for globals, else dict of current wave
+    # the section of the line: its table, what its keys are called, the dict
+    # its values go to (None in an unknown section), how a problem names a
+    # key, and the line of each key given, kept for every wave
+    keys, kind, values, name, given = GLOBAL_KEYS, "key", vars(cfg), "%s", {}
+    waves_given = []
     for lineno, line in _lines(text):
         if line.startswith("["):
-            if line != "[wave]":
+            keys, kind, values, given = WAVE_KEYS, "wave key", None, {}
+            if line == "[wave]":
+                values = _defaults(WAVE_KEYS)
+                cfg.waves.append(values)
+                waves_given.append(given)
+                name = "wave %d %%s" % len(cfg.waves)
+            else:
                 problems.append("line %d: unknown section %s" % (lineno, line))
-                section = {}
-                continue
-            section = {}
-            cfg.waves.append(section)
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             problems.append("line %d: expected key = value, got %r" % (lineno, line))
             continue
-        key, value = (t.strip() for t in line.split("=", 1))
-        if section is None:
-            if key not in GLOBAL_KEYS:
-                problems.append(
-                    "line %d: unknown key %r%s" % (lineno, key, _suggest(key, GLOBAL_KEYS))
-                )
-                continue
-            _apply_global(cfg, key, value, problems)
-        else:
-            if key not in WAVE_KEYS:
-                problems.append(
-                    "line %d: unknown wave key %r%s" % (lineno, key, _suggest(key, WAVE_KEYS))
-                )
-                continue
-            section[key] = value
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            problems.append("line %d: unknown %s %r%s" % (lineno, kind, key, _suggest(key, keys)))
+            continue
+        if key in given:
+            problems.append("line %d: %s %r repeats line %d" % (lineno, kind, key, given[key]))
+        given[key] = lineno
+        if values is not None and key in values:
+            values[key] = _value(keys, key, value, name % key, problems)
 
-    for i, wave in enumerate(cfg.waves, start=1):
-        _check_wave(wave, i, problems)
+    for index, wave_given in enumerate(waves_given, start=1):
+        if "velocity" not in wave_given:
+            problems.append("wave %d: give a velocity (3 numbers)" % index)
     if cfg.grid is not None and cfg.waves:
         problems.append("give either [wave] sections or a grid file, not both")
     if cfg.grid is None and not cfg.waves:
@@ -227,73 +266,13 @@ def parse_config(text) -> RunConfig:
     return cfg
 
 
-def _apply_global(cfg, key, value, problems):
-    if key in ("em_potential", "torsion_vector", "point"):
-        vec = _floats(value, 4, key, problems)
-        if vec is None:
-            return
-        if key == "point":
-            cfg.point = vec
-        else:
-            setattr(cfg, key, ConstantVector(vec))
-        return
-    if key == "grid":
-        cfg.grid = value
-        return
-    if key == "step":
-        return
-    number = _number(value, key, problems)
-    if key == "tolerance" and number is not None and not number > 0:
-        problems.append("tolerance: expected a number > 0, got %r" % value)
-    elif key == "mass" and number is not None and not MASS_MIN <= number <= MASS_MAX:
-        problems.append(
-            "mass: expected a number in [%.17g, %.17g], got %r" % (MASS_MIN, MASS_MAX, value)
-        )
-    elif number is not None:
-        setattr(cfg, key, number)
-
-
-def _check_wave(wave, index, problems):
-    has_p = "momentum" in wave
-    has_v = "velocity" in wave
-    if has_p == has_v:
-        problems.append(
-            "wave %d: give exactly one of momentum (4 numbers) or velocity (3 numbers)"
-            % index
-        )
-    probe = []
-    if has_p:
-        wave["momentum"] = _floats(wave["momentum"], 4, "wave %d momentum" % index, probe)
-    if has_v:
-        wave["velocity"] = _floats(wave["velocity"], 3, "wave %d velocity" % index, probe)
-    # plane_wave bounds p / mass the same way, once p is on the mass shell
-    if has_v and wave["velocity"] is not None and np.abs(wave["velocity"]).max() > BOOST_MAX:
-        probe.append("wave %d velocity: a component exceeds %.0e" % (index, BOOST_MAX))
-    if "spin" in wave:
-        wave["spin"] = _floats(wave["spin"], 3, "wave %d spin" % index, probe)
-    else:
-        wave["spin"] = np.array([0.0, 0.0, 1.0])
-    for key, default in (("amplitude", 1.0), ("phase", 0.0)):
-        if key in wave:
-            wave[key] = _number(wave[key], "wave %d %s" % (index, key), probe)
-        else:
-            wave[key] = default
-    amplitude = wave["amplitude"]
-    if amplitude and not AMPLITUDE_MIN <= abs(amplitude) <= AMPLITUDE_MAX:
-        probe.append(
-            "wave %d amplitude: expected 0 or a magnitude in [%.0e, %.0e], got %r"
-            % (index, AMPLITUDE_MIN, AMPLITUDE_MAX, amplitude)
-        )
-    problems.extend(probe)
-
-
 def build_background(cfg: RunConfig) -> Background:
     return Background(
         mass=cfg.mass,
         charge=cfg.charge,
         torsion_coupling=cfg.torsion_coupling,
-        em_potential=cfg.em_potential,
-        torsion_vector=cfg.torsion_vector,
+        em_potential=None if cfg.em_potential is None else ConstantVector(cfg.em_potential),
+        torsion_vector=None if cfg.torsion_vector is None else ConstantVector(cfg.torsion_vector),
     )
 
 
@@ -303,11 +282,8 @@ def build_field(cfg: RunConfig, basis):
             return load_grid(cfg.grid)
         except (OSError, ValueError) as exc:
             raise ConfigError(["grid: %s" % exc])
-    momenta = [
-        w["momentum"] if (v3 := w.get("velocity")) is None
-        else cfg.mass * np.append(np.sqrt(1 + v3 @ v3), v3)
-        for w in cfg.waves
-    ]
+    velocities = [w["velocity"] for w in cfg.waves]
+    momenta = [cfg.mass * np.append(np.sqrt(1 + v @ v), v) for v in velocities]
     weights = [w["amplitude"] * np.exp(-1j * w["phase"]) for w in cfg.waves]
     try:
         return plane_wave(momenta, cfg.mass, [w["spin"] for w in cfg.waves], weights, basis)

@@ -221,7 +221,12 @@ def dirac_residual(fld, bg: Background, basis, x, sample=None):
     torsion = (w_low[..., :, None] * psi[..., None, :]).reshape(batch + (16,))
     op = op - bg.torsion_coupling * (torsion @ gamma_pi)
     op = op - bg.mass * psi
-    return (np.linalg.norm(op, axis=-1) / np.linalg.norm(psi, axis=-1))[()]
+    # both norms in units of a power of two near the largest |psi_i|, which
+    # leaves their ratio exact and keeps the squares finite at any mass and
+    # amplitude; for a psi below 2^-1023 the unit stops at 2^1023
+    _, exponent = np.frexp(np.abs(psi).max(axis=-1, keepdims=True))
+    unit = np.ldexp(1.0, np.minimum(-exponent, 1023))
+    return (np.linalg.norm(op * unit, axis=-1) / np.linalg.norm(psi * unit, axis=-1))[()]
 
 
 def compute_potentials(jet: PolarJet, bg: Background):

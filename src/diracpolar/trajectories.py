@@ -125,33 +125,15 @@ def batch_integrate(fld, bg, basis, seeds, tau_max, h_tau=0.05, mode="kinematic"
     x0 = np.asarray(seeds, dtype=float).reshape(-1, 4)
     n_steps = int(round(tau_max / h_tau))
 
-    half_h, sixth_h = 0.5 * h_tau, h_tau / 6.0
-
     def rk4_step(state):
-        # state[:, 0] holds the points, state[:, 1] the velocities there.
-        # The stage points share one buffer and the weighted sum another,
-        # formed in place in the order of x + 0.5 * h_tau * k1 and
-        # x + (h_tau / 6) * (k1 + 2 k2 + 2 k3 + k4); only the operands of
-        # + and * swap, which leaves every bit as it was
+        # state[:, 0] holds the points, state[:, 1] the velocities there
         x, k1 = state[:, 0], state[:, 1]
-        point = k1 * half_h
-        point += x
-        k2 = vel(point)
-        np.multiply(k2, half_h, out=point)
-        point += x
-        k3 = vel(point)
-        np.multiply(k3, h_tau, out=point)
-        point += x
-        k4 = vel(point)
-        total = k2 * 2.0
-        total += k1
-        np.multiply(k3, 2.0, out=point)
-        total += point
-        total += k4
-        total *= sixth_h
-        total += x
+        k2 = vel(x + 0.5 * h_tau * k1)
+        k3 = vel(x + 0.5 * h_tau * k2)
+        k4 = vel(x + h_tau * k3)
+        x = x + (h_tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out = np.empty_like(state)
-        out[:, 0], out[:, 1] = total, vel(total)
+        out[:, 0], out[:, 1] = x, vel(x)
         return out
 
     try:

@@ -11,7 +11,7 @@ import pytest
 import diracpolar
 from diracpolar import cli
 from diracpolar.cli import console_main, parse_config
-from diracpolar.errors import ConfigError
+from diracpolar.errors import ConfigError, OffShell
 
 from conftest import per_row_emit
 
@@ -435,23 +435,25 @@ def test_guidance_gaps_count_in_units_of_the_momentum(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "momentum, code, err",
+    "momentum, rows",
     [
-        ("1 0 0 0.5", 2,
-         "config error: wave 1: momentum fails p.p = m^2 (residual 7.500e-01) or has p0 <= 0\n"),
-        ("1.25e-160 0 0 0.75e-160", 0, ""),
+        ((1.0, 0, 0, 0.5), {0: "momentum fails p.p = m^2 (residual 7.500e-01) or has p0 <= 0"}),
+        ((1.25e-160, 0, 0, 0.75e-160), None),
     ],
     ids=["off-shell", "on-shell"],
 )
-def test_momentum_waves_at_a_tiny_mass(tmp_path, capsys, momentum, code, err):
+def test_momentum_waves_at_a_tiny_mass(momentum, rows):
     # p / mass reaches 1e160 here and its square overflows: the shell test
-    # must neither overflow nor let a NaN residual pass
-    text = "mass = 1e-160\npoint = 0 0 0 0\n\n[wave]\nmomentum = %s\n" % momentum
-    argv = ["gordon", "--points", "3", "--config", write_cfg(tmp_path, text)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert console_main(argv) == code
-    assert capsys.readouterr().err == err
+    # must neither overflow nor let a NaN residual pass (every warning is an
+    # error in this suite)
+    from diracpolar.fieldconn import require_on_shell
+
+    try:
+        require_on_shell(np.array(momentum), 1e-160)
+    except OffShell as exc:
+        assert exc.rows == rows
+    else:
+        assert rows is None
 
 
 
@@ -492,21 +494,30 @@ def test_fast_velocity_wave_is_on_the_shell(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "mass, wave, err",
+    "wave, err",
     [
-        ("1", "velocity = 1e200 0 0", "config error: wave 1 velocity: a component exceeds 1e+08\n"),
-        ("1e-160", "momentum = 1 0 0 1",
-         "config error: wave 2: momentum: a component exceeds 1e+08 times the mass\n"),
+        ("velocity = 1e200 0 0", "config error: wave 1 velocity: a component exceeds 1e+08\n"),
+        ("velocity = 6e7 8.000001e7 0",
+         "config error: wave 1 velocity: p0 / mass = sqrt(1 + v.v) exceeds 1e+08,"
+         " got '6e7 8.000001e7 0'\n"),
     ],
-    ids=["velocity", "momentum"],
+    ids=["velocity", "p0"],
 )
-def test_waves_boosted_past_the_limit_exit_2(tmp_path, mass, wave, err):
-    # p / mass of 1e160 or 1e200 overflows in the squares of the boost; the
-    # first wave of the momentum case is on the shell and within the limit
-    first = "momentum = 1e-160 0 0 0\n\n[wave]\n" if mass == "1e-160" else ""
-    text = "mass = %s\npoint = 0 0 0 0\n\n[wave]\n%s%s\n" % (mass, first, wave)
+def test_waves_boosted_past_the_limit_exit_2(tmp_path, wave, err):
+    # a component of 1e200 overflows in the squares of the boost, and the
+    # components go first; p0 / mass past BOOST_MAX is rejected as plane_wave
+    # would reject it, but before any work
+    text = "mass = 1\npoint = 0 0 0 0\n\n[wave]\n%s\n" % wave
     for argv in (["gordon"], ["guidance"], ["polar"], ["trajectory", "--steps", "2"]):
         assert run_quietly(argv, write_cfg(tmp_path, text)) == (2, err)
+
+
+@pytest.mark.parametrize("mass", ["%.17g" % cli.MASS_MIN, "1", "%.17g" % cli.MASS_MAX])
+def test_velocity_at_the_boost_limit_builds(basis, mass):
+    # sqrt(1 + v.v) rounds to 1e8 at |v| = 1e8: the parse check bounds p0 /
+    # mass where plane_wave does, so a wave it accepts builds at any mass
+    cfg = parse_config("mass = %s\n[wave]\nvelocity = 6e7 8e7 0\n" % mass)
+    assert cli.build_field(cfg, basis).components[0].momentum[0] == float(mass) * 1e8
 
 
 # the two-wave config of the amplitude range, the amplitude on both waves
@@ -572,10 +583,10 @@ def test_build_field_checks_the_shell_once(basis, monkeypatch):
     [
         # mass**2 overflows a float
         ("gordon", TWO_WAVE.replace("mass = 1.0", "mass = 1e160")),
-        # on the massless shell, but plane_wave divides by the mass
-        ("guidance", "mass = 0\n[wave]\nmomentum = 1 0 0 1\n"),
-        # on the shell p.p = m^2, but no positive-energy wave has a negative mass
-        ("guidance", "mass = -1\n[wave]\nmomentum = 1 0 0 0\n"),
+        # plane_wave divides by the mass
+        ("guidance", "mass = 0\n[wave]\nvelocity = 0 0 0\n"),
+        # no positive-energy wave has a negative mass
+        ("guidance", "mass = -1\n[wave]\nvelocity = 0 0 0\n"),
     ],
     ids=["huge", "zero", "negative"],
 )
@@ -661,6 +672,72 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, key, line):
         text = line + "\n" + TWO_WAVE
     argv = [command, "--config", write_cfg(tmp_path, text)]
     assert "%s: expected a finite number" % key in assert_config_error(tmp_path, capsys, argv, None)
+
+
+# a value past the bound of every key whose table entry has a check
+PAST_THE_BOUND = {
+    "mass": "0", "tolerance": "0", "velocity": "6e7 8.000001e7 0", "amplitude": "1e71",
+}
+NUMBER_KEYS = [
+    (prefix, key, count, check is not None)
+    for prefix, keys in (("", cli.GLOBAL_KEYS), ("wave 1 ", cli.WAVE_KEYS))
+    for key, (count, _, check) in keys.items()
+    if count
+]
+
+
+@pytest.mark.parametrize(
+    "prefix, key, count, checked", NUMBER_KEYS, ids=[key for _, key, _, _ in NUMBER_KEYS]
+)
+def test_every_key_bounds_its_value(tmp_path, capsys, prefix, key, count, checked):
+    # read from the tables, so that a key added later is tested too: a
+    # non-finite value, and one past the bound of a key with a check, is the
+    # one problem of its config, and it names the key
+    values = [" ".join(["nan"] * count)] + ([PAST_THE_BOUND[key]] if checked else [])
+    for value in values:
+        line = "%s = %s\n" % (key, value)
+        if not prefix:
+            text = line + "[wave]\nvelocity = 0.1 0 0\n"
+        elif key == "velocity":
+            text = "[wave]\n" + line
+        else:
+            text = "[wave]\nvelocity = 0.1 0 0\n" + line
+        assert console_main(["guidance", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s%s: " % (prefix, key)) and err.count("\n") == 1
+
+
+def test_repeated_keys_exit_2(tmp_path, capsys):
+    # the same key twice in one section, not in two
+    text = (
+        "mass = 2\ntolerance = 1e-6\nmass = 1\n"
+        "[wave]\nvelocity = 0 0 0\namplitude = 2\nvelocity = 0.1 0 0\n"
+        "[wave]\nvelocity = 0 0 0\n"
+    )
+    assert console_main(["guidance", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 3: key 'mass' repeats line 1\n"
+        "config error: line 7: wave key 'velocity' repeats line 5\n"
+    )
+
+
+def test_array_defaults_are_copied():
+    # no two configs or waves share the array of a default, nor the table's
+    text = "[wave]\nvelocity = 0 0 0\n[wave]\nvelocity = 0 0 0\n"
+    first, second = parse_config(text), parse_config(text)
+    arrays = [first.point, second.point, cli.GLOBAL_KEYS["point"][1], cli.WAVE_KEYS["spin"][1]]
+    arrays += [wave["spin"] for wave in first.waves + second.waves]
+    assert len({id(array) for array in arrays}) == len(arrays)
+
+
+def test_gordon_at_a_huge_mass_and_amplitude(tmp_path, capsys):
+    # mass |psi| of about 1e180 squares past the floats: dirac_residual takes
+    # its norms in units of a power of two near |psi|
+    text = AMPLITUDES.replace("mass = 1\n", "mass = 1e150\n") % ("1e30", "1e30")
+    argv = ["gordon", "--points", "3", "--format", "records"]
+    assert console_main(argv + ["--config", write_cfg(tmp_path, text)]) == 0
+    got = records(capsys.readouterr().out)
+    assert all(float(got["p%d.dirac" % k]) < 1e-15 for k in range(3))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -841,29 +918,28 @@ def test_missing_config_file(capsys):
     assert "cannot read config" in err
 
 
-def test_offshell_momentum_is_config_error(tmp_path, capsys):
+def test_momentum_key_exits_2(tmp_path, capsys):
+    # a wave gives its velocity p / mass, the one way to give a wave
     text = "mass = 1.0\n[wave]\nmomentum = 1.0 0.5 0.0 0.0\n"
-    cfg = write_cfg(tmp_path, text)
-    code = console_main(["polar", "--config", cfg])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "wave 1" in err
+    assert console_main(["polar", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 3: unknown wave key 'momentum'\n"
+        "config error: wave 1: give a velocity (3 numbers)\n"
+    )
 
 
-def test_explicit_momentum_wave(tmp_path, capsys):
-    # on-shell momentum given directly instead of a velocity
-    p = np.array([np.sqrt(1.0 + 0.25), 0.5, 0.0, 0.0])
-    text = "mass = 1.0\n[wave]\nmomentum = %.17g %.17g %.17g %.17g\n" % tuple(p)
-    cfg = write_cfg(tmp_path, text)
-    code = console_main(["polar", "--config", cfg, "--format", "records"])
+def test_velocity_wave_moves_at_its_velocity(tmp_path, capsys):
+    # the wave of velocity v has the unit velocity (sqrt(1 + v.v), v) at any mass
+    text = "mass = 2.0\n[wave]\nvelocity = 0.5 0 0\n"
+    code = console_main(["polar", "--config", write_cfg(tmp_path, text), "--format", "records"])
     got = records(capsys.readouterr().out)
     assert code == 0
     velocity = np.array([float(t) for t in got["velocity"].split()])
-    assert np.abs(velocity - p).max() < 1e-12
+    assert np.abs(velocity - [np.sqrt(1.25), 0.5, 0, 0]).max() < 1e-12
 
 
-# waves given by momentum and by velocity, with phases, amplitudes and rest
-# spins along -z, next to -z and off axis
+# waves at rest and in motion, with phases, amplitudes and rest spins along
+# -z, next to -z and off axis
 MIXED_WAVES = """\
 mass = 1.3
 
@@ -873,7 +949,7 @@ spin = 0.2 0.5 1.0
 phase = 0.7
 
 [wave]
-momentum = 1.392838827718412 0.5 0.0 0.0
+velocity = 0.38461538461538464 0 0
 amplitude = 0.3
 phase = -2.5
 spin = 0 0 -1
@@ -897,21 +973,25 @@ def test_build_field_matches_per_wave_plane_waves(basis):
     fld = cli.build_field(run, basis)
     assert len(fld.components) == len(run.waves)
     for comp, wave in zip(fld.components, run.waves):
-        if wave.get("momentum") is not None:
-            assert np.array_equal(comp.momentum, wave["momentum"])
+        v = wave["velocity"]
+        assert np.array_equal(comp.momentum, run.mass * np.append(np.sqrt(1 + v @ v), v))
         alone = plane_wave(comp.momentum, run.mass, wave["spin"], wave["amplitude"], basis)
         want = alone.components[0].amplitude * np.exp(-1j * wave["phase"])
         assert np.abs(comp.amplitude - want).max() <= 1e-15
 
 
 def test_offshell_waves_are_named_one_by_one(basis):
-    text = MIXED_WAVES.replace("momentum = 1.392838827718412", "momentum = 1.2")
-    text += "\n[wave]\nmomentum = -1.3 0 0 0\n"
+    # parse_config bounds every velocity, so this config is built by hand:
+    # plane_wave names each wave past its boost limit, build_field numbers them
+    run = cli.RunConfig()
+    wave = {"spin": np.array([0.0, 0.0, 1.0]), "amplitude": 1.0, "phase": 0.0}
+    velocities = ([0.1, 0, 0], [0, 2e8, 0], [0, 0, 0], [0, 0, -1e9])
+    run.waves = [dict(wave, velocity=np.array(v)) for v in velocities]
     with pytest.raises(ConfigError) as info:
-        cli.build_field(parse_config(text), basis)
+        cli.build_field(run, basis)
     assert info.value.problems == [
-        "wave 2: momentum fails p.p = m^2 (residual 5.000e-01) or has p0 <= 0",
-        "wave 5: momentum fails p.p = m^2 (residual 0.000e+00) or has p0 <= 0",
+        "wave 2: momentum: a component exceeds 1e+08 times the mass",
+        "wave 4: momentum: a component exceeds 1e+08 times the mass",
     ]
 
 
@@ -1037,6 +1117,7 @@ def test_parse_config_reads_background():
     assert cfg.mass == 2.0
     assert cfg.charge == 0.5
     assert cfg.torsion_coupling == 0.4
-    assert np.allclose(cfg.em_potential.value(np.zeros(4)), [0.1, 0, 0, 0])
-    assert np.allclose(cfg.torsion_vector.value(np.zeros(4)), [0, 0.1, -0.05, 0.2])
+    bg = cli.build_background(cfg)
+    assert np.allclose(bg.em_potential.value(np.zeros(4)), [0.1, 0, 0, 0])
+    assert np.allclose(bg.torsion_vector.value(np.zeros(4)), [0, 0.1, -0.05, 0.2])
     assert cfg.waves[0]["spin"] @ cfg.waves[0]["spin"] == 1.0

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from diracpolar.algebra import ETA
 from diracpolar.fieldconn import (
@@ -116,6 +117,26 @@ def test_off_shell_residual_scales(basis):
     r = dirac_residual(fld, bg, basis, np.zeros(4))
     gap = abs(p @ ETA @ p - MASS**2)
     assert 0.1 * gap / (2 * np.linalg.norm(p)) < r < 10 * gap
+
+
+@pytest.mark.parametrize(
+    "mass_exponent, amplitude_exponent", [(500, 100), (-500, -100), (0, 600), (0, -600)]
+)
+def test_dirac_residual_keeps_its_bits_at_any_scale(basis, mass_exponent, amplitude_exponent):
+    # scaling the mass and the momentum by 2^a and psi by 2^b scales the
+    # residual by 2^a exactly: both norms are taken in units of a power of two
+    # near |psi|, so their squares neither overflow nor underflow
+    psi0 = plane_wave(
+        np.array([np.sqrt(1 + 0.09), 0, 0, 0.3]), MASS, [0, 0, 1.0], 1.0, basis
+    ).components[0].amplitude
+    p, x = np.array([1.1, 0.0, 0.0, 0.3]), np.array([0.2, 0.1, -0.3, 0.4])
+    want = dirac_residual(
+        PlaneWaveField([PlaneWaveComponent(p, psi0)]), Background(mass=MASS), basis, x
+    )
+    scale, size = 2.0**mass_exponent, 2.0**amplitude_exponent
+    fld = PlaneWaveField([PlaneWaveComponent(scale * p, size * psi0)])
+    got = dirac_residual(fld, Background(mass=scale * MASS), basis, x / scale)
+    assert 0.0 < want and got / scale == want
 
 
 def test_potentials_rest_wave(basis):
