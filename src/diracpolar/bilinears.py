@@ -92,17 +92,25 @@ def compute_bilinears(psi, basis) -> BilinearSet:
     )
 
 
+def _modulus(dens: Densities):
+    """|(S, P)|, and whether each row is above sqrt(REGULARITY_EPS) |U^0| (no NaN row is)."""
+    modulus = np.hypot(dens.scalar, dens.pseudoscalar)
+    return modulus, modulus > REGULARITY_EPS**0.5 * np.abs(dens.vector[..., 0])
+
+
 def is_regular(bil: Densities):
     """Densities bounded away from the light-cone degeneracy theta = phi = 0."""
-    return bil.density_squared() > REGULARITY_EPS * bil.vector[..., 0] ** 2
+    return _modulus(bil)[1]
 
 
-def require_regular(bil: Densities) -> None:
-    """Raise SingularSpinor, naming every spinor of the batch that is not regular."""
-    squared = bil.density_squared()    # is_regular, keeping S^2 + P^2 for the message
-    singular = ~(squared > REGULARITY_EPS * bil.vector[..., 0] ** 2)
-    message = "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
-    raise_rows(singular, SingularSpinor, message, squared, REGULARITY_EPS)
+def require_regular(bil: Densities):
+    """|(S, P)| of every spinor of the batch; raises SingularSpinor naming each one
+    that is not regular, with S^2 + P^2, formed for those messages alone."""
+    modulus, regular = _modulus(bil)
+    if np.count_nonzero(regular) < regular.size:
+        message = "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
+        raise_rows(~regular, SingularSpinor, message, bil.density_squared(), REGULARITY_EPS)
+    return modulus
 
 
 def random_spinor(rng, scale: float = 1.0) -> np.ndarray:

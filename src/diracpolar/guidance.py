@@ -28,6 +28,7 @@ INVERSION_GUARD = 1e-10
 # eps^{ijk}_a over the rows (i, j, a) and the column k: zeta_i s_j p^a,
 # flattened to (..., 64), times it is eps^{ijka} zeta_i s_j p_a
 _EPS_TRIPLE = (EPS_UPPER * ETA_SIGNS).transpose(0, 1, 3, 2).reshape(64, 4)
+_ETA_SIGNS_LONG = ETA_SIGNS.astype(np.longdouble)   # cast once, not per inversion
 
 
 @dataclass
@@ -61,20 +62,17 @@ def potentials(jet: PolarJet, bg: Background):
 
 
 def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
-    """Compact forms of a jet; a batched jet raises DegenerateX if any of its
-    points does."""
+    """Compact forms of a jet, with its batch shape; no guard: xs is guarded
+    where it is divided by, in velocity_from_momentum."""
     y, z = potentials(jet, bg)
     mass_cos = bg.mass * np.cos(jet.chiral_angle)
     xs = mass_cos - np.vecdot(y, jet.spin)
-    guard_scale = abs(bg.mass)
-    _require_xs(xs, guard_scale)
-    return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos, guard_scale=guard_scale)
+    return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos, guard_scale=abs(bg.mass))
 
 
 def momentum_from_velocity(u, s, forms: CompactForms) -> np.ndarray:
     """Raised momentum from the unit velocity, spin direction and potentials."""
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
+    u, s = np.asarray(u, dtype=float), np.asarray(s, dtype=float)
     u_low, s_low = ETA @ u, ETA @ s
     # z_i s_j u_k eps^{ijka}
     return forms.xs * u + (forms.y @ u) * s + u_low @ pair_dual(np.outer(forms.z, s_low))
@@ -82,8 +80,7 @@ def momentum_from_velocity(u, s, forms: CompactForms) -> np.ndarray:
 
 def momentum_long_form(u, s, forms: CompactForms) -> np.ndarray:
     """Same momentum written without the xs shorthand; kept as a cross-check."""
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
+    u, s = np.asarray(u, dtype=float), np.asarray(s, dtype=float)
     u_low, s_low = ETA @ u, ETA @ s
     # z_m u_j s_k eps^{jkma}
     return (
@@ -107,8 +104,7 @@ def velocity_from_momentum(p, s, forms: CompactForms) -> np.ndarray:
     zeta and s lowered, times one constant table.  p and s may carry a batch
     shape (..., 4) matching forms; a batch raises if any point fails a guard.
     """
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
+    p, s = np.asarray(p, dtype=float), np.asarray(s, dtype=float)
     xs = np.asarray(forms.xs)
     _require_xs(xs, forms.guard_scale)
     zeta_low = forms.z / xs[..., None]
@@ -117,7 +113,7 @@ def velocity_from_momentum(p, s, forms: CompactForms) -> np.ndarray:
     # next to a degenerate inversion: form it in long double
     long_low = np.divide(forms.z, xs[..., None], dtype=np.longdouble)
     zs = np.vecdot(long_low, s)
-    denom = (1.0 + np.vecdot(long_low, long_low * ETA_SIGNS) + zs**2).astype(float)
+    denom = (1.0 + np.vecdot(long_low, long_low * _ETA_SIGNS_LONG) + zs**2).astype(float)
     vanishing = np.abs(denom) < INVERSION_GUARD
     raise_rows(vanishing, DegenerateInversion, "inversion denominator %.3e vanishes", denom)
     w_low = zeta_low + zs.astype(float)[..., None] * s_low
@@ -130,7 +126,5 @@ def velocity_from_momentum(p, s, forms: CompactForms) -> np.ndarray:
 
 def nonrel_limit_momentum(velocity3, spin3, grad_log_density3, mass) -> np.ndarray:
     """Slow-motion spatial momentum: m v plus the density-gradient spin curl."""
-    velocity3 = np.asarray(velocity3, dtype=float)
-    spin3 = np.asarray(spin3, dtype=float)
-    grad_log_density3 = np.asarray(grad_log_density3, dtype=float)
-    return mass * velocity3 + np.cross(grad_log_density3, spin3)
+    grad3, spin3 = np.asarray(grad_log_density3, dtype=float), np.asarray(spin3, dtype=float)
+    return mass * np.asarray(velocity3, dtype=float) + np.cross(grad3, spin3)

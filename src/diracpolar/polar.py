@@ -56,12 +56,11 @@ class PolarData:
 
 
 def polar_variables(dens: Densities):
-    """(density, chiral_angle, velocity, spin) from the densities S, P, U and A
-    of a spinor or a batch; raises SingularSpinor unless every one is regular."""
-    require_regular(dens)
-    mod2 = np.hypot(dens.scalar, dens.pseudoscalar)
-    u, s = dens.vector / mod2[..., None], dens.axial / mod2[..., None]
-    return np.sqrt(mod2 / 2.0), np.arctan2(dens.pseudoscalar, dens.scalar), u, s
+    """(density, chiral_angle, velocity, spin) from S, P, U and A of a spinor or a
+    batch: U and A over the |(S, P)| of require_regular, which raises SingularSpinor."""
+    modulus = require_regular(dens)
+    u, s = dens.vector / modulus[..., None], dens.axial / modulus[..., None]
+    return np.sqrt(modulus / 2.0), np.arctan2(dens.pseudoscalar, dens.scalar), u, s
 
 
 def polar_decompose(psi, basis) -> PolarData:

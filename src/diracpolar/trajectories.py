@@ -50,8 +50,7 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic"):
             psi = fld.evaluate(x)
             values = density_products(psi, psi[..., None, :], rows)[..., 0].real
             dens = Densities(values[..., 0], values[..., 1], values[..., 2:], None)
-            require_regular(dens)
-            return dens.vector / np.hypot(dens.scalar, dens.pseudoscalar)[..., None]
+            return dens.vector / require_regular(dens)[..., None]
 
     elif mode == "guidance":
 
@@ -88,9 +87,9 @@ class Trajectory:
         """The outcome as one line of text."""
         if self.error is None:
             return "completed"
-        if not len(self.tau):
-            return "failed: " + SEED_FAILURE % self.error
         kind = type(self.error).__name__
+        if not len(self.tau):
+            return "failed: " + SEED_FAILURE % ("%s: %s" % (kind, self.error))
         return "aborted at tau=%.6g: %s: %s" % (self.tau[-1], kind, self.error)
 
 

@@ -797,6 +797,39 @@ amplitude = -1.0
     assert "failed" in captured.out
 
 
+@pytest.mark.parametrize("mode", ["kinematic", "guidance"])
+def test_trajectory_failed_seed_names_its_error(tmp_path, mode):
+    # two rest waves of opposite amplitude cancel everywhere: the regularity
+    # guard stops both velocities at the seed, and stderr names it
+    cfg = write_cfg(tmp_path, "mass = 1\n[wave]\nvelocity = 0 0 0\n"
+                              "[wave]\nvelocity = 0 0 0\namplitude = -1\n")
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0 0 0 0\n")
+    assert run_quietly(["trajectory", "--seeds", str(seeds), "--mode", mode], cfg) == (
+        1, "trajectory 0 did not complete: failed: velocity undefined at the seed point: "
+           "SingularSpinor: scalar^2 + pseudoscalar^2 = 0.000e+00 below 1.0e-10 * density^2\n")
+
+
+def test_guidance_names_a_degenerate_xs(tmp_path):
+    # a torsion vector xs s at the point takes its xs to rounding: compact_forms
+    # returns the forms, and the inversion fails with the message the forms
+    # once raised
+    from diracpolar.fieldconn import derivative_jet
+    from diracpolar.guidance import compact_forms
+
+    run = parse_config(TWO_WAVE)
+    basis = diracpolar.build_chiral_basis()
+    jet = derivative_jet(cli.build_field(run, basis), cli.build_background(run), basis, run.point)
+    xs = compact_forms(jet, cli.build_background(run)).xs
+    torsion = "torsion_coupling = 1\ntorsion_vector = %s\n" % " ".join(
+        "%.17g" % w for w in xs * jet.spin)
+    text = TWO_WAVE.replace("mass = 1.0\n", "mass = 1.0\n" + torsion)
+    xs = compact_forms(jet, cli.build_background(parse_config(text))).xs
+    assert abs(xs) < 1e-12
+    assert run_quietly(["guidance"], write_cfg(tmp_path, text)) == (
+        1, "DegenerateX: effective mass scale %.3e too close to zero\n" % xs)
+
+
 # Reports of trajectory runs, byte for byte.  Each text is the output of the
 # run that follows it; a change to the values, their format or the order of
 # the lines shows here.
@@ -826,13 +859,13 @@ sample=0 0.80000000000000004 0.8189213171103451 0.17052790799852982 -0.038141354
 sample=1 0 0.5 0.10000000000000001 0 0.20000000000000001 1.0238474748074053 0.21421829578894086 -0.047189257884822665 0.012138672046889338
 sample=1 0.20000000000000001 0.70477463460820577 0.14287125867848394 -0.0094253464776930113 0.20242253911359498 1.0238989104497034 0.21449437979839842 -0.047064306865996872 0.012086805790344612
 sample=1 0.40000000000000002 0.90955957987692582 0.18579778756291385 -0.018825762696804405 0.20483475698557502 1.0239505815482814 0.214770998462542 -0.046939955104831545 0.012035459576719044
-# trajectory 2 mode=kinematic status=failed: velocity undefined at the seed point: point outside the windowed region
+# trajectory 2 mode=kinematic status=failed: velocity undefined at the seed point: OutOfDomain: point outside the windowed region
 max_unit_violation=7.7715611723760958e-16
 """
 
 WINDOW_ERRORS = """\
 trajectory 1 did not complete: aborted at tau=0.4: OutOfDomain: point outside the windowed region
-trajectory 2 did not complete: failed: velocity undefined at the seed point: point outside the windowed region
+trajectory 2 did not complete: failed: velocity undefined at the seed point: OutOfDomain: point outside the windowed region
 """
 
 

@@ -3,9 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diracpolar.algebra import ETA, mdot
+from diracpolar import guidance
+from diracpolar.algebra import ETA, ETA_SIGNS, mdot
 from diracpolar.errors import DegenerateInversion, DegenerateX
-from diracpolar.fieldconn import Background, plane_wave, polar_jet, superpose
+from diracpolar.fieldconn import (
+    Background,
+    ConstantVector,
+    derivative_jet,
+    plane_wave,
+    polar_jet,
+    superpose,
+)
 from diracpolar.guidance import (
     CompactForms,
     compact_forms,
@@ -15,6 +23,7 @@ from diracpolar.guidance import (
     velocity_from_momentum,
     X_GUARD,
 )
+from diracpolar.trajectories import velocity_field
 
 MASS = 1.0
 
@@ -82,9 +91,9 @@ def test_degenerate_x_guard(basis):
 
 
 def test_x_guard_scales_with_mass(basis):
-    # compact_forms and velocity_from_momentum share one guard, X_GUARD *
-    # |mass|: an xs between X_GUARD and X_GUARD * mass is degenerate for the
-    # inversion too, not only for the forms
+    # velocity_from_momentum guards xs at X_GUARD times the |mass| that
+    # compact_forms records: an xs between X_GUARD and X_GUARD * mass is
+    # degenerate for the inversion
     heavy = 1e4
     fld = plane_wave([MASS, 0, 0, 0], MASS, [0, 0, 1.0], 1.0, basis)
     jet = polar_jet(fld, Background(mass=MASS), basis, np.zeros(4), h=1e-3)
@@ -95,6 +104,48 @@ def test_x_guard_scales_with_mass(basis):
         velocity_from_momentum(
             ETA @ jet.p, jet.spin, dataclasses.replace(forms, xs=xs)
         )
+
+
+POINTS = np.array([[0.0, 0.1, 0.05, -0.1], [0.3, -0.2, 0.1, 0.4], [0.1, 0.0, 0.2, 0.0]])
+
+
+def two_waves(basis):
+    """Criterion 5's two-wave solution."""
+    return superpose(
+        boosted_wave(basis, (0.25, -0.1, 0.05), (0.1, 0.2, 1.0)),
+        boosted_wave(basis, (0.1, 0.15, -0.08), (-0.1, 0.1, 1.0), amp=0.3),
+    )
+
+
+def test_guidance_evaluation_guards_xs_once(basis, monkeypatch):
+    calls = []
+
+    def counting(xs, guard_scale):
+        calls.append(np.shape(xs))
+        return require_xs(xs, guard_scale)
+
+    require_xs = guidance._require_xs
+    monkeypatch.setattr(guidance, "_require_xs", counting)
+    vel = velocity_field(two_waves(basis), Background(mass=MASS), basis, "guidance")
+    vel(np.zeros(4))
+    vel(POINTS)
+    assert calls == [(), (3,)]
+
+
+def test_compact_forms_leaves_degenerate_xs_to_the_inversion(basis):
+    # a torsion vector xs0 s at the second point shifts its xs by -xs0 to
+    # rounding: compact_forms returns the forms, and velocity_from_momentum
+    # names that point with the message compact_forms once raised
+    jet = derivative_jet(two_waves(basis), Background(mass=MASS), basis, POINTS)
+    xs0 = compact_forms(jet, Background(mass=MASS)).xs[1]
+    bg = Background(mass=MASS, torsion_coupling=1.0,
+                    torsion_vector=ConstantVector(xs0 * jet.spin[1]))
+    forms = compact_forms(jet, bg)
+    degenerate = np.abs(forms.xs) < X_GUARD * MASS
+    assert degenerate.tolist() == [False, True, False]
+    with pytest.raises(DegenerateX) as info:
+        velocity_from_momentum(jet.p * ETA_SIGNS, jet.spin, forms)
+    assert info.value.rows == {1: "effective mass scale %.3e too close to zero" % forms.xs[1]}
 
 
 def test_degenerate_inversion_guard(basis):

@@ -33,6 +33,12 @@ and carry a charge, an EM potential and a torsion vector.
 The gordon report is one format string filled from one residual array; the
 reference is the scan as (label, value) row tuples, printed one row at a
 time and checked through a dict, which must give the same bytes and exit code.
+
+The regularity guard compares |(S, P)| = hypot(S, P) with
+sqrt(REGULARITY_EPS) |U^0| and returns it; the reference compares the squares
+S^2 + P^2 and REGULARITY_EPS (U^0)^2.  Away from the bound both fail the same
+rows with the same messages, and is_regular passes exactly the rows the guard
+does.
 """
 import dataclasses
 import io
@@ -57,7 +63,9 @@ from diracpolar.algebra import (
     side_by_side,
     spin_inverse,
 )
-from diracpolar.bilinears import compute_bilinears
+from diracpolar import bilinears
+from diracpolar.bilinears import Densities, compute_bilinears, is_regular, require_regular
+from diracpolar.errors import SingularSpinor, raise_rows
 from diracpolar.fieldconn import (
     _STENCIL,
     Background,
@@ -819,3 +827,66 @@ def test_gordon_report_matches_row_tuples(tmp_path, capsys, monkeypatch, fmt, po
     if poison:
         assert "tolerance violation: p3.group_b2 = nan" in got[2]
     assert got[0] == (0 if tolerance == "1e-6" and not poison else 1)
+
+
+def head_require_regular(dens):
+    """The squared regularity test and its messages, {row: message} of the
+    rows it fails."""
+    squared = dens.density_squared()
+    singular = ~(squared > bilinears.REGULARITY_EPS * dens.vector[..., 0] ** 2)
+    message = "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
+    try:
+        raise_rows(singular, SingularSpinor, message, squared, bilinears.REGULARITY_EPS)
+    except SingularSpinor as exc:
+        return exc.rows
+    return {}
+
+
+def signed(lo, hi):
+    """Either sign times 10 to a power in [lo, hi]."""
+    sign = st.sampled_from([-1.0, 1.0])
+    return st.builds(lambda sign, e: sign * 10.0**e, sign, st.floats(lo, hi))
+
+
+def near_row(angle, u0, ulps):
+    """S, P and U^0 whose |(S, P)| is ulps units of EPS off the bound."""
+    modulus = np.sqrt(bilinears.REGULARITY_EPS) * abs(u0) * (1.0 + ulps * EPS)
+    return modulus * np.cos(angle), modulus * np.sin(angle), u0
+
+
+# S, P and U^0 of magnitudes 1e-150 to 1e150, so that no square leaves the
+# normal floats, and rows within 12 ulp of the bound
+free_rows = st.tuples(signed(-150, 150), signed(-150, 150), signed(-150, 150))
+near_rows = st.builds(near_row, st.floats(0.1, 1.4), signed(-140, 140), st.integers(-12, 12))
+
+
+@ORACLE
+@given(
+    rows=st.lists(st.one_of(free_rows, near_rows), min_size=1, max_size=8),
+    nan=st.none() | st.tuples(st.integers(0, 7), st.integers(0, 2)),
+)
+def test_regularity_guard_matches_squared_test(rows, nan):
+    values = np.zeros((len(rows), 10))
+    values[:, [0, 1, 2]] = rows
+    if nan is not None:
+        values[nan[0] % len(rows), nan[1]] = np.nan
+    dens = Densities.from_values(values)
+    modulus = np.hypot(dens.scalar, dens.pseudoscalar)
+    try:
+        got = require_regular(dens)
+    except SingularSpinor as exc:
+        failing = exc.rows
+    else:
+        assert np.array_equal(got, modulus)
+        failing = {}
+    # is_regular passes exactly the rows the guard passes, next to the bound too
+    assert np.flatnonzero(~is_regular(dens)).tolist() == sorted(failing)
+    if nan is not None:
+        assert nan[0] % len(rows) in failing
+    # the two tests round differently within 4 ulp of the bound; 2e7 rows
+    # next to it disagreed no further than 2 ulp
+    bound = np.sqrt(bilinears.REGULARITY_EPS) * np.abs(dens.vector[:, 0])
+    far = ~(np.abs(modulus - bound) <= 4 * np.spacing(bound))
+    want = head_require_regular(Densities.from_values(values[far]))
+    kept = np.flatnonzero(far).tolist()
+    assert {kept.index(row): message for row, message in failing.items() if row in kept} == want
