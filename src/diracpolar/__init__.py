@@ -38,10 +38,8 @@ from .errors import (
 )
 from .fieldconn import (
     Background,
-    BoxWindow,
     ConstantVector,
     GriddedField,
-    LinearVector,
     PlaneWaveField,
     derivative_jet,
     load_grid,
@@ -72,7 +70,6 @@ __all__ = [
     "ETA",
     "Background",
     "BilinearSet",
-    "BoxWindow",
     "CliffordBasis",
     "CompactForms",
     "ConfigError",
@@ -82,7 +79,6 @@ __all__ = [
     "DiracPolarError",
     "GriddedField",
     "ImmediateSingularity",
-    "LinearVector",
     "LorentzPair",
     "OffShell",
     "OutOfDomain",

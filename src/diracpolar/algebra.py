@@ -126,6 +126,10 @@ class CliffordBasis:
     # by side; each is exactly hermitian (sign +1) or anti-hermitian (-1)
     balance_rows: np.ndarray       # (4, 168)
     balance_signs: np.ndarray      # (42,)
+    # the matrices the polar derivative's coefficients (dlogdensity, p,
+    # dchiral, r_ab for ab in INDEX_PAIRS) multiply: 1, -i, -i pi / 2 and
+    # -sigma^ab, flattened
+    polar_rows: np.ndarray         # (9, 16)
     boost_generators: np.ndarray   # (3, 4, 4), gamma_0 gamma_k = 2 sigma_0k
     rotation_generators: np.ndarray  # (2, 4, 4), (sigma_23, sigma_31); z -> t needs no sigma_12
 
@@ -156,6 +160,9 @@ class CliffordBasis:
             density_rows=side_by_side(gam[0] @ np.array(densities)),
             balance_rows=side_by_side(balance),
             balance_signs=np.where(hermitian, 1.0, -1.0),
+            polar_rows=np.concatenate(
+                [[eye, -1j * eye, -0.5j * pi], -sig_up[PAIR_I, PAIR_J]]
+            ).reshape(9, 16),
             boost_generators=2.0 * sig_low[0, 1:],
             rotation_generators=sig_low[[2, 3], [3, 1]],
         )
@@ -314,38 +321,39 @@ def spin_inverse(spin_rep: np.ndarray, basis: CliffordBasis) -> np.ndarray:
     return g0 @ np.conj(np.swapaxes(spin_rep, -1, -2)) @ g0
 
 
-def boost_reps(u: np.ndarray, basis: CliffordBasis):
-    """(spin_rep, vec_rep) of lorentz_exp(boost_params(u)) in closed form.
+def boost_spin_rep(u: np.ndarray, basis: CliffordBasis) -> np.ndarray:
+    """spin_rep of lorentz_exp(boost_params(u)) in closed form.
 
     u has any leading batch shape (..., 4); only its spatial part v enters,
-    with u0 = sqrt(1 + |v|^2).  Half-angle forms keep the rest frame regular:
+    with u0 = sqrt(1 + |v|^2).  The half-angle form keeps the rest frame regular:
       spin_rep = cosh(chi/2) 1 + sinh(chi/2) n_k gamma_0 gamma_k,
                  cosh(chi/2) = sqrt((u0 + 1) / 2), sinh(chi/2) n = v / (2 cosh(chi/2))
-      vec_rep  = [[u0, -v], [-v, 1 + v v^T / (u0 + 1)]] = q w^T - eta,
-                 q = (u0 + 1, -v), w = q / (u0 + 1)
     """
     v = np.asarray(u, dtype=float)[..., 1:]
-    batch = v.shape[:-1]
-    u0 = np.sqrt(1.0 + np.vecdot(v, v))
-    half_cosh = np.sqrt(0.5 * (u0 + 1.0))
+    half_cosh = np.sqrt(0.5 * (np.sqrt(1.0 + np.vecdot(v, v)) + 1.0))
     generator = (v / (2.0 * half_cosh)[..., None]) @ basis.boost_generators.reshape(3, 16)
-    spin = half_cosh[..., None, None] * basis.identity + generator.reshape(batch + (4, 4))
-    q = np.concatenate([(u0 + 1.0)[..., None], -v], axis=-1)
-    return spin, q[..., :, None] * (q / q[..., :1])[..., None, :] - ETA
+    return half_cosh[..., None, None] * basis.identity + generator.reshape(v.shape[:-1] + (4, 4))
 
 
-def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
-    """(spin_rep, vec_rep) of lorentz_exp(rot_z_to_params(target)) in closed form.
+def boost_vec_rep(u: np.ndarray) -> np.ndarray:
+    """vec_rep of the same boost in closed form, for u (..., 4) as in boost_spin_rep:
+      vec_rep = [[u0, -v], [-v, 1 + v v^T / (u0 + 1)]] = q w^T - eta,
+                q = (u0 + 1, -v), w = q / (u0 + 1)
+    """
+    v = np.asarray(u, dtype=float)[..., 1:]
+    q = np.concatenate([(np.sqrt(1.0 + np.vecdot(v, v)) + 1.0)[..., None], -v], axis=-1)
+    return q[..., :, None] * (q / q[..., :1])[..., None, :] - ETA
 
-    target has any leading batch shape (..., 3) and need not be normalized.
-    The half-angle quaternion of the minimal rotation z -> t is q =
-    (|t| + t_z, z x t) normalized; its axis lies in the xy plane, so q_3 = 0:
-      spin_rep = q_0 1 - 2 (q_1 sigma_23 + q_2 sigma_31)
-      vec_rep  = diag(1, R^T), R the rotation matrix of q, which takes z onto t
-    Near the -z antipode |t| + t_z is formed as rho^2 / (|t| - t_z), rho^2 =
-    t_x^2 + t_y^2, to avoid cancellation; at the antipode itself, rho < 1e-14
-    |t| with t_z < 0 (the threshold of rot_z_to_params), the rotation is the
-    half turn about x.
+
+def _rot_z_quaternion(target: np.ndarray):
+    """(q0, q1, q2) of the minimal rotation taking z onto target (..., 3),
+    which need not be normalized.
+
+    The half-angle quaternion of the rotation z -> t is q = (|t| + t_z, z x t)
+    normalized; its axis lies in the xy plane, so q_3 = 0.  Near the -z
+    antipode |t| + t_z is formed as rho^2 / (|t| - t_z), rho^2 = t_x^2 + t_y^2,
+    to avoid cancellation; at the antipode itself, rho < 1e-14 |t| with t_z <
+    0 (the threshold of rot_z_to_params), the rotation is the half turn about x.
     """
     t = np.asarray(target, dtype=float)
     tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
@@ -357,11 +365,22 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     q0 = np.where(antipode, 0.0, q0 * scale)
     q1 = np.where(antipode, 1.0, -ty * scale)
     q2 = np.where(antipode, 0.0, tx * scale)
-    batch = t.shape[:-1]
+    return q0, q1, q2
 
+
+def rot_z_spin_rep(target: np.ndarray, basis: CliffordBasis) -> np.ndarray:
+    """spin_rep of lorentz_exp(rot_z_to_params(target)) in closed form, for
+    target (..., 3): q_0 1 - 2 (q_1 sigma_23 + q_2 sigma_31), q of _rot_z_quaternion."""
+    q0, q1, q2 = _rot_z_quaternion(target)
     generator = np.stack([q1, q2], axis=-1) @ basis.rotation_generators.reshape(2, 16)
-    spin = q0[..., None, None] * basis.identity - 2.0 * generator.reshape(batch + (4, 4))
-    vec = np.zeros(batch + (4, 4))
+    return q0[..., None, None] * basis.identity - 2.0 * generator.reshape(q0.shape + (4, 4))
+
+
+def rot_z_vec_rep(target: np.ndarray) -> np.ndarray:
+    """vec_rep of the same rotation in closed form: diag(1, R^T), R the
+    rotation matrix of the quaternion q of _rot_z_quaternion, which takes z onto t."""
+    q0, q1, q2 = _rot_z_quaternion(target)
+    vec = np.zeros(q0.shape + (4, 4))
     vec[..., 0, 0] = 1.0
     vec[..., 1, 1] = 1.0 - 2.0 * q2 * q2
     vec[..., 2, 2] = 1.0 - 2.0 * q1 * q1
@@ -371,7 +390,7 @@ def rot_z_to_reps(target: np.ndarray, basis: CliffordBasis):
     vec[..., 3, 1] = 2.0 * q2 * q0
     vec[..., 2, 3] = 2.0 * q1 * q0
     vec[..., 3, 2] = -2.0 * q1 * q0
-    return spin, vec
+    return vec
 
 
 # LOWER_PAIR lowers both indices of a matrix

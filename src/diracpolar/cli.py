@@ -282,11 +282,12 @@ def build_field(cfg: RunConfig, basis):
             return load_grid(cfg.grid)
         except (OSError, ValueError) as exc:
             raise ConfigError(["grid: %s" % exc])
-    velocities = [w["velocity"] for w in cfg.waves]
-    momenta = [cfg.mass * np.append(np.sqrt(1 + v @ v), v) for v in velocities]
-    weights = [w["amplitude"] * np.exp(-1j * w["phase"]) for w in cfg.waves]
+    # one row per wave
+    v, spins = (np.array([w[key] for w in cfg.waves]) for key in ("velocity", "spin"))
+    amplitudes, phases = np.array([(w["amplitude"], w["phase"]) for w in cfg.waves]).T
+    momenta = cfg.mass * np.concatenate([np.sqrt(1 + np.vecdot(v, v))[:, None], v], axis=1)
     try:
-        return plane_wave(momenta, cfg.mass, [w["spin"] for w in cfg.waves], weights, basis)
+        return plane_wave(momenta, cfg.mass, spins, amplitudes * np.exp(-1j * phases), basis)
     except OffShell as exc:
         raise ConfigError(["wave %d: %s" % (row + 1, text) for row, text in exc.rows.items()])
 
@@ -443,7 +444,8 @@ def _gordon_point(fld, bg, basis, points):
     columns["transport"] = np.maximum(
         transport["velocity_transport"], transport["spin_transport"]
     )
-    return list(columns), np.column_stack([points, *(v / bg.mass for v in columns.values())])
+    residuals = np.array(list(columns.values())).T / bg.mass
+    return list(columns), np.concatenate([points, residuals], axis=1)
 
 
 def cmd_gordon(args) -> int:

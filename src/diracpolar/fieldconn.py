@@ -1,15 +1,14 @@
 """Spinor fields on spacetime, backgrounds, and the frame connection.
 
 Fields come in two kinds: analytic superpositions of plane waves, with exact
-derivatives, and gridded samples differentiated by central differences;
-BoxWindow restricts either to a box.  Every field exposes evaluate(x) and
-block(x), which stacks psi and d_0 psi ... d_3 psi as (..., 5, 4), and the
-package reads nothing else; all take a point (4,) or a stack (..., 4).  The
-grid's block is built on its partial(x), d_mu psi with mu right after the
-batch axes; the plane wave keeps its partial for the benchmark's tracer.  Every
-density product psi^dagger M [psi, d_mu psi] is density_products of the
-field's own spinors, so its rounding is relative to |psi| and to |d_mu psi|,
-also next to a node of the field.
+derivatives, and gridded samples differentiated by central differences.
+Every field exposes evaluate(x) and block(x), which stacks psi and d_0 psi
+... d_3 psi as (..., 5, 4), and the package reads nothing else; all take a
+point (4,) or a stack (..., 4).  The grid's block is built on its partial(x),
+d_mu psi with mu right after the batch axes; the plane wave keeps its partial
+for the benchmark's tracer.  Every density product psi^dagger M [psi, d_mu
+psi] is density_products of the field's own spinors, so its rounding is
+relative to |psi| and to |d_mu psi|, also next to a node of the field.
 
 The polar jet of a field at a point collects the local polar variables and
 the first derivatives of every polar variable, including the connection
@@ -50,11 +49,11 @@ from .algebra import (  # noqa: F401
     PAIR_I,
     PAIR_J,
     SEED_SPINOR,
-    boost_reps,
+    boost_spin_rep,
     connection_from_transport,
     lorentz_exp,
     mdot,
-    rot_z_to_reps,
+    rot_z_spin_rep,
     spin_inverse,
     transport_terms,
 )
@@ -96,25 +95,6 @@ class ConstantVector:
 
     def value(self, x):
         return self.values
-
-    def shifted(self, delta):
-        return ConstantVector(self.values + np.asarray(delta, dtype=float))
-
-
-class LinearVector:
-    """Affine 4-vector potential a^mu(x) = base^mu + slope^{mu nu} x_nu... stored
-    as slope[mu][nu] multiplying the coordinate x^nu directly."""
-
-    def __init__(self, base, slope):
-        self.base = np.asarray(base, dtype=float)
-        self.slope = np.asarray(slope, dtype=float).reshape(4, 4)
-
-    def value(self, x):
-        """Potential at a point (4,), or at every point of a stack (..., 4)."""
-        return self.base + np.asarray(x, dtype=float) @ self.slope.T
-
-    def shifted(self, delta):
-        return LinearVector(self.base + np.asarray(delta, dtype=float), self.slope)
 
 
 @dataclass
@@ -205,7 +185,7 @@ def require_on_shell(momentum, mass) -> None:
 def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
     """Positive-energy wave with the given rest-frame spin direction, or one
     wave per row of momenta (n, 4), spin axes (n, 3) and amplitudes (n,), all
-    framed in one call.
+    framed in one call from the spin matrices of the boost and the rotation.
 
     Each momentum must pass require_on_shell and stay within BOOST_MAX times the mass.
     """
@@ -213,9 +193,8 @@ def plane_wave(momentum, mass, spin_axis, amplitude, basis) -> PlaneWaveField:
     require_on_shell(p, mass)
     beyond = np.abs(p).max(axis=-1) > BOOST_MAX * mass
     raise_rows(beyond, OffShell, "momentum: a component exceeds %.0e times the mass" % BOOST_MAX)
-    boost_spin, _ = boost_reps(p / mass, basis)
-    rot_spin, _ = rot_z_to_reps(spin_axis, basis)
-    frame = spin_inverse(rot_spin @ boost_spin, basis) @ SEED_SPINOR
+    l_spin = rot_z_spin_rep(spin_axis, basis) @ boost_spin_rep(p / mass, basis)
+    frame = spin_inverse(l_spin, basis) @ SEED_SPINOR
     psi0 = np.asarray(amplitude)[..., None] * frame
     return PlaneWaveField(map(PlaneWaveComponent, p.reshape(-1, 4), psi0.reshape(-1, 4)))
 
@@ -270,29 +249,6 @@ class GriddedField:
 
     def block(self, x):
         return np.concatenate([self.evaluate(x)[..., None, :], self.partial(x)], axis=-2)
-
-
-class BoxWindow:
-    """Axis-aligned view of another field; outside the box every request
-    fails the same way a grid edge does.  Useful for modelling finite data
-    coverage without giving up analytic derivatives inside."""
-
-    def __init__(self, inner, lo, hi):
-        self.inner = inner
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        outside = (x < self.lo) | (x > self.hi)
-        raise_rows(outside.any(axis=-1), OutOfDomain, "point outside the windowed region")
-        return x
-
-    def evaluate(self, x):
-        return self.inner.evaluate(self._check(x))
-
-    def block(self, x):
-        return self.inner.block(self._check(x))
 
 
 def to_grid(fn, origin, spacing, shape) -> GriddedField:
@@ -498,15 +454,22 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
 
 def polar_derivative_operator(jet: PolarJet, basis):
     """Matrices nabla_mu acting on psi when written through polar variables,
-    one per direction mu, right after the jet's batch axes.
+    one per direction mu, right after the jet's batch axes: the coefficients
+    (dlogdensity, p, dchiral, r_ab) of each mu against basis.polar_rows, in
+    one product.
 
     The trace part of the connection sits inside the momentum covector and
     cancels against the frame term, so it appears here only through p.
     """
-    r6 = jet.r[..., PAIR_I, PAIR_J]
-    connection = (r6 @ basis.sigma_pairs.reshape(6, 16)).reshape(r6.shape[:-1] + (4, 4))
-    diagonal = (jet.dlogdensity - 1j * jet.p)[..., None, None] * basis.identity
-    return diagonal - 0.5j * jet.dchiral[..., None, None] * basis.pi - connection
+    coefficients = np.concatenate(
+        [jet.dlogdensity[..., None], jet.p[..., None], jet.dchiral[..., None],
+         jet.r[..., PAIR_I, PAIR_J]],
+        axis=-1,
+    )
+    # the coefficients are real: their product with the real and imaginary
+    # parts of the rows, side by side, is the operator viewed as floats
+    flat = coefficients.reshape(-1, 9) @ basis.polar_rows.view(float)
+    return flat.view(complex).reshape(coefficients.shape[:-1] + (4, 4))
 
 
 def verify_polar_derivative(jet: PolarJet, fld, bg, basis, sample=None):
@@ -526,31 +489,12 @@ def verify_polar_derivative(jet: PolarJet, fld, bg, basis, sample=None):
 def verify_transport(jet: PolarJet) -> dict:
     """Frame steering of the velocity and spin by the connection coefficients;
     one residual per point for a batched jet."""
-    out = {}
-    for name, up, derivative in (
-        ("velocity_transport", jet.velocity, jet.du),
-        ("spin_transport", jet.spin, jet.ds),
-    ):
-        # d_mu v_i against v^j r_{ji mu}, rows mu, columns lowered i
-        predicted = (up[..., None, None, :] @ jet.r)[..., 0, :]
-        out[name] = np.abs(derivative * ETA_SIGNS - predicted).max(axis=(-2, -1))[()]
-    return out
-
-
-def gauge_shift_linear(fld: PlaneWaveField, bg: Background, c):
-    """Joint shift psi -> exp(-i q c.x) psi, a -> a + c leaving the momentum
-    covector invariant.  c carries raised components."""
-    c = np.asarray(c, dtype=float)
-    comps = [
-        PlaneWaveComponent(comp.momentum + bg.charge * c, comp.amplitude.copy())
-        for comp in fld.components
-    ]
-    pot = bg.em_potential if bg.em_potential is not None else ConstantVector(np.zeros(4))
-    new_bg = Background(
-        mass=bg.mass,
-        charge=bg.charge,
-        torsion_coupling=bg.torsion_coupling,
-        em_potential=pot.shifted(c),
-        torsion_vector=bg.torsion_vector,
-    )
-    return PlaneWaveField(comps), new_bg
+    r = jet.r
+    frame = np.concatenate([jet.velocity[..., None, :], jet.spin[..., None, :]], axis=-2)
+    # v^j r_{ji mu} of v = u, s: rows (u, s), columns (mu, lowered i), one
+    # product against r with j first
+    predicted = frame @ r.swapaxes(-3, -2).reshape(r.shape[:-3] + (4, 16))
+    derivative = np.concatenate([jet.du, jet.ds], axis=-2) * ETA_SIGNS
+    gap = derivative.reshape(predicted.shape) - predicted
+    worst = np.abs(gap).max(axis=-1)
+    return {"velocity_transport": worst[..., 0][()], "spin_transport": worst[..., 1][()]}

@@ -70,10 +70,6 @@ def _trace(a):
     return np.trace(a, axis1=-2, axis2=-1)
 
 
-def _dot(a, b):
-    return np.sum(a * b, axis=-1)
-
-
 def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
@@ -109,7 +105,7 @@ def _balance_components(products, signs, w, m, coup):
 
     out["vector_divergence"] = _trace(d_vec)
 
-    out["pseudoscalar_kinetic"] = 0.5j * _trace(k_gam_pi) - coup * _dot(w_low, u)
+    out["pseudoscalar_kinetic"] = 0.5j * _trace(k_gam_pi) - coup * np.vecdot(w_low, u)
 
     dur = d_vec * _S[:, None]
     curl_u = dur - np.swapaxes(dur, -1, -2)
@@ -120,7 +116,7 @@ def _balance_components(products, signs, w, m, coup):
 
     out["axial_divergence"] = _trace(d_ax) - 2 * m * pseudoscalar
 
-    out["scalar_kinetic"] = 0.5j * _trace(k_gam) - coup * _dot(w_low, s) - m * scalar
+    out["scalar_kinetic"] = 0.5j * _trace(k_gam) - coup * np.vecdot(w_low, s) - m * scalar
 
     curl_s = pair_dual(d_ax * _S)
     k = k_gam * _S        # adj(psi) gamma^al nabla^nu psi - reversed, [al, nu]
@@ -233,11 +229,28 @@ def compute_potentials(jet: PolarJet, bg: Background):
     """e = y + mass cos(chiral) s and f = -z + mass sin(chiral) s of a jet,
     lowered, with the jet's batch axes."""
     y, z = potentials(jet, bg)
-    s_low = jet.spin * _S
+    mass_s = bg.mass * (jet.spin * _S)
     beta = np.asarray(jet.chiral_angle)[..., None]
-    e = y + bg.mass * s_low * np.cos(beta)
-    f = -z + bg.mass * s_low * np.sin(beta)
-    return e, f
+    return y + mass_s * np.cos(beta), mass_s * np.sin(beta) - z
+
+
+# the polar groups' residuals as reported, with the number of components each
+# stacks into the row residual_polar_groups reduces, and the first of them
+GROUPS = {"a1": 1, "a2": 1, "a3": 16, "b1": 1, "b2": 1, "b3": 16, "c1": 4, "c2": 4, "d1": 4,
+          "d2": 4}
+_GROUP_STARTS = np.cumsum([0, *GROUPS.values()])[:-1]
+
+# c1, c2, d1 and d2, all raised, from the rows cross(a) = eps^{jkmx} a_m u_j s_k,
+# sweep(a) = (a.u) s - (a.s) u and a raised of a = e, f, p:
+#   c1 = cross(f) + sweep(e) - p, c2 = sweep(f) - cross(e),
+#   d1 = f + cross(p), d2 = e - sweep(p)
+_VECTOR_TABLE = np.array([[0, 1, 0, 1, 0, 0, 0, 0, -1], [-1, 0, 0, 0, 1, 0, 0, 0, 0],
+                          [0, 0, 1, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, -1, 1, 0, 0]], dtype=float)
+# the projections (a.u, a.s) times it are (-a.s, a.u), whose product with the
+# frame (u, s) is sweep(a)
+_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+for _table in (_VECTOR_TABLE, _TURN):
+    _table.setflags(write=False)
 
 
 def residual_polar_groups(jet: PolarJet, bg: Background) -> dict:
@@ -245,48 +258,38 @@ def residual_polar_groups(jet: PolarJet, bg: Background) -> dict:
     per point of a batched jet.
 
     Groups a and b project along the velocity and spin, group c solves for
-    the momentum covector, group d is the momentum decomposition itself.
+    the momentum covector, group d is the momentum decomposition itself.  The
+    covectors (e, f, p) and the frame (u, s) are stacked: one product gives
+    the six projections, one the crosses with the frame's dual, a constant
+    table combines the crosses into groups c and d, one pair_dual gives a3
+    and b3, and one reduceat the worst of each group.
     """
     e, f = compute_potentials(jet, bg)
-    p = jet.p
-    u = jet.velocity
-    s = jet.spin
-    u_low, s_low = u * _S, s * _S
-    f_up, p_up = f * _S, p * _S
-
-    def worst(a, axes=-1):
-        return np.abs(a).max(axis=axes)
-
-    # eps^{m x j k} u_j s_k, the dual of the lowered frame pair
-    frame = pair_dual(_outer(u_low, s_low))
-
-    def cross(a):
-        # eps^{j k m x} a_m u_j s_k: the covector a against the frame pair
-        return (a[..., None, :] @ frame)[..., 0, :]
-
-    out = {}
-    out["a1"] = np.abs(_dot(f, u))
-    out["a2"] = np.abs(_dot(e, u) + _dot(p, s))
-    # pair_dual(a b^T) = eps^{x n m r} a_m b_r
-    a3 = pair_dual(_outer(e, u_low) + _outer(p, s_low)) + _outer(f_up, u) - _outer(u, f_up)
-    out["a3"] = worst(a3, (-2, -1))
-
-    out["b1"] = np.abs(_dot(f, s))
-    out["b2"] = np.abs(_dot(e, s) + _dot(p, u))
-    b3 = pair_dual(_outer(e, s_low) + _outer(p, u_low)) + _outer(f_up, s) - _outer(s, f_up)
-    out["b3"] = worst(b3, (-2, -1))
-
-    c1 = cross(f) + _dot(e, u)[..., None] * s - _dot(e, s)[..., None] * u - p_up
-    out["c1"] = worst(c1)
-    c2 = _dot(f, u)[..., None] * s - _dot(f, s)[..., None] * u - cross(e)
-    out["c2"] = worst(c2)
-
-    # eps_{mrna} p^r u^n s^a is frame @ p with its free index lowered
-    d1 = f - _S * (frame @ p[..., None])[..., 0]
-    out["d1"] = worst(d1)
-    d2 = e - _dot(p, u)[..., None] * s_low + _dot(p, s)[..., None] * u_low
-    out["d2"] = worst(d2)
-    return out
+    p, u, s = jet.p, jet.velocity, jet.spin
+    covectors = np.concatenate([e[..., None, :], f[..., None, :], p[..., None, :]], axis=-2)
+    frame = np.concatenate([u[..., None, :], s[..., None, :]], axis=-2)
+    frame_low = frame * _S
+    batch = frame.shape[:-2]
+    dots = covectors @ frame.swapaxes(-1, -2)
+    # eps^{m x j k} u_j s_k, the dual of the lowered frame pair: a @ dual is
+    # cross(a), and as the dual is antisymmetric, p @ dual is -(dual @ p),
+    # minus d1's eps_{mrna} p^r u^n s^a with m raised
+    dual = pair_dual(frame_low[..., 0, :, None] * frame_low[..., 1, None, :])
+    rows = [covectors @ dual, (dots @ _TURN) @ frame, covectors * _S]
+    vectors = _VECTOR_TABLE @ np.concatenate(rows, axis=-2)
+    # a3 (k = 0) and b3 (k = 1): pair_dual(a b^T) = eps^{x n m r} a_m b_r of e
+    # against frame k and p against the other, and f^x v_k^n - v_k^x f^n
+    paired = e[..., None, :, None] * frame_low[..., None, :]
+    paired = paired + p[..., None, :, None] * frame_low[..., ::-1, None, :]
+    turn = (f * _S)[..., None, :, None] * frame[..., None, :]
+    duals = pair_dual(paired) + turn - turn.swapaxes(-1, -2)
+    # rows a (k = 0) and b (k = 1): f.v_k, e.v_k + p.v_other, then a3 or b3
+    ab = [dots[..., 1, :, None], (dots[..., 0, :] + dots[..., 2, ::-1])[..., None],
+          duals.reshape(batch + (2, 16))]
+    ab = np.concatenate(ab, axis=-1)
+    parts = np.concatenate([ab.reshape(batch + (36,)), vectors.reshape(batch + (16,))], axis=-1)
+    worst = np.maximum.reduceat(np.abs(parts), _GROUP_STARTS, axis=-1)
+    return {name: worst[..., k][()] for k, name in enumerate(GROUPS)}
 
 
 def group_d_residual(jet: PolarJet, bg: Background):

@@ -22,10 +22,12 @@ import numpy as np
 # checks that the tracer wraps it in this module
 from .algebra import (  # noqa: F401
     SEED_SPINOR,
-    boost_reps,
+    boost_spin_rep,
+    boost_vec_rep,
     lorentz_exp,
     lorentz_inverse,
-    rot_z_to_reps,
+    rot_z_spin_rep,
+    rot_z_vec_rep,
     spin_inverse,
 )
 from .bilinears import Densities, compute_bilinears, require_regular
@@ -72,11 +74,10 @@ def polar_decompose(psi, basis) -> PolarData:
     density, chiral_angle, u, s = polar_variables(compute_bilinears(psi, basis))
 
     # boost to rest first, then the minimal rotation taking z onto the rest spin
-    boost_spin, boost_vec = boost_reps(u, basis)
-    s_rest = (boost_vec @ s[..., None])[..., 0]
-    rot_spin, rot_vec = rot_z_to_reps(s_rest[..., 1:], basis)
-    l_spin = rot_spin @ boost_spin
-    l_vec = rot_vec @ boost_vec
+    boost_vec = boost_vec_rep(u)
+    rest_spin = (boost_vec @ s[..., None])[..., 1:, 0]
+    l_spin = rot_z_spin_rep(rest_spin, basis) @ boost_spin_rep(u, basis)
+    l_vec = rot_z_vec_rep(rest_spin) @ boost_vec
 
     # least-squares phase of psi against the phase-free reference
     reference = _assemble(density, chiral_angle, l_spin, basis)

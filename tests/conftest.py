@@ -12,11 +12,66 @@ import numpy as np
 import pytest
 
 from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, LOWER_PAIR, build_chiral_basis
+from diracpolar.errors import OutOfDomain, raise_rows
+from diracpolar.fieldconn import ConstantVector, PlaneWaveComponent, PlaneWaveField, plane_wave
 
 
 @pytest.fixture(scope="session")
 def basis():
     return build_chiral_basis()
+
+
+class LinearVector:
+    """Affine 4-vector potential a^mu(x) = base^mu + slope^{mu nu} x_nu... stored
+    as slope[mu][nu] multiplying the coordinate x^nu directly."""
+
+    def __init__(self, base, slope):
+        self.base = np.asarray(base, dtype=float)
+        self.slope = np.asarray(slope, dtype=float).reshape(4, 4)
+
+    def value(self, x):
+        """Potential at a point (4,), or at every point of a stack (..., 4)."""
+        return self.base + np.asarray(x, dtype=float) @ self.slope.T
+
+    def shifted(self, delta):
+        return LinearVector(self.base + np.asarray(delta, dtype=float), self.slope)
+
+
+def gauge_shift_linear(fld, bg, c):
+    """Joint shift psi -> exp(-i q c.x) psi, a -> a + c leaving the momentum
+    covector invariant, of a plane-wave field and its background.  c carries
+    raised components."""
+    c = np.asarray(c, dtype=float)
+    comps = [
+        PlaneWaveComponent(comp.momentum + bg.charge * c, comp.amplitude.copy())
+        for comp in fld.components
+    ]
+    pot = bg.em_potential if bg.em_potential is not None else ConstantVector(np.zeros(4))
+    pot = pot.shifted(c) if isinstance(pot, LinearVector) else ConstantVector(pot.values + c)
+    return PlaneWaveField(comps), replace(bg, em_potential=pot)
+
+
+class BoxWindow:
+    """Axis-aligned view of another field; outside the box every request
+    fails the same way a grid edge does.  Useful for modelling finite data
+    coverage without giving up analytic derivatives inside."""
+
+    def __init__(self, inner, lo, hi):
+        self.inner = inner
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+
+    def _check(self, x):
+        x = np.asarray(x, dtype=float)
+        outside = (x < self.lo) | (x > self.hi)
+        raise_rows(outside.any(axis=-1), OutOfDomain, "point outside the windowed region")
+        return x
+
+    def evaluate(self, x):
+        return self.inner.evaluate(self._check(x))
+
+    def block(self, x):
+        return self.inner.block(self._check(x))
 
 
 def random_antisymmetric(rng, scale=1.0):
@@ -31,8 +86,6 @@ def torsion_wave(p_space, mass, coupling, w, basis, amplitude=1.0, branch=-1):
     + mass) psi0 and returns the positive-energy wave, its full momentum and
     the energy.  branch picks among the two positive eigenvalues.
     """
-    from diracpolar.fieldconn import PlaneWaveComponent, PlaneWaveField
-
     p_space = np.asarray(p_space, dtype=float)
     w = np.asarray(w, dtype=float)
     h = np.einsum("k,kij->ij", p_space, basis.gamma[1:])
@@ -55,8 +108,6 @@ def vanishing_waves(rng, basis, scale=1.0):
     solutions for its momentum; the first is drawn with largest entry 1 and
     the other two are solved for.
     """
-    from diracpolar.fieldconn import PlaneWaveComponent, plane_wave
-
     momenta = [
         np.concatenate([[np.sqrt(1 + v @ v)], v]) for v in rng.uniform(-0.3, 0.3, size=(3, 3))
     ]

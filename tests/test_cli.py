@@ -13,7 +13,7 @@ from diracpolar import cli
 from diracpolar.cli import console_main, parse_config
 from diracpolar.errors import ConfigError, OffShell
 
-from conftest import per_row_emit
+from conftest import BoxWindow, per_row_emit
 
 TWO_WAVE = """\
 mass = 1.0
@@ -881,8 +881,6 @@ def test_trajectory_table_bytes(tmp_path, capsys):
 
 
 def test_trajectory_outcome_bytes(tmp_path, capsys, monkeypatch):
-    from diracpolar.fieldconn import BoxWindow
-
     # a window on the two-wave field: the first arc stays inside it, the
     # second leaves it at its third step and the third starts outside
     field = cli.build_field

@@ -14,8 +14,10 @@ from diracpolar.errors import (
     SingularSpinor,
     raise_rows,
 )
-from diracpolar.fieldconn import BOOST_MAX, BoxWindow, plane_wave, require_on_shell, to_grid
+from diracpolar.fieldconn import BOOST_MAX, plane_wave, require_on_shell, to_grid
 from diracpolar.guidance import CompactForms, velocity_from_momentum
+
+from conftest import BoxWindow
 
 
 def densities(scalar):

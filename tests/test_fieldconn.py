@@ -7,13 +7,10 @@ from diracpolar.algebra import ETA, ETA_SIGNS, frame_connection, mdot
 from diracpolar.errors import OffShell, OutOfDomain, PhaseJump
 from diracpolar.fieldconn import (
     Background,
-    BoxWindow,
     ConstantVector,
     GriddedField,
-    LinearVector,
     covariant_derivative,
     derivative_jet,
-    gauge_shift_linear,
     load_grid,
     plane_wave,
     polar_jet,
@@ -28,7 +25,14 @@ from diracpolar.guidance import potentials
 from diracpolar.polar import polar_decompose, wrap_angle
 from diracpolar.trajectories import integrate, velocity_field
 
-from conftest import jet_gap, torsion_wave, transport_gauge
+from conftest import (
+    BoxWindow,
+    LinearVector,
+    gauge_shift_linear,
+    jet_gap,
+    torsion_wave,
+    transport_gauge,
+)
 
 MASS = 1.0
 

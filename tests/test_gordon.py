@@ -5,10 +5,8 @@ from diracpolar.algebra import ETA
 from diracpolar.fieldconn import (
     Background,
     ConstantVector,
-    LinearVector,
     PlaneWaveComponent,
     PlaneWaveField,
-    gauge_shift_linear,
     plane_wave,
     polar_jet,
     superpose,
@@ -22,7 +20,7 @@ from diracpolar.gordon import (
     residual_polar_groups,
 )
 
-from conftest import torsion_wave
+from conftest import LinearVector, gauge_shift_linear, torsion_wave
 
 MASS = 1.0
 

@@ -70,7 +70,6 @@ from diracpolar.fieldconn import (
     _STENCIL,
     Background,
     FieldSample,
-    LinearVector,
     PlaneWaveComponent,
     PlaneWaveField,
     PolarJet,
@@ -80,6 +79,7 @@ from diracpolar.fieldconn import (
     polar_derivative_operator,
     polar_jet,
     sample_field,
+    verify_polar_derivative,
     verify_transport,
 )
 from diracpolar.gordon import (
@@ -99,7 +99,8 @@ from diracpolar.guidance import (
 from diracpolar.polar import polar_decompose
 from diracpolar.trajectories import velocity_field
 
-from conftest import SpinorTable, per_row_emit
+from conftest import LinearVector, SpinorTable, per_row_emit
+from test_gordon import NON_SOLUTION_POINTS, perturbed_background_field
 
 EPS = np.finfo(float).eps
 ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -524,6 +525,71 @@ def test_jet_checks_match_einsum(basis, seed, batch, log_size):
         scale = l1(up) * np.abs(jet.r).max(axis=(-3, -2, -1))
         assert np.shape(transport[name]) == batch
         assert np.all(np.abs(transport[name] - want) <= 4 * EPS * scale), name
+
+
+# The jet checks before they were stacked, as references: the polar
+# derivative as the sum of its four terms, with the connection read through
+# jet.r, and the transport predicted one frame vector at a time.
+
+def head_polar_derivative_operator(jet, basis):
+    r6 = jet.r[..., PAIR_I, PAIR_J]
+    connection = (r6 @ basis.sigma_pairs.reshape(6, 16)).reshape(r6.shape[:-1] + (4, 4))
+    diagonal = (jet.dlogdensity - 1j * jet.p)[..., None, None] * basis.identity
+    return diagonal - 0.5j * jet.dchiral[..., None, None] * basis.pi - connection
+
+
+def head_verify_transport(jet):
+    out = {}
+    for name, up, derivative in (
+        ("velocity_transport", jet.velocity, jet.du),
+        ("spin_transport", jet.spin, jet.ds),
+    ):
+        predicted = (up[..., None, None, :] @ jet.r)[..., 0, :]
+        out[name] = np.abs(derivative * ETA_SIGNS - predicted).max(axis=(-2, -1))[()]
+    return out
+
+
+@pytest.mark.parametrize("jet_of", [derivative_jet, polar_jet], ids=["exact", "stencil"])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["point", "batch"])
+def test_stacked_checks_match_per_frame_forms(basis, jet_of, batch):
+    # the two-wave field with a spoiled amplitude under a charge, a torsion
+    # coupling and affine EM and torsion potentials: every term is nonzero
+    fld, bg = perturbed_background_field(basis)
+    x = NON_SOLUTION_POINTS[: batch[0]] if batch else NON_SOLUTION_POINTS[1]
+    jet = jet_of(fld, bg, basis, x)
+    sample = sample_field(fld, bg, x)
+    r6 = jet.r[..., PAIR_I, PAIR_J]
+
+    got = polar_derivative_operator(jet, basis)
+    want = head_polar_derivative_operator(jet, basis)
+    assert got.shape == want.shape == batch + (4, 4, 4)
+    # each entry sums dlogdensity, p, dchiral / 2 and six r_ab against sigma
+    # entries of size <= 1/2, in another order.  These points, and 2000 random
+    # points of the same field, stayed at 0 units for the operator and its
+    # residual, 0.47 for the transport and 0.26 for the groups
+    size = np.abs(jet.dlogdensity) + np.abs(jet.p) + np.abs(jet.dchiral) + l1(r6)
+    assert np.all(np.abs(got - want) <= 4 * EPS * size[..., None, None])
+    psi = sample.psi
+    via_head = (want @ psi[..., None, :, None])[..., 0]
+    head = np.abs(via_head - sample.grad).max(axis=-1) / np.linalg.norm(psi, axis=-1)[..., None]
+    derivative = verify_polar_derivative(jet, fld, bg, basis, sample)
+    assert derivative.shape == batch + (4,)
+    scale = size * l1(psi)[..., None] / np.linalg.norm(psi, axis=-1)[..., None]
+    assert np.all(np.abs(derivative - head) <= 4 * EPS * scale)
+
+    transport, head = verify_transport(jet), head_verify_transport(jet)
+    assert list(transport) == list(head)
+    for name, up in (("velocity_transport", jet.velocity), ("spin_transport", jet.spin)):
+        # four products v^j r_{ji mu} summed in another order
+        scale = l1(up) * np.abs(jet.r).max(axis=(-3, -2, -1))
+        assert np.shape(transport[name]) == batch
+        assert np.all(np.abs(transport[name] - head[name]) <= 4 * EPS * scale), name
+
+    groups, head = residual_polar_groups(jet, bg), reference_polar_groups(jet, bg)
+    assert list(groups) == list(head)
+    for name in head:
+        assert np.shape(groups[name]) == np.shape(head[name]) == batch, name
+        assert np.all(np.abs(groups[name] - head[name]) <= 4 * EPS * jet_scale(jet, bg)), name
 
 
 @ORACLE

@@ -32,11 +32,13 @@ from diracpolar.algebra import (
     ETA_SIGNS,
     SEED_SPINOR,
     boost_params,
-    boost_reps,
+    boost_spin_rep,
+    boost_vec_rep,
     lorentz_exp,
     lorentz_inverse,
+    rot_z_spin_rep,
     rot_z_to_params,
-    rot_z_to_reps,
+    rot_z_vec_rep,
 )
 from diracpolar.bilinears import (
     check_fierz,
@@ -48,14 +50,11 @@ from diracpolar.bilinears import (
 from diracpolar.errors import SingularSpinor
 from diracpolar.fieldconn import (
     Background,
-    BoxWindow,
     ConstantVector,
-    LinearVector,
     PlaneWaveComponent,
     PlaneWaveField,
     density_products,
     derivative_jet,
-    gauge_shift_linear,
     plane_wave,
     polar_jet,
     sample_field,
@@ -74,7 +73,16 @@ from diracpolar.polar import (
 )
 from diracpolar.trajectories import velocity_field
 
-from conftest import SpinorTable, jet_gap, shift_turn, transport_gauge, vanishing_waves
+from conftest import (
+    BoxWindow,
+    LinearVector,
+    SpinorTable,
+    gauge_shift_linear,
+    jet_gap,
+    shift_turn,
+    transport_gauge,
+    vanishing_waves,
+)
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -103,13 +111,12 @@ def expm_frame(u, spin_axis, basis):
 @given(v=velocities, t=directions)
 def test_closed_form_frame_matches_expm(basis, v, t):
     u = four_velocity(v)
-    boost_spin, boost_vec = boost_reps(u, basis)
-    rot_spin, rot_vec = rot_z_to_reps(t, basis)
     ref_spin, ref_vec = expm_frame(u, t, basis)
     # spin entries grow like sqrt(u0), vector entries like u0; expm's scaling
     # and squaring loses a few more bits than the closed form as u0 grows
-    assert np.abs(rot_spin @ boost_spin - ref_spin).max() < 1e-12 * np.sqrt(u[0])
-    assert np.abs(rot_vec @ boost_vec - ref_vec).max() < 1e-11 * u[0]
+    spin = rot_z_spin_rep(t, basis) @ boost_spin_rep(u, basis)
+    assert np.abs(spin - ref_spin).max() < 1e-12 * np.sqrt(u[0])
+    assert np.abs(rot_z_vec_rep(t) @ boost_vec_rep(u) - ref_vec).max() < 1e-11 * u[0]
 
 
 @PROPERTY
@@ -122,7 +129,7 @@ def test_rotation_next_to_antipode_matches_expm(basis, log_offset, azimuth):
     # below which both forms take the half turn about x
     offset = 10.0**log_offset
     t = np.array([offset * np.cos(azimuth), offset * np.sin(azimuth), -1.0])
-    spin, vec = rot_z_to_reps(t, basis)
+    spin, vec = rot_z_spin_rep(t, basis), rot_z_vec_rep(t)
     ref = lorentz_exp(rot_z_to_params(t), basis)
     assert np.abs(spin - ref.spin_rep).max() < 1e-13
     assert np.abs(vec - ref.vec_rep).max() < 1e-13
@@ -134,18 +141,21 @@ def test_rotation_next_to_antipode_matches_expm(basis, log_offset, azimuth):
 def test_decomposition_frame_at_large_rapidity(basis, v, t, phase):
     u = four_velocity(v)
     l_spin, _ = expm_frame(u, t, basis)
-    psi = np.linalg.solve(l_spin, SEED_SPINOR) * np.exp(-1j * phase)
-    pd = polar_decompose(psi, basis)
-    # The scalar density is of order 1 while |psi|^2 is of order u0, so the
-    # densities, and u and s with them, carry errors of order eps u0^2, and
-    # the rebuilt spinor of order eps u0 |psi|.  Sampled worst cases were 350
-    # and 140 of these units, for the expm frame and the closed form alike.
-    frame_tol = 2000 * EPS * u[0] ** 2
-    assert np.abs(kinematic_velocity(pd) - pd.velocity).max() < frame_tol
-    assert np.abs(lorentz_inverse(pd.l_vec)[:, 3] - pd.spin).max() < frame_tol
-    assert np.abs(pd.velocity - u).max() < frame_tol
-    trip_tol = 1000 * EPS * u[0] * np.linalg.norm(psi)
-    assert np.abs(polar_reconstruct(pd, basis) - psi).max() < trip_tol
+    # the wave framed by the expm spin matrix, and by the closed-form spin
+    # matrices alone, as plane_wave frames it
+    wave = plane_wave(u, 1.0, t, np.exp(-1j * phase), basis).components[0].amplitude
+    for psi in (np.linalg.solve(l_spin, SEED_SPINOR) * np.exp(-1j * phase), wave):
+        pd = polar_decompose(psi, basis)
+        # The scalar density is of order 1 while |psi|^2 is of order u0, so the
+        # densities, and u and s with them, carry errors of order eps u0^2, and
+        # the rebuilt spinor of order eps u0 |psi|.  Sampled worst cases were 350
+        # and 140 of these units, for the expm frame and the closed form alike.
+        frame_tol = 2000 * EPS * u[0] ** 2
+        assert np.abs(kinematic_velocity(pd) - pd.velocity).max() < frame_tol
+        assert np.abs(lorentz_inverse(pd.l_vec)[:, 3] - pd.spin).max() < frame_tol
+        assert np.abs(pd.velocity - u).max() < frame_tol
+        trip_tol = 1000 * EPS * u[0] * np.linalg.norm(psi)
+        assert np.abs(polar_reconstruct(pd, basis) - psi).max() < trip_tol
 
 
 @PROPERTY
@@ -376,7 +386,7 @@ def stencil_rounding(frame):
     """Rounding of polar_jet's differences on a field of this frame: eps / h,
     divided by min(1, d) when the rest spin lies a distance d from -z, where
     the axis of the minimal rotation moves by eps / d.  On -z itself
-    rot_z_to_reps takes a fixed half turn, which moves by eps alone."""
+    rot_z_spin_rep takes a fixed half turn, which moves by eps alone."""
     t = frame[1] / np.linalg.norm(frame[1])
     distance = np.linalg.norm(t + [0.0, 0.0, 1.0])
     if np.hypot(t[0], t[1]) < 1e-14 and t[2] < 0:
@@ -457,8 +467,7 @@ def test_derivative_jet_next_to_antipode(basis, seed, log_distance, azimuth):
     distance = 10.0**log_distance
     fld, bg = antipode_field(basis, seed, distance, azimuth, steady_turn=True)
     exact = derivative_jet(fld, bg, basis, np.zeros(4))
-    _, boost = boost_reps(exact.velocity, basis)
-    rest_spin = (boost @ exact.spin)[1:]
+    rest_spin = (boost_vec_rep(exact.velocity) @ exact.spin)[1:]
     assert 0.5 * distance < np.linalg.norm(rest_spin - [0.0, 0.0, -1.0]) < 2 * distance
     coarse, fine = (
         jet_gap(exact, transport_gauge(polar_jet(fld, bg, basis, np.zeros(4), h)))

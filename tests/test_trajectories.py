@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from diracpolar import bilinears
-from diracpolar.algebra import ETA, boost_reps
+from diracpolar.algebra import ETA, boost_vec_rep
 from diracpolar.errors import DiracPolarError, ImmediateSingularity, OutOfDomain, SingularSpinor
 from diracpolar.fieldconn import (
     Background,
-    BoxWindow,
-    LinearVector,
     PlaneWaveComponent,
     PlaneWaveField,
     derivative_jet,
@@ -22,7 +20,7 @@ from diracpolar.trajectories import (
     velocity_field,
 )
 
-from conftest import vanishing_waves
+from conftest import BoxWindow, LinearVector, vanishing_waves
 
 MASS = 1.0
 
@@ -152,7 +150,7 @@ def test_guidance_at_the_half_turn_branch(basis):
     fld = PlaneWaveField(rest.components + vanishing_waves(np.random.default_rng(42), basis, 0.3))
     bg = Background(mass=MASS)
     jet = derivative_jet(fld, bg, basis, np.zeros(4))
-    rest_spin = (boost_reps(jet.velocity, basis)[1] @ jet.spin)[1:]
+    rest_spin = (boost_vec_rep(jet.velocity) @ jet.spin)[1:]
     assert np.hypot(rest_spin[0], rest_spin[1]) < 1e-14 and rest_spin[2] < 0.0
     assert np.abs(jet.ds).max() > 0.01
     guidance = velocity_field(fld, bg, basis, "guidance")(np.zeros(4))
