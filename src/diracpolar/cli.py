@@ -57,47 +57,44 @@ from .trajectories import MODES, batch_integrate
 G = "%.17g"
 
 
-def _template(names, sizes, fmt, width, prefix="", shown=0):
-    """One format string for a report: a line per name, behind prefix, then
-    its sizes[i] values as G; "name=values" for records, the name padded to
-    width for a table.  prefix is format text that prints shown characters,
-    such as the "p%d." of a point index."""
+def _template(names, sizes, fmt, width, shown=0):
+    """The format lines of a report: a line per name, then its sizes[i]
+    values as G; "name=values" for records, the name padded to width for a
+    table, less the shown characters that go in front of each line."""
     if fmt == "records":
         pads = ["="] * len(names)
     else:
         pads = [" " * (width + 2 - shown - len(name)) for name in names]
-    return "".join(
-        prefix + name.replace("%", "%%") + pad + " ".join([G] * size) + "\n"
+    return [
+        name.replace("%", "%%") + pad + " ".join([G] * size) + "\n"
         for name, pad, size in zip(names, pads, sizes)
-    )
+    ]
 
 
 def emit(rows, fmt, out=None, points=None):
     """Write (name, value) pairs, value a scalar or a vector, one line each:
     name=value for records, an aligned table otherwise.
 
-    With points=n every value is a stack (n, ...), and the lines repeat for
-    each point k with the names behind "pk.", all points one table."""
-    names = [name for name, _ in rows]
-    n = points or 1
-    values = [np.asarray(value, dtype=float).reshape(n, -1) for _, value in rows]
-    sizes = [v.shape[1] for v in values]
-    width = max(map(len, names), default=0)
+    With points, a table (n, k), the rows are (name, size) pairs with sizes
+    adding up to k: the lines repeat for each row K of the table, with the
+    names behind "pK." and that row's values, all points one table."""
     if points is None:
-        template = _template(names, sizes, fmt, width)
+        names = [name for name, _ in rows]
+        values = [np.asarray(value, dtype=float).ravel() for _, value in rows]
+        width = max(map(len, names), default=0)
+        template = "".join(_template(names, [v.size for v in values], fmt, width))
+        cells = np.concatenate([np.empty(0), *values]).tolist()
     else:
-        # a block of lines per point, its index in the %d slots; in a table
-        # the points with as many digits share the padding of one block
-        width += len("p%d." % (n - 1))
-        template = "".join(
-            _template(names, sizes, fmt, width, "p%d.", digits + 2)
-            * (min(n, 10**digits) - (10 ** (digits - 1) if digits > 1 else 0))
-            for digits in range(1, len(str(n - 1)) + 1)
-        )
-        index = np.arange(n, dtype=float)[:, None]
-        values = [part for value in values for part in (index, value)]
-    cells = np.concatenate([np.empty((n, 0)), *values], axis=1)
-    (out or sys.stdout).write(template % tuple(cells.ravel().tolist()))
+        names, sizes = zip(*rows)
+        n = len(points)
+        width = max(map(len, names)) + len("p%d." % (n - 1))
+        # a block of lines per count of index digits, which in a table share
+        # their padding; each point joins its block's lines with its "pK."
+        blocks = [["", *_template(names, sizes, fmt, width, digits + 2)]
+                  for digits in range(1, len(str(n - 1)) + 1)]
+        template = "".join(("p%d." % k).join(blocks[len(str(k)) - 1]) for k in range(n))
+        cells = points.ravel().tolist()
+    (out or sys.stdout).write(template % tuple(cells))
 
 
 # the mass range: the smallest normal float, below which the momenta mass * (p0,
@@ -464,7 +461,7 @@ def cmd_gordon(args) -> int:
         )
     labels, table = _gordon_point(fld, bg, basis, points)
     c = len(labels)
-    emit([("point", table[:, :4]), *zip(labels, table[:, 4:].T)], args.format, points=len(table))
+    emit([("point", 4), *((label, 1) for label in labels)], args.format, points=table)
     return _check(
         table[:, 4:].ravel(), lambda i: "p%d.%s" % (i // c, labels[i % c]), cfg.tolerance
     )

@@ -37,6 +37,7 @@ with its turn about the spin taken out, checks the exact jet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -343,7 +344,7 @@ class PolarJet:
         flat = self.transport.reshape(self.transport.shape[:-3] + (64,))
         self.contractions = flat @ CONNECTION_TABLE
 
-    @property
+    @cached_property   # formed at the first read, once per jet
     def r(self):    # r[mu, i, j] = r_{ij mu}, antisymmetric in i, j, lowered
         return connection_from_transport(self.transport)
 

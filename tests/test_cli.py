@@ -196,6 +196,26 @@ def test_gordon_scan_keeps_labels_and_points(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("n", [1, 11, 101])
+def test_emit_points_prints_labels_with_percent_signs(fmt, n):
+    # labels that are format text themselves, values with every float kind
+    labels = ["point", "100%", "a%db", "%%s", "%(x)s"]
+    sizes = [4, 1, 1, 2, 1]
+    table = np.random.default_rng(n).standard_normal((n, sum(sizes)))
+    table[-1, 4:8] = np.nan, -np.inf, -0.0, 1e300
+    ends = np.cumsum(sizes)
+    rows = [
+        ("p%d.%s" % (k, label), row[end - size:end] if size > 1 else row[end - 1])
+        for k, row in enumerate(table)
+        for label, size, end in zip(labels, sizes, ends)
+    ]
+    want, got = io.StringIO(), io.StringIO()
+    per_row_emit(rows, fmt, want)
+    cli.emit(list(zip(labels, sizes)), fmt, got, points=table)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
 def test_emit_matches_per_row_printing(basis, fmt):
     run = parse_config(TWO_WAVE)
     points = run.point + np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 4))
@@ -212,6 +232,24 @@ def test_emit_matches_per_row_printing(basis, fmt):
     per_row_emit(rows, fmt, want)
     cli.emit(rows, fmt, got)
     assert got.getvalue() == want.getvalue()
+
+
+def test_gordon_scan_forms_the_connection_once(basis, monkeypatch):
+    # the polar derivative and the transport check read one r
+    from diracpolar import fieldconn
+
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return form(a)
+
+    form = fieldconn.connection_from_transport
+    monkeypatch.setattr(fieldconn, "connection_from_transport", counted)
+    run = parse_config(TWO_WAVE)
+    points = run.point + np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 4))
+    cli._gordon_point(cli.build_field(run, basis), cli.build_background(run), basis, points)
+    assert calls == [(20, 4, 4, 4)]
 
 
 def test_gordon_scan_reads_the_field_once(basis, monkeypatch):

@@ -870,8 +870,12 @@ def poison_groups(groups):
 @pytest.mark.parametrize("fmt", ["records", "table"])
 @pytest.mark.parametrize(
     "points, tolerance, poison",
-    [(1, "1e-6", False), (20, "1e-6", False), (20, "1e-15", False), (20, "1e-6", True)],
-    ids=["one-point", "twenty-points", "broken-tolerance", "nan-residual"],
+    [(1, "1e-6", False), (20, "1e-6", False), (20, "1e-15", False), (20, "1e-6", True),
+     # each side of the table's padding steps, from one digit to two and to three
+     (9, "1e-6", False), (10, "1e-6", False), (11, "1e-6", False), (100, "1e-6", False),
+     (101, "1e-6", False)],
+    ids=["one-point", "twenty-points", "broken-tolerance", "nan-residual", "nine-points",
+         "ten-points", "eleven-points", "hundred-points", "hundred-one-points"],
 )
 def test_gordon_report_matches_row_tuples(tmp_path, capsys, monkeypatch, fmt, points,
                                           tolerance, poison):
