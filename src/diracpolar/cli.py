@@ -97,8 +97,8 @@ def emit(rows, fmt, out=None, points=None):
     (out or sys.stdout).write(template % tuple(cells))
 
 
-# the mass range: the smallest normal float, below which the momenta mass * (p0,
-# v) keep few bits, and the largest mass whose square is a finite float
+# the mass range: the smallest normal float, below which the points and proper
+# times mapped to units of the mass keep few bits, and the largest mass whose square is finite
 MASS_MIN = float(np.finfo(float).tiny)
 MASS_MAX = float(np.sqrt(np.finfo(float).max))
 # the range of a nonzero |amplitude|: the densities' products take its fourth
@@ -264,13 +264,9 @@ def parse_config(text) -> RunConfig:
 
 
 def build_background(cfg: RunConfig) -> Background:
-    return Background(
-        mass=cfg.mass,
-        charge=cfg.charge,
-        torsion_coupling=cfg.torsion_coupling,
-        em_potential=None if cfg.em_potential is None else ConstantVector(cfg.em_potential),
-        torsion_vector=None if cfg.torsion_vector is None else ConstantVector(cfg.torsion_vector),
-    )
+    potentials = (cfg.em_potential, cfg.torsion_vector)
+    return Background(cfg.mass, cfg.charge, cfg.torsion_coupling,
+                      *(None if a is None else ConstantVector(a) for a in potentials))
 
 
 def build_field(cfg: RunConfig, basis):
@@ -287,6 +283,22 @@ def build_field(cfg: RunConfig, basis):
         return plane_wave(momenta, cfg.mass, spins, amplitudes * np.exp(-1j * phases), basis)
     except OffShell as exc:
         raise ConfigError(["wave %d: %s" % (row + 1, text) for row, text in exc.rows.items()])
+
+
+def in_mass_units(cfg: RunConfig, basis):
+    """cfg's field and background built at mass 1, the units every command
+    computes in.  As psi_m(x) = psi_1(m x), a length or proper time there is m
+    times cfg's (a grid's origin and spacing too) and a momentum, q a and w
+    among them, 1 / m times; each command maps its own in and out (README)."""
+    m = cfg.mass
+    unit = copy.copy(cfg)
+    unit.mass = 1.0
+    unit.em_potential, unit.torsion_vector = (
+        None if a is None else a / m for a in (cfg.em_potential, cfg.torsion_vector))
+    fld = build_field(unit, basis)
+    if cfg.grid is not None:
+        fld.origin, fld.spacing = m * fld.origin, m * fld.spacing
+    return fld, build_background(unit)
 
 
 def _load_config(path):
@@ -399,7 +411,7 @@ def cmd_polar(args) -> int:
     elif args.config is not None:
         cfg = _load_config(args.config)
         tolerance = cfg.tolerance
-        psi = build_field(cfg, basis).evaluate(cfg.point)
+        psi = in_mass_units(cfg, basis)[0].evaluate(cfg.mass * cfg.point)
     else:
         raise ConfigError(["polar needs --config or --spinor"])
     try:
@@ -409,15 +421,8 @@ def cmd_polar(args) -> int:
         raise ConfigError(["SingularSpinor: %s" % exc])
     back = polar_reconstruct(pd, basis)
     round_trip = float(np.abs(back - psi).max() / np.linalg.norm(psi))
-    rows = [
-        ("density", pd.density),
-        ("chiral_angle", pd.chiral_angle),
-        ("velocity", pd.velocity),
-        ("spin", pd.spin),
-        ("residual_phase", pd.residual_phase),
-        ("fit_residual", pd.fit_residual),
-        ("round_trip_residual", round_trip),
-    ]
+    names = ("density", "chiral_angle", "velocity", "spin", "residual_phase", "fit_residual")
+    rows = [(name, getattr(pd, name)) for name in names] + [("round_trip_residual", round_trip)]
     return _finish(rows, args.format, tolerance, {"round_trip_residual": round_trip})
 
 
@@ -426,23 +431,18 @@ def _gordon_point(fld, bg, basis, points):
     and one array (n, 4 + c) of each point followed by its residuals.
 
     Each check runs once over the whole stack, so a failing point aborts the
-    scan.  The balance checks and the exact jet share one field sample.  Every
-    residual scales with the mass, so each is reported per unit mass.
+    scan.  The balance checks and the exact jet share one field sample.  In
+    units of the mass (in_mass_units) every residual is per unit mass.
     """
     sample = sample_field(fld, bg, points)
     columns = {"dirac": dirac_residual(fld, bg, basis, points, sample)}
     columns.update(residual_bilinear_gordon(fld, bg, basis, points, sample))
     jet = derivative_jet(fld, bg, basis, points, sample)
-    for name, value in residual_polar_groups(jet, bg).items():
-        columns["group_" + name] = value
-    derivative = verify_polar_derivative(jet, fld, bg, basis, sample)
-    columns["polar_derivative"] = derivative.max(axis=-1)
-    transport = verify_transport(jet)
-    columns["transport"] = np.maximum(
-        transport["velocity_transport"], transport["spin_transport"]
-    )
-    residuals = np.array(list(columns.values())).T / bg.mass
-    return list(columns), np.concatenate([points, residuals], axis=1)
+    columns.update(("group_" + name, v) for name, v in residual_polar_groups(jet, bg).items())
+    columns["polar_derivative"] = verify_polar_derivative(jet, fld, bg, basis, sample).max(axis=-1)
+    # the worse of the velocity's and the spin's transport
+    columns["transport"] = np.maximum(*verify_transport(jet).values())
+    return list(columns), np.concatenate([points, np.array(list(columns.values())).T], axis=1)
 
 
 def cmd_gordon(args) -> int:
@@ -450,8 +450,7 @@ def cmd_gordon(args) -> int:
     _require_at_least(args.seed, 0, "--seed")
     cfg = _load_config(args.config)
     basis = build_chiral_basis()
-    fld = build_field(cfg, basis)
-    bg = build_background(cfg)
+    fld, bg = in_mass_units(cfg, basis)
     if args.points == 1:
         points = cfg.point[None, :]
     else:
@@ -459,7 +458,8 @@ def cmd_gordon(args) -> int:
         points = cfg.point + _draw(
             args.points, "--points", lambda: rng.uniform(-1.0, 1.0, size=(args.points, 4))
         )
-    labels, table = _gordon_point(fld, bg, basis, points)
+    labels, table = _gordon_point(fld, bg, basis, cfg.mass * points)
+    table[:, :4] = points    # each point as drawn, not mapped back
     c = len(labels)
     emit([("point", 4), *((label, 1) for label in labels)], args.format, points=table)
     return _check(
@@ -470,30 +470,29 @@ def cmd_gordon(args) -> int:
 def cmd_guidance(args) -> int:
     cfg = _load_config(args.config)
     basis = build_chiral_basis()
-    fld = build_field(cfg, basis)
-    bg = build_background(cfg)
-    x = cfg.point
-    jet = derivative_jet(fld, bg, basis, x)
+    fld, bg = in_mass_units(cfg, basis)
+    m = cfg.mass
+    jet = derivative_jet(fld, bg, basis, m * cfg.point)
     forms = compact_forms(jet, bg)
     p_compact = momentum_from_velocity(jet.velocity, jet.spin, forms)
     p_long = momentum_long_form(jet.velocity, jet.spin, forms)
     p_conn = ETA @ jet.p
     u_back = velocity_from_momentum(p_conn, jet.spin, forms)
-    # the momenta scale with the mass: their gaps count in units of max(mass, |p|)
-    size = max(cfg.mass, float(np.abs(p_conn).max()))
+    # the momenta's gaps count in units of the mass, or of |p| when larger
+    size = max(1.0, float(np.abs(p_conn).max()))
     checked = {
         "momentum_form_gap": float(np.abs(p_compact - p_long).max()) / size,
         "momentum_consistency": float(np.abs(p_compact - p_conn).max()) / size,
         "velocity_round_trip": float(np.abs(u_back - jet.velocity).max()),
     }
     rows = [
-        ("point", x),
-        ("effective_mass_scale", forms.xs),
+        ("point", cfg.point),
+        ("effective_mass_scale", m * forms.xs),
         ("zeta", forms.z / forms.xs),
-        ("y_potential", forms.y),
-        ("z_potential", forms.z),
-        ("momentum", p_compact),
-        ("momentum_from_connection", p_conn),
+        ("y_potential", m * forms.y),
+        ("z_potential", m * forms.z),
+        ("momentum", m * p_compact),
+        ("momentum_from_connection", m * p_conn),
         ("velocity", jet.velocity),
         ("velocity_recovered", u_back),
     ] + list(checked.items())
@@ -537,23 +536,25 @@ def cmd_trajectory(args) -> int:
         # grid fields answer only at their nodes, and the first RK4 stage
         # always leaves the node it starts from
         raise ConfigError(["grid: trajectory needs a [wave] field, not a grid file"])
-    h_tau = args.htau if args.htau is not None else cfg.tau_step
+    # the step and the arc's proper time in units of the mass, m
+    m = cfg.mass
+    h_tau = m * (args.htau if args.htau is not None else cfg.tau_step)
     try:
-        tau_max = args.steps * h_tau if args.steps is not None else TAU_MAX
+        tau_max = args.steps * h_tau if args.steps is not None else m * TAU_MAX
     except OverflowError:
         # more steps than a float holds: the count check below rejects it
         tau_max = np.inf
     # a negative step runs backwards --steps steps; without --steps its count
     # TAU_MAX / h_tau is negative, which the count check rejects
     if not (np.isfinite(h_tau) and h_tau != 0.0):
-        raise ConfigError(["--htau or tau_step: expected a finite nonzero step, got %s" % h_tau])
+        raise ConfigError(
+            ["--htau or tau_step: expected a finite nonzero mass * step, got %s" % h_tau])
     steps = tau_max / h_tau
     if not (np.isfinite(steps) and round(steps) >= 0):
         raise ConfigError(["--steps: %.6g steps, expected a finite count >= 0" % steps])
     basis = build_chiral_basis()
-    fld = build_field(cfg, basis)
-    bg = build_background(cfg)
-    seeds = _read_seeds(args.seeds) if args.seeds is not None else [cfg.point]
+    fld, bg = in_mass_units(cfg, basis)
+    seeds = m * np.array(_read_seeds(args.seeds) if args.seeds is not None else [cfg.point])
     # opened before the integration, so that a bad path costs no arcs
     try:
         sink = open(args.out, "w") if args.out is not None else None
@@ -563,6 +564,7 @@ def cmd_trajectory(args) -> int:
         arcs = batch_integrate(fld, bg, basis, seeds, tau_max=tau_max, h_tau=h_tau, mode=args.mode)
         out = sink or sys.stdout
         for index, arc in enumerate(arcs):
+            arc.tau, arc.x = arc.tau / m, arc.x / m
             _emit_trajectory(arc, index, args.format, out)
         # an arc that failed at its seed has no samples to check
         violations = [arc.diagnostics.get("max_unit_violation", 0.0) for arc in arcs]

@@ -71,7 +71,7 @@ _STENCIL = np.concatenate(
 _STEPS = np.eye(4, dtype=int)
 
 # the largest |p_mu| / mass of a wave: a lone wave is regular only up to about
-# 1e5, and past 1e10 the Dirac residual's norm overflows at the largest mass
+# 1e5, and the amplitude range of the CLI is set for waves at this boost
 BOOST_MAX = 1e8
 
 # CONNECTION_TABLE takes transport terms a, flattened to (..., 64), to what the
@@ -164,20 +164,18 @@ class PlaneWaveField:
 
 def require_on_shell(momentum, mass) -> None:
     """Raise OffShell naming every momentum (..., 4) that points backward or
-    misses the mass shell by more than both 1e-10 * max(1, mass^2) and 4 eps
-    (p0^2 + |p|^2), twice its rounding, the larger from |p| of about 1e3 mass
-    on.  It is tested in units of a power of two s, s <= max(mass, |p_mu|) <
-    2s: the scaling is exact, so the test rounds as on p itself, and no
-    square overflows.  A residual that is not finite fails."""
+    misses the mass shell by more than both 1e-10 mass^2 and 4 eps (p0^2 +
+    |p|^2), twice its rounding, the larger from |p| of about 1e3 mass on.  As
+    |p| / mass varies up to BOOST_MAX, it runs in units of a power of two s <=
+    max(mass, |p_mu|) < 2s: exact, so it rounds as on p itself, and no square
+    overflows.  A residual that is not finite fails."""
     p = np.asarray(momentum, dtype=float)
     s = np.ldexp(1.0, np.frexp(np.maximum(mass, np.abs(p).max(axis=-1)))[1] - 1)
     q = p / s[..., None]
-    residual = np.abs(mdot(q, q) - (mass / s) ** 2)
+    shell = (mass / s) ** 2
+    residual = np.abs(mdot(q, q) - shell)
     rounding = 4.0 * np.finfo(float).eps * np.vecdot(q, q)
-    # |p.p - m^2| <= 1e-10 max(1, m^2), with s^2 = min(1, s)^2 max(1, s)^2 split
-    # between the two sides so that neither overflows
-    bound = 1e-10 * (max(1.0, mass) / np.maximum(1.0, s)) ** 2
-    on = ((residual * np.minimum(1.0, s) ** 2 <= bound) | (residual <= rounding)) & (p[..., 0] > 0)
+    on = ((residual <= 1e-10 * shell) | (residual <= rounding)) & (p[..., 0] > 0)
     with np.errstate(over="ignore"):    # the residual as printed, inf past the largest float
         shown = residual * s * s
     raise_rows(~on, OffShell, "momentum fails p.p = m^2 (residual %.3e) or has p0 <= 0", shown)

@@ -39,12 +39,11 @@ class CompactForms:
     z: np.ndarray        # lowered components
     xs: float
     mass_cos: float      # mass times cosine of the chiral angle
-    guard_scale: float = 1.0   # |mass|: xs is degenerate below X_GUARD times this
 
 
-def _require_xs(xs, guard_scale):
-    """Raise DegenerateX naming every point whose |xs| falls below X_GUARD * guard_scale."""
-    degenerate = np.abs(xs) < X_GUARD * guard_scale
+def _require_xs(xs):
+    """Raise DegenerateX naming each point whose |xs| (about 1 in mass units) is below X_GUARD."""
+    degenerate = np.abs(xs) < X_GUARD
     raise_rows(degenerate, DegenerateX, "effective mass scale %.3e too close to zero", xs)
 
 
@@ -67,7 +66,7 @@ def compact_forms(jet: PolarJet, bg: Background) -> CompactForms:
     y, z = potentials(jet, bg)
     mass_cos = bg.mass * np.cos(jet.chiral_angle)
     xs = mass_cos - np.vecdot(y, jet.spin)
-    return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos, guard_scale=abs(bg.mass))
+    return CompactForms(y=y, z=z, xs=xs, mass_cos=mass_cos)
 
 
 def momentum_from_velocity(u, s, forms: CompactForms) -> np.ndarray:
@@ -106,7 +105,7 @@ def velocity_from_momentum(p, s, forms: CompactForms) -> np.ndarray:
     """
     p, s = np.asarray(p, dtype=float), np.asarray(s, dtype=float)
     xs = np.asarray(forms.xs)
-    _require_xs(xs, forms.guard_scale)
+    _require_xs(xs)
     zeta_low = forms.z / xs[..., None]
     s_low = s * ETA_SIGNS
     # denom divides every component, and its three terms may nearly cancel

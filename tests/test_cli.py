@@ -445,21 +445,46 @@ def test_degenerate_steps_and_tolerances_exit_2(tmp_path, capsys, argv, extra):
         assert "tolerance: expected a " in err
 
 
-@pytest.mark.parametrize(
-    "mass", ["5e-324", "%.17g" % cli.MASS_MIN, "1e-160", "1e150", "%.17g" % cli.MASS_MAX]
+# the two-wave config of the amplitude range, the amplitude on both waves
+AMPLITUDES = "mass = 1\npoint = 0 0 0 0\n" + "".join(
+    "\n[wave]\nvelocity = %s\namplitude = %%s\n" % v for v in ("0.1 0 0", "0 0.2 0")
 )
-def test_every_accepted_mass_runs_without_warnings(tmp_path, capsys, mass):
-    # the on-shell check squares p in units of max(mass, |p|), which stays
-    # finite up to MASS_MAX; below the smallest normal float the momenta
-    # mass * (p0, v) keep few bits, and such a mass is rejected
-    code = 2 if float(mass) < cli.MASS_MIN else 0
-    cfg = write_cfg(tmp_path, TWO_WAVE.replace("mass = 1.0", "mass = " + mass))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for argv in (["gordon", "--points", "3"], ["guidance"],
-                     ["trajectory", "--mode", "kinematic", "--steps", "2"]):
-            assert console_main(argv + ["--config", cfg]) == code
-            assert "Warning" not in capsys.readouterr().err
+RANGE = "expected 0 or a magnitude in [1e-70, 1e+70]"
+RUNS = (["gordon", "--points", "3"], ["guidance"], ["polar"], ["trajectory", "--steps", "2"],
+        ["trajectory", "--mode", "guidance", "--steps", "2"])
+
+
+MASSES = ["5e-324", "%.17g" % cli.MASS_MIN, "1e-160", "1e150", "%.17g" % cli.MASS_MAX]
+# each end of the mass range with amplitudes far from 1: the smallest mass at
+# amplitude 1e-10, and the largest with a wave boosted to BOOST_MAX at 1e69
+SMALLEST_MASS = AMPLITUDES.replace("mass = 1\n", "mass = %.17g\n" % cli.MASS_MIN)
+LARGEST_MASS = AMPLITUDES.replace("mass = 1\n", "mass = %.17g\n" % cli.MASS_MAX)
+
+
+@pytest.mark.parametrize(
+    "mass, text, boosted",
+    [(mass, None, False) for mass in MASSES] + [
+        (None, SMALLEST_MASS % ("1e-10", "1e-10"), False),
+        (None, LARGEST_MASS.replace("0.1 0 0", "1e8 0 0") % ("1e69", "1e69"), True)],
+    ids=MASSES + ["smallest-mass-amplitude-1e-10", "largest-mass-boosted-wave"],
+)
+def test_every_accepted_mass_runs_without_warnings(tmp_path, mass, text, boosted):
+    # every command computes in units of the mass, at mass 1; below the
+    # smallest normal float the points and proper times mapped to those units
+    # keep few bits, and such a mass is rejected.  The rounding of a wave
+    # boosted to BOOST_MAX grows with its boost (the fast-wave FOUND line):
+    # there a run may exit 1, on a tolerance violation, never on an overflow
+    if text is None:
+        text = TWO_WAVE.replace("mass = 1.0", "mass = " + mass)
+    cfg = write_cfg(tmp_path, text)
+    for argv in RUNS:
+        code, err = run_quietly(argv, cfg)
+        if mass is not None and float(mass) < cli.MASS_MIN:
+            assert code == 2 and err.startswith("config error: mass: "), (argv, err)
+        elif boosted:
+            assert code == 0 or err.startswith("tolerance violation: "), (argv, err)
+        else:
+            assert (code, err) == (0, ""), argv
 
 
 def test_guidance_gaps_count_in_units_of_the_momentum(tmp_path, capsys):
@@ -508,10 +533,11 @@ def run_quietly(argv, cfg):
 @pytest.mark.parametrize(
     "mass, argv",
     [
-        # the effective mass scale xs is about the mass: its guard scales with it
+        # the effective mass scale xs is about the mass: in units of the mass
+        # it is about 1, and its guard is absolute there
         ("1e-100", ["guidance"]),
         ("1e-100", ["trajectory", "--mode", "guidance", "--steps", "3", "--htau", "5e98"]),
-        # the balance terms of size mass u^0 cancel to rounding, per unit mass
+        # the balance terms of size mass u^0 cancel to rounding, in units of the mass
         ("1e150", ["gordon", "--points", "3"]),
         ("%.17g" % cli.MASS_MAX, ["gordon", "--points", "3"]),
     ],
@@ -521,6 +547,149 @@ def test_exact_solutions_pass_at_any_mass(tmp_path, mass, argv):
     text = TWO_WAVE.replace("mass = 1.0", "mass = " + mass)
     text = text.replace("point = 0.0 0.1 0.05 -0.1", "point = 0 0 0 0")
     assert run_quietly(argv, write_cfg(tmp_path, text)) == (0, "")
+
+
+def numbers(values):
+    return " ".join("%.17g" % v for v in values)
+
+
+# the commands of the covariance test, each with records, and the rows whose
+# values are momenta
+COVARIANT_RUNS = (["guidance"], ["gordon", "--points", "1"], ["polar"]) + tuple(
+    ["trajectory", "--mode", mode, "--steps", "3"] for mode in ("kinematic", "guidance"))
+MOMENTUM_ROWS = ("effective_mass_scale", "y_potential", "z_potential", "momentum",
+                 "momentum_from_connection")
+
+
+def reports_at_mass(tmp_path, mass, amplitude):
+    """(exit code, stderr, rows) of each of COVARIANT_RUNS on TWO_WAVE at mass,
+    its point, two seeds and the step 0.25 divided by the mass, and both
+    amplitudes times amplitude; rows holds (name, numbers) of each records
+    line and the text of each header line."""
+    text = TWO_WAVE.replace("mass = 1.0", "mass = %.17g" % mass).replace(
+        "point = 0.0 0.1 0.05 -0.1", "point = " + numbers(np.array([0.0, 0.1, 0.05, -0.1]) / mass))
+    first = "spin = 0.2 0.5 1.0\n"
+    text = text.replace(first, first + "amplitude = %.17g\n" % amplitude)
+    text = text.replace("amplitude = 0.3", "amplitude = %.17g" % (0.3 * amplitude))
+    cfg = write_cfg(tmp_path, text, name="mass.cfg")
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("".join(numbers(np.array(x) / mass) + "\n"
+                             for x in ([0.0, 0.0, 0.0, 0.0], [0.0, 0.1, 0.2, -0.1])))
+    reports = []
+    for argv in COVARIANT_RUNS:
+        if argv[0] == "trajectory":
+            argv = argv + ["--seeds", str(seeds), "--htau", "%.17g" % (0.25 / mass)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = console_main(argv + ["--config", cfg, "--format", "records"])
+        rows = []
+        for line in out.getvalue().splitlines():
+            name, _, values = line.partition("=")
+            rows.append(line if line.startswith("#") else (name, np.array(values.split(), float)))
+        reports.append((code, err.getvalue(), rows))
+    return reports
+
+
+@pytest.mark.parametrize(
+    "k, amplitude",
+    [(k, 1.0) for k in (-1000, -500, -1, 1, 500, 511)] + [(-1000, 2.0**-200)],
+    ids=["2^%d" % k for k in (-1000, -500, -1, 1, 500, 511)] + ["2^-1000-amplitude-2^-200"],
+)
+def test_reports_are_covariant_in_the_mass(tmp_path, k, amplitude):
+    # psi_m(x) = psi_1(m x), and the commands compute in units of the mass:
+    # at m = 2^k, with the point, the seeds and the step over m, each report
+    # is the mass-1 report with its positions and proper times over m and its
+    # momenta times m, equal as floats, since every map is exact
+    m = 2.0**k
+    want_all = reports_at_mass(tmp_path, 1.0, amplitude)
+    for argv, want, got in zip(COVARIANT_RUNS, want_all, reports_at_mass(tmp_path, m, amplitude)):
+        assert want[:2] == got[:2] == (0, ""), argv
+        assert len(got[2]) == len(want[2]), argv
+        for row, mapped in zip(want[2], got[2]):
+            if isinstance(row, str):
+                assert mapped == row
+                continue
+            (name, values), (mapped_name, mapped_values) = row, mapped
+            values = values.copy()
+            if name == "sample":
+                values[1:6] /= m    # tau and x
+            elif name.endswith("point"):
+                values /= m
+            elif name in MOMENTUM_ROWS:
+                values *= m
+            assert mapped_name == name
+            assert np.array_equal(mapped_values, values), (argv, name, mapped_values, values)
+
+
+def test_degenerate_xs_is_relative_to_the_mass(tmp_path, basis):
+    # xs is about the mass, and its guard counts in units of the mass: a
+    # torsion vector that leaves xs at X_GUARD / 2 times the mass is
+    # degenerate at mass 1 and at mass 2^20, where xs itself is 5e-7
+    from diracpolar.fieldconn import derivative_jet
+    from diracpolar.guidance import X_GUARD, compact_forms
+
+    run = parse_config(TWO_WAVE)
+    jet = derivative_jet(cli.build_field(run, basis), cli.build_background(run), basis, run.point)
+    shift = compact_forms(jet, cli.build_background(run)).xs - X_GUARD / 2
+    errors = []
+    for mass in (1.0, 2.0**20):
+        lines = "mass = %.17g\ntorsion_coupling = 1\ntorsion_vector = %s\npoint = %s\n" % (
+            mass, numbers(mass * shift * jet.spin), numbers(run.point / mass))
+        text = TWO_WAVE.replace("mass = 1.0\n", lines).replace("point = 0.0 0.1 0.05 -0.1\n", "")
+        errors.append(run_quietly(["guidance"], write_cfg(tmp_path, text)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 1 and errors[0][1].startswith("DegenerateX: effective mass scale 5.0")
+
+
+# two waves, one at rest, whose left-handed part vanishes on the hyperplanes
+# (p1 - p2).x = 2 pi n; the arc from NODE_SEED meets the one at phase 0
+NODE_FIELD = """\
+mass = 1
+
+[wave]
+velocity = 0 0 0
+spin = 0 0 1
+
+[wave]
+velocity = 0 0 0.5
+spin = 0 0 1
+amplitude = -1.2720196495140688
+"""
+NODE_SEED = "0.2404269 0.99019301 0.89788735 -0.07990972\n"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a fixed-step arc steps across a node surface and still "
+    "reports completed; the guard sees only the RK4 stage points",
+)
+@pytest.mark.parametrize("mode", ["kinematic", "guidance"])
+def test_cli_arcs_do_not_jump_a_node(tmp_path, mode):
+    # tests/test_trajectories.py::test_arcs_do_not_jump_a_node through the CLI:
+    # an arc to tau = 2 that says completed must agree with the finer ones at
+    # RK4's order, each end point against the finest
+    cfg = write_cfg(tmp_path, NODE_FIELD)
+    seeds = tmp_path / "seed.txt"
+    seeds.write_text(NODE_SEED)
+    steps = np.array([0.1, 0.05, 0.02, 0.01])
+    statuses, ends = [], []
+    for h in steps:
+        argv = ["trajectory", "--config", cfg, "--seeds", str(seeds), "--mode", mode,
+                "--steps", str(round(2 / h)), "--htau", "%.17g" % h, "--format", "records"]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            console_main(argv)
+        lines = out.getvalue().splitlines()
+        statuses.append(lines[0].partition("status=")[2])
+        samples = [line for line in lines if line.startswith("sample=")]
+        ends.append(np.array(samples[-1].split()[2:6], float) if samples else None)
+    if "completed" not in statuses:
+        return
+    assert statuses == ["completed"] * len(steps), statuses
+    errors = [np.abs(end - ends[-1]).max() for end in ends[:-1]]
+    orders = np.log(np.divide(errors[:-1], errors[1:])) / np.log(steps[:-2] / steps[1:-1])
+    assert np.all(orders > 3.5), (errors, orders)
 
 
 @pytest.mark.parametrize("command", [["guidance"], ["polar"], ["trajectory", "--steps", "4"],
@@ -556,15 +725,6 @@ def test_velocity_at_the_boost_limit_builds(basis, mass):
     # mass where plane_wave does, so a wave it accepts builds at any mass
     cfg = parse_config("mass = %s\n[wave]\nvelocity = 6e7 8e7 0\n" % mass)
     assert cli.build_field(cfg, basis).components[0].momentum[0] == float(mass) * 1e8
-
-
-# the two-wave config of the amplitude range, the amplitude on both waves
-AMPLITUDES = "mass = 1\npoint = 0 0 0 0\n" + "".join(
-    "\n[wave]\nvelocity = %s\namplitude = %%s\n" % v for v in ("0.1 0 0", "0 0.2 0")
-)
-RANGE = "expected 0 or a magnitude in [1e-70, 1e+70]"
-RUNS = (["gordon", "--points", "3"], ["guidance"], ["polar"], ["trajectory", "--steps", "2"],
-        ["trajectory", "--mode", "guidance", "--steps", "2"])
 
 
 @pytest.mark.parametrize(
@@ -769,8 +929,8 @@ def test_array_defaults_are_copied():
 
 
 def test_gordon_at_a_huge_mass_and_amplitude(tmp_path, capsys):
-    # mass |psi| of about 1e180 squares past the floats: dirac_residual takes
-    # its norms in units of a power of two near |psi|
+    # amplitudes of 1e30: dirac_residual takes its norms in units of a power
+    # of two near |psi|, whose size still varies
     text = AMPLITUDES.replace("mass = 1\n", "mass = 1e150\n") % ("1e30", "1e30")
     argv = ["gordon", "--points", "3", "--format", "records"]
     assert console_main(argv + ["--config", write_cfg(tmp_path, text)]) == 0

@@ -90,22 +90,6 @@ def test_degenerate_x_guard(basis):
         velocity_from_momentum(np.array([1.0, 0, 0, 0]), np.array([0, 0, 0, 1.0]), forms)
 
 
-def test_x_guard_scales_with_mass(basis):
-    # velocity_from_momentum guards xs at X_GUARD times the |mass| that
-    # compact_forms records: an xs between X_GUARD and X_GUARD * mass is
-    # degenerate for the inversion
-    heavy = 1e4
-    fld = plane_wave([MASS, 0, 0, 0], MASS, [0, 0, 1.0], 1.0, basis)
-    jet = polar_jet(fld, Background(mass=MASS), basis, np.zeros(4), h=1e-3)
-    forms = compact_forms(jet, Background(mass=heavy))
-    xs = 0.5 * X_GUARD * heavy
-    assert X_GUARD < xs
-    with pytest.raises(DegenerateX):
-        velocity_from_momentum(
-            ETA @ jet.p, jet.spin, dataclasses.replace(forms, xs=xs)
-        )
-
-
 POINTS = np.array([[0.0, 0.1, 0.05, -0.1], [0.3, -0.2, 0.1, 0.4], [0.1, 0.0, 0.2, 0.0]])
 
 
@@ -120,9 +104,9 @@ def two_waves(basis):
 def test_guidance_evaluation_guards_xs_once(basis, monkeypatch):
     calls = []
 
-    def counting(xs, guard_scale):
+    def counting(xs):
         calls.append(np.shape(xs))
-        return require_xs(xs, guard_scale)
+        return require_xs(xs)
 
     require_xs = guidance._require_xs
     monkeypatch.setattr(guidance, "_require_xs", counting)

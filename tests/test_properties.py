@@ -698,12 +698,14 @@ def test_scale_covariance(basis, log_mass, drawn, amplitude, x):
     fields = []
     for m, point in ((1.0, x), (mass, x / mass)):
         cfg = cli.parse_config(wave_config(m, point, drawn, amplitude))
-        fields.append((cli.build_field(cfg, basis), cli.build_background(cfg), point))
+        fields.append((*cli.in_mass_units(cfg, basis), point))
     (one, bg_one, _), (heavy, bg, point) = fields
 
-    # Both velocities are functions of p / m and m x alone, and every balance
-    # residual grows as the mass.  The rounding of p / m and of the phases
-    # grows as powers of the largest Lorentz factor; over 2100 random draws
+    # Both fields are built in units of their mass, where the mass-m config's
+    # point is mass * point: both velocities are functions of p / m and m x
+    # alone, and every balance residual is per unit mass.  The rounding of
+    # p / m and of the phases grows as powers of the largest Lorentz factor
+    # (measured on the fields in the user's units); over 2100 random draws
     # the gaps reached 0.9 eps gamma^4 (kinematic), 60 eps gamma^4 times the
     # inversion's conditioning (guidance), 27 eps for the balance equations,
     # which are per unit density, and 36 eps gamma^5 for the polar groups
@@ -712,15 +714,15 @@ def test_scale_covariance(basis, log_mass, drawn, amplitude, x):
     conditioning = inversion_conditioning(compact_forms(jet, bg_one), jet.spin)[1]
     for mode, bound in (("kinematic", 8.0), ("guidance", 250.0 * conditioning)):
         want = velocity_field(one, bg_one, basis, mode)(x)
-        got = velocity_field(heavy, bg, basis, mode)(point)
+        got = velocity_field(heavy, bg, basis, mode)(mass * point)
         assert np.abs(got - want).max() <= bound * EPS * gamma**4
     for residuals, bound in (
         (lambda f, b, y: residual_bilinear_gordon(f, b, basis, y), 100.0),
         (lambda f, b, y: residual_polar_groups(derivative_jet(f, b, basis, y), b), 300 * gamma**5),
     ):
-        want, got = residuals(one, bg_one, x), residuals(heavy, bg, point)
+        want, got = residuals(one, bg_one, x), residuals(heavy, bg, mass * point)
         for name in want:
-            assert abs(got[name] / mass - want[name]) <= bound * EPS
+            assert abs(got[name] - want[name]) <= bound * EPS
 
     # and every command passes on the mass-m config, with no warning
     commands = [["polar"], ["gordon"], ["guidance"]] + [
