@@ -414,9 +414,3 @@ def transport_terms(u, du, s, ds):
 def connection_from_transport(a):
     """r_mu = a_mu - a_mu^T, lowered: the one formula for the connection."""
     return (a - a.swapaxes(-1, -2)) * LOWER_PAIR
-
-
-def frame_connection(u, du, s, ds):
-    """The connection r_mu of the transport gauge, lowered, one (4, 4) matrix
-    per mu: with a^b = a b^T - b a^T, r_mu = u^du_mu - s^ds_mu + (s.du_mu) u^s."""
-    return connection_from_transport(transport_terms(u, du, s, ds))

@@ -25,10 +25,6 @@ from .errors import SingularSpinor, raise_rows
 REGULARITY_EPS = 1e-10
 
 
-def adjoint(psi, basis):
-    return psi.conj() @ basis.gamma[0]
-
-
 @dataclass
 class Densities:
     """S, P, U and A of one spinor, or of a batch with the spinor's leading

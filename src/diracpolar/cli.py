@@ -126,8 +126,8 @@ GLOBAL_KEYS = {
     "tau_step": (1, 0.05, None),
     "step": (0, None, None),
 }
-# A wave's velocity v gives it the momentum mass * (sqrt(1 + v.v), v), which
-# plane_wave bounds by BOOST_MAX times the mass; the components go first, so
+# A wave's velocity v gives it the momentum (sqrt(1 + v.v), v) in units of the
+# mass, which plane_wave bounds by BOOST_MAX; the components go first, so
 # that no square overflows.  Every wave gives its velocity.
 WAVE_KEYS = {
     "velocity": (3, None, lambda v, text: (
@@ -264,41 +264,33 @@ def parse_config(text) -> RunConfig:
 
 
 def build_background(cfg: RunConfig) -> Background:
+    """cfg's background in units of the mass (build_field): q a and w, which
+    are momenta, divided by the mass."""
     potentials = (cfg.em_potential, cfg.torsion_vector)
-    return Background(cfg.mass, cfg.charge, cfg.torsion_coupling,
-                      *(None if a is None else ConstantVector(a) for a in potentials))
+    return Background(1.0, cfg.charge, cfg.torsion_coupling,
+                      *(None if a is None else ConstantVector(a / cfg.mass) for a in potentials))
 
 
 def build_field(cfg: RunConfig, basis):
+    """cfg's field in units of the mass, the units every command computes in.
+    As psi_m(x) = psi_1(m x), a length there is m times cfg's, a grid's origin
+    and spacing too, and a wave of velocity v has the momentum (sqrt(1 + v.v),
+    v); each command maps its own points, times and momenta in and out (README)."""
     if cfg.grid is not None:
         try:
-            return load_grid(cfg.grid)
+            fld = load_grid(cfg.grid)
         except (OSError, ValueError) as exc:
             raise ConfigError(["grid: %s" % exc])
+        fld.origin, fld.spacing = cfg.mass * fld.origin, cfg.mass * fld.spacing
+        return fld
     # one row per wave
     v, spins = (np.array([w[key] for w in cfg.waves]) for key in ("velocity", "spin"))
     amplitudes, phases = np.array([(w["amplitude"], w["phase"]) for w in cfg.waves]).T
-    momenta = cfg.mass * np.concatenate([np.sqrt(1 + np.vecdot(v, v))[:, None], v], axis=1)
+    momenta = np.concatenate([np.sqrt(1 + np.vecdot(v, v))[:, None], v], axis=1)
     try:
-        return plane_wave(momenta, cfg.mass, spins, amplitudes * np.exp(-1j * phases), basis)
+        return plane_wave(momenta, 1.0, spins, amplitudes * np.exp(-1j * phases), basis)
     except OffShell as exc:
         raise ConfigError(["wave %d: %s" % (row + 1, text) for row, text in exc.rows.items()])
-
-
-def in_mass_units(cfg: RunConfig, basis):
-    """cfg's field and background built at mass 1, the units every command
-    computes in.  As psi_m(x) = psi_1(m x), a length or proper time there is m
-    times cfg's (a grid's origin and spacing too) and a momentum, q a and w
-    among them, 1 / m times; each command maps its own in and out (README)."""
-    m = cfg.mass
-    unit = copy.copy(cfg)
-    unit.mass = 1.0
-    unit.em_potential, unit.torsion_vector = (
-        None if a is None else a / m for a in (cfg.em_potential, cfg.torsion_vector))
-    fld = build_field(unit, basis)
-    if cfg.grid is not None:
-        fld.origin, fld.spacing = m * fld.origin, m * fld.spacing
-    return fld, build_background(unit)
 
 
 def _load_config(path):
@@ -411,7 +403,7 @@ def cmd_polar(args) -> int:
     elif args.config is not None:
         cfg = _load_config(args.config)
         tolerance = cfg.tolerance
-        psi = in_mass_units(cfg, basis)[0].evaluate(cfg.mass * cfg.point)
+        psi = build_field(cfg, basis).evaluate(cfg.mass * cfg.point)
     else:
         raise ConfigError(["polar needs --config or --spinor"])
     try:
@@ -431,13 +423,15 @@ def _gordon_point(fld, bg, basis, points):
     and one array (n, 4 + c) of each point followed by its residuals.
 
     Each check runs once over the whole stack, so a failing point aborts the
-    scan.  The balance checks and the exact jet share one field sample.  In
-    units of the mass (in_mass_units) every residual is per unit mass.
+    scan.  The balance checks and the exact jet share one field sample.  The
+    jet goes first: its regularity guard fires before the balance checks
+    divide by the densities.  In units of the mass (build_field) every
+    residual is per unit mass.
     """
     sample = sample_field(fld, bg, points)
+    jet = derivative_jet(fld, bg, basis, points, sample)
     columns = {"dirac": dirac_residual(fld, bg, basis, points, sample)}
     columns.update(residual_bilinear_gordon(fld, bg, basis, points, sample))
-    jet = derivative_jet(fld, bg, basis, points, sample)
     columns.update(("group_" + name, v) for name, v in residual_polar_groups(jet, bg).items())
     columns["polar_derivative"] = verify_polar_derivative(jet, fld, bg, basis, sample).max(axis=-1)
     # the worse of the velocity's and the spin's transport
@@ -450,7 +444,7 @@ def cmd_gordon(args) -> int:
     _require_at_least(args.seed, 0, "--seed")
     cfg = _load_config(args.config)
     basis = build_chiral_basis()
-    fld, bg = in_mass_units(cfg, basis)
+    fld, bg = build_field(cfg, basis), build_background(cfg)
     if args.points == 1:
         points = cfg.point[None, :]
     else:
@@ -470,7 +464,7 @@ def cmd_gordon(args) -> int:
 def cmd_guidance(args) -> int:
     cfg = _load_config(args.config)
     basis = build_chiral_basis()
-    fld, bg = in_mass_units(cfg, basis)
+    fld, bg = build_field(cfg, basis), build_background(cfg)
     m = cfg.mass
     jet = derivative_jet(fld, bg, basis, m * cfg.point)
     forms = compact_forms(jet, bg)
@@ -538,7 +532,7 @@ def cmd_trajectory(args) -> int:
         raise ConfigError(["grid: trajectory needs a [wave] field, not a grid file"])
     # the step and the arc's proper time in units of the mass, m
     m = cfg.mass
-    h_tau = m * (args.htau if args.htau is not None else cfg.tau_step)
+    h_tau = m * cfg.tau_step
     try:
         tau_max = args.steps * h_tau if args.steps is not None else m * TAU_MAX
     except OverflowError:
@@ -547,13 +541,12 @@ def cmd_trajectory(args) -> int:
     # a negative step runs backwards --steps steps; without --steps its count
     # TAU_MAX / h_tau is negative, which the count check rejects
     if not (np.isfinite(h_tau) and h_tau != 0.0):
-        raise ConfigError(
-            ["--htau or tau_step: expected a finite nonzero mass * step, got %s" % h_tau])
+        raise ConfigError(["tau_step: expected a finite nonzero mass * step, got %s" % h_tau])
     steps = tau_max / h_tau
     if not (np.isfinite(steps) and round(steps) >= 0):
         raise ConfigError(["--steps: %.6g steps, expected a finite count >= 0" % steps])
     basis = build_chiral_basis()
-    fld, bg = in_mass_units(cfg, basis)
+    fld, bg = build_field(cfg, basis), build_background(cfg)
     seeds = m * np.array(_read_seeds(args.seeds) if args.seeds is not None else [cfg.point])
     # opened before the integration, so that a bad path costs no arcs
     try:
@@ -638,7 +631,6 @@ def build_parser():
     p_tra.add_argument("--seeds", metavar="FILE", help="file of start points, 4 numbers per line")
     p_tra.add_argument("--mode", choices=MODES, default="kinematic")
     p_tra.add_argument("--steps", type=int, default=None, metavar="N")
-    p_tra.add_argument("--htau", type=float, default=None, metavar="H")
     p_tra.add_argument("--out", metavar="FILE", help="write the table here instead of stdout")
     p_tra.add_argument("--format", choices=("table", "records"), default="table")
     p_tra.set_defaults(func=cmd_trajectory)

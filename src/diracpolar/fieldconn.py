@@ -356,10 +356,11 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     ten density matrices M of basis.jet_rows in one density_products call:
       - the density, chiral angle, velocity and spin come from S, P, U and A
         (polar_variables), their derivatives from the product rule;
-      - the connection r is frame_connection of u, s and their
-        derivatives: the transport of u and s, with no turn about the spin
-        (the transport gauge, which needs no frame); the jet keeps the
-        transport terms and reads p's part of r through CONNECTION_TABLE;
+      - the connection r is connection_from_transport of the
+        transport_terms of u, s and their derivatives: the transport of u
+        and s, with no turn about the spin (the transport gauge, which needs
+        no frame); the jet keeps the transport terms and reads p's part of r
+        through CONNECTION_TABLE;
       - what remains of nabla psi once the known part is taken off lies
         along i psi, and its coefficient is -p, in the same gauge as r.
     """

@@ -12,11 +12,12 @@ from diracpolar.algebra import (
     CliffordBasis,
     boost_params,
     build_chiral_basis,
-    frame_connection,
+    connection_from_transport,
     lorentz_exp,
     mdot,
     rot_z_to_params,
     rotation_params,
+    transport_terms,
     verify_basis,
 )
 from diracpolar.fieldconn import plane_wave
@@ -282,6 +283,6 @@ def test_frame_connection_matches_differences(basis, axis, weak):
     # the frame of the differences turns about the spin; the transport gauge
     # does not, and every other component must agree
     want = want - turn_about_spin(want, u, s)[..., None, None] * spin_dual(u, s)[:, None]
-    got = frame_connection(u, du, s, ds)
+    got = connection_from_transport(transport_terms(u, du, s, ds))
     assert got.shape == (4, 4, 4, 4)
     assert np.abs(got - want).max() < 1e-7

@@ -361,13 +361,13 @@ def test_trajectory_completes(tmp_path, capsys):
 
 
 def test_trajectory_seeds_file_and_out(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TWO_WAVE)
+    cfg = write_cfg(tmp_path, "tau_step = 0.25\n" + TWO_WAVE)
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("0 0 0 0\n0 0.1 0.2 -0.1  # second seed\n")
     out = tmp_path / "arc.txt"
     code = console_main(
         ["trajectory", "--config", cfg, "--seeds", str(seeds),
-         "--steps", "4", "--htau", "0.25", "--out", str(out), "--format", "records"]
+         "--steps", "4", "--out", str(out), "--format", "records"]
     )
     assert code == 0
     assert capsys.readouterr().out == ""
@@ -390,11 +390,11 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
     from diracpolar.cli import build_background, build_field
     from diracpolar.trajectories import batch_integrate
 
-    cfg = write_cfg(tmp_path, TWO_WAVE)
+    cfg = write_cfg(tmp_path, "tau_step = 0.1\n" + TWO_WAVE)
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("0 0 0 0\n0 0.1 0.2 -0.1\n-0.3 0.05 0 0.4\n")
     argv = ["trajectory", "--config", cfg, "--seeds", str(seeds),
-            "--steps", "7", "--htau", "0.1", "--format", "records"]
+            "--steps", "7", "--format", "records"]
     assert console_main(argv) == 0
     rows = {}
     for line in capsys.readouterr().out.splitlines():
@@ -416,8 +416,7 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["trajectory", "--htau", "0"], ""),
-        (["trajectory", "--htau", "nan"], ""),
+        (["trajectory"], "tau_step = nan\n"),
         (["trajectory", "--steps", "-3"], ""),
         (["trajectory"], "tau_step = 0\n"),
         # NaN fails every comparison, so it would pass every check
@@ -434,7 +433,7 @@ def test_trajectory_records_round_trip(tmp_path, capsys, basis):
         (["identities", "--tolerance", "-1"], None),
         (["identities", "--tolerance", "0"], None),
     ],
-    ids=["htau-zero", "htau-nan", "steps-negative", "tau_step-zero", "tolerance-nan",
+    ids=["tau_step-nan", "steps-negative", "tau_step-zero", "tolerance-nan",
          "identities-tolerance-nan", "gordon-seed-negative", "identities-seed-negative",
          "points-zero", "points-negative", "tolerance-zero", "tolerance-negative",
          "identities-tolerance-negative", "identities-tolerance-zero"],
@@ -531,20 +530,20 @@ def run_quietly(argv, cfg):
 
 
 @pytest.mark.parametrize(
-    "mass, argv",
+    "mass, argv, step",
     [
         # the effective mass scale xs is about the mass: in units of the mass
         # it is about 1, and its guard is absolute there
-        ("1e-100", ["guidance"]),
-        ("1e-100", ["trajectory", "--mode", "guidance", "--steps", "3", "--htau", "5e98"]),
+        ("1e-100", ["guidance"], ""),
+        ("1e-100", ["trajectory", "--mode", "guidance", "--steps", "3"], "tau_step = 5e98\n"),
         # the balance terms of size mass u^0 cancel to rounding, in units of the mass
-        ("1e150", ["gordon", "--points", "3"]),
-        ("%.17g" % cli.MASS_MAX, ["gordon", "--points", "3"]),
+        ("1e150", ["gordon", "--points", "3"], ""),
+        ("%.17g" % cli.MASS_MAX, ["gordon", "--points", "3"], ""),
     ],
     ids=["guidance-1e-100", "trajectory-1e-100", "gordon-1e150", "gordon-MASS_MAX"],
 )
-def test_exact_solutions_pass_at_any_mass(tmp_path, mass, argv):
-    text = TWO_WAVE.replace("mass = 1.0", "mass = " + mass)
+def test_exact_solutions_pass_at_any_mass(tmp_path, mass, argv, step):
+    text = step + TWO_WAVE.replace("mass = 1.0", "mass = " + mass)
     text = text.replace("point = 0.0 0.1 0.05 -0.1", "point = 0 0 0 0")
     assert run_quietly(argv, write_cfg(tmp_path, text)) == (0, "")
 
@@ -566,7 +565,8 @@ def reports_at_mass(tmp_path, mass, amplitude):
     its point, two seeds and the step 0.25 divided by the mass, and both
     amplitudes times amplitude; rows holds (name, numbers) of each records
     line and the text of each header line."""
-    text = TWO_WAVE.replace("mass = 1.0", "mass = %.17g" % mass).replace(
+    text = TWO_WAVE.replace(
+        "mass = 1.0", "mass = %.17g\ntau_step = %.17g" % (mass, 0.25 / mass)).replace(
         "point = 0.0 0.1 0.05 -0.1", "point = " + numbers(np.array([0.0, 0.1, 0.05, -0.1]) / mass))
     first = "spin = 0.2 0.5 1.0\n"
     text = text.replace(first, first + "amplitude = %.17g\n" % amplitude)
@@ -578,7 +578,7 @@ def reports_at_mass(tmp_path, mass, amplitude):
     reports = []
     for argv in COVARIANT_RUNS:
         if argv[0] == "trajectory":
-            argv = argv + ["--seeds", str(seeds), "--htau", "%.17g" % (0.25 / mass)]
+            argv = argv + ["--seeds", str(seeds)]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
             warnings.simplefilter("error")
@@ -669,14 +669,14 @@ def test_cli_arcs_do_not_jump_a_node(tmp_path, mode):
     # tests/test_trajectories.py::test_arcs_do_not_jump_a_node through the CLI:
     # an arc to tau = 2 that says completed must agree with the finer ones at
     # RK4's order, each end point against the finest
-    cfg = write_cfg(tmp_path, NODE_FIELD)
     seeds = tmp_path / "seed.txt"
     seeds.write_text(NODE_SEED)
     steps = np.array([0.1, 0.05, 0.02, 0.01])
     statuses, ends = [], []
     for h in steps:
+        cfg = write_cfg(tmp_path, "tau_step = %.17g\n" % h + NODE_FIELD)
         argv = ["trajectory", "--config", cfg, "--seeds", str(seeds), "--mode", mode,
-                "--steps", str(round(2 / h)), "--htau", "%.17g" % h, "--format", "records"]
+                "--steps", str(round(2 / h)), "--format", "records"]
         out = io.StringIO()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             console_main(argv)
@@ -722,9 +722,10 @@ def test_waves_boosted_past_the_limit_exit_2(tmp_path, wave, err):
 @pytest.mark.parametrize("mass", ["%.17g" % cli.MASS_MIN, "1", "%.17g" % cli.MASS_MAX])
 def test_velocity_at_the_boost_limit_builds(basis, mass):
     # sqrt(1 + v.v) rounds to 1e8 at |v| = 1e8: the parse check bounds p0 /
-    # mass where plane_wave does, so a wave it accepts builds at any mass
+    # mass where plane_wave does, so a wave it accepts builds at any mass, in
+    # units of the mass
     cfg = parse_config("mass = %s\n[wave]\nvelocity = 6e7 8e7 0\n" % mass)
-    assert cli.build_field(cfg, basis).components[0].momentum[0] == float(mass) * 1e8
+    assert cli.build_field(cfg, basis).components[0].momentum[0] == 1e8
 
 
 @pytest.mark.parametrize(
@@ -963,8 +964,8 @@ def test_values_with_a_leading_minus(capsys, command, option, value):
 
 
 def test_trajectory_negative_step_runs_backwards(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TWO_WAVE)
-    argv = ["trajectory", "--config", cfg, "--htau", "-0.1", "--steps", "3", "--format", "records"]
+    cfg = write_cfg(tmp_path, "tau_step = -0.1\n" + TWO_WAVE)
+    argv = ["trajectory", "--config", cfg, "--steps", "3", "--format", "records"]
     code = console_main(argv)
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
@@ -1006,6 +1007,17 @@ def test_trajectory_failed_seed_names_its_error(tmp_path, mode):
     assert run_quietly(["trajectory", "--seeds", str(seeds), "--mode", mode], cfg) == (
         1, "trajectory 0 did not complete: failed: velocity undefined at the seed point: "
            "SingularSpinor: scalar^2 + pseudoscalar^2 = 0.000e+00 below 1.0e-10 * density^2\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("points", ["1", "3"])
+def test_gordon_on_a_vanishing_field_names_the_guard(tmp_path, fmt, points):
+    # the same field: the jet's regularity guard fires before the balance
+    # checks divide by the vanishing densities, so no 0 / 0 warning comes first
+    cfg = write_cfg(tmp_path, "mass = 1\n[wave]\nvelocity = 0 0 0\n"
+                              "[wave]\nvelocity = 0 0 0\namplitude = -1\n")
+    assert run_quietly(["gordon", "--points", points, "--format", fmt], cfg) == (
+        1, "SingularSpinor: scalar^2 + pseudoscalar^2 = 0.000e+00 below 1.0e-10 * density^2\n")
 
 
 def test_guidance_names_a_degenerate_xs(tmp_path):
@@ -1068,10 +1080,10 @@ trajectory 2 did not complete: failed: velocity undefined at the seed point: Out
 
 
 def test_trajectory_table_bytes(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TWO_WAVE)
+    cfg = write_cfg(tmp_path, "tau_step = 0.25\n" + TWO_WAVE)
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("0 0 0 0\n0 0.1 0.2 -0.1\n")
-    argv = ["trajectory", "--config", cfg, "--seeds", str(seeds), "--steps", "2", "--htau", "0.25"]
+    argv = ["trajectory", "--config", cfg, "--seeds", str(seeds), "--steps", "2"]
     assert console_main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == TABLE_TWO_SEEDS
@@ -1086,11 +1098,11 @@ def test_trajectory_outcome_bytes(tmp_path, capsys, monkeypatch):
         cli, "build_field",
         lambda cfg, basis: BoxWindow(field(cfg, basis), np.full(4, -1.0), np.full(4, 1.0)),
     )
-    cfg = write_cfg(tmp_path, TWO_WAVE)
+    cfg = write_cfg(tmp_path, "tau_step = 0.2\n" + TWO_WAVE)
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("0 0 0 0\n0.5 0.1 0 0.2\n1.5 0 0 0\n")
     argv = ["trajectory", "--config", cfg, "--seeds", str(seeds),
-            "--steps", "4", "--htau", "0.2", "--format", "records"]
+            "--steps", "4", "--format", "records"]
     assert console_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == WINDOW_RECORDS
@@ -1202,9 +1214,10 @@ def test_build_field_matches_per_wave_plane_waves(basis):
     fld = cli.build_field(run, basis)
     assert len(fld.components) == len(run.waves)
     for comp, wave in zip(fld.components, run.waves):
+        # in units of the mass, whatever run.mass is
         v = wave["velocity"]
-        assert np.array_equal(comp.momentum, run.mass * np.append(np.sqrt(1 + v @ v), v))
-        alone = plane_wave(comp.momentum, run.mass, wave["spin"], wave["amplitude"], basis)
+        assert np.array_equal(comp.momentum, np.append(np.sqrt(1 + v @ v), v))
+        alone = plane_wave(comp.momentum, 1.0, wave["spin"], wave["amplitude"], basis)
         want = alone.components[0].amplitude * np.exp(-1j * wave["phase"])
         assert np.abs(comp.amplitude - want).max() <= 1e-15
 
@@ -1316,11 +1329,12 @@ def test_usage_error_exit_code():
         (["trajectory", "--steps", "2"], "mode = guidance", "unknown key 'mode'"),
         (["gordon", "--points", "3"], "seed = 3", "unknown key 'seed'"),
         (["guidance", "--at", "0,0,0,0"], "", "unrecognized arguments: --at 0,0,0,0"),
+        (["trajectory", "--htau", "0.1"], "", "unrecognized arguments: --htau 0.1"),
     ],
-    ids=["tau_max", "mode", "seed", "guidance-at"],
+    ids=["tau_max", "mode", "seed", "guidance-at", "trajectory-htau"],
 )
 def test_removed_routes_exit_2(tmp_path, capsys, argv, line, err):
-    # --steps, --mode, --seed and the config's point set these values
+    # --steps, --mode, --seed and the config's point and tau_step set these values
     argv = argv + ["--config", write_cfg(tmp_path, line + "\n" + TWO_WAVE)]
     try:
         code = console_main(argv)
@@ -1346,7 +1360,9 @@ def test_parse_config_reads_background():
     assert cfg.mass == 2.0
     assert cfg.charge == 0.5
     assert cfg.torsion_coupling == 0.4
+    # in units of the mass: q a and w are momenta, halved at mass 2
     bg = cli.build_background(cfg)
-    assert np.allclose(bg.em_potential.value(np.zeros(4)), [0.1, 0, 0, 0])
-    assert np.allclose(bg.torsion_vector.value(np.zeros(4)), [0, 0.1, -0.05, 0.2])
+    assert bg.mass == 1.0
+    assert np.allclose(bg.em_potential.value(np.zeros(4)), [0.05, 0, 0, 0])
+    assert np.allclose(bg.torsion_vector.value(np.zeros(4)), [0, 0.05, -0.025, 0.1])
     assert cfg.waves[0]["spin"] @ cfg.waves[0]["spin"] == 1.0

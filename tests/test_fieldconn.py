@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from diracpolar.algebra import ETA, ETA_SIGNS, frame_connection, mdot
+from diracpolar.algebra import ETA, ETA_SIGNS, connection_from_transport, mdot, transport_terms
 from diracpolar.errors import OffShell, OutOfDomain, PhaseJump
 from diracpolar.fieldconn import (
     Background,
@@ -491,6 +491,8 @@ def test_guidance_never_forms_the_connection(basis, monkeypatch):
         jet = derivative_jet(fld, bg, basis, x0)
         with pytest.raises(Formed):
             jet.r
-    # restored, the jet's r is frame_connection of its u, s and derivatives
+    # restored, the jet's r is the connection of the transport terms of its
+    # u, s and derivatives
     jet = derivative_jet(fld, bg, basis, x0)
-    assert np.array_equal(jet.r, frame_connection(jet.velocity, jet.du, jet.spin, jet.ds))
+    terms = transport_terms(jet.velocity, jet.du, jet.spin, jet.ds)
+    assert np.array_equal(jet.r, connection_from_transport(terms))

@@ -12,7 +12,7 @@ decomposed frame in test_algebra.
 The guidance path reads the connection only through CONNECTION_TABLE, one
 product on the transport terms, and inverts the momentum map through a
 triple product; the references are the routes they replaced, the connection
-array of frame_connection contracted through two tables and a fancy index,
+array of the transport gauge contracted through two tables and a fancy index,
 and the inversion through a per-point pair dual, down to whole guidance
 velocities.
 

@@ -698,7 +698,7 @@ def test_scale_covariance(basis, log_mass, drawn, amplitude, x):
     fields = []
     for m, point in ((1.0, x), (mass, x / mass)):
         cfg = cli.parse_config(wave_config(m, point, drawn, amplitude))
-        fields.append((*cli.in_mass_units(cfg, basis), point))
+        fields.append((cli.build_field(cfg, basis), cli.build_background(cfg), point))
     (one, bg_one, _), (heavy, bg, point) = fields
 
     # Both fields are built in units of their mass, where the mass-m config's
@@ -724,15 +724,16 @@ def test_scale_covariance(basis, log_mass, drawn, amplitude, x):
         for name in want:
             assert abs(got[name] - want[name]) <= bound * EPS
 
-    # and every command passes on the mass-m config, with no warning
+    # and every command passes on the mass-m config, with the step 0.05 / mass
+    # and no warning
     commands = [["polar"], ["gordon"], ["guidance"]] + [
-        ["trajectory", "--mode", mode, "--steps", "3", "--htau", "%.17g" % (0.05 / mass)]
-        for mode in ("kinematic", "guidance")
+        ["trajectory", "--mode", mode, "--steps", "3"] for mode in ("kinematic", "guidance")
     ]
     with tempfile.TemporaryDirectory() as tmp:
         path = tmp + "/run.cfg"
         with open(path, "w") as fh:
-            fh.write(wave_config(mass, point, drawn, amplitude))
+            fh.write("tau_step = %.17g\n" % (0.05 / mass)
+                     + wave_config(mass, point, drawn, amplitude))
         for argv in commands:
             err = io.StringIO()
             with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
