@@ -32,30 +32,28 @@ ETA.setflags(write=False)
 # the diagonal of ETA: v * ETA_SIGNS lowers (or raises) the last index of a
 # vector or of a stack of vectors
 ETA_SIGNS = np.diag(ETA)
+# LOWER_PAIR lowers (or raises) both indices of a matrix
+LOWER_PAIR = ETA_SIGNS[:, None] * ETA_SIGNS
+LOWER_PAIR.setflags(write=False)
 
 SEED_SPINOR = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
 SEED_SPINOR.setflags(write=False)
 
 
-def _perm_sign(perm) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+def _epsilon(n: int) -> np.ndarray:
+    """Read-only Levi-Civita symbol with n indices, epsilon_{01..n-1} = +1.
 
-
-def _build_epsilon() -> np.ndarray:
-    eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        eps[perm] = _perm_sign(perm)
+    Each permutation's sign is the determinant of its permutation matrix,
+    which LU with partial pivoting returns as exactly +1 or -1.
+    """
+    perms = np.array(list(itertools.permutations(range(n))))
+    eps = np.zeros((n,) * n)
+    eps[tuple(perms.T)] = np.linalg.det(np.eye(n)[perms])
+    eps.setflags(write=False)
     return eps
 
 
-EPS_LOWER = _build_epsilon()
-EPS_LOWER.setflags(write=False)
+EPS_LOWER = _epsilon(4)
 EPS_UPPER = -EPS_LOWER
 EPS_UPPER.setflags(write=False)
 # epsilon^{abcd} over the index pairs, row (ab) and column (cd); a view of
@@ -63,10 +61,7 @@ EPS_UPPER.setflags(write=False)
 EPS_PAIRS = EPS_UPPER.reshape(16, 16)
 
 # 3d Levi-Civita, used for rotation generators
-EPS3 = np.zeros((3, 3, 3))
-for _p in itertools.permutations(range(3)):
-    EPS3[_p] = _perm_sign(_p)
-EPS3.setflags(write=False)
+EPS3 = _epsilon(3)
 
 # the six index pairs a < b of an antisymmetric 4x4 tensor, in the order of
 # BilinearSet.tensor6, and the same pairs as index arrays
@@ -335,16 +330,6 @@ def boost_spin_rep(u: np.ndarray, basis: CliffordBasis) -> np.ndarray:
     return half_cosh[..., None, None] * basis.identity + generator.reshape(v.shape[:-1] + (4, 4))
 
 
-def boost_vec_rep(u: np.ndarray) -> np.ndarray:
-    """vec_rep of the same boost in closed form, for u (..., 4) as in boost_spin_rep:
-      vec_rep = [[u0, -v], [-v, 1 + v v^T / (u0 + 1)]] = q w^T - eta,
-                q = (u0 + 1, -v), w = q / (u0 + 1)
-    """
-    v = np.asarray(u, dtype=float)[..., 1:]
-    q = np.concatenate([(np.sqrt(1.0 + np.vecdot(v, v)) + 1.0)[..., None], -v], axis=-1)
-    return q[..., :, None] * (q / q[..., :1])[..., None, :] - ETA
-
-
 def _rot_z_quaternion(target: np.ndarray):
     """(q0, q1, q2) of the minimal rotation taking z onto target (..., 3),
     which need not be normalized.
@@ -354,8 +339,12 @@ def _rot_z_quaternion(target: np.ndarray):
     antipode |t| + t_z is formed as rho^2 / (|t| - t_z), rho^2 = t_x^2 + t_y^2,
     to avoid cancellation; at the antipode itself, rho < 1e-14 |t| with t_z <
     0 (the threshold of rot_z_to_params), the rotation is the half turn about x.
+    t is first scaled by a power of two to max |t_i| in [1/2, 1): the scaling
+    is exact and q homogeneous, so the squares can neither overflow nor
+    underflow and every other t gives the same bits.
     """
     t = np.asarray(target, dtype=float)
+    t = np.ldexp(t, -np.frexp(np.abs(t).max(axis=-1, keepdims=True))[1])
     tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
     rho2 = tx * tx + ty * ty
     norm = np.sqrt(rho2 + tz * tz)
@@ -368,33 +357,22 @@ def _rot_z_quaternion(target: np.ndarray):
     return q0, q1, q2
 
 
+def vector_rep(spin_rep: np.ndarray, basis: CliffordBasis) -> np.ndarray:
+    """vec_rep of a spin representation L, or of every one of a stack (..., 4, 4):
+    L^-1 gamma^a L = vec_rep^a_b gamma^b, read off as tr(L^-1 gamma^a L gamma_b) / 4."""
+    spin_rep = spin_rep[..., None, :, :]
+    conjugated = spin_inverse(spin_rep, basis) @ basis.gamma @ spin_rep
+    # row (ij) of the table holds (gamma_b)_ji, so row (ij) times it sums tr(X gamma_b)
+    table = basis.gamma_lower.transpose(2, 1, 0).reshape(16, 4)
+    return (conjugated.reshape(conjugated.shape[:-2] + (16,)) @ table).real / 4.0
+
+
 def rot_z_spin_rep(target: np.ndarray, basis: CliffordBasis) -> np.ndarray:
     """spin_rep of lorentz_exp(rot_z_to_params(target)) in closed form, for
     target (..., 3): q_0 1 - 2 (q_1 sigma_23 + q_2 sigma_31), q of _rot_z_quaternion."""
     q0, q1, q2 = _rot_z_quaternion(target)
     generator = np.stack([q1, q2], axis=-1) @ basis.rotation_generators.reshape(2, 16)
     return q0[..., None, None] * basis.identity - 2.0 * generator.reshape(q0.shape + (4, 4))
-
-
-def rot_z_vec_rep(target: np.ndarray) -> np.ndarray:
-    """vec_rep of the same rotation in closed form: diag(1, R^T), R the
-    rotation matrix of the quaternion q of _rot_z_quaternion, which takes z onto t."""
-    q0, q1, q2 = _rot_z_quaternion(target)
-    vec = np.zeros(q0.shape + (4, 4))
-    vec[..., 0, 0] = 1.0
-    vec[..., 1, 1] = 1.0 - 2.0 * q2 * q2
-    vec[..., 2, 2] = 1.0 - 2.0 * q1 * q1
-    vec[..., 3, 3] = 1.0 - 2.0 * (q1 * q1 + q2 * q2)
-    vec[..., 1, 2] = vec[..., 2, 1] = 2.0 * q1 * q2
-    vec[..., 1, 3] = -2.0 * q2 * q0
-    vec[..., 3, 1] = 2.0 * q2 * q0
-    vec[..., 2, 3] = 2.0 * q1 * q0
-    vec[..., 3, 2] = -2.0 * q1 * q0
-    return vec
-
-
-# LOWER_PAIR lowers both indices of a matrix
-LOWER_PAIR = ETA_SIGNS[:, None] * ETA_SIGNS
 
 
 def transport_terms(u, du, s, ds):

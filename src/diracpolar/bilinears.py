@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS_LOWER, EPS_UPPER, ETA_SIGNS, PAIR_I, PAIR_J, mdot
+from .algebra import EPS_LOWER, EPS_UPPER, ETA_SIGNS, LOWER_PAIR, PAIR_I, PAIR_J, mdot
 from .errors import SingularSpinor, raise_rows
 
 REGULARITY_EPS = 1e-10
@@ -141,7 +141,7 @@ def check_fierz(bil: BilinearSet) -> dict:
     out["axial_norm"] = np.abs(mdot(s, s) + mod2) / n2
     out["orthogonality"] = np.abs(mdot(u, s)) / n2
 
-    m_up = m * ETA_SIGNS[:, None] * ETA_SIGNS
+    m_up = m * LOWER_PAIR
     square = 0.5 * np.sum(m * m_up, axis=(-2, -1)) - (phi_b**2 - theta_b**2)
     out["tensor_square"] = np.abs(square) / n2
     dual = 0.25 * np.einsum("...ab,...ij,abij->...", m, m, EPS_UPPER)

@@ -134,7 +134,8 @@ WAVE_KEYS = {
         "a component exceeds %.0e" % BOOST_MAX if np.abs(v).max() > BOOST_MAX
         else "p0 / mass = sqrt(1 + v.v) exceeds %.0e, got %r" % (BOOST_MAX, text)
         if np.sqrt(1 + v @ v) > BOOST_MAX else None)),
-    "spin": (3, np.array([0.0, 0.0, 1.0]), None),
+    "spin": (3, np.array([0.0, 0.0, 1.0]), lambda spin, text: None if spin.any() else (
+        "expected a nonzero direction, got %r" % text)),
     "amplitude": (1, 1.0, lambda amplitude, text: (
         None if not amplitude or AMPLITUDE_MIN <= abs(amplitude) <= AMPLITUDE_MAX
         else "expected 0 or a magnitude in [%.0e, %.0e], got %r"

@@ -217,6 +217,10 @@ class GriddedField:
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (4,)).copy()
         self.data = np.asarray(data, dtype=complex)
+        if self.origin.shape != (4,) or not np.isfinite(self.origin).all():
+            raise ValueError("grid origin must be 4 finite numbers, got %s" % self.origin)
+        if not np.all((self.spacing > 0) & np.isfinite(self.spacing)):
+            raise ValueError("grid spacing must be positive and finite, got %s" % self.spacing)
         if self.data.ndim != 5 or self.data.shape[-1] != 4:
             raise ValueError("grid data must have shape (n0, n1, n2, n3, 4)")
 
@@ -274,15 +278,32 @@ def save_grid(path, grid: GriddedField) -> None:
         np.savetxt(fh, cols, fmt="%.17g")
 
 
+def _header(fh, lineno, key, kind):
+    """The four numbers of header line lineno, "# key: n0 n1 n2 n3", as kind;
+    ValueError names the line when it lacks its prefix or four numbers."""
+    line = fh.readline().strip()
+    prefix = "# %s:" % key
+    words = line[len(prefix):].split() if line.startswith(prefix) else []
+    try:
+        if len(words) == 4:
+            return tuple(map(kind, words))
+    except ValueError:
+        pass
+    raise ValueError("line %d: expected %r and 4 numbers, got %r" % (lineno, prefix, line))
+
+
 def load_grid(path) -> GriddedField:
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != GRID_MAGIC:
             raise ValueError("not a grid file: bad magic line %r" % magic)
-        origin = np.array(fh.readline().split(":", 1)[1].split(), dtype=float)
-        spacing = np.array(fh.readline().split(":", 1)[1].split(), dtype=float)
-        shape = tuple(int(t) for t in fh.readline().split(":", 1)[1].split())
-        cols = np.loadtxt(fh)
+        origin = _header(fh, 2, "origin", float)
+        spacing = _header(fh, 3, "spacing", float)
+        shape = _header(fh, 4, "shape", int)
+        if min(shape) < 1:
+            raise ValueError("line 4: expected a node count >= 1 on every axis, got %s" % (shape,))
+        # a grid of one node is one row, which loadtxt would flatten
+        cols = np.loadtxt(fh, ndmin=2)
     data = (cols[:, :4] + 1j * cols[:, 4:]).reshape(shape + (4,))
     return GriddedField(origin, spacing, data)
 

@@ -22,14 +22,13 @@ import functools
 
 import numpy as np
 
-from .algebra import EPS_PAIRS, ETA_SIGNS, pair_dual
+from .algebra import EPS_PAIRS, ETA_SIGNS, LOWER_PAIR, pair_dual
 from .bilinears import density_products
 from .fieldconn import Background, PolarJet, polar_jet, sample_field
 from .guidance import potentials
 
-# the diagonal signs of eta along one index, and along two (a, b)
+# the diagonal signs of eta along one index
 _S = ETA_SIGNS
-_S2 = ETA_SIGNS[:, None] * ETA_SIGNS
 
 # the ten balance equations as reported, with the number of components each
 # stacks into the columns of the balance tables, and the first of them
@@ -92,14 +91,14 @@ def _balance_components(products, signs, w, m, coup):
     scalar, pseudoscalar = dens[..., 0].real, -dens[..., 1].imag
     u, s = dens[..., 2:6].real, dens[..., 6:10].real
     m_up = -2.0 * dens[..., 10:26].imag.reshape(dens.shape[:-1] + (4, 4))
-    m_low = m_up * _S2
+    m_low = m_up * LOWER_PAIR
     w = np.broadcast_to(w, u.shape)
     w_low, u_low = w * _S, u * _S
 
     # d_mu of the densities, mu first: d_vec[mu, a] = d_mu u^a and the like
     d_vec = np.swapaxes(d_gam, -1, -2)
     d_ax = np.swapaxes(d_gam_pi, -1, -2)
-    d_tens = 2j * np.moveaxis(d_sig, -1, -3) * _S2
+    d_tens = 2j * np.moveaxis(d_sig, -1, -3) * LOWER_PAIR
 
     out = {}
 

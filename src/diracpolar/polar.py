@@ -23,12 +23,11 @@ import numpy as np
 from .algebra import (  # noqa: F401
     SEED_SPINOR,
     boost_spin_rep,
-    boost_vec_rep,
     lorentz_exp,
     lorentz_inverse,
     rot_z_spin_rep,
-    rot_z_vec_rep,
     spin_inverse,
+    vector_rep,
 )
 from .bilinears import Densities, compute_bilinears, require_regular
 
@@ -73,11 +72,10 @@ def polar_decompose(psi, basis) -> PolarData:
     psi = np.asarray(psi, dtype=complex)
     density, chiral_angle, u, s = polar_variables(compute_bilinears(psi, basis))
 
-    # boost to rest first, then the minimal rotation taking z onto the rest spin
-    boost_vec = boost_vec_rep(u)
-    rest_spin = (boost_vec @ s[..., None])[..., 1:, 0]
+    # boost to rest first, then the minimal rotation taking z onto the rest
+    # spin, which is s[1:] - s^0 v / (u^0 + 1) because u.s = 0
+    rest_spin = s[..., 1:] - (s[..., :1] / (u[..., :1] + 1.0)) * u[..., 1:]
     l_spin = rot_z_spin_rep(rest_spin, basis) @ boost_spin_rep(u, basis)
-    l_vec = rot_z_vec_rep(rest_spin) @ boost_vec
 
     # least-squares phase of psi against the phase-free reference
     reference = _assemble(density, chiral_angle, l_spin, basis)
@@ -90,7 +88,7 @@ def polar_decompose(psi, basis) -> PolarData:
         velocity=u,
         spin=s,
         l_spin=l_spin,
-        l_vec=l_vec,
+        l_vec=vector_rep(l_spin, basis),
         residual_phase=phase,
         fit_residual=fit / np.linalg.norm(psi, axis=-1),
     )

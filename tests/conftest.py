@@ -13,12 +13,45 @@ import pytest
 
 from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, LOWER_PAIR, build_chiral_basis
 from diracpolar.errors import OutOfDomain, raise_rows
-from diracpolar.fieldconn import ConstantVector, PlaneWaveComponent, PlaneWaveField, plane_wave
+from diracpolar.fieldconn import (
+    GRID_MAGIC,
+    ConstantVector,
+    PlaneWaveComponent,
+    PlaneWaveField,
+    plane_wave,
+)
 
 
 @pytest.fixture(scope="session")
 def basis():
     return build_chiral_basis()
+
+
+# a grid file of one node, each header line given as text
+GRID_FILE = GRID_MAGIC + "\n%s\n%s\n%s\n1 0 1 0 0 0 0 0\n"
+GOOD_HEADER = ("# origin: 0 0 0 0", "# spacing: 1 1 1 1", "# shape: 1 1 1 1")
+
+
+def _bad_header(line, text):
+    header = list(GOOD_HEADER)
+    header[line - 2] = text
+    return GRID_FILE % tuple(header)
+
+
+# grid files load_grid rejects with a ValueError, and the start of its message
+BAD_GRID_FILES = {
+    "magic": ("not a grid\n1 2 3\n", "not a grid file"),
+    "truncated": (GRID_MAGIC + "\n", "line 2: expected '# origin:' and 4 numbers, got ''"),
+    "origin-prefix": (_bad_header(2, "0 0 0 0"), "line 2: expected '# origin:'"),
+    "origin-count": (_bad_header(2, "# origin: 0 0 0"), "line 2: expected '# origin:'"),
+    "spacing-count": (_bad_header(3, "# spacing: 1 1 1 1 1"), "line 3: expected '# spacing:'"),
+    "shape-prefix": (_bad_header(4, "shape: 1 1 1 1"), "line 4: expected '# shape:'"),
+    "shape-text": (_bad_header(4, "# shape: 1 1 1 x"), "line 4: expected '# shape:'"),
+    "shape-zero": (_bad_header(4, "# shape: 1 0 1 1"), "line 4: expected a node count >= 1"),
+    "origin-nan": (_bad_header(2, "# origin: nan 0 0 0"), "grid origin must be 4 finite"),
+    "spacing-zero": (_bad_header(3, "# spacing: 0 1 1 1"), "grid spacing must be positive"),
+    "spacing-inf": (_bad_header(3, "# spacing: 1 inf 1 1"), "grid spacing must be positive"),
+}
 
 
 class LinearVector:

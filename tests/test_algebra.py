@@ -106,6 +106,15 @@ def test_lorentz_identity(basis):
     assert np.allclose(pair.vec_rep, np.eye(4), atol=1e-15)
 
 
+def test_lorentz_exp_rejects_parameters_that_are_not_antisymmetric(basis):
+    lam = random_antisymmetric(np.random.default_rng(3))
+    lam[1, 2] += 1e-9
+    with pytest.raises(ValueError, match="antisymmetric"):
+        lorentz_exp(lam, basis)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        lorentz_exp(np.stack([np.zeros((4, 4)), np.eye(4)]), basis)
+
+
 def test_z_boost_closed_form(basis):
     chi = 0.83
     lam = np.zeros((4, 4))

@@ -13,7 +13,7 @@ from diracpolar import cli
 from diracpolar.cli import console_main, parse_config
 from diracpolar.errors import ConfigError, OffShell
 
-from conftest import BoxWindow, per_row_emit
+from conftest import BAD_GRID_FILES, BoxWindow, per_row_emit
 
 TWO_WAVE = """\
 mass = 1.0
@@ -700,6 +700,30 @@ def test_fast_velocity_wave_is_on_the_shell(tmp_path, command):
     assert run_quietly(command, cfg) == (0, "")
 
 
+FAST_PAIR = """\
+mass = 1
+
+[wave]
+velocity = %s
+spin = 0.1 0.2 1
+
+[wave]
+velocity = 0.1 0.15 -0.08
+spin = -0.1 0.1 1
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the exact jet's rounding grows with powers of p0 / mass, and "
+    "p1.transport reads 2.2e-6 at 1000 0 0, past the tolerance 1e-6",
+)
+def test_gordon_passes_on_a_fast_wave_pair(tmp_path):
+    for velocity in ("1000 0 0", "1e4 0 0"):
+        cfg = write_cfg(tmp_path, FAST_PAIR % velocity)
+        assert run_quietly(["gordon", "--points", "3"], cfg) == (0, ""), velocity
+
+
 @pytest.mark.parametrize(
     "wave, err",
     [
@@ -758,6 +782,51 @@ def test_amplitude_range_runs_on_boosted_waves(tmp_path, amplitude):
     for argv in RUNS:
         code, err = run_quietly(argv, cfg)
         assert code == 0 or err.startswith("tolerance violation: "), (argv, err)
+
+
+SPIN_FIELD = """\
+mass = 1
+point = 0.0 0.1 0.05 -0.1
+
+[wave]
+velocity = 0.25 -0.1 0.05
+spin = %s
+
+[wave]
+velocity = 0.1 0.15 -0.08
+spin = -0.1 0.1 1
+amplitude = 0.3
+"""
+
+
+def run_report(argv, cfg):
+    """console_main of argv on the config in records, with every warning an
+    error: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = console_main(argv + ["--config", cfg, "--format", "records"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+def test_spin_axis_is_a_direction(tmp_path, k):
+    # a spin axis is a direction: 2^k times it, an exact scaling, gives every
+    # report with the same bytes
+    axis = np.array([0.1, 0.2, 1.0])
+    for argv in RUNS:
+        want, got = [run_report(argv, write_cfg(tmp_path, SPIN_FIELD % numbers(spin)))
+                     for spin in (axis, np.ldexp(axis, k))]
+        assert want[0] == 0 and want == got, argv
+
+
+@pytest.mark.parametrize("spin", ["1e-320 0 0", "0 0 1e-200", "1e200 0 0"])
+def test_spin_axes_of_any_size_run(tmp_path, spin):
+    # no square of the axis overflows or underflows; a zero axis, which has
+    # no direction, is PAST_THE_BOUND of test_every_key_bounds_its_value
+    cfg = write_cfg(tmp_path, SPIN_FIELD % spin)
+    for argv in RUNS:
+        assert run_quietly(argv, cfg) == (0, ""), argv
 
 
 def test_build_field_checks_the_shell_once(basis, monkeypatch):
@@ -876,6 +945,7 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, key, line):
 # a value past the bound of every key whose table entry has a check
 PAST_THE_BOUND = {
     "mass": "0", "tolerance": "0", "velocity": "6e7 8.000001e7 0", "amplitude": "1e71",
+    "spin": "0 0 0",
 }
 NUMBER_KEYS = [
     (prefix, key, count, check is not None)
@@ -1134,11 +1204,15 @@ mas = 1.0
 charge = abc
 point = 1 2 3
 tolerance = -1
+mass 1
+grid = %s
 
 [wave]
 velocity = 0.1 0.2
 spn = 1 0 0
-"""
+
+[waves]
+""" % write_cfg(tmp_path, "", "field.grid")
     cfg = write_cfg(tmp_path, bad)
     code = console_main(["polar", "--config", cfg])
     err = capsys.readouterr().err
@@ -1148,8 +1222,11 @@ spn = 1 0 0
     assert "expected a number" in err
     assert "expected 4 numbers" in err
     assert "tolerance: expected a number > 0" in err
+    assert "line 5: expected key = value, got 'mass 1'" in err
+    assert "line 12: unknown section [waves]" in err
+    assert "give either [wave] sections or a grid file, not both" in err
     # every problem reported in one pass
-    assert err.count("config error:") >= 5
+    assert err.count("config error:") >= 8
 
 
 def test_missing_config_file(capsys):
@@ -1282,6 +1359,25 @@ def test_grid_file_must_exist(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "file not found" in err
+
+
+def test_one_node_grid_runs(tmp_path, basis):
+    # a grid of one node answers at that node
+    from diracpolar.fieldconn import plane_wave, save_grid, to_grid
+
+    fld = plane_wave(np.array([1.0, 0, 0, 0]), 1.0, (0, 0, 1), 1.0, basis)
+    path = tmp_path / "field.grid"
+    save_grid(str(path), to_grid(fld.evaluate, np.zeros(4), 1e-3, (1, 1, 1, 1)))
+    cfg = write_cfg(tmp_path, "mass = 1.0\ngrid = %s\npoint = 0 0 0 0\n" % path)
+    assert run_quietly(["polar"], cfg) == (0, "")
+
+
+@pytest.mark.parametrize("text, err", BAD_GRID_FILES.values(), ids=BAD_GRID_FILES)
+def test_bad_grid_files_exit_2(tmp_path, text, err):
+    path = tmp_path / "field.grid"
+    path.write_text(text)
+    code, stderr = run_quietly(["polar"], write_cfg(tmp_path, "mass = 1.0\ngrid = %s\n" % path))
+    assert code == 2 and stderr.startswith("config error: grid: " + err), stderr
 
 
 COLD_START = """\

@@ -33,12 +33,11 @@ from diracpolar.algebra import (
     SEED_SPINOR,
     boost_params,
     boost_spin_rep,
-    boost_vec_rep,
     lorentz_exp,
     lorentz_inverse,
     rot_z_spin_rep,
     rot_z_to_params,
-    rot_z_vec_rep,
+    vector_rep,
 )
 from diracpolar.bilinears import (
     check_fierz,
@@ -116,7 +115,7 @@ def test_closed_form_frame_matches_expm(basis, v, t):
     # and squaring loses a few more bits than the closed form as u0 grows
     spin = rot_z_spin_rep(t, basis) @ boost_spin_rep(u, basis)
     assert np.abs(spin - ref_spin).max() < 1e-12 * np.sqrt(u[0])
-    assert np.abs(rot_z_vec_rep(t) @ boost_vec_rep(u) - ref_vec).max() < 1e-11 * u[0]
+    assert np.abs(vector_rep(spin, basis) - ref_vec).max() < 1e-11 * u[0]
 
 
 @PROPERTY
@@ -129,7 +128,8 @@ def test_rotation_next_to_antipode_matches_expm(basis, log_offset, azimuth):
     # below which both forms take the half turn about x
     offset = 10.0**log_offset
     t = np.array([offset * np.cos(azimuth), offset * np.sin(azimuth), -1.0])
-    spin, vec = rot_z_spin_rep(t, basis), rot_z_vec_rep(t)
+    spin = rot_z_spin_rep(t, basis)
+    vec = vector_rep(spin, basis)
     ref = lorentz_exp(rot_z_to_params(t), basis)
     assert np.abs(spin - ref.spin_rep).max() < 1e-13
     assert np.abs(vec - ref.vec_rep).max() < 1e-13
@@ -467,7 +467,7 @@ def test_derivative_jet_next_to_antipode(basis, seed, log_distance, azimuth):
     distance = 10.0**log_distance
     fld, bg = antipode_field(basis, seed, distance, azimuth, steady_turn=True)
     exact = derivative_jet(fld, bg, basis, np.zeros(4))
-    rest_spin = (boost_vec_rep(exact.velocity) @ exact.spin)[1:]
+    rest_spin = (vector_rep(boost_spin_rep(exact.velocity, basis), basis) @ exact.spin)[1:]
     assert 0.5 * distance < np.linalg.norm(rest_spin - [0.0, 0.0, -1.0]) < 2 * distance
     coarse, fine = (
         jet_gap(exact, transport_gauge(polar_jet(fld, bg, basis, np.zeros(4), h)))

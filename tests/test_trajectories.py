@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracpolar import bilinears
-from diracpolar.algebra import ETA, boost_vec_rep
+from diracpolar.algebra import ETA, boost_spin_rep, vector_rep
 from diracpolar.errors import DiracPolarError, ImmediateSingularity, OutOfDomain, SingularSpinor
 from diracpolar.fieldconn import (
     Background,
@@ -14,6 +14,7 @@ from diracpolar.fieldconn import (
     to_grid,
 )
 from diracpolar.trajectories import (
+    Trajectory,
     batch_integrate,
     integrate,
     sup_divergence,
@@ -177,7 +178,7 @@ def test_guidance_at_the_half_turn_branch(basis):
     fld = PlaneWaveField(rest.components + vanishing_waves(np.random.default_rng(42), basis, 0.3))
     bg = Background(mass=MASS)
     jet = derivative_jet(fld, bg, basis, np.zeros(4))
-    rest_spin = (boost_vec_rep(jet.velocity) @ jet.spin)[1:]
+    rest_spin = (vector_rep(boost_spin_rep(jet.velocity, basis), basis) @ jet.spin)[1:]
     assert np.hypot(rest_spin[0], rest_spin[1]) < 1e-14 and rest_spin[2] < 0.0
     assert np.abs(jet.ds).max() > 0.01
     guidance = velocity_field(fld, bg, basis, "guidance")(np.zeros(4))
@@ -198,6 +199,15 @@ def test_sup_divergence_guards_mismatched_tau(basis):
     b = integrate(fld, bg, basis, np.zeros(4), 1.0, 0.05)
     with pytest.raises(ValueError):
         sup_divergence(a, b)
+
+
+def test_sup_divergence_of_an_arc_without_samples_is_nan(basis):
+    # an arc that fails at its seed shares no arc with another
+    fld = two_wave(basis)
+    bg = Background(mass=MASS)
+    a = integrate(fld, bg, basis, np.zeros(4), 1.0, 0.1)
+    empty = Trajectory(np.empty(0), np.empty((0, 4)), np.empty((0, 4)), "kinematic", None)
+    assert np.isnan(sup_divergence(a, empty)) and np.isnan(sup_divergence(empty, a))
 
 
 # -- ensembles: every seed of a run advances as one batch -------------------
