@@ -263,20 +263,6 @@ def lorentz_exp(lam: np.ndarray, basis: CliffordBasis) -> LorentzPair:
     return LorentzPair(expm(gen_spin), expm(gen_vec))
 
 
-def boost_params(u: np.ndarray) -> np.ndarray:
-    """Parameters of the pure boost whose vec_rep^-1 maps e_0 to the unit timelike u."""
-    u = np.asarray(u, dtype=float)
-    lam = np.zeros((4, 4))
-    speed = np.linalg.norm(u[1:])
-    if speed < 1e-300:
-        return lam
-    chi = np.arcsinh(speed)
-    n = u[1:] / speed
-    lam[0, 1:] = chi * n
-    lam[1:, 0] = -chi * n
-    return lam
-
-
 def rotation_params(axis: np.ndarray, angle: float) -> np.ndarray:
     """Parameters of the rotation whose vec_rep^-1 actively rotates by `angle` about `axis`."""
     n = np.asarray(axis, dtype=float)
@@ -317,7 +303,7 @@ def spin_inverse(spin_rep: np.ndarray, basis: CliffordBasis) -> np.ndarray:
 
 
 def boost_spin_rep(u: np.ndarray, basis: CliffordBasis) -> np.ndarray:
-    """spin_rep of lorentz_exp(boost_params(u)) in closed form.
+    """spin_rep of the pure boost whose vec_rep^-1 maps e_0 to u, in closed form.
 
     u has any leading batch shape (..., 4); only its spatial part v enters,
     with u0 = sqrt(1 + |v|^2).  The half-angle form keeps the rest frame regular:

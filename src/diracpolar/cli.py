@@ -37,6 +37,7 @@ from .fieldconn import (
     BOOST_MAX,
     Background,
     ConstantVector,
+    GriddedField,
     derivative_jet,
     load_grid,
     plane_wave,
@@ -264,12 +265,28 @@ def parse_config(text) -> RunConfig:
     return cfg
 
 
+def _in_mass_units(op, mass, *named):
+    """op(value, mass) of each (name, value) of named, None for None: the value
+    in units of the mass, np.multiply for a length and np.divide for a
+    momentum.  A finite value can leave the finite floats there, and a
+    ConfigError names each one that does."""
+    with np.errstate(over="ignore"):
+        mapped = [None if value is None else op(value, mass) for _, value in named]
+    problems = ["%s: not finite in units of the mass (mass = %.17g)" % (name, mass)
+                for (name, _), value in zip(named, mapped)
+                if value is not None and not np.isfinite(value).all()]
+    if problems:
+        raise ConfigError(problems)
+    return mapped
+
+
 def build_background(cfg: RunConfig) -> Background:
     """cfg's background in units of the mass (build_field): q a and w, which
     are momenta, divided by the mass."""
-    potentials = (cfg.em_potential, cfg.torsion_vector)
+    potentials = _in_mass_units(np.divide, cfg.mass, ("em_potential", cfg.em_potential),
+                                ("torsion_vector", cfg.torsion_vector))
     return Background(1.0, cfg.charge, cfg.torsion_coupling,
-                      *(None if a is None else ConstantVector(a / cfg.mass) for a in potentials))
+                      *(None if a is None else ConstantVector(a) for a in potentials))
 
 
 def build_field(cfg: RunConfig, basis):
@@ -280,10 +297,12 @@ def build_field(cfg: RunConfig, basis):
     if cfg.grid is not None:
         try:
             fld = load_grid(cfg.grid)
+            origin, spacing = _in_mass_units(np.multiply, cfg.mass, ("grid: origin", fld.origin),
+                                             ("grid: spacing", fld.spacing))
+            # checked again, as a spacing can underflow to 0
+            return GriddedField(origin, spacing, fld.data)
         except (OSError, ValueError) as exc:
             raise ConfigError(["grid: %s" % exc])
-        fld.origin, fld.spacing = cfg.mass * fld.origin, cfg.mass * fld.spacing
-        return fld
     # one row per wave
     v, spins = (np.array([w[key] for w in cfg.waves]) for key in ("velocity", "spin"))
     amplitudes, phases = np.array([(w["amplitude"], w["phase"]) for w in cfg.waves]).T
@@ -404,7 +423,8 @@ def cmd_polar(args) -> int:
     elif args.config is not None:
         cfg = _load_config(args.config)
         tolerance = cfg.tolerance
-        psi = build_field(cfg, basis).evaluate(cfg.mass * cfg.point)
+        (point,) = _in_mass_units(np.multiply, cfg.mass, ("point", cfg.point))
+        psi = build_field(cfg, basis).evaluate(point)
     else:
         raise ConfigError(["polar needs --config or --spinor"])
     try:
@@ -453,7 +473,8 @@ def cmd_gordon(args) -> int:
         points = cfg.point + _draw(
             args.points, "--points", lambda: rng.uniform(-1.0, 1.0, size=(args.points, 4))
         )
-    labels, table = _gordon_point(fld, bg, basis, cfg.mass * points)
+    (mapped,) = _in_mass_units(np.multiply, cfg.mass, ("point", points))
+    labels, table = _gordon_point(fld, bg, basis, mapped)
     table[:, :4] = points    # each point as drawn, not mapped back
     c = len(labels)
     emit([("point", 4), *((label, 1) for label in labels)], args.format, points=table)
@@ -467,7 +488,8 @@ def cmd_guidance(args) -> int:
     basis = build_chiral_basis()
     fld, bg = build_field(cfg, basis), build_background(cfg)
     m = cfg.mass
-    jet = derivative_jet(fld, bg, basis, m * cfg.point)
+    (point,) = _in_mass_units(np.multiply, m, ("point", cfg.point))
+    jet = derivative_jet(fld, bg, basis, point)
     forms = compact_forms(jet, bg)
     p_compact = momentum_from_velocity(jet.velocity, jet.spin, forms)
     p_long = momentum_long_form(jet.velocity, jet.spin, forms)
@@ -512,12 +534,15 @@ def _emit_trajectory(tr, index, fmt, out):
 
 
 def _read_seeds(path):
+    """(name, point) of every point of the seeds file at path, each named by
+    its line, "seeds line N"."""
     seeds = []
     problems = []
     for lineno, line in _lines(_read(path, "seeds")):
-        vec = _floats(line, 4, "seeds line %d" % lineno, problems)
+        name = "seeds line %d" % lineno
+        vec = _floats(line, 4, name, problems)
         if vec is not None:
-            seeds.append(vec)
+            seeds.append((name, vec))
     if not seeds:
         problems.append("seeds file %s lists no points" % path)
     if problems:
@@ -548,7 +573,8 @@ def cmd_trajectory(args) -> int:
         raise ConfigError(["--steps: %.6g steps, expected a finite count >= 0" % steps])
     basis = build_chiral_basis()
     fld, bg = build_field(cfg, basis), build_background(cfg)
-    seeds = m * np.array(_read_seeds(args.seeds) if args.seeds is not None else [cfg.point])
+    named = _read_seeds(args.seeds) if args.seeds is not None else [("point", cfg.point)]
+    seeds = np.array(_in_mass_units(np.multiply, m, *named))
     # opened before the integration, so that a bad path costs no arcs
     try:
         sink = open(args.out, "w") if args.out is not None else None

@@ -52,6 +52,15 @@ BAD_GRID_FILES = {
     "spacing-zero": (_bad_header(3, "# spacing: 0 1 1 1"), "grid spacing must be positive"),
     "spacing-inf": (_bad_header(3, "# spacing: 1 inf 1 1"), "grid spacing must be positive"),
 }
+# grid files that load, each with a mass at which its origin or spacing leaves
+# the finite or the positive floats in units of the mass, and the start of the
+# message that names it
+MAPPED_GRID_FILES = {
+    "origin-overflow": (_bad_header(2, "# origin: 1e300 0 0 0"), 1e10, "origin: not finite"),
+    "spacing-overflow": (_bad_header(3, "# spacing: 1e300 1 1 1"), 1e10, "spacing: not finite"),
+    "spacing-underflow": (_bad_header(3, "# spacing: 1 1e-300 1 1"), 1e-30,
+                          "grid spacing must be positive"),
+}
 
 
 class LinearVector:
@@ -110,6 +119,21 @@ class BoxWindow:
 def random_antisymmetric(rng, scale=1.0):
     a = rng.standard_normal((4, 4)) * scale
     return a - a.T
+
+
+def boost_params(u: np.ndarray) -> np.ndarray:
+    """Parameters of the pure boost whose vec_rep^-1 maps e_0 to the unit
+    timelike u: through lorentz_exp, the expm oracle of boost_spin_rep."""
+    u = np.asarray(u, dtype=float)
+    lam = np.zeros((4, 4))
+    speed = np.linalg.norm(u[1:])
+    if speed < 1e-300:
+        return lam
+    chi = np.arcsinh(speed)
+    n = u[1:] / speed
+    lam[0, 1:] = chi * n
+    lam[1:, 0] = -chi * n
+    return lam
 
 
 def torsion_wave(p_space, mass, coupling, w, basis, amplitude=1.0, branch=-1):

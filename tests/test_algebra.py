@@ -10,7 +10,6 @@ from diracpolar.algebra import (
     PAIR_I,
     PAIR_J,
     CliffordBasis,
-    boost_params,
     build_chiral_basis,
     connection_from_transport,
     lorentz_exp,
@@ -23,7 +22,7 @@ from diracpolar.algebra import (
 from diracpolar.fieldconn import plane_wave
 from diracpolar.polar import polar_decompose
 
-from conftest import random_antisymmetric, spin_dual, turn_about_spin
+from conftest import boost_params, random_antisymmetric, spin_dual, turn_about_spin
 
 
 def test_epsilon_convention():

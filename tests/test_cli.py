@@ -13,7 +13,7 @@ from diracpolar import cli
 from diracpolar.cli import console_main, parse_config
 from diracpolar.errors import ConfigError, OffShell
 
-from conftest import BAD_GRID_FILES, BoxWindow, per_row_emit
+from conftest import BAD_GRID_FILES, MAPPED_GRID_FILES, BoxWindow, per_row_emit
 
 TWO_WAVE = """\
 mass = 1.0
@@ -916,30 +916,53 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, extra):
     assert "expected finite numbers" in assert_config_error(tmp_path, capsys, argv, extra)
 
 
+FINITE = "expected a finite number"
+IN_MASS_UNITS = "not finite in units of the mass"
+# finite numbers that leave the finite floats in units of the mass, each with
+# its mass, in every command that maps them
+MAPPED = {
+    "point": "mass = 1e10\npoint = 1e300 0 0 0",
+    "em_potential": "mass = 1e-10\nem_potential = 1e300 0 0 0",
+    "torsion_vector": "mass = 1e-10\ntorsion_vector = 0 1e300 0 0",
+}
+MAPPED_CASES = [
+    (command, key, MAPPED[key], IN_MASS_UNITS)
+    for key in MAPPED
+    for command in ["polar"] * (key == "point") + [
+        "guidance", "gordon --points 3", "trajectory --steps 2",
+        "trajectory --mode guidance --steps 2"]
+]
+
+
 @pytest.mark.parametrize(
-    "command, key, line",
+    "command, key, line, problem",
     [
-        ("guidance", "torsion_coupling", "torsion_coupling = nan"),
-        ("gordon", "torsion_coupling", "torsion_coupling = nan"),
-        ("gordon", "charge", "charge = inf"),
-        ("guidance", "mass", "mass = nan"),
-        ("gordon", "tolerance", "tolerance = inf"),
-        ("trajectory", "tau_step", "tau_step = -inf"),
-        ("guidance", "wave 2 amplitude", "amplitude = inf"),
-        ("gordon", "wave 2 phase", "phase = nan"),
-    ],
+        ("guidance", "torsion_coupling", "torsion_coupling = nan", FINITE),
+        ("gordon", "torsion_coupling", "torsion_coupling = nan", FINITE),
+        ("gordon", "charge", "charge = inf", FINITE),
+        ("guidance", "mass", "mass = nan", FINITE),
+        ("gordon", "tolerance", "tolerance = inf", FINITE),
+        ("trajectory", "tau_step", "tau_step = -inf", FINITE),
+        ("guidance", "wave 2 amplitude", "amplitude = inf", FINITE),
+        ("gordon", "wave 2 phase", "phase = nan", FINITE),
+    ] + MAPPED_CASES,
     ids=["guidance-torsion-nan", "gordon-torsion-nan", "charge-inf", "mass-nan",
-         "tolerance-inf", "tau_step-inf", "amplitude-inf", "phase-nan"],
+         "tolerance-inf", "tau_step-inf", "amplitude-inf", "phase-nan"] + [
+        "-".join([key, *filter(str.isalpha, command.split())])
+        for command, key, _, _ in MAPPED_CASES],
 )
-def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, key, line):
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, key, line, problem):
     # a global line goes first (a later line of the same key does not hide
     # it), a wave line ends the last wave
     if key.startswith("wave"):
         text = TWO_WAVE + line + "\n"
     else:
         text = line + "\n" + TWO_WAVE
-    argv = [command, "--config", write_cfg(tmp_path, text)]
-    assert "%s: expected a finite number" % key in assert_config_error(tmp_path, capsys, argv, None)
+    if problem == IN_MASS_UNITS:
+        # the lines set the mass and the point, each once
+        text = text.replace("mass = 1.0\n", "").replace("point = 0.0 0.1 0.05 -0.1\n", "")
+    argv = command.split() + ["--config", write_cfg(tmp_path, text)]
+    assert "%s: %s" % (key, problem) in assert_config_error(tmp_path, capsys, argv, None)
 
 
 # a value past the bound of every key whose table entry has a check
@@ -1090,7 +1113,7 @@ def test_gordon_on_a_vanishing_field_names_the_guard(tmp_path, fmt, points):
         1, "SingularSpinor: scalar^2 + pseudoscalar^2 = 0.000e+00 below 1.0e-10 * density^2\n")
 
 
-def test_guidance_names_a_degenerate_xs(tmp_path):
+def test_guidance_names_a_degenerate_xs(tmp_path, basis):
     # a torsion vector xs s at the point takes its xs to rounding: compact_forms
     # returns the forms, and the inversion fails with the message the forms
     # once raised
@@ -1098,7 +1121,6 @@ def test_guidance_names_a_degenerate_xs(tmp_path):
     from diracpolar.guidance import compact_forms
 
     run = parse_config(TWO_WAVE)
-    basis = diracpolar.build_chiral_basis()
     jet = derivative_jet(cli.build_field(run, basis), cli.build_background(run), basis, run.point)
     xs = compact_forms(jet, cli.build_background(run)).xs
     torsion = "torsion_coupling = 1\ntorsion_vector = %s\n" % " ".join(
@@ -1196,6 +1218,13 @@ def test_seeds_file_problems_are_named(tmp_path, capsys):
     argv[-1] = str(tmp_path / "missing.txt")
     assert console_main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: cannot read seeds %s: " % argv[-1])
+    # finite as given, but not in units of the mass
+    seeds.write_text("0 0 0 0\n1e300 0 0 0\n")
+    argv[2] = write_cfg(tmp_path, TWO_WAVE.replace("mass = 1.0", "mass = 1e10"), name="heavy.cfg")
+    argv[-1] = str(seeds)
+    assert console_main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: seeds line 2: not finite in units of the mass (mass = 10000000000)\n")
 
 
 def test_config_errors_are_collected(tmp_path, capsys):
@@ -1372,11 +1401,16 @@ def test_one_node_grid_runs(tmp_path, basis):
     assert run_quietly(["polar"], cfg) == (0, "")
 
 
-@pytest.mark.parametrize("text, err", BAD_GRID_FILES.values(), ids=BAD_GRID_FILES)
-def test_bad_grid_files_exit_2(tmp_path, text, err):
+@pytest.mark.parametrize(
+    "text, mass, err",
+    [(text, 1.0, err) for text, err in BAD_GRID_FILES.values()] + list(MAPPED_GRID_FILES.values()),
+    ids=[*BAD_GRID_FILES, *MAPPED_GRID_FILES],
+)
+def test_bad_grid_files_exit_2(tmp_path, text, mass, err):
     path = tmp_path / "field.grid"
     path.write_text(text)
-    code, stderr = run_quietly(["polar"], write_cfg(tmp_path, "mass = 1.0\ngrid = %s\n" % path))
+    cfg = write_cfg(tmp_path, "mass = %r\ngrid = %s\n" % (mass, path))
+    code, stderr = run_quietly(["polar"], cfg)
     assert code == 2 and stderr.startswith("config error: grid: " + err), stderr
 
 
@@ -1384,6 +1418,10 @@ COLD_START = """\
 import sys
 
 import diracpolar
+
+# the package root binds no name, so importing it loads no submodule
+assert not [name for name in sys.modules if name.startswith("diracpolar.")]
+
 from diracpolar.cli import console_main
 
 config = sys.argv[1]

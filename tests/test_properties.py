@@ -31,7 +31,6 @@ from diracpolar import cli
 from diracpolar.algebra import (
     ETA_SIGNS,
     SEED_SPINOR,
-    boost_params,
     boost_spin_rep,
     lorentz_exp,
     lorentz_inverse,
@@ -76,6 +75,7 @@ from conftest import (
     BoxWindow,
     LinearVector,
     SpinorTable,
+    boost_params,
     gauge_shift_linear,
     jet_gap,
     shift_turn,
