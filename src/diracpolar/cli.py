@@ -281,12 +281,19 @@ def _in_mass_units(op, mass, *named):
 
 
 def build_background(cfg: RunConfig) -> Background:
-    """cfg's background in units of the mass (build_field): q a and w, which
-    are momenta, divided by the mass."""
-    potentials = _in_mass_units(np.divide, cfg.mass, ("em_potential", cfg.em_potential),
-                                ("torsion_vector", cfg.torsion_vector))
-    return Background(1.0, cfg.charge, cfg.torsion_coupling,
-                      *(None if a is None else ConstantVector(a) for a in potentials))
+    """cfg's background in units of the mass (build_field): q a and g w, momenta,
+    each the coupling times its potential over the mass, None where either is 0
+    or absent.  A ConfigError names both keys of a product that is not finite."""
+    keys = ("charge", "em_potential"), ("torsion_coupling", "torsion_vector")
+    potentials = _in_mass_units(np.divide, cfg.mass, *((a, getattr(cfg, a)) for _, a in keys))
+    with np.errstate(over="ignore"):
+        coupled = [getattr(cfg, q) * a if getattr(cfg, q) and a is not None else None
+                   for (q, _), a in zip(keys, potentials)]
+    problems = ["%s * %s: not finite in units of the mass (mass = %.17g)" % (*pair, cfg.mass)
+                for pair, qa in zip(keys, coupled) if qa is not None and not np.isfinite(qa).all()]
+    if problems:
+        raise ConfigError(problems)
+    return Background(1.0, *(None if qa is None else ConstantVector(qa) for qa in coupled))
 
 
 def build_field(cfg: RunConfig, basis):
@@ -300,7 +307,13 @@ def build_field(cfg: RunConfig, basis):
             origin, spacing = _in_mass_units(np.multiply, cfg.mass, ("grid: origin", fld.origin),
                                              ("grid: spacing", fld.spacing))
             # checked again, as a spacing can underflow to 0
-            return GriddedField(origin, spacing, fld.data)
+            fld = GriddedField(origin, spacing, fld.data)
+            # a wave config's bounds: its amplitudes, and d_mu psi ~ max|psi| / spacing
+            amplitude, steep = np.abs(fld.data).max(), AMPLITUDE_MAX * BOOST_MAX * spacing.min()
+            if amplitude and not AMPLITUDE_MIN <= amplitude <= min(AMPLITUDE_MAX, steep):
+                raise ValueError("largest |psi| component %.3e, expected 0 or in [%.0e, %.3e]"
+                                 % (amplitude, AMPLITUDE_MIN, min(AMPLITUDE_MAX, steep)))
+            return fld
         except (OSError, ValueError) as exc:
             raise ConfigError(["grid: %s" % exc])
     # one row per wave

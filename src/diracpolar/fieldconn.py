@@ -18,7 +18,7 @@ the first derivatives of every polar variable, including the connection
 whose coefficients along sigma^{ij} steer the frame: d_mu s_i = r_{ji mu} s^j
 and the same for the velocity.  The momentum covector is
 
-  p_mu = d_mu(residual_phase) + trace_part_mu - charge * a_mu
+  p_mu = d_mu(residual_phase) + trace_part_mu - q a_mu
 
 with trace_part_mu = Im tr(g_mu) / 4; p is invariant under a joint
 phase/potential gauge shift.  A jet carries p_mu as p[..., mu] and r_{ij mu},
@@ -100,23 +100,19 @@ class ConstantVector:
 
 @dataclass
 class Background:
-    """Mass, couplings and potentials.  a_value and w_value take a point or a
-    stack of points; a constant or absent potential comes back as one (4,)
-    vector, which broadcasts against the stack."""
+    """The mass and the external fields as the field equation reads them: qa
+    holds q a^mu and gw holds g w^mu, raised, or None.  qa_value and gw_value
+    take a point or a stack; a constant or absent field is one (4,) vector."""
 
     mass: float
-    charge: float = 0.0
-    torsion_coupling: float = 0.0
-    em_potential: object = None      # raised components a^mu
-    torsion_vector: object = None    # raised components w^mu
+    qa: object = None
+    gw: object = None
 
-    def a_value(self, x):
-        return np.zeros(4) if self.em_potential is None else self.em_potential.value(x)
+    def qa_value(self, x):
+        return np.zeros(4) if self.qa is None else self.qa.value(x)
 
-    def w_value(self, x):
-        return (
-            np.zeros(4) if self.torsion_vector is None else self.torsion_vector.value(x)
-        )
+    def gw_value(self, x):
+        return np.zeros(4) if self.gw is None else self.gw.value(x)
 
 
 @dataclass
@@ -226,13 +222,15 @@ class GriddedField:
 
     def _index(self, x):
         """Node index of a point, or index arrays of a stack of points."""
-        rel = (np.asarray(x, dtype=float) - self.origin) / self.spacing
-        idx = np.rint(rel).astype(int)
-        off = np.abs(rel - idx).max(axis=-1) > 1e-6
+        # a far point's index passes every int or float: tested before the cast
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = (np.asarray(x, dtype=float) - self.origin) / self.spacing
+            idx = np.rint(rel)
+            off = np.abs(rel - idx).max(axis=-1) > 1e-6
         raise_rows(off, OutOfDomain, "point does not sit on a grid node")
         outside = (idx < 0) | (idx >= self.data.shape[:4])
         raise_rows(outside.any(axis=-1), OutOfDomain, "point outside the gridded region")
-        return tuple(np.moveaxis(idx, -1, 0))
+        return tuple(np.moveaxis(idx.astype(int), -1, 0))
 
     def evaluate(self, x):
         """Field at a node (4,), or at every node of a stack (..., 4)."""
@@ -326,12 +324,12 @@ class FieldSample:
 
 
 def sample_field(fld, bg: Background, x) -> FieldSample:
-    """The field's block, with i charge a_mu psi added to d_mu psi at nonzero charge."""
+    """The field's block, with i q a_mu psi added to d_mu psi under a potential."""
     x = np.asarray(x, dtype=float)
     sample = FieldSample(x, fld.block(x))
-    if bg.charge:
+    if bg.qa is not None:
         grad, psi = sample.grad, sample.psi
-        grad += 1j * bg.charge * (bg.a_value(x) * ETA_SIGNS)[..., :, None] * psi[..., None, :]
+        grad += 1j * (bg.qa_value(x) * ETA_SIGNS)[..., :, None] * psi[..., None, :]
     return sample
 
 
@@ -466,7 +464,7 @@ def polar_jet(fld, bg: Background, basis, x, h=1e-3) -> PolarJet:
     transport = np.zeros(x.shape[:-1] + (4, 4, 4))
     transport[..., PAIR_I, PAIR_J] = coeff * ETA_SIGNS[PAIR_I] * ETA_SIGNS[PAIR_J]
 
-    p = dphase + trace_part - bg.charge * (bg.a_value(x) * ETA_SIGNS)
+    p = dphase + trace_part - bg.qa_value(x) * ETA_SIGNS
     return PolarJet(
         pd0.density, pd0.chiral_angle, pd0.velocity, pd0.spin, dchiral, dlogden, du, ds,
         transport, p, x,

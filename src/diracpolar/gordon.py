@@ -5,7 +5,7 @@ under the chiral involution yields ten real equations among the densities
 and their first derivatives.  Rewriting the same content through the polar
 variables produces two effective covectors
 
-  e_mu = dual connection - coupling * w + d(chiral)/2 + mass * s * cos(chiral)
+  e_mu = dual connection - g w + d(chiral)/2 + mass * s * cos(chiral)
   f_mu = connection trace + d(log density) + mass * s * sin(chiral)
 
 and four equivalent groups of projection identities linking e, f, the
@@ -73,14 +73,14 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
-def _balance_components(products, signs, w, m, coup):
+def _balance_components(products, signs, w, m):
     """Every component of the ten balance equations (..., 52), in BALANCE
     order, from the products psi^dagger (gamma^0 M) [psi, nabla_mu psi]
     (..., 42, 5) of the matrices of basis.balance_rows, their hermiticity
-    signs, the torsion vector w, the mass m and the torsion coupling coup.
+    signs, the coupled torsion vector w = g w and the mass m.
 
     Real and linear in the products, the psi column entering only with m or
-    coup * w: _balance_tables reads it off unit products once.
+    w: _balance_tables reads it off unit products once.
     """
     sums, differences = _density_derivatives(products[..., 1:], signs)
     d_one, d_pi, d_gam, d_gam_pi, d_sig, _ = sums
@@ -104,37 +104,37 @@ def _balance_components(products, signs, w, m, coup):
 
     out["vector_divergence"] = _trace(d_vec)
 
-    out["pseudoscalar_kinetic"] = 0.5j * _trace(k_gam_pi) - coup * np.vecdot(w_low, u)
+    out["pseudoscalar_kinetic"] = 0.5j * _trace(k_gam_pi) - np.vecdot(w_low, u)
 
     dur = d_vec * _S[:, None]
     curl_u = dur - np.swapaxes(dur, -1, -2)
     # eps^{anmr} k_rm = -pair_dual(k)_an, k = k_gam_pi lowered along its first index
     curl_u = curl_u - 1j * pair_dual(k_gam_pi * _S[:, None])
-    curl_u = curl_u - 2 * coup * pair_dual(_outer(w_low, u_low))
+    curl_u = curl_u - 2 * pair_dual(_outer(w_low, u_low))
     out["vector_curl"] = curl_u - 2 * m * m_up
 
     out["axial_divergence"] = _trace(d_ax) - 2 * m * pseudoscalar
 
-    out["scalar_kinetic"] = 0.5j * _trace(k_gam) - coup * np.vecdot(w_low, s) - m * scalar
+    out["scalar_kinetic"] = 0.5j * _trace(k_gam) - np.vecdot(w_low, s) - m * scalar
 
     curl_s = pair_dual(d_ax * _S)
     k = k_gam * _S        # adj(psi) gamma^al nabla^nu psi - reversed, [al, nu]
     curl_s = curl_s + 1j * (k - np.swapaxes(k, -1, -2))
-    out["axial_curl"] = curl_s + 2 * coup * (_outer(w, s) - _outer(s, w))
+    out["axial_curl"] = curl_s + 2 * (_outer(w, s) - _outer(s, w))
 
     vr = 1j * k_one * _S + 2j * _trace(d_sig)    # d_mu m^{al mu}
-    vr = vr + coup * (pair_dual(m_low) @ w_low[..., None])[..., 0]
+    vr = vr + (pair_dual(m_low) @ w_low[..., None])[..., 0]
     out["vector_recovery"] = vr - 2 * m * u
 
     # eps^{amrs} d_tens_mrs through the (4, 64) view of the epsilon table
     ai = k_pi * _S - 0.5 * d_tens.reshape(d_tens.shape[:-3] + (64,)) @ EPS_PAIRS.reshape(4, 64).T
-    out["axial_recovery"] = ai + 2 * coup * (m_up @ w_low[..., None])[..., 0]
+    out["axial_recovery"] = ai + 2 * (m_up @ w_low[..., None])[..., 0]
 
-    vi = d_one * _S + 2 * _trace(k_sig) + 2 * coup * w * pseudoscalar[..., None]
+    vi = d_one * _S + 2 * _trace(k_sig) + 2 * w * pseudoscalar[..., None]
     out["scalar_gradient"] = vi
 
     ar = 1j * d_pi * _S + 2j * _trace(k_sig_pi)
-    out["pseudoscalar_gradient"] = ar - 2 * coup * w * scalar[..., None] + 2 * m * s
+    out["pseudoscalar_gradient"] = ar - 2 * w * scalar[..., None] + 2 * m * s
 
     batch = u.shape[:-1]
     return np.concatenate([np.reshape(out[n], batch + (k,)) for n, k in BALANCE.items()], -1)
@@ -147,7 +147,7 @@ def _balance_tables(signs):
     With parts = flat[..., rows], the parts of the gradient columns first,
 
       components = parts[..., :len(field)] @ field
-                   + [m, coup * w] . (parts[..., len(field):] @ psi_terms)
+                   + [m, w] . (parts[..., len(field):] @ psi_terms)
 
     and psi_terms (., 5 * 52).  signs is basis.balance_signs as bytes.  Each
     entry sums products of +-1/2, +-1, +-2 and epsilon: the tables are exact.
@@ -157,14 +157,14 @@ def _balance_tables(signs):
     # time, which keeps the probes' arrays small
     parts = [np.flatnonzero(np.arange(420) // 2 % 5 == c) for c in range(5)]
 
-    def probe(c, w, m, coup):
+    def probe(c, w, m):
         unit = np.zeros((84, 420))
         unit[np.arange(84), parts[c]] = 1.0
-        return _balance_components(unit.view(complex).reshape(84, 42, 5), signs, w, m, coup).real
+        return _balance_components(unit.view(complex).reshape(84, 42, 5), signs, w, m).real
 
     zero = np.zeros(4)
-    field = np.concatenate([probe(c, zero, 0.0, 0.0) for c in range(1, 5)])
-    terms = [probe(0, zero, 1.0, 0.0)] + [probe(0, e, 0.0, 1.0) for e in np.eye(4)]
+    field = np.concatenate([probe(c, zero, 0.0) for c in range(1, 5)])
+    terms = [probe(0, zero, 1.0)] + [probe(0, e, 0.0) for e in np.eye(4)]
     psi_terms = np.concatenate(terms, axis=1)
     read, read_psi = field.any(axis=1), psi_terms.any(axis=1)
     rows = np.concatenate([np.concatenate(parts[1:])[read], parts[0][read_psi]])
@@ -189,7 +189,7 @@ def residual_bilinear_gordon(fld, bg: Background, basis, x, sample=None) -> dict
     rows, field, psi_terms = _balance_tables(basis.balance_signs.tobytes())
     batch = products.shape[:-2]
     parts = products.view(float).reshape(batch + (420,))[..., rows]
-    w = bg.torsion_coupling * bg.w_value(sample.x)
+    w = bg.gw_value(sample.x)
     scales = np.concatenate([np.full(w.shape[:-1] + (1, 1), bg.mass), w[..., None, :]], -1)
     by_scale = (parts[..., len(field) :] @ psi_terms).reshape(batch + (5, len(field.T)))
     components = parts[..., : len(field)] @ field + (scales @ by_scale)[..., 0, :]
@@ -208,13 +208,12 @@ def dirac_residual(fld, bg: Background, basis, x, sample=None):
         sample = sample_field(fld, bg, x)
     psi = sample.psi
     batch = psi.shape[:-1]
-    w_low = bg.w_value(sample.x) * _S
+    w_low = bg.gw_value(sample.x) * _S
     # gamma^a v_a and gamma^a pi v_a for spinors v_a, flattened to (..., 16),
     # against the two halves of basis.dirac_rows
     gamma, gamma_pi = basis.dirac_rows[:, :16].T, basis.dirac_rows[:, 16:].T
     op = 1j * (sample.grad.reshape(batch + (16,)) @ gamma)
-    torsion = (w_low[..., :, None] * psi[..., None, :]).reshape(batch + (16,))
-    op = op - bg.torsion_coupling * (torsion @ gamma_pi)
+    op = op - (w_low[..., :, None] * psi[..., None, :]).reshape(batch + (16,)) @ gamma_pi
     op = op - bg.mass * psi
     # both norms in units of a power of two near the largest |psi_i|, as |psi|
     # varies: it leaves their ratio exact and keeps the squares finite at any

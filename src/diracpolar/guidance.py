@@ -50,11 +50,11 @@ def _require_xs(xs):
 def potentials(jet: PolarJet, bg: Background):
     """The y and z potentials of a jet, lowered, with the jet's batch axes;
     no guard.  The connection enters through jet.contractions, the torsion
-    term only when there is a torsion vector."""
+    term g w only when there is one."""
     parts = jet.contractions
     y = parts[..., :4]
-    if bg.torsion_vector is not None:
-        y = y - bg.torsion_coupling * (bg.w_value(jet.x) * ETA_SIGNS)
+    if bg.gw is not None:
+        y = y - bg.gw_value(jet.x) * ETA_SIGNS
     y = y + 0.5 * jet.dchiral
     z = parts[..., 4:8] - jet.dlogdensity
     return y, z

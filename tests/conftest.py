@@ -52,14 +52,27 @@ BAD_GRID_FILES = {
     "spacing-zero": (_bad_header(3, "# spacing: 0 1 1 1"), "grid spacing must be positive"),
     "spacing-inf": (_bad_header(3, "# spacing: 1 inf 1 1"), "grid spacing must be positive"),
 }
-# grid files that load, each with a mass at which its origin or spacing leaves
-# the finite or the positive floats in units of the mass, and the start of the
-# message that names it
+
+
+def _scaled_data(factor):
+    """GRID_FILE with good headers and its spinor times factor."""
+    return (GRID_FILE % GOOD_HEADER).replace("\n1 0 1 0 ", "\n%r 0 %r 0 " % (factor, factor))
+
+
+# grid files that load, each with a mass at which, in units of the mass, its
+# origin or spacing leaves the finite or the positive floats or its data
+# leave the bounds of a wave config, and the start of the message that names it
+OVER_SPACING = "largest |psi| component 1.000e+00, expected 0 or in [1e-70, "
 MAPPED_GRID_FILES = {
     "origin-overflow": (_bad_header(2, "# origin: 1e300 0 0 0"), 1e10, "origin: not finite"),
     "spacing-overflow": (_bad_header(3, "# spacing: 1e300 1 1 1"), 1e10, "spacing: not finite"),
     "spacing-underflow": (_bad_header(3, "# spacing: 1 1e-300 1 1"), 1e-30,
                           "grid spacing must be positive"),
+    "spacing-subnormal": (_bad_header(3, "# spacing: 1 1 1e-310 1"), 1.0, OVER_SPACING),
+    "spacing-mapped-subnormal": (_bad_header(3, "# spacing: 1 1 1 1e-300"), 1e-15, OVER_SPACING),
+    "data-large": (_scaled_data(1e200), 1.0,
+                   "largest |psi| component 1.000e+200, expected 0 or in [1e-70, 1.000e+70]"),
+    "data-small": (_scaled_data(1e-200), 1.0, "largest |psi| component 1.000e-200, expected 0"),
 }
 
 
@@ -79,18 +92,23 @@ class LinearVector:
         return LinearVector(self.base + np.asarray(delta, dtype=float), self.slope)
 
 
+def coupled(coupling, potential):
+    """A ConstantVector or LinearVector potential times its coupling, the q a
+    or g w a Background holds."""
+    if isinstance(potential, LinearVector):
+        return LinearVector(coupling * potential.base, coupling * potential.slope)
+    return ConstantVector(coupling * potential.values)
+
+
 def gauge_shift_linear(fld, bg, c):
-    """Joint shift psi -> exp(-i q c.x) psi, a -> a + c leaving the momentum
+    """Joint shift psi -> exp(-i c.x) psi, q a -> q a + c leaving the momentum
     covector invariant, of a plane-wave field and its background.  c carries
     raised components."""
     c = np.asarray(c, dtype=float)
-    comps = [
-        PlaneWaveComponent(comp.momentum + bg.charge * c, comp.amplitude.copy())
-        for comp in fld.components
-    ]
-    pot = bg.em_potential if bg.em_potential is not None else ConstantVector(np.zeros(4))
-    pot = pot.shifted(c) if isinstance(pot, LinearVector) else ConstantVector(pot.values + c)
-    return PlaneWaveField(comps), replace(bg, em_potential=pot)
+    comps = [PlaneWaveComponent(comp.momentum + c, comp.amplitude.copy()) for comp in fld.components]
+    qa = bg.qa if bg.qa is not None else ConstantVector(np.zeros(4))
+    qa = qa.shifted(c) if isinstance(qa, LinearVector) else ConstantVector(qa.values + c)
+    return PlaneWaveField(comps), replace(bg, qa=qa)
 
 
 class BoxWindow:

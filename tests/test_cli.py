@@ -924,6 +924,10 @@ MAPPED = {
     "point": "mass = 1e10\npoint = 1e300 0 0 0",
     "em_potential": "mass = 1e-10\nem_potential = 1e300 0 0 0",
     "torsion_vector": "mass = 1e-10\ntorsion_vector = 0 1e300 0 0",
+    # a coupling times its potential; the kinematic arc reads neither
+    "charge * em_potential": "mass = 1\ncharge = 1e300\nem_potential = 1e10 0 0 0",
+    "torsion_coupling * torsion_vector":
+        "mass = 1\ntorsion_coupling = 1e300\ntorsion_vector = 1e10 0 0 0",
 }
 MAPPED_CASES = [
     (command, key, MAPPED[key], IN_MASS_UNITS)
@@ -948,7 +952,7 @@ MAPPED_CASES = [
     ] + MAPPED_CASES,
     ids=["guidance-torsion-nan", "gordon-torsion-nan", "charge-inf", "mass-nan",
          "tolerance-inf", "tau_step-inf", "amplitude-inf", "phase-nan"] + [
-        "-".join([key, *filter(str.isalpha, command.split())])
+        "-".join([key.replace(" * ", "-"), *filter(str.isalpha, command.split())])
         for command, key, _, _ in MAPPED_CASES],
 )
 def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, key, line, problem):
@@ -959,7 +963,7 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, key, line, 
     else:
         text = line + "\n" + TWO_WAVE
     if problem == IN_MASS_UNITS:
-        # the lines set the mass and the point, each once
+        # the lines set the mass once, and the point is theirs or the default
         text = text.replace("mass = 1.0\n", "").replace("point = 0.0 0.1 0.05 -0.1\n", "")
     argv = command.split() + ["--config", write_cfg(tmp_path, text)]
     assert "%s: %s" % (key, problem) in assert_config_error(tmp_path, capsys, argv, None)
@@ -1201,6 +1205,192 @@ def test_trajectory_outcome_bytes(tmp_path, capsys, monkeypatch):
     assert captured.err == WINDOW_ERRORS
 
 
+# A run under both couplings at mass 2: the charge and the torsion coupling,
+# each with its potential, enter every value of gordon, guidance and a
+# guidance arc.  The plane waves solve no field equation under them, so each
+# run exits 1 and names its worst residual.
+CHARGED = TWO_WAVE.replace("mass = 1.0\n", "mass = 2.0\ncharge = 0.5\ntorsion_coupling = 0.4\n"
+                           "em_potential = 0.3 -0.2 0.05 0.1\ntorsion_vector = 0.05 0.1 -0.2 0.3\n")
+
+CHARGED_GORDON = """\
+p0.point=0.27392337464290861 -0.3604265724722594 -0.86805295212761058 -1.0669447289429419
+p0.dirac=0.095759962138332627
+p0.vector_divergence=1.2362822100152802e-16
+p0.pseudoscalar_kinetic=0.015179441868808168
+p0.vector_curl=0.12901403937574243
+p0.axial_divergence=1.2514203595256715e-16
+p0.scalar_kinetic=0.042348413669693268
+p0.axial_curl=0.13317870393968728
+p0.vector_recovery=0.11595678333343598
+p0.axial_recovery=0.11610623061224234
+p0.scalar_gradient=0.126973265247039
+p0.pseudoscalar_gradient=0.13689835693268956
+p0.group_a1=2.5284770576079181e-17
+p0.group_a2=0.015542376946787256
+p0.group_a3=0.066049359677902347
+p0.group_b1=6.2377920934621762e-17
+p0.group_b2=0.043360949239204638
+p0.group_b3=0.068181479787099999
+p0.group_c1=0.059994407906628383
+p0.group_c2=0.058805446454756098
+p0.group_d1=0.065747410953637592
+p0.group_d2=0.069389397744498094
+p0.polar_derivative=5.9878494101134437e-17
+p0.transport=8.8796157926562813e-17
+p1.point=0.62654047840054483 0.92551115455544342 0.26327155153435972 0.35899312196799682
+p1.dirac=0.096496903975379522
+p1.vector_divergence=1.3339731569262346e-17
+p1.pseudoscalar_kinetic=0.016017730968050158
+p1.vector_curl=0.13000275665745309
+p1.axial_divergence=8.1308840041218101e-17
+p1.scalar_kinetic=0.043382635769575892
+p1.axial_curl=0.1342779048274893
+p1.vector_recovery=0.11593138696050508
+p1.axial_recovery=0.11719926964546147
+p1.scalar_gradient=0.12710584114722628
+p1.pseudoscalar_gradient=0.13855143386448204
+p1.group_a1=9.2899311468058242e-17
+p1.group_a2=0.016429460376531337
+p1.group_a3=0.066672212924658858
+p1.group_b1=4.0094700277695007e-17
+p1.group_b2=0.044497769180131486
+p1.group_b3=0.068864732501979373
+p1.group_c1=0.060241237771686273
+p1.group_c2=0.059318563909552313
+p1.group_d1=0.066115642281241782
+p1.group_d2=0.070192732600340646
+p1.polar_derivative=1.2018049513582424e-16
+p1.transport=2.0803129184565616e-16
+p2.point=0.087249982930845738 0.97014484757553643 0.68170710824306435 -1.0945229996597039
+p2.dirac=0.094463720393950845
+p2.vector_divergence=6.9823737384151547e-17
+p2.pseudoscalar_kinetic=0.013464895956868799
+p2.vector_curl=0.12740699717625342
+p2.axial_divergence=5.3591650833592336e-17
+p2.scalar_kinetic=0.040528783878783746
+p2.axial_curl=0.13108871163355335
+p2.vector_recovery=0.11588240703825987
+p2.axial_recovery=0.1139580146402671
+p2.scalar_gradient=0.12663081777888596
+p2.pseudoscalar_gradient=0.13400967115959722
+p2.group_a1=3.0649824923777193e-17
+p2.group_a2=0.013746555992075152
+p2.group_a3=0.065036054718717831
+p2.group_b1=2.7157615186982386e-17
+p2.group_b2=0.041376569018062082
+p2.group_b3=0.066915419182291366
+p2.group_c1=0.059425757882947489
+p2.group_c2=0.057892458309460409
+p2.group_d1=0.06496038991533408
+p2.group_d2=0.068102128251840588
+p2.polar_derivative=3.0490440275172259e-17
+p2.transport=1.9000643072808465e-17
+p3.point=0.71480855317513869 -0.83282884938907131 0.50931089285988818 -0.74868875879488195
+p3.dirac=0.09353516259618426
+p3.vector_divergence=1.4956932220167123e-17
+p3.pseudoscalar_kinetic=0.011781508240592259
+p3.vector_curl=0.12647804621653669
+p3.axial_divergence=5.7611887070273365e-17
+p3.scalar_kinetic=0.039204312029727094
+p3.axial_curl=0.1292839471750539
+p3.vector_recovery=0.11561195417655354
+p3.axial_recovery=0.11198538781916935
+p3.scalar_gradient=0.12618317064269563
+p3.pseudoscalar_gradient=0.13194297255322834
+p3.group_a1=3.4974722267206085e-17
+p3.group_a2=0.012005496628244763
+p3.group_a3=0.064441314574987474
+p3.group_b1=2.6459668853411142e-17
+p3.group_b2=0.039949658929397724
+p3.group_b3=0.065870937752629671
+p3.group_c1=0.058763965650965921
+p3.group_c2=0.057202437252476424
+p3.group_d1=0.064124948359915696
+p3.group_d2=0.067384208255361622
+p3.polar_derivative=1.2547710157513873e-16
+p3.transport=7.6869934029222264e-17
+p4.point=0.72635784469977316 0.18292244049818343 -0.35057621892523044 -0.25462555760468308
+p4.dirac=0.096161556301778431
+p4.vector_divergence=3.0354799593456663e-17
+p4.pseudoscalar_kinetic=0.01564508500868932
+p4.vector_curl=0.12954762179673568
+p4.axial_divergence=8.0946132249217776e-18
+p4.scalar_kinetic=0.042911768811607902
+p4.axial_curl=0.13378332406836252
+p4.vector_recovery=0.11594742858423998
+p4.axial_recovery=0.11671009251802492
+p4.scalar_gradient=0.12704958894670718
+p4.pseudoscalar_gradient=0.13779806719270932
+p4.group_a1=9.7475575255005285e-18
+p4.group_a2=0.016034345346303148
+p4.group_a3=0.066385427293217905
+p4.group_b1=4.8916692964967721e-18
+p4.group_b2=0.043979442755593179
+p4.group_b3=0.068555972003255083
+p4.group_c1=0.060133891160479819
+p4.group_c2=0.059085236592436641
+p4.group_d1=0.065953142046054319
+p4.group_d2=0.069822089074167204
+p4.polar_derivative=1.2084532350833067e-16
+p4.transport=5.5646676502818515e-17
+"""
+
+CHARGED_GUIDANCE = """\
+point=0 0.10000000000000001 0.050000000000000003 -0.10000000000000001
+effective_mass_scale=1.9287360954806885
+zeta=0.00048783411436492436 -0.0019073025866924562 0.0044689540847442496 0.0095312850283843439
+y_potential=-0.00049390387098162912 0.033493633768531247 -0.085289312088082977 0.10299326710240182
+z_potential=0.00094090326498248386 -0.0036786833439574253 0.008619433052292097 0.018383333470559562
+momentum=1.974128479261466 0.41145291765208114 -0.083395195844667619 0.033163732719147888
+momentum_from_connection=1.9155991945988537 0.53126969209147412 -0.11044948681912355 -0.009566266854055764
+velocity=1.0233621903052332 0.21157600705442545 -0.048428427645959497 0.012667011524834475
+velocity_recovered=0.99336595947779194 0.27597521594203456 -0.056894373016838043 0.0051447958129896051
+momentum_form_gap=1.1102230246251565e-16
+momentum_consistency=0.059908387219696491
+velocity_round_trip=0.064399208887609111
+"""
+
+CHARGED_TRAJECTORY = """\
+# trajectory 0 mode=guidance status=completed
+sample=0 0 0 0.10000000000000001 0.050000000000000003 -0.10000000000000001 0.99336595947779194 0.27597521594203456 -0.056894373016838043 0.0051447958129896051
+sample=0 0.050000000000000003 0.049669224543014721 0.11380346707457337 0.047157847547748363 -0.09974322205906995 0.99340303458832169 0.2761635053899027 -0.056791777213537196 0.0051263623432673804
+sample=0 0.10000000000000001 0.099340304694884876 0.12761635438071725 0.044320817068621676 -0.099487359714551332 0.9934401838620911 0.27635202534164105 -0.056689494012044636 0.0051081719411193204
+sample=0 0.15000000000000002 0.14901324416830397 0.14143867346420544 0.041488892944416787 -0.099232400815313648 0.99347740748074653 0.27654077662170939 -0.056587522938510861 0.0050902245178915022
+sample=0 0.20000000000000001 0.19868804668510559 0.15527043591222212 0.038662059580376884 -0.098978333214467987 0.99351470562824362 0.27672976006206595 -0.05648586352893141 0.005072519992573089
+max_unit_violation=0.092724273042117167
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, out, worst",
+    [
+        (["gordon", "--points", "5"], CHARGED_GORDON,
+         "p1.pseudoscalar_gradient = 0.13855143386448204"),
+        (["guidance"], CHARGED_GUIDANCE, "velocity_round_trip = 0.064399208887609111"),
+        (["trajectory", "--mode", "guidance", "--steps", "4"], CHARGED_TRAJECTORY,
+         "max_unit_violation = 0.092724273042117167"),
+    ],
+    ids=["gordon", "guidance", "trajectory"],
+)
+def test_charged_run_bytes(tmp_path, capsys, argv, out, worst):
+    code = console_main(argv + ["--config", write_cfg(tmp_path, CHARGED), "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "tolerance violation: %s (tolerance 9.9999999999999995e-07)\n" % worst
+    # each line to the bit but the dirac residual's: its pinned values scaled
+    # the sum of the torsion products by g, which now enters each product
+    # through g w, and they hold to 4 eps
+    lines = captured.out.splitlines()
+    assert len(lines) == len(out.splitlines())
+    for line, pinned in zip(lines, out.splitlines()):
+        name, _, value = pinned.partition("=")
+        if name.endswith(".dirac"):
+            got = float(line.removeprefix(name + "="))
+            assert abs(got - float(value)) <= 4 * np.finfo(float).eps * float(value), line
+        else:
+            assert line == pinned
+
+
 def test_seeds_file_problems_are_named(tmp_path, capsys):
     # comments and blank lines as in a config; the lines keep their numbers
     cfg = write_cfg(tmp_path, TWO_WAVE)
@@ -1410,8 +1600,9 @@ def test_bad_grid_files_exit_2(tmp_path, text, mass, err):
     path = tmp_path / "field.grid"
     path.write_text(text)
     cfg = write_cfg(tmp_path, "mass = %r\ngrid = %s\n" % (mass, path))
-    code, stderr = run_quietly(["polar"], cfg)
-    assert code == 2 and stderr.startswith("config error: grid: " + err), stderr
+    for argv in (["polar"], ["guidance"], ["gordon"]):
+        code, stderr = run_quietly(argv, cfg)
+        assert code == 2 and stderr.startswith("config error: grid: " + err), (argv, stderr)
 
 
 COLD_START = """\
@@ -1494,9 +1685,28 @@ def test_parse_config_reads_background():
     assert cfg.mass == 2.0
     assert cfg.charge == 0.5
     assert cfg.torsion_coupling == 0.4
-    # in units of the mass: q a and w are momenta, halved at mass 2
+    # in units of the mass: q a and g w are momenta, each the coupling times
+    # its potential over the mass
     bg = cli.build_background(cfg)
     assert bg.mass == 1.0
-    assert np.allclose(bg.em_potential.value(np.zeros(4)), [0.05, 0, 0, 0])
-    assert np.allclose(bg.torsion_vector.value(np.zeros(4)), [0, 0.05, -0.025, 0.1])
+    qa, gw = (vector.value(np.zeros(4)) for vector in (bg.qa, bg.gw))
+    assert np.array_equal(qa, 0.5 * (np.array([0.1, 0, 0, 0]) / 2.0))
+    assert np.array_equal(gw, 0.4 * (np.array([0, 0.1, -0.05, 0.2]) / 2.0))
+    assert np.allclose(qa, [0.025, 0, 0, 0]) and np.allclose(gw, [0, 0.02, -0.01, 0.04])
     assert cfg.waves[0]["spin"] @ cfg.waves[0]["spin"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["charge = 0\nem_potential = 0.3 0 0 0", "torsion_coupling = 0\ntorsion_vector = 0 0.3 -0.1 0.2"],
+    ids=["charge", "torsion"],
+)
+def test_zero_coupling_is_no_potential(tmp_path, line):
+    # a potential at coupling 0 enters nothing: the records are those of the
+    # config without it, to the bit
+    text = line + "\n" + TWO_WAVE
+    bg = cli.build_background(parse_config(text))
+    assert bg.qa is None and bg.gw is None
+    plain, uncoupled = write_cfg(tmp_path, TWO_WAVE, "plain.cfg"), write_cfg(tmp_path, text)
+    for argv in (["gordon", "--points", "3"], ["guidance"]):
+        assert run_report(argv, uncoupled) == run_report(argv, plain)

@@ -82,8 +82,11 @@ CASES = {
     ),
     "grid_outside": (
         OutOfDomain, lambda basis, b: grid(basis).evaluate(b),
-        ON_NODE + np.array([[0, 0, 0, 0], [0, 0.3, 0, 0], [-0.2, 0, 0, 0]])[[[0, 1, 0], [2, 0, 0]]],
-        [1, 3],
+        # the last two rows' node indices pass every integer, the last one
+        # every float
+        ON_NODE + np.array([[0, 0, 0, 0], [0, 0.3, 0, 0], [-0.2, 0, 0, 0], [1e19, 0, 0, 0],
+                            [0, 0, -1e308, 0]])[[[0, 1, 4], [2, 0, 3]]],
+        [1, 2, 3, 5],
     ),
     "grid_stencil": (
         OutOfDomain, lambda basis, b: grid(basis).partial(b),

@@ -29,6 +29,7 @@ from conftest import (
     BAD_GRID_FILES,
     BoxWindow,
     LinearVector,
+    coupled,
     gauge_shift_linear,
     jet_gap,
     torsion_wave,
@@ -77,7 +78,7 @@ def test_partial_matches_finite_differences(basis):
 def test_covariant_derivative_adds_potential(basis):
     fld, p = boosted_wave(basis)
     a = np.array([0.4, 0.1, -0.2, 0.3])
-    bg = Background(mass=MASS, charge=0.7, em_potential=ConstantVector(a))
+    bg = Background(mass=MASS, qa=ConstantVector(0.7 * a))
     x = np.array([0.1, 0.2, 0.3, 0.4])
     psi = fld.evaluate(x)
     grad = covariant_derivative(fld, bg, x)
@@ -167,29 +168,26 @@ def test_sample_field_adds_linear_potential(basis, shape):
     potential = LinearVector(rng.uniform(-0.5, 0.5, 4), 0.3 * rng.standard_normal((4, 4)))
     x = rng.uniform(-1.0, 1.0, size=shape)
     psi, plain = fld.evaluate(x), fld.partial(x)
-    a_low = potential.value(x) * ETA_SIGNS
-    expect = plain + 1j * 0.7 * a_low[..., :, None] * psi[..., None, :]
-    bg = Background(mass=MASS, charge=0.7, em_potential=potential)
+    bg = Background(mass=MASS, qa=coupled(0.7, potential))
+    qa_low = bg.qa_value(x) * ETA_SIGNS
+    expect = plain + 1j * qa_low[..., :, None] * psi[..., None, :]
     sample = sample_field(fld, bg, x)
     assert np.array_equal(sample.psi, psi)
     assert np.array_equal(sample.grad, expect)
     assert np.array_equal(covariant_derivative(fld, bg, x), expect)
-    # at charge 0 the potential leaves the derivative as it is
-    neutral = sample_field(fld, Background(mass=MASS, em_potential=potential), x)
+    # with no potential the derivative is the field's own
+    neutral = sample_field(fld, Background(mass=MASS), x)
     assert np.array_equal(neutral.grad, plain)
 
 
 def test_potentials_without_torsion_vector(basis):
-    # no torsion vector and a torsion vector at coupling 0 give the same y;
-    # a coupling moves y by -coupling w and leaves z
+    # g w moves y by -g w and leaves z
     fld = two_wave(basis)
     x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 4))
     w = LinearVector([0.2, 0.1, -0.3, 0.15], 0.2 * np.eye(4))
     jet = derivative_jet(fld, Background(mass=MASS), basis, x)
     bare = potentials(jet, Background(mass=MASS))
-    uncoupled = potentials(jet, Background(mass=MASS, torsion_vector=w))
-    assert all(np.array_equal(a, b) for a, b in zip(bare, uncoupled))
-    y, z = potentials(jet, Background(mass=MASS, torsion_coupling=0.4, torsion_vector=w))
+    y, z = potentials(jet, Background(mass=MASS, gw=coupled(0.4, w)))
     assert np.abs(y - (bare[0] - 0.4 * w.value(x) * ETA_SIGNS)).max() < 1e-14
     assert np.array_equal(z, bare[1])
 
@@ -208,11 +206,11 @@ def test_momentum_covector_single_wave(basis):
 
 
 def test_momentum_covector_with_potential(basis):
-    # a constant potential shifts the covector by -charge * a
+    # a constant potential shifts the covector by -q a
     fld, p = boosted_wave(basis)
     a = np.array([0.2, -0.3, 0.1, 0.05])
     q = 0.5
-    bg = Background(mass=MASS, charge=q, em_potential=ConstantVector(a))
+    bg = Background(mass=MASS, qa=ConstantVector(q * a))
     jet = polar_jet(fld, bg, basis, np.zeros(4), h=1e-3)
     assert np.abs(jet.p - (ETA @ p - q * ETA @ a)).max() < 1e-9
 
@@ -220,11 +218,11 @@ def test_momentum_covector_with_potential(basis):
 def test_gauge_shift_leaves_momentum_invariant(basis):
     fld, p = boosted_wave(basis)
     q = 0.8
-    bg = Background(mass=MASS, charge=q, em_potential=ConstantVector(np.zeros(4)))
+    bg = Background(mass=MASS, qa=ConstantVector(np.zeros(4)))
     x = np.array([0.3, 0.2, -0.1, 0.6])
     jet0 = polar_jet(fld, bg, basis, x, h=1e-3)
     c = np.array([0.4, -0.2, 0.7, 0.1])
-    fld2, bg2 = gauge_shift_linear(fld, bg, c)
+    fld2, bg2 = gauge_shift_linear(fld, bg, q * c)
     jet2 = polar_jet(fld2, bg2, basis, x, h=1e-3)
     assert np.abs(jet2.p - jet0.p).max() < 1e-9
 
@@ -265,9 +263,7 @@ def test_transport_two_waves(basis):
 def test_torsion_wave_is_consistent(basis):
     w = np.array([0.1, 0.05, -0.2, 0.3])
     fld, p4 = torsion_wave([0.2, -0.1, 0.3], MASS, 0.4, w, basis)
-    bg = Background(
-        mass=MASS, torsion_coupling=0.4, torsion_vector=ConstantVector(w)
-    )
+    bg = Background(mass=MASS, gw=ConstantVector(0.4 * w))
     psi = fld.evaluate(np.zeros(4))
     assert np.linalg.norm(psi) > 0.5
     # its momentum covector is the eigen-momentum
@@ -400,13 +396,13 @@ def jet_field(name, basis):
         w = np.array([0.1, 0.05, -0.2, 0.3])
         waves = [torsion_wave(p, MASS, 0.4, w, basis, amplitude=a)[0]
                  for p, a in (([0.2, -0.1, 0.3], 1.0), ([-0.1, 0.25, 0.1], 0.4))]
-        bg = Background(mass=MASS, torsion_coupling=0.4, torsion_vector=ConstantVector(w))
+        bg = Background(mass=MASS, gw=ConstantVector(0.4 * w))
         return superpose(*waves), bg
     slope = 0.2 * np.array(
         [[0.0, 1.0, 0.0, 0.5], [1.0, 0.0, 0.5, 0.0], [0.0, -0.5, 0.0, 1.0], [0.2, 0.0, 0.3, 0.0]]
     )
     potential = LinearVector([0.1, -0.2, 0.05, 0.3], slope)
-    return two_wave(basis), Background(mass=MASS, charge=0.7, em_potential=potential)
+    return two_wave(basis), Background(mass=MASS, qa=coupled(0.7, potential))
 
 
 JET_FIELDS = ["one-wave", "two-wave", "torsion", "charged"]

@@ -20,7 +20,7 @@ from diracpolar.gordon import (
     residual_polar_groups,
 )
 
-from conftest import LinearVector, gauge_shift_linear, torsion_wave
+from conftest import LinearVector, coupled, gauge_shift_linear, torsion_wave
 
 MASS = 1.0
 
@@ -73,9 +73,7 @@ def test_torsion_wave_balances(basis):
     w = np.array([0.1, 0.05, -0.2, 0.3])
     coup = 0.4
     fld, p4 = torsion_wave([0.2, -0.1, 0.3], MASS, coup, w, basis)
-    bg = Background(
-        mass=MASS, torsion_coupling=coup, torsion_vector=ConstantVector(w)
-    )
+    bg = Background(mass=MASS, gw=ConstantVector(coup * w))
     assert dirac_residual(fld, bg, basis, np.zeros(4)) < 1e-12
     res = residual_bilinear_gordon(fld, bg, basis, np.array([0.1, 0.2, 0.3, -0.2]))
     assert max(res.values()) < 1e-11, res
@@ -84,8 +82,8 @@ def test_torsion_wave_balances(basis):
 def test_charged_wave_balances(basis):
     # constant potential is a gauge ghost: shifted free wave stays a solution
     fld = boosted_wave(basis, (0.2, 0.1, -0.15), (0.0, 0.3, 1.0))
-    bg = Background(mass=MASS, charge=0.6, em_potential=ConstantVector(np.zeros(4)))
-    fld2, bg2 = gauge_shift_linear(fld, bg, np.array([0.3, -0.1, 0.2, 0.4]))
+    bg = Background(mass=MASS, qa=ConstantVector(np.zeros(4)))
+    fld2, bg2 = gauge_shift_linear(fld, bg, 0.6 * np.array([0.3, -0.1, 0.2, 0.4]))
     assert dirac_residual(fld2, bg2, basis, np.zeros(4)) < 1e-12
     res = residual_bilinear_gordon(fld2, bg2, basis, np.array([0.1, 0.0, -0.2, 0.3]))
     assert max(res.values()) < 1e-12, res
@@ -168,9 +166,7 @@ def test_polar_groups_with_torsion(basis):
     f1, _ = torsion_wave([0.15, 0.1, -0.2], MASS, coup, w, basis)
     f2, _ = torsion_wave([-0.1, 0.2, 0.1], MASS, coup, w, basis, amplitude=0.35, branch=-2)
     fld = superpose(f1, f2)
-    bg = Background(
-        mass=MASS, torsion_coupling=coup, torsion_vector=ConstantVector(w)
-    )
+    bg = Background(mass=MASS, gw=ConstantVector(coup * w))
     x = np.array([0.1, 0.2, -0.1, 0.3])
     assert dirac_residual(fld, bg, basis, x) < 1e-12
     jet = polar_jet(fld, bg, basis, x, h=1e-3)
@@ -264,10 +260,8 @@ def perturbed_background_field(basis):
     )
     bg = Background(
         mass=MASS,
-        charge=0.6,
-        torsion_coupling=0.4,
-        em_potential=LinearVector([0.1, -0.2, 0.05, 0.3], slope_a),
-        torsion_vector=LinearVector([0.05, 0.1, -0.2, 0.3], slope_w),
+        qa=coupled(0.6, LinearVector([0.1, -0.2, 0.05, 0.3], slope_a)),
+        gw=coupled(0.4, LinearVector([0.05, 0.1, -0.2, 0.3], slope_w)),
     )
     return bad, bg
 

@@ -122,8 +122,7 @@ def test_compact_forms_leaves_degenerate_xs_to_the_inversion(basis):
     # names that point with the message compact_forms once raised
     jet = derivative_jet(two_waves(basis), Background(mass=MASS), basis, POINTS)
     xs0 = compact_forms(jet, Background(mass=MASS)).xs[1]
-    bg = Background(mass=MASS, torsion_coupling=1.0,
-                    torsion_vector=ConstantVector(xs0 * jet.spin[1]))
+    bg = Background(mass=MASS, gw=ConstantVector(xs0 * jet.spin[1]))
     forms = compact_forms(jet, bg)
     degenerate = np.abs(forms.xs) < X_GUARD * MASS
     assert degenerate.tolist() == [False, True, False]

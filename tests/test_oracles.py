@@ -99,7 +99,7 @@ from diracpolar.guidance import (
 from diracpolar.polar import polar_decompose
 from diracpolar.trajectories import velocity_field
 
-from conftest import LinearVector, SpinorTable, per_row_emit
+from conftest import LinearVector, SpinorTable, coupled, per_row_emit
 from test_gordon import NON_SOLUTION_POINTS, perturbed_background_field
 
 EPS = np.finfo(float).eps
@@ -288,11 +288,9 @@ def reference_densities(psi, basis):
 
 def reference_dirac(sample, bg, basis):
     psi = sample.psi
-    w_low = bg.w_value(sample.x) * _S
+    w_low = bg.gw_value(sample.x) * _S
     op = 1j * np.einsum("mij,...mj->...i", basis.gamma, sample.grad)
-    op = op - bg.torsion_coupling * np.einsum(
-        "...a,aij,...j->...i", w_low, basis.gamma @ basis.pi, psi
-    )
+    op = op - np.einsum("...a,aij,...j->...i", w_low, basis.gamma @ basis.pi, psi)
     op = op - bg.mass * psi
     return (np.linalg.norm(op, axis=-1) / np.linalg.norm(psi, axis=-1))[()]
 
@@ -309,8 +307,8 @@ def reference_bilinear_gordon(sample, bg, basis):
     m_low = np.zeros(values.shape[:-1] + (4, 4))
     m_low[..., PAIR_I, PAIR_J] = values[..., 10:]
     m_low[..., PAIR_J, PAIR_I] = -values[..., 10:]
-    m, coup = bg.mass, bg.torsion_coupling
-    w = np.broadcast_to(bg.w_value(sample.x), sample.psi.shape)
+    m = bg.mass
+    w = np.broadcast_to(bg.gw_value(sample.x), sample.psi.shape)
     w_low, u_low = w * _S, u * _S
     m_up = m_low * _S2
     scale = u[..., 0]
@@ -323,28 +321,28 @@ def reference_bilinear_gordon(sample, bg, basis):
 
     out = {}
     out["vector_divergence"] = np.abs(_trace(d_vec)) / scale
-    out["pseudoscalar_kinetic"] = np.abs(0.5j * _trace(k_gam_pi) - coup * _dot(w_low, u)) / scale
+    out["pseudoscalar_kinetic"] = np.abs(0.5j * _trace(k_gam_pi) - _dot(w_low, u)) / scale
     dur = d_vec * _S[:, None]
     curl_u = dur - np.swapaxes(dur, -1, -2)
     curl_u = curl_u + 1j * np.einsum("anmr,...rm->...an", EPS_UPPER, k_gam_pi * _S[:, None])
-    curl_u = curl_u - 2 * coup * np.einsum("ansr,...s,...r->...an", EPS_UPPER, w_low, u_low)
+    curl_u = curl_u - 2 * np.einsum("ansr,...s,...r->...an", EPS_UPPER, w_low, u_low)
     out["vector_curl"] = worst(curl_u - 2 * m * m_up, (-2, -1))
     out["axial_divergence"] = np.abs(_trace(d_ax) - 2 * m * pseudoscalar) / scale
-    acc = 0.5j * _trace(k_gam) - coup * _dot(w_low, s) - m * scalar
+    acc = 0.5j * _trace(k_gam) - _dot(w_low, s) - m * scalar
     out["scalar_kinetic"] = np.abs(acc) / scale
     curl_s = np.einsum("anmq,...mq->...an", EPS_UPPER, d_ax * _S)
     k = k_gam * _S
-    curl_s = curl_s + 1j * (k - np.swapaxes(k, -1, -2)) + 2 * coup * (_outer(w, s) - _outer(s, w))
+    curl_s = curl_s + 1j * (k - np.swapaxes(k, -1, -2)) + 2 * (_outer(w, s) - _outer(s, w))
     out["axial_curl"] = worst(curl_s, (-2, -1))
     vr = 1j * k_one * _S + 2j * _trace(d_sig)
-    vr = vr + coup * np.einsum("amrs,...m,...rs->...a", EPS_UPPER, w_low, m_low) - 2 * m * u
+    vr = vr + np.einsum("amrs,...m,...rs->...a", EPS_UPPER, w_low, m_low) - 2 * m * u
     out["vector_recovery"] = worst(vr, -1)
     ai = k_pi * _S - 0.5 * np.einsum("amrs,...mrs->...a", EPS_UPPER, d_tens)
-    ai = ai + 2 * coup * np.einsum("...ab,...b->...a", m_up, w_low)
+    ai = ai + 2 * np.einsum("...ab,...b->...a", m_up, w_low)
     out["axial_recovery"] = worst(ai, -1)
-    vi = d_one * _S + 2 * _trace(k_sig) + 2 * coup * w * pseudoscalar[..., None]
+    vi = d_one * _S + 2 * _trace(k_sig) + 2 * w * pseudoscalar[..., None]
     out["scalar_gradient"] = worst(vi, -1)
-    ar = 1j * d_pi * _S + 2j * _trace(k_sig_pi) - 2 * coup * w * scalar[..., None] + 2 * m * s
+    ar = 1j * d_pi * _S + 2j * _trace(k_sig_pi) - 2 * w * scalar[..., None] + 2 * m * s
     out["pseudoscalar_gradient"] = worst(ar, -1)
     return {name: value[()] for name, value in out.items()}
 
@@ -383,13 +381,12 @@ def reference_polar_groups(jet, bg):
 
 def charged_background(rng):
     """Mass, charge and torsion coupling with an EM potential and a torsion
-    vector that vary across spacetime."""
+    vector that vary across spacetime, each potential times its coupling."""
+    mass, charge, coupling = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
     return Background(
-        mass=rng.uniform(0.5, 2.0),
-        charge=rng.uniform(-1.0, 1.0),
-        torsion_coupling=rng.uniform(-1.0, 1.0),
-        em_potential=LinearVector(rng.standard_normal(4), rng.standard_normal((4, 4))),
-        torsion_vector=LinearVector(rng.standard_normal(4), rng.standard_normal((4, 4))),
+        mass=mass,
+        qa=coupled(charge, LinearVector(rng.standard_normal(4), rng.standard_normal((4, 4)))),
+        gw=coupled(coupling, LinearVector(rng.standard_normal(4), rng.standard_normal((4, 4)))),
     )
 
 
@@ -449,7 +446,7 @@ def test_dirac_residual_matches_einsum(basis, seed, batch, log_size):
     # gamma^a nabla_a psi and the torsion term, per unit |psi|; 3000 random
     # draws reached 0.68 units
     sample = sample_field(fld, bg, x)
-    torsion = abs(bg.torsion_coupling) * l1(bg.w_value(x)) * l1(fld.psi)
+    torsion = l1(bg.gw_value(x)) * l1(fld.psi)
     scale = (l1(l1(sample.grad)) + torsion) / np.linalg.norm(fld.psi, axis=-1) + bg.mass
     assert np.all(np.abs(got - want) <= 8 * EPS * scale)
 
@@ -466,8 +463,7 @@ def test_bilinear_gordon_matches_einsum(basis, seed, batch, log_size):
     # the products |psi| |nabla psi| and the mass and torsion terms |psi|^2,
     # per unit density u^0 = |psi|^2; 3000 random draws reached 1.28 units
     psi = l1(fld.psi)
-    size = psi * (l1(sample.grad).max(axis=-1) + (bg.mass + abs(bg.torsion_coupling)
-                                                  * l1(bg.w_value(x))) * psi)
+    size = psi * (l1(sample.grad).max(axis=-1) + (bg.mass + l1(bg.gw_value(x))) * psi)
     scale = size / np.vecdot(fld.psi, fld.psi).real
     for name in want:
         assert np.shape(got[name]) == np.shape(want[name]) == batch, name
@@ -658,8 +654,8 @@ def head_potentials(jet, r, bg):
     """y and z of a jet whose connection is r, through the two tables."""
     flat = r.reshape(r.shape[:-3] + (64,))
     y = flat @ HEAD_AXIAL_DUAL
-    if bg.torsion_vector is not None:
-        y = y - bg.torsion_coupling * (bg.w_value(jet.x) * ETA_SIGNS)
+    if bg.gw is not None:
+        y = y - bg.gw_value(jet.x) * ETA_SIGNS
     y = y + 0.5 * jet.dchiral
     return y, -jet.dlogdensity - flat @ HEAD_TRACE_CONTRACTION
 
@@ -703,7 +699,7 @@ def test_connection_table_matches_connection_array(basis, seed, batch, log_size)
     assert np.all(np.abs(jet.r - r) <= 4 * EPS * size[..., None, None])
     cyclic = 2.0 * jet.contractions[..., 8:].reshape(batch + (4, 3))
     assert np.all(np.abs(cyclic - r[..., CYCLIC_J, CYCLIC_K]) <= 4 * EPS * size[..., None])
-    torsion = abs(bg.torsion_coupling) * l1(bg.w_value(x))
+    torsion = l1(bg.gw_value(x))
     scale = size.sum(axis=-1) + l1(jet.dchiral) + l1(jet.dlogdensity) + torsion
     for got, want in zip(potentials(jet, bg), head_potentials(jet, r, bg)):
         assert got.shape == want.shape == batch + (4,)
@@ -757,7 +753,7 @@ def test_stencil_jet_through_the_table(basis, seed, batch):
     # exactly antisymmetric, and back bit for bit from r raised and halved
     assert np.array_equal(r, -r.swapaxes(-1, -2))
     assert np.array_equal(connection_from_transport(0.5 * r * LOWER_PAIR), r)
-    torsion = abs(bg.torsion_coupling) * l1(bg.w_value(x))
+    torsion = l1(bg.gw_value(x))
     scale = l1(r.reshape(batch + (64,))) + l1(jet.dchiral) + l1(jet.dlogdensity) + torsion
     # 500 random draws reached 0.23 units
     for got, want in zip(potentials(jet, bg), head_potentials(jet, r, bg)):

@@ -76,6 +76,7 @@ from conftest import (
     LinearVector,
     SpinorTable,
     boost_params,
+    coupled,
     gauge_shift_linear,
     jet_gap,
     shift_turn,
@@ -313,7 +314,7 @@ def test_jet_in_linear_potential(basis, seed, n_waves, charge, shape):
     )
     fld = plane_wave(momenta, 1.0, rng.uniform(-1.0, 1.0, size=(n_waves, 3)), amplitudes, basis)
     potential = LinearVector(rng.uniform(-0.5, 0.5, 4), 0.3 * rng.standard_normal((4, 4)))
-    bg = Background(mass=1.0, charge=charge, em_potential=potential)
+    bg = Background(mass=1.0, qa=coupled(charge, potential))
     x = rng.uniform(-1.0, 1.0, size=shape)
     jet = derivative_jet(fld, bg, basis, x)
     sample = sample_field(fld, bg, x)
@@ -321,7 +322,7 @@ def test_jet_in_linear_potential(basis, seed, n_waves, charge, shape):
     assert jet_gap(jet, psi_first) <= 1e-13
     # the charge moves p alone, by -q a
     neutral = derivative_jet(fld, Background(mass=1.0), basis, x)
-    shift = charge * potential.value(x) * ETA_SIGNS
+    shift = bg.qa_value(x) * ETA_SIGNS
     assert jet_gap(replace(jet, p=jet.p + shift), neutral) <= 1e-13
 
 
@@ -548,9 +549,10 @@ def test_guidance_velocity_is_gauge_invariant(basis, seed, n_waves, charge, sign
     potential = LinearVector(base, 0.3 * rng.standard_normal((4, 4))) if linear else (
         ConstantVector(base)
     )
-    bg = Background(mass=1.0, charge=sign * charge, em_potential=potential)
+    bg = Background(mass=1.0, qa=coupled(sign * charge, potential))
     points = rng.uniform(-1.0, 1.0, size=(4, 4))
     velocity = velocity_field(fld, bg, basis, "guidance")(points)
+    shift = sign * charge * shift
     shifted = velocity_field(*gauge_shift_linear(fld, bg, shift), basis, "guidance")(points)
 
     jet = derivative_jet(fld, bg, basis, points)

@@ -21,7 +21,7 @@ from diracpolar.trajectories import (
     velocity_field,
 )
 
-from conftest import BoxWindow, LinearVector, vanishing_waves
+from conftest import BoxWindow, LinearVector, coupled, vanishing_waves
 
 MASS = 1.0
 
@@ -320,9 +320,7 @@ def test_charged_guidance_ensemble_in_linear_potential(basis):
     slope = 0.05 * np.array(
         [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], [0.0, -0.5, 0.0, 1.0], [0.2, 0.0, 0.0, 0.0]]
     )
-    bg = Background(
-        mass=MASS, charge=0.3, em_potential=LinearVector([0.1, 0.0, -0.05, 0.02], slope)
-    )
+    bg = Background(mass=MASS, qa=coupled(0.3, LinearVector([0.1, 0.0, -0.05, 0.02], slope)))
     n_steps, h_tau = 6, 0.1
     arcs = batch_integrate(fld, bg, basis, ENSEMBLE_SEEDS, n_steps * h_tau, h_tau, "guidance")
     vel = velocity_field(fld, bg, basis, "guidance")
@@ -334,7 +332,7 @@ def test_charged_guidance_ensemble_in_linear_potential(basis):
         xs, us = per_seed_rk4(vel, x0, n_steps, h_tau)
         assert np.abs(arc.x - xs).max() < 1e-12
         assert np.abs(arc.u - us).max() < 1e-12
-        # the potential bends the curve, so the batched a_value mattered
+        # the potential bends the curve, so the batched qa_value mattered
         assert np.abs(arc.x - plain.x).max() > 1e-4
 
 
