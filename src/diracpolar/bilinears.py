@@ -11,7 +11,9 @@ For a single spinor psi the densities are
 with adj(psi) = psi^dagger gamma^0.  All five are real; any imaginary part
 is numerical noise and is reported, not silently dropped.  The densities are
 not independent: the quadratic and cubic interdependencies checked here mean
-only eight real degrees of freedom survive out of sixteen.
+only eight real degrees of freedom survive out of sixteen.  compute_bilinears
+names all sixteen for those checks; the regularity guard, like the polar
+variables, reads S, P and U^0 straight from the real values in density_rows order.
 """
 from __future__ import annotations
 
@@ -26,28 +28,13 @@ REGULARITY_EPS = 1e-10
 
 
 @dataclass
-class Densities:
-    """S, P, U and A of one spinor, or of a batch with the spinor's leading
-    shape: all that the polar variables and the regularity guard read."""
+class BilinearSet:
+    """All sixteen densities of one spinor, or of a batch."""
 
     scalar: float
     pseudoscalar: float
     vector: np.ndarray       # raised index
     axial: np.ndarray        # raised index
-
-    @classmethod
-    def from_values(cls, values) -> "Densities":
-        """S, P, U and A from real values (..., 10) in BilinearSet order."""
-        return cls(values[..., 0], values[..., 1], values[..., 2:6], values[..., 6:10])
-
-    def density_squared(self) -> float:
-        return self.scalar**2 + self.pseudoscalar**2
-
-
-@dataclass
-class BilinearSet(Densities):
-    """All sixteen densities of one spinor, or of a batch."""
-
     tensor6: np.ndarray      # m_ab for ab in INDEX_PAIRS, both lowered
     imag_residual: float
 
@@ -88,24 +75,27 @@ def compute_bilinears(psi, basis) -> BilinearSet:
     )
 
 
-def _modulus(dens: Densities):
+def _modulus(values):
     """|(S, P)|, and whether each row is above sqrt(REGULARITY_EPS) |U^0| (no NaN row is)."""
-    modulus = np.hypot(dens.scalar, dens.pseudoscalar)
-    return modulus, modulus > REGULARITY_EPS**0.5 * np.abs(dens.vector[..., 0])
+    modulus = np.hypot(values[..., 0], values[..., 1])
+    return modulus, modulus > REGULARITY_EPS**0.5 * np.abs(values[..., 2])
 
 
-def is_regular(bil: Densities):
-    """Densities bounded away from the light-cone degeneracy theta = phi = 0."""
-    return _modulus(bil)[1]
+def is_regular(values):
+    """Whether S, P and U^0 of real density values (..., k), in density_rows
+    order, keep away from the light-cone degeneracy theta = phi = 0."""
+    return _modulus(values)[1]
 
 
-def require_regular(bil: Densities):
-    """|(S, P)| of every spinor of the batch; raises SingularSpinor naming each one
-    that is not regular, with S^2 + P^2, formed for those messages alone."""
-    modulus, regular = _modulus(bil)
+def require_regular(values):
+    """|(S, P)| of every row of real density values (..., k), in density_rows
+    order; raises SingularSpinor naming each row that is not regular, with
+    S^2 + P^2, formed for those messages alone."""
+    modulus, regular = _modulus(values)
     if np.count_nonzero(regular) < regular.size:
         message = "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
-        raise_rows(~regular, SingularSpinor, message, bil.density_squared(), REGULARITY_EPS)
+        squared = values[..., 0] ** 2 + values[..., 1] ** 2
+        raise_rows(~regular, SingularSpinor, message, squared, REGULARITY_EPS)
     return modulus
 
 
@@ -117,7 +107,8 @@ def random_regular_spinor(rng, basis, scale: float = 1.0) -> np.ndarray:
     # rejection sampling; regular spinors are generic so this rarely loops
     while True:
         psi = random_spinor(rng, scale)
-        if is_regular(compute_bilinears(psi, basis)):
+        values = density_products(psi, psi[..., None, :], basis.density_rows)[..., 0].real
+        if is_regular(values):
             return psi
 
 

@@ -326,8 +326,12 @@ def build_field(cfg: RunConfig, basis):
         raise ConfigError(["wave %d: %s" % (row + 1, text) for row, text in exc.rows.items()])
 
 
-def _load_config(path):
-    return parse_config(_read(path, "config"))
+def _setup(path):
+    """(cfg, basis, field, background) of the config file at path, each built
+    and checked, in units of the mass; every config command starts here."""
+    cfg = parse_config(_read(path, "config"))
+    basis = build_chiral_basis()
+    return cfg, basis, build_field(cfg, basis), build_background(cfg)
 
 
 def _finish(rows, fmt, tolerance, checked):
@@ -425,21 +429,17 @@ def _worst(checks):
 
 
 def cmd_polar(args) -> int:
-    basis = build_chiral_basis()
-    tolerance = 1e-6
-    if args.spinor is not None:
+    if args.config is not None:
+        cfg, basis, fld, _ = _setup(args.config)
+        (point,) = _in_mass_units(np.multiply, cfg.mass, ("point", cfg.point))
+        psi, tolerance = fld.evaluate(point), cfg.tolerance
+    else:
         problems = []
         parts = _floats(args.spinor, 8, "spinor", problems)
         if problems:
             raise ConfigError(problems)
-        psi = parts[0::2] + 1j * parts[1::2]
-    elif args.config is not None:
-        cfg = _load_config(args.config)
-        tolerance = cfg.tolerance
-        (point,) = _in_mass_units(np.multiply, cfg.mass, ("point", cfg.point))
-        psi = build_field(cfg, basis).evaluate(point)
-    else:
-        raise ConfigError(["polar needs --config or --spinor"])
+        psi, tolerance = parts[0::2] + 1j * parts[1::2], 1e-6
+        basis = build_chiral_basis()
     try:
         pd = polar_decompose(psi, basis)
     except SingularSpinor as exc:
@@ -476,9 +476,7 @@ def _gordon_point(fld, bg, basis, points):
 def cmd_gordon(args) -> int:
     _require_at_least(args.points, 1, "--points")
     _require_at_least(args.seed, 0, "--seed")
-    cfg = _load_config(args.config)
-    basis = build_chiral_basis()
-    fld, bg = build_field(cfg, basis), build_background(cfg)
+    cfg, basis, fld, bg = _setup(args.config)
     if args.points == 1:
         points = cfg.point[None, :]
     else:
@@ -497,9 +495,7 @@ def cmd_gordon(args) -> int:
 
 
 def cmd_guidance(args) -> int:
-    cfg = _load_config(args.config)
-    basis = build_chiral_basis()
-    fld, bg = build_field(cfg, basis), build_background(cfg)
+    cfg, basis, fld, bg = _setup(args.config)
     m = cfg.mass
     (point,) = _in_mass_units(np.multiply, m, ("point", cfg.point))
     jet = derivative_jet(fld, bg, basis, point)
@@ -564,7 +560,7 @@ def _read_seeds(path):
 
 
 def cmd_trajectory(args) -> int:
-    cfg = _load_config(args.config)
+    cfg, basis, fld, bg = _setup(args.config)
     if cfg.grid is not None:
         # grid fields answer only at their nodes, and the first RK4 stage
         # always leaves the node it starts from
@@ -584,8 +580,6 @@ def cmd_trajectory(args) -> int:
     steps = tau_max / h_tau
     if not (np.isfinite(steps) and round(steps) >= 0):
         raise ConfigError(["--steps: %.6g steps, expected a finite count >= 0" % steps])
-    basis = build_chiral_basis()
-    fld, bg = build_field(cfg, basis), build_background(cfg)
     named = _read_seeds(args.seeds) if args.seeds is not None else [("point", cfg.point)]
     seeds = np.array(_in_mass_units(np.multiply, m, *named))
     # opened before the integration, so that a bad path costs no arcs
@@ -647,8 +641,9 @@ def build_parser():
     p_id.set_defaults(func=cmd_identities)
 
     p_pol = add("polar", help="polar decomposition of a spinor")
-    p_pol.add_argument("--config", help="field config; decomposes at its point")
-    p_pol.add_argument(
+    source = p_pol.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="field config; decomposes at its point")
+    source.add_argument(
         "--spinor", metavar="RE0,IM0,...,RE3,IM3", help="decompose this spinor instead"
     )
     p_pol.add_argument("--format", choices=("table", "records"), default="table")

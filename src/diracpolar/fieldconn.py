@@ -59,7 +59,7 @@ from .algebra import (  # noqa: F401
     transport_terms,
 )
 from .errors import OffShell, OutOfDomain, PhaseJump, raise_rows
-from .bilinears import Densities, density_products
+from .bilinears import density_products
 from .polar import polar_decompose, polar_variables, wrap_angle
 
 # polar_jet's stencil: the point itself, then +e_mu and -e_mu for mu = 0..3
@@ -128,13 +128,11 @@ class PlaneWaveField:
         self.components = list(components)
         # one row per component: lowered momenta and amplitudes
         self._p_low = np.array([ETA @ c.momentum for c in self.components]).reshape(-1, 4)
-        self._amplitudes = np.array(
-            [c.amplitude for c in self.components], dtype=complex
-        ).reshape(-1, 4)
+        amplitudes = np.array([c.amplitude for c in self.components], dtype=complex).reshape(-1, 4)
         # a_k, then -i p_k mu a_k for mu = 0..3: what each phase multiplies in
         # psi and in d_mu psi, (5, n, 4)
         self._block_amplitudes = np.concatenate(
-            [self._amplitudes[None], -1j * self._p_low.T[:, :, None] * self._amplitudes]
+            [amplitudes[None], -1j * self._p_low.T[:, :, None] * amplitudes]
         )
 
     def _phases(self, x):
@@ -144,7 +142,7 @@ class PlaneWaveField:
         """Field at a point (4,), or at every point of a stack (..., 4)."""
         # a (1, n) row of phases times (n, 4) also at a single point, the
         # matrix product block forms
-        return (self._phases(x)[..., None, :] @ self._amplitudes)[..., 0, :]
+        return (self._phases(x)[..., None, :] @ self._block_amplitudes[0])[..., 0, :]
 
     # bench/tracer.py looks this method up by name; the package reads block
     def partial(self, x):
@@ -389,7 +387,7 @@ def derivative_jet(fld, bg: Background, basis, x, sample=None) -> PolarJet:
     # mu.  Row 2 is gamma^0 gamma^0 = 1, so it also holds psi^dagger nabla_mu psi
     products = density_products(sample.psi, sample.block, basis.jet_rows)
     values = products[..., 0].real
-    density, chiral, u, s = polar_variables(Densities.from_values(values))
+    density, chiral, u, s = polar_variables(values)
     # half the product-rule derivatives, rows (S, P, U, A), columns mu; halving is exact
     half_d = products[..., 1:].real
     # d log(S + i P) / 2 = d log(density) + i d(chiral angle) / 2

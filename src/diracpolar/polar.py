@@ -29,7 +29,7 @@ from .algebra import (  # noqa: F401
     spin_inverse,
     vector_rep,
 )
-from .bilinears import Densities, compute_bilinears, require_regular
+from .bilinears import density_products, require_regular
 
 
 def wrap_angle(a):
@@ -56,12 +56,13 @@ class PolarData:
         return PolarData(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def polar_variables(dens: Densities):
-    """(density, chiral_angle, velocity, spin) from S, P, U and A of a spinor or a
-    batch: U and A over the |(S, P)| of require_regular, which raises SingularSpinor."""
-    modulus = require_regular(dens)
-    u, s = dens.vector / modulus[..., None], dens.axial / modulus[..., None]
-    return np.sqrt(modulus / 2.0), np.arctan2(dens.pseudoscalar, dens.scalar), u, s
+def polar_variables(values):
+    """(density, chiral_angle, velocity, spin) of a spinor or a batch from the
+    first ten columns of its real density values (..., k), in density_rows
+    order: U and A over the |(S, P)| of require_regular, which raises SingularSpinor."""
+    modulus = require_regular(values)
+    u, s = values[..., 2:6] / modulus[..., None], values[..., 6:10] / modulus[..., None]
+    return np.sqrt(modulus / 2.0), np.arctan2(values[..., 1], values[..., 0]), u, s
 
 
 def polar_decompose(psi, basis) -> PolarData:
@@ -70,7 +71,8 @@ def polar_decompose(psi, basis) -> PolarData:
     Raises SingularSpinor when any spinor of the batch is not regular.
     """
     psi = np.asarray(psi, dtype=complex)
-    density, chiral_angle, u, s = polar_variables(compute_bilinears(psi, basis))
+    values = density_products(psi, psi[..., None, :], basis.density_rows)[..., 0].real
+    density, chiral_angle, u, s = polar_variables(values)
 
     # boost to rest first, then the minimal rotation taking z onto the rest
     # spin, which is s[1:] - s^0 v / (u^0 + 1) because u.s = 0

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA_SIGNS
-from .bilinears import Densities, density_products, require_regular
+from .bilinears import density_products, require_regular
 from .errors import ConfigError, DiracPolarError, ImmediateSingularity
 from .fieldconn import Background, derivative_jet
 from .guidance import compact_forms, velocity_from_momentum
@@ -49,8 +49,7 @@ def velocity_field(fld, bg: Background, basis, mode="kinematic"):
         def evaluate(x):
             psi = fld.evaluate(x)
             values = density_products(psi, psi[..., None, :], rows)[..., 0].real
-            dens = Densities(values[..., 0], values[..., 1], values[..., 2:], None)
-            return dens.vector / require_regular(dens)[..., None]
+            return values[..., 2:] / require_regular(values)[..., None]
 
     elif mode == "guidance":
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from diracpolar.algebra import EPS_LOWER, ETA, ETA_SIGNS, LOWER_PAIR, build_chiral_basis
+from diracpolar.bilinears import density_products
 from diracpolar.errors import OutOfDomain, raise_rows
 from diracpolar.fieldconn import (
     GRID_MAGIC,
@@ -25,6 +26,13 @@ from diracpolar.fieldconn import (
 @pytest.fixture(scope="session")
 def basis():
     return build_chiral_basis()
+
+
+def density_values(psi, basis):
+    """The real density values of psi (..., 4) in density_rows order, the
+    array the regularity guard and polar_variables read."""
+    psi = np.asarray(psi, dtype=complex)
+    return density_products(psi, psi[..., None, :], basis.density_rows)[..., 0].real
 
 
 # a grid file of one node, each header line given as text

@@ -134,9 +134,20 @@ def test_polar_zero_spinor_is_config_error(capsys):
 
 
 def test_polar_needs_some_input(capsys):
-    code = console_main(["polar"])
-    assert code == 2
-    assert "--config or --spinor" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:    # argparse rejects a missing input
+        console_main(["polar"])
+    assert exc.value.code == 2
+    assert "one of the arguments --config --spinor is required" in capsys.readouterr().err
+
+
+def test_polar_takes_one_input(tmp_path, capsys):
+    # both inputs exit 2 before the config is read, a missing file too
+    for path in (write_cfg(tmp_path, TWO_WAVE), str(tmp_path / "missing.cfg")):
+        with pytest.raises(SystemExit) as exc:
+            console_main(["polar", "--config", path, "--spinor", "1,0,0,0,1,0,0,0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --spinor: not allowed with argument --config" in err
 
 
 def test_gordon_on_solution(tmp_path, capsys):
@@ -919,7 +930,7 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, extra):
 FINITE = "expected a finite number"
 IN_MASS_UNITS = "not finite in units of the mass"
 # finite numbers that leave the finite floats in units of the mass, each with
-# its mass, in every command that maps them
+# its mass, in every command (polar builds the background it does not read)
 MAPPED = {
     "point": "mass = 1e10\npoint = 1e300 0 0 0",
     "em_potential": "mass = 1e-10\nem_potential = 1e300 0 0 0",
@@ -932,9 +943,8 @@ MAPPED = {
 MAPPED_CASES = [
     (command, key, MAPPED[key], IN_MASS_UNITS)
     for key in MAPPED
-    for command in ["polar"] * (key == "point") + [
-        "guidance", "gordon --points 3", "trajectory --steps 2",
-        "trajectory --mode guidance --steps 2"]
+    for command in ["polar", "guidance", "gordon --points 3", "trajectory --steps 2",
+                    "trajectory --mode guidance --steps 2"]
 ]
 
 

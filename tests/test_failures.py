@@ -4,7 +4,7 @@ checked alone, and whose own text is the first of those messages."""
 import numpy as np
 import pytest
 
-from diracpolar.bilinears import Densities, require_regular
+from diracpolar.bilinears import require_regular
 from diracpolar.errors import (
     DegenerateInversion,
     DegenerateX,
@@ -21,10 +21,10 @@ from conftest import BoxWindow
 
 
 def densities(scalar):
-    """Densities of unit U^0 and the given scalars, pseudoscalar 0."""
+    """Density values of unit U^0 and the given scalars, pseudoscalar 0."""
     values = np.zeros(np.shape(scalar) + (10,))
     values[..., 0], values[..., 2] = scalar, 1.0
-    return Densities.from_values(values)
+    return values
 
 
 def inversion(xs, z0):

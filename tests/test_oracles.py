@@ -64,7 +64,7 @@ from diracpolar.algebra import (
     spin_inverse,
 )
 from diracpolar import bilinears
-from diracpolar.bilinears import Densities, compute_bilinears, is_regular, require_regular
+from diracpolar.bilinears import compute_bilinears, is_regular, require_regular
 from diracpolar.errors import SingularSpinor, raise_rows
 from diracpolar.fieldconn import (
     _STENCIL,
@@ -822,10 +822,7 @@ def row_gordon(argv):
     """diracpolar gordon through the row tuples, printed one row at a time,
     and a dict of the checked rows: the exit code, stdout and stderr."""
     args = cli.build_parser().parse_args(argv)
-    cfg = cli._load_config(args.config)
-    basis = cli.build_chiral_basis()
-    fld = cli.build_field(cfg, basis)
-    bg = cli.build_background(cfg)
+    cfg, basis, fld, bg = cli._setup(args.config)
     if args.points == 1:
         points = cfg.point[None, :]
     else:
@@ -895,11 +892,11 @@ def test_gordon_report_matches_row_tuples(tmp_path, capsys, monkeypatch, fmt, po
     assert got[0] == (0 if tolerance == "1e-6" and not poison else 1)
 
 
-def head_require_regular(dens):
+def head_require_regular(values):
     """The squared regularity test and its messages, {row: message} of the
     rows it fails."""
-    squared = dens.density_squared()
-    singular = ~(squared > bilinears.REGULARITY_EPS * dens.vector[..., 0] ** 2)
+    squared = values[..., 0] ** 2 + values[..., 1] ** 2
+    singular = ~(squared > bilinears.REGULARITY_EPS * values[..., 2] ** 2)
     message = "scalar^2 + pseudoscalar^2 = %.3e below %.1e * density^2"
     try:
         raise_rows(singular, SingularSpinor, message, squared, bilinears.REGULARITY_EPS)
@@ -936,23 +933,22 @@ def test_regularity_guard_matches_squared_test(rows, nan):
     values[:, [0, 1, 2]] = rows
     if nan is not None:
         values[nan[0] % len(rows), nan[1]] = np.nan
-    dens = Densities.from_values(values)
-    modulus = np.hypot(dens.scalar, dens.pseudoscalar)
+    modulus = np.hypot(values[:, 0], values[:, 1])
     try:
-        got = require_regular(dens)
+        got = require_regular(values)
     except SingularSpinor as exc:
         failing = exc.rows
     else:
         assert np.array_equal(got, modulus)
         failing = {}
     # is_regular passes exactly the rows the guard passes, next to the bound too
-    assert np.flatnonzero(~is_regular(dens)).tolist() == sorted(failing)
+    assert np.flatnonzero(~is_regular(values)).tolist() == sorted(failing)
     if nan is not None:
         assert nan[0] % len(rows) in failing
     # the two tests round differently within 4 ulp of the bound; 2e7 rows
     # next to it disagreed no further than 2 ulp
-    bound = np.sqrt(bilinears.REGULARITY_EPS) * np.abs(dens.vector[:, 0])
+    bound = np.sqrt(bilinears.REGULARITY_EPS) * np.abs(values[:, 2])
     far = ~(np.abs(modulus - bound) <= 4 * np.spacing(bound))
-    want = head_require_regular(Densities.from_values(values[far]))
+    want = head_require_regular(values[far])
     kept = np.flatnonzero(far).tolist()
     assert {kept.index(row): message for row, message in failing.items() if row in kept} == want

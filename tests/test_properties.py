@@ -77,6 +77,7 @@ from conftest import (
     SpinorTable,
     boost_params,
     coupled,
+    density_values,
     gauge_shift_linear,
     jet_gap,
     shift_turn,
@@ -261,7 +262,7 @@ def test_batch_with_singular_row_raises(basis, seed, n, row, log_size):
     near = np.array([0.0, 0.0, 1.0, 1j]) + 10.0**log_size * (
         rng.standard_normal(4) + 1j * rng.standard_normal(4)
     )
-    assert not is_regular(compute_bilinears(near, basis))
+    assert not is_regular(density_values(near, basis))
     with pytest.raises(SingularSpinor):
         polar_decompose(near, basis)
     psi[row % n] = near
